@@ -17,7 +17,6 @@ import (
 	"remo/internal/cost"
 	"remo/internal/metrics"
 	"remo/internal/model"
-	"remo/internal/task"
 	"remo/internal/transport"
 	"remo/internal/workload"
 )
@@ -103,21 +102,14 @@ func BenchmarkFig12Extensions(b *testing.B) { benchFigure(b, "fig12") }
 // BenchmarkAblations regenerates the search-design ablation tables.
 func BenchmarkAblations(b *testing.B) { benchFigure(b, "ablations") }
 
-// BenchmarkPlannerChurn regenerates the incremental-replanning churn
-// experiment (plan-update latency vs task arrival rate); the name keeps
-// it inside scripts/check.sh's 'BenchmarkPlanner' one-iteration smoke.
-func BenchmarkPlannerChurn(b *testing.B) { benchFigure(b, "churn") }
-
 // BenchmarkSuppress regenerates the forecast-suppression experiment
-// (wire bytes at accuracy, plus fault robustness); scripts/check.sh
-// runs it one-shot as the suppression smoke and gates the recorded
-// headline in BENCH_suppress.json via benchguard -suppress.
+// (wire bytes at accuracy, plus fault robustness); BENCH_suppress.json
+// records a full-scale run.
 func BenchmarkSuppress(b *testing.B) { benchFigure(b, "suppress") }
 
 // BenchmarkRegion regenerates the WAN-topology experiment (cross-region
 // bytes blind vs aware, coverage floor through a region loss);
-// scripts/check.sh runs it one-shot as the region smoke and gates the
-// recorded headline in BENCH_region.json via benchguard -region.
+// BENCH_region.json records a full-scale run.
 func BenchmarkRegion(b *testing.B) { benchFigure(b, "region") }
 
 // --- Micro-benchmarks -------------------------------------------------
@@ -155,55 +147,6 @@ func BenchmarkPlannerPlan(b *testing.B) {
 		if _, err := p.Plan(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// fig6aEnv is the largest Fig. 6a point (400 nodes, 150 small tasks):
-// the acceptance workload for the parallel-planner speedup comparison.
-func fig6aEnv(b *testing.B) (*model.System, *task.Demand) {
-	b.Helper()
-	sys, err := workload.System(workload.SystemConfig{
-		Nodes:           400,
-		Attrs:           100,
-		CapacityLo:      150,
-		CapacityHi:      400,
-		CentralCapacity: 4800,
-		Cost:            cost.Model{PerMessage: 10, PerValue: 1},
-		Seed:            9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tasks := workload.Tasks(sys, workload.TaskConfig{
-		Count: 150, AttrsPerTask: 3, NodesPerTask: 40, Seed: 16,
-	})
-	d, err := workload.Demand(sys, tasks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys, d
-}
-
-// BenchmarkPlannerSequential times the pre-parallel planner (one
-// worker, tree-build memo off) on the Fig. 6a acceptance workload.
-func BenchmarkPlannerSequential(b *testing.B) {
-	sys, d := fig6aEnv(b)
-	p := core.NewPlanner(core.WithWorkers(1), core.WithoutTreeCache())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Plan(sys, d)
-	}
-}
-
-// BenchmarkPlannerParallel times the default planner (GOMAXPROCS
-// workers, tree-build memo on) on the same workload; compare against
-// BenchmarkPlannerSequential for the speedup factor.
-func BenchmarkPlannerParallel(b *testing.B) {
-	sys, d := fig6aEnv(b)
-	p := core.NewPlanner()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Plan(sys, d)
 	}
 }
 
@@ -252,9 +195,7 @@ func runtimeBenchCfg(b *testing.B, nodes, rounds int) (*remo.Plan, remo.DeployCo
 }
 
 // BenchmarkRuntimeMemory measures the worker-pool round engine over the
-// memory transport at the Fig. 6a anchor scale (200 nodes); the
-// before/after trajectory lives in BENCH_runtime.json and the README
-// Performance table.
+// memory transport at the Fig. 6a anchor scale (200 nodes).
 func BenchmarkRuntimeMemory(b *testing.B) {
 	plan, dcfg := runtimeBenchCfg(b, 200, 50)
 	b.ResetTimer()

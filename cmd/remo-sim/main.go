@@ -1,8 +1,8 @@
 // Command remo-sim plans and emulates a monitoring deployment end to
 // end: it generates a synthetic system and task set (or loads a spec),
 // plans the topology with a chosen partition scheme, runs the
-// goroutine-per-node emulation, and reports coverage, staleness and
-// percentage error.
+// round-based emulation, and reports coverage, staleness and percentage
+// error.
 //
 // Usage:
 //

@@ -118,15 +118,9 @@ type DeployConfig struct {
 	// EnforceCapacity applies per-round capacity budgets (default true
 	// via Deploy; set DisableCapacity to lift them).
 	DisableCapacity bool
-	// FailAt kills node n at the start of round FailAt[n] (failure
-	// injection). Legacy knob: equivalent to Chaos.CrashAt.
-	FailAt map[NodeID]int
-	// DropEvery drops every k-th message on the wire (0 disables).
-	// Legacy knob: equivalent to Chaos.DropEvery.
-	DropEvery int
-	// Chaos schedules richer fault injection: crash/recover schedules,
-	// probabilistic and per-link message loss, and message delay. It
-	// merges with (and supersedes) the legacy knobs above.
+	// Chaos schedules fault injection: crash/recover schedules,
+	// periodic, probabilistic and per-link message loss, and message
+	// delay.
 	Chaos *ChaosConfig
 	// Seed decorrelates the default value generator.
 	Seed uint64
@@ -294,9 +288,9 @@ type RepairEvent struct {
 	CoverageAfter float64
 }
 
-// Deploy emulates the plan: one goroutine per node, periodic update
-// messages flowing up the collection trees, capacity enforced per round,
-// and a central collector measuring coverage and percentage error.
+// Deploy emulates the plan: periodic update messages flowing up the
+// collection trees, capacity enforced per round, and a central collector
+// measuring coverage and percentage error.
 func (p *Plan) Deploy(cfg DeployConfig) (DeployReport, error) {
 	rounds := cfg.Rounds
 	if rounds <= 0 {
@@ -315,11 +309,8 @@ func (p *Plan) Deploy(cfg DeployConfig) (DeployReport, error) {
 		Spec:            p.aggSpec,
 		Source:          source,
 		Rounds:          rounds,
-		Workers:         p.runtimeWorkers,
 		Resolve:         p.resolve,
 		EnforceCapacity: !cfg.DisableCapacity,
-		FailAt:          cfg.FailAt,
-		DropEvery:       cfg.DropEvery,
 		Chaos:           cfg.Chaos,
 		Observer:        cfg.OnValue,
 		Trace:           cfg.Trace,
@@ -343,22 +334,39 @@ func (p *Plan) Deploy(cfg DeployConfig) (DeployReport, error) {
 			return DeployReport{}, fmt.Errorf("remo: deploy result failed verification: %w", err)
 		}
 	}
+	return reportFromResult(res), nil
+}
+
+// reportFromResult maps everything the collection tier measured onto
+// the public report. The session-owned fields — self-healing history,
+// collector restarts, replans, re-dispatches — are left for the caller.
+func reportFromResult(res cluster.Result) DeployReport {
 	return DeployReport{
-		Rounds:           res.Rounds,
-		DemandedPairs:    res.DemandedPairs,
-		CoveredPairs:     res.CoveredPairs,
-		PercentCollected: res.PercentCollected,
-		AvgPercentError:  res.AvgPercentError,
-		AvgStaleness:     res.AvgStaleness,
-		MessagesSent:     res.MessagesSent,
-		MessagesDropped:  res.MessagesDropped,
-		ValuesDelivered:  res.ValuesDelivered,
-		ValuesObserved:   res.ValuesObserved,
-		ValuesSuppressed: res.ValuesSuppressed,
-		ValuesImputed:    res.ValuesImputed,
-		ModelSyncs:       res.ModelSyncs,
-		MarkersLost:      res.MarkersLost,
-		ImputeBandMax:    res.ImputeBandMax,
-		ErrorSeries:      res.ErrorSeries,
-	}, nil
+		Rounds:            res.Rounds,
+		DemandedPairs:     res.DemandedPairs,
+		CoveredPairs:      res.CoveredPairs,
+		PercentCollected:  res.PercentCollected,
+		AvgPercentError:   res.AvgPercentError,
+		AvgStaleness:      res.AvgStaleness,
+		MessagesSent:      res.MessagesSent,
+		MessagesDropped:   res.MessagesDropped,
+		ValuesDelivered:   res.ValuesDelivered,
+		ValuesObserved:    res.ValuesObserved,
+		ValuesSuppressed:  res.ValuesSuppressed,
+		ValuesImputed:     res.ValuesImputed,
+		ModelSyncs:        res.ModelSyncs,
+		MarkersLost:       res.MarkersLost,
+		ImputeBandMax:     res.ImputeBandMax,
+		ErrorSeries:       res.ErrorSeries,
+		StaleEpochFrames:  res.StaleEpochFrames,
+		FramesBuffered:    res.FramesBuffered,
+		FramesShed:        res.FramesShed,
+		FramesRedelivered: res.FramesRedelivered,
+		Shards:            res.Shards,
+		ShardsDown:        res.ShardsDown,
+		OrphanedTrees:     res.OrphanedTrees,
+		TreesRedispatched: res.TreesRedispatched,
+		LeaderElections:   res.LeaderElections,
+		ShardWatermarks:   res.ShardWatermarks,
+	}
 }

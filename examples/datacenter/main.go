@@ -97,7 +97,7 @@ func run() error {
 	faulty, err := plan.Deploy(remo.DeployConfig{
 		Rounds: 40,
 		Seed:   3,
-		FailAt: map[remo.NodeID]int{victim: 10},
+		Chaos:  &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{victim: 10}},
 	})
 	if err != nil {
 		return err

@@ -62,8 +62,8 @@ func run() error {
 		return err
 	}
 
-	// Deploy: one goroutine per node, update messages flowing up the
-	// planned trees, a central collector measuring freshness.
+	// Deploy: update messages flowing up the planned trees, a central
+	// collector measuring freshness.
 	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 60, Seed: 42})
 	if err != nil {
 		return err

@@ -82,12 +82,7 @@ func Registry() []Experiment {
 		{Name: "fig11", Description: "tree-wise capacity allocation schemes (% collected)", Run: Fig11},
 		{Name: "fig12", Description: "extensions: aggregation/frequency awareness and replication", Run: Fig12},
 		{Name: "ablations", Description: "ablations of the planner's search design choices", Run: Ablations},
-		{Name: "planner", Description: "planner wall-clock: sequential vs parallel search (Fig 5a/6a sweeps)", Run: PlannerPerf},
-		{Name: "churn", Description: "plan-update latency under task churn: incremental vs full replan", Run: Churn},
-		{Name: "runtime", Description: "emulation runtime data path: worker-pool engine and batched TCP writes vs legacy", Run: RuntimePerf},
-		{Name: "shard", Description: "sharded collector tier: dispatcher overhead vs single collector, orphan re-dispatch latency", Run: Shard},
 		{Name: "suppress", Description: "forecast-driven traffic suppression: wire bytes vs accuracy, robustness under faults", Run: Suppress},
-		{Name: "service", Description: "service front door: admission latency percentiles and rounds/s under simulated-client churn", Run: Service},
 		{Name: "region", Description: "WAN topology: cross-region bytes blind vs aware, coverage floor through a region loss", Run: Region},
 	}
 }

@@ -20,7 +20,7 @@ func colMean(t *testing.T, tbl *metrics.Table, name string) float64 {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablations", "planner", "churn", "runtime", "shard", "suppress", "service", "region"}
+	want := []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablations", "suppress", "region"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -229,117 +229,6 @@ func TestFig12ExtensionsHelp(t *testing.T) {
 	}
 }
 
-func TestPlannerPerfShape(t *testing.T) {
-	tables := PlannerPerf(smoke)
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d", len(tables))
-	}
-	for _, tbl := range tables {
-		seq, _ := tbl.Column("SEQ_MS")
-		par, _ := tbl.Column("PAR_MS")
-		if len(seq) == 0 || len(par) == 0 {
-			t.Fatalf("%s: empty series", tbl.Title)
-		}
-		for i := range seq {
-			if seq[i] <= 0 || par[i] <= 0 {
-				t.Errorf("%s: non-positive wall-clock at row %d", tbl.Title, i)
-			}
-		}
-		// plannerPoint panics if the two planners ever return different
-		// scores, so reaching here also proves determinism on the sweep.
-		reuse, _ := tbl.Column("TREE_REUSE_PCT")
-		if metrics.Mean(reuse) <= 0 {
-			t.Errorf("%s: tree memo never hit", tbl.Title)
-		}
-	}
-}
-
-func TestShardShape(t *testing.T) {
-	tables := Shard(Options{Scale: 0.2, Seed: 5, Rounds: 18})
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d", len(tables))
-	}
-	overhead, crash := tables[0], tables[1]
-	for _, c := range shardColumns {
-		if _, ok := overhead.Column(c); !ok {
-			t.Fatalf("overhead table lacks column %q", c)
-		}
-	}
-	single, _ := overhead.Column("SINGLE_MS")
-	sharded, _ := overhead.Column("SHARD_MS")
-	if len(single) != 3 {
-		t.Fatalf("rows = %d, want shards=2,4,8", len(single))
-	}
-	for i := range single {
-		if single[i] <= 0 || sharded[i] <= 0 {
-			t.Fatalf("row %d: non-positive wall-clock single=%v sharded=%v", i, single[i], sharded[i])
-		}
-	}
-	// Coverage parity is asserted inside shardOverheadPoint (it panics on
-	// divergence); here just pin the recorded columns to each other.
-	covS, _ := overhead.Column("COV_SINGLE")
-	covH, _ := overhead.Column("COV_SHARD")
-	for i := range covS {
-		if covS[i] != covH[i] {
-			t.Errorf("row %d: coverage drifted, single %.3f vs sharded %.3f", i, covS[i], covH[i])
-		}
-	}
-
-	orphaned, _ := crash.Column("ORPHANED")
-	redispatched, _ := crash.Column("REDISPATCHED")
-	latency, _ := crash.Column("LATENCY_ROUNDS")
-	for i := range orphaned {
-		if orphaned[i] <= 0 {
-			t.Errorf("row %d: crash orphaned no trees", i)
-		}
-		if redispatched[i] != orphaned[i] {
-			t.Errorf("row %d: %v orphaned but %v re-dispatched", i, orphaned[i], redispatched[i])
-		}
-		if latency[i] <= 0 || latency[i] > 10 {
-			t.Errorf("row %d: re-dispatch latency %v rounds out of (0, 10]", i, latency[i])
-		}
-	}
-}
-
-func TestChurnShape(t *testing.T) {
-	// Churn's own smoke scale (0.12, seed 3) matches BenchmarkPlannerChurn;
-	// 0.15 would roughly double the runtime for no extra coverage.
-	tables := Churn(Options{Scale: 0.12, Seed: 3})
-	if len(tables) != 1 {
-		t.Fatalf("tables = %d", len(tables))
-	}
-	tbl := tables[0]
-	for _, c := range churnColumns {
-		if _, ok := tbl.Column(c); !ok {
-			t.Fatalf("churn table lacks column %q", c)
-		}
-	}
-	full, _ := tbl.Column("FULL_MS_MED")
-	inc, _ := tbl.Column("INC_MS_MED")
-	if len(full) != 3 {
-		t.Fatalf("rows = %d, want k=1,2,4", len(full))
-	}
-	for i := range full {
-		if full[i] <= 0 || inc[i] <= 0 {
-			t.Fatalf("row %d: non-positive medians full=%v inc=%v", i, full[i], inc[i])
-		}
-	}
-	// Single-task churn is the headline: observed ≥5x at this scale; 1.5
-	// tolerates a contended CI box without letting a real regression by.
-	speedup, _ := tbl.Column("SPEEDUP")
-	if speedup[0] < 1.5 {
-		t.Errorf("k=1 speedup = %.2fx, want > 1.5x", speedup[0])
-	}
-	for _, col := range []string{"REUSE_PCT", "FALLBACK_PCT", "PARITY_PCT"} {
-		vals, _ := tbl.Column(col)
-		for i, v := range vals {
-			if v < 0 || v > 100 {
-				t.Fatalf("%s row %d = %v out of [0,100]", col, i, v)
-			}
-		}
-	}
-}
-
 func TestSuppressShape(t *testing.T) {
 	tables := Suppress(Options{Scale: 0.15, Seed: 4, Rounds: 60})
 	if len(tables) != 2 {
@@ -405,52 +294,6 @@ func TestSuppressShape(t *testing.T) {
 	lost, _ := robust.Column("MARKERS_LOST")
 	if lost[0] <= 0 {
 		t.Error("drop scenario lost no markers; chaos not exercised")
-	}
-}
-
-func TestServiceShape(t *testing.T) {
-	// A small sweep: the shape assertions are on the ledgers (zero
-	// errors, zero verification failures) and on sane latency ordering,
-	// not on absolute throughput.
-	tables := Service(Options{Scale: 0.02, Seed: 6})
-	if len(tables) != 1 {
-		t.Fatalf("tables = %d", len(tables))
-	}
-	tbl := tables[0]
-	for _, c := range serviceColumns {
-		if _, ok := tbl.Column(c); !ok {
-			t.Fatalf("service table lacks column %q", c)
-		}
-	}
-	reqs, _ := tbl.Column("REQS")
-	if len(reqs) != 3 {
-		t.Fatalf("sweep rows = %d, want 3 client counts", len(reqs))
-	}
-	p50, _ := tbl.Column("ADMIT_P50_MS")
-	p99, _ := tbl.Column("ADMIT_P99_MS")
-	rounds, _ := tbl.Column("ROUNDS_PER_S")
-	opsOK, _ := tbl.Column("OPS_OK")
-	errs, _ := tbl.Column("ERRORS")
-	vfails, _ := tbl.Column("VERIFY_FAILS")
-	for i := range reqs {
-		if reqs[i] <= 0 {
-			t.Errorf("row %d: no traffic", i)
-		}
-		if opsOK[i] <= 0 {
-			t.Errorf("row %d: no operations applied", i)
-		}
-		if p99[i] < p50[i] {
-			t.Errorf("row %d: p99 %.3fms below p50 %.3fms", i, p99[i], p50[i])
-		}
-		if rounds[i] <= 0 {
-			t.Errorf("row %d: backend rounds stalled", i)
-		}
-		if errs[i] != 0 {
-			t.Errorf("row %d: %v request errors", i, errs[i])
-		}
-		if vfails[i] != 0 {
-			t.Errorf("row %d: %v verification failures", i, vfails[i])
-		}
 	}
 }
 

@@ -33,8 +33,7 @@ var regionLossColumns = []string{"MIN_SURV_COV_PCT", "LOST_COV_PCT", "REPAIRS"}
 const regionInterCost = cost.DefaultInterRegionCost
 
 // regionFloorPct is the coverage floor every surviving region must hold
-// after the region loss; benchguard -region enforces it on the
-// timeline's final row.
+// after the region loss, read off the timeline's final row.
 const regionFloorPct = 90
 
 // regionCountingTransport classifies every accepted Send's frame bytes
@@ -87,8 +86,8 @@ func regionEnv(o Options, regions int, seed int64) (env, error) {
 // session through a permanent loss of region r1 and samples the
 // surviving regions' coverage before the loss, at the end of the
 // suspicion window, and after detect→repair re-homes the orphaned
-// trees. benchguard -region gates the headline 3-region row's
-// REDUCTION_X >= 2 with coverage parity and the timeline's final
+// trees. The headline is the 3-region row's REDUCTION_X (>= 2 with
+// coverage parity at full scale) and the timeline's final
 // MIN_SURV_COV_PCT >= 90 (BENCH_region.json records a run).
 func Region(o Options) []*metrics.Table {
 	a := metrics.NewTable(

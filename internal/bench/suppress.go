@@ -32,7 +32,7 @@ var suppressChaosColumns = []string{
 }
 
 // suppressEps is the headline error bound: the ε=1% row's REDUCTION_X
-// gates in scripts/check.sh via benchguard -suppress.
+// is the number BENCH_suppress.json records.
 const suppressEps = 0.01
 
 // countingTransport wraps a transport and sums the encoded frame size
@@ -146,8 +146,7 @@ func suppCells(baseBytes, suppBytes float64, res cluster.Result) (reduction, sup
 // off and on, metering wire bytes through the transport, and the
 // robustness table re-measures the ε=1% point under message loss, a
 // collector crash/resume, and a 4-shard collection tier. The headline
-// REDUCTION_X at ε=1% gates in scripts/check.sh via benchguard
-// -suppress, which also requires BAND_MAX <= 1 on every recorded row
+// is REDUCTION_X at ε=1%; BAND_MAX <= 1 must hold on every row
 // (BENCH_suppress.json records a run).
 func Suppress(o Options) []*metrics.Table {
 	cfg, err := suppressEnv(o, o.Seed+130)

@@ -163,34 +163,3 @@ func TestChaosHeartbeatsAreCostExempt(t *testing.T) {
 		t.Fatalf("detection changed results:\nbase     %+v\ndetecting %+v", base, detecting)
 	}
 }
-
-func TestChaosLegacyFailAtFoldsIntoSchedule(t *testing.T) {
-	sys, d, forest := deployEnv(t, 12, 3, 1e5)
-	legacy, err := Run(Config{
-		Sys: sys, Forest: forest, Demand: d,
-		Rounds: 20, EnforceCapacity: true,
-		FailAt: map[model.NodeID]int{2: 3}, DropEvery: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := Run(Config{
-		Sys: sys, Forest: forest, Demand: d,
-		Rounds: 20, EnforceCapacity: true,
-		Chaos: &chaos.Config{
-			CrashAt:   map[model.NodeID]int{2: 3},
-			DropEvery: 3,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.ValuesDelivered != unified.ValuesDelivered ||
-		legacy.MessagesSent != unified.MessagesSent ||
-		legacy.MessagesDropped != unified.MessagesDropped ||
-		legacy.CoveredPairs != unified.CoveredPairs ||
-		legacy.AvgPercentError != unified.AvgPercentError {
-		t.Fatalf("legacy knobs diverge from chaos schedule:\nlegacy  %+v\nunified %+v",
-			legacy, unified)
-	}
-}

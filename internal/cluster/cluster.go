@@ -1,8 +1,9 @@
-// Package cluster emulates a REMO deployment: one goroutine per
-// monitoring node, periodic update messages flowing up the planned
-// monitoring trees over a pluggable transport, per-round capacity
-// enforcement, and a central collector measuring coverage, staleness and
-// percentage error against ground truth.
+// Package cluster emulates a REMO deployment: one state per monitoring
+// node, stepped round by round by a worker pool behind phase barriers,
+// periodic update messages flowing up the planned monitoring trees over
+// a pluggable transport, per-round capacity enforcement, and a central
+// collector measuring coverage, staleness and percentage error against
+// ground truth.
 //
 // The emulation follows the paper's delivery model: each collection
 // round every tree member sends exactly one update message to its parent
@@ -48,10 +49,10 @@ type Config struct {
 	Transport transport.Transport
 	// Rounds is the number of collection rounds to run (must be > 0).
 	Rounds int
-	// Workers sizes the round engine's worker pool: 0 uses one worker
-	// per available CPU, positive values are used as given, and -1
-	// selects the legacy goroutine-per-node engine (useful as an
-	// equivalence baseline; it allocates 2n goroutines per round).
+	// Workers sizes the round engine's worker pool: 0 (or less) uses one
+	// worker per available CPU, positive values are used as given. One
+	// worker runs every phase inline — the reference the equivalence
+	// tests compare the pool against.
 	Workers int
 	// Resolve maps alias attributes (reliability replicas) to their
 	// originals; nil means identity.
@@ -59,16 +60,8 @@ type Config struct {
 	// EnforceCapacity applies per-round capacity budgets; disable to
 	// measure pure latency effects.
 	EnforceCapacity bool
-	// FailAt kills node n at the start of round FailAt[n]: it stops
-	// sending and silently discards received messages from then on.
-	// Legacy knob — folded into Chaos.CrashAt by NewMachine.
-	FailAt map[model.NodeID]int
-	// DropEvery drops every k-th message on the wire (0 disables),
-	// modeling lossy links deterministically. Legacy knob — folded into
-	// Chaos.DropEvery by NewMachine.
-	DropEvery int
 	// Chaos schedules fault injection (crashes, recoveries, message loss
-	// and delay). Nil injects nothing beyond the legacy knobs above.
+	// and delay). Nil injects nothing.
 	Chaos *chaos.Config
 	// Detect, when set, arms the collector-side failure detector: nodes
 	// emit cost-exempt per-round heartbeats and the machine declares
@@ -459,8 +452,7 @@ func weightPeriod(w float64) int {
 }
 
 // dead reports whether the node has failed by the given round per the
-// chaos crash/recover schedule (the legacy FailAt map is folded into it
-// by NewMachine).
+// chaos crash/recover schedule.
 func (st *nodeState) dead(cfg Config, round int) bool {
 	return cfg.Chaos.Crashed(st.id, round)
 }

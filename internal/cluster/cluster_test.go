@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"remo/internal/agg"
+	"remo/internal/chaos"
 	"remo/internal/core"
 	"remo/internal/cost"
 	"remo/internal/model"
@@ -185,7 +186,7 @@ func TestNodeFailureLosesSubtree(t *testing.T) {
 	// Node 2 dies at round 3: nodes 2..5 stop reaching the collector.
 	res, err := Run(Config{
 		Sys: sys, Forest: f, Demand: d, Rounds: 20,
-		FailAt: map[model.NodeID]int{2: 3},
+		Chaos: &chaos.Config{CrashAt: map[model.NodeID]int{2: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +207,8 @@ func TestNodeFailureLosesSubtree(t *testing.T) {
 func TestLinkDropsDegradeFreshness(t *testing.T) {
 	sys, d, forest := deployEnv(t, 10, 2, 1e5)
 	lossy, err := Run(Config{
-		Sys: sys, Forest: forest, Demand: d, Rounds: 20, DropEvery: 3,
+		Sys: sys, Forest: forest, Demand: d, Rounds: 20,
+		Chaos: &chaos.Config{DropEvery: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

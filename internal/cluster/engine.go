@@ -5,13 +5,12 @@ import (
 	"sync"
 )
 
-// engine is the round engine's persistent worker pool. The previous
-// engine spawned one goroutine per node per phase — at n nodes and two
-// phases that is 2n goroutine creations per round, which dominates
-// scheduler work at Fig. 6 scales. The pool keeps a fixed set of
-// workers alive for the machine's lifetime and shards the state slice
-// across them, preserving the phase-barrier semantics (forEach returns
-// only when every shard finished).
+// engine is the round engine's persistent worker pool. It keeps a
+// fixed set of workers alive for the machine's lifetime and shards the
+// state slice across them with phase-barrier semantics (forEach returns
+// only when every shard finished); spawning a goroutine per node per
+// phase instead costs 2n goroutine creations a round, which dominates
+// scheduler work at Fig. 6 scales.
 type engine struct {
 	workers int
 	tasks   chan func()
@@ -69,12 +68,11 @@ func (e *engine) close() {
 	close(e.tasks)
 }
 
-// resolveWorkers maps the Config.Workers knob to a pool size: 0 means
-// one worker per available CPU, positive values are used as given, and
-// negative values select the legacy goroutine-per-node engine (no
-// pool).
+// resolveWorkers maps the Config.Workers knob to a pool size: 0 (or
+// less) means one worker per available CPU, positive values are used as
+// given.
 func resolveWorkers(w int) int {
-	if w == 0 {
+	if w <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return w

@@ -15,8 +15,8 @@ import (
 )
 
 // equivCase is one seeded workload for the engine-equivalence proof:
-// the worker-pool round engine and the legacy goroutine-per-node engine
-// must produce bit-identical results (delivered values, drops, coverage,
+// the worker-pool round engine and the inline single-worker engine must
+// produce bit-identical results (delivered values, drops, coverage,
 // error series) on every one of them.
 type equivCase struct {
 	name         string
@@ -95,21 +95,22 @@ func (ec equivCase) config(tb testing.TB) Config {
 }
 
 // TestEngineEquivalence proves the worker-pool engine bit-identical to
-// the legacy goroutine-per-node engine over the memory transport on
-// every seeded workload, chaos included.
+// the inline engine (Workers: 1, every phase a plain loop) over the
+// memory transport on every seeded workload, chaos included.
+// TestResultGolden pins that reference to recorded hashes.
 func TestEngineEquivalence(t *testing.T) {
 	for _, ec := range equivCases() {
 		t.Run(ec.name, func(t *testing.T) {
 			base := ec.config(t)
 
-			legacy := base
-			legacy.Workers = -1
-			want, err := Run(legacy)
+			inline := base
+			inline.Workers = 1
+			want, err := Run(inline)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			for _, workers := range []int{0, 1, 3} {
+			for _, workers := range []int{0, 2, 3} {
 				fast := base
 				fast.Workers = workers
 				got, err := Run(fast)
@@ -117,7 +118,7 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d diverged from legacy engine:\ngot  %+v\nwant %+v",
+					t.Fatalf("workers=%d diverged from the inline engine:\ngot  %+v\nwant %+v",
 						workers, got, want)
 				}
 			}
@@ -154,7 +155,7 @@ func TestEngineEquivalenceAcrossInstall(t *testing.T) {
 		}
 		return m.Result()
 	}
-	want := run(-1)
+	want := run(1)
 	for _, workers := range []int{0, 2} {
 		if got := run(workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged across Install:\ngot  %+v\nwant %+v", workers, got, want)
@@ -162,15 +163,10 @@ func TestEngineEquivalenceAcrossInstall(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalence proves the batched TCP write path delivers
-// bit-identical results to both the unbatched TCP path and the memory
-// transport: coalescing changes syscall counts, never payloads or
-// traffic accounting.
-func TestTransportEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets")
-	}
-	cases := []equivCase{
+// transportEquivCases are the seeded workloads the transport-equivalence
+// proof runs over real sockets.
+func transportEquivCases() []equivCase {
+	return []equivCase{
 		{name: "plain", nodes: 16, attrs: 8, capLo: 300, capHi: 600, seed: 31, rounds: 8},
 		{name: "tight", nodes: 20, attrs: 10, capLo: 60, capHi: 120, seed: 32, rounds: 8},
 		{name: "chaos", nodes: 16, attrs: 8, capLo: 300, capHi: 600, seed: 33, rounds: 10,
@@ -180,7 +176,17 @@ func TestTransportEquivalence(t *testing.T) {
 			},
 			detect: true},
 	}
-	for _, ec := range cases {
+}
+
+// TestTransportEquivalence proves the batched TCP write path delivers
+// bit-identical results to the memory transport at every watermark:
+// coalescing changes syscall counts, never payloads or traffic
+// accounting.
+func TestTransportEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	for _, ec := range transportEquivCases() {
 		t.Run(ec.name, func(t *testing.T) {
 			base := ec.config(t)
 			want, err := Run(base) // memory transport
@@ -205,12 +211,12 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 
 			batched := runTCP(0) // default watermark
-			direct := runTCP(-1) // batching disabled
+			every := runTCP(1)   // every Send flushes
 			tiny := runTCP(128)  // watermark forces mid-round flushes
 			for _, got := range []struct {
 				name string
 				res  Result
-			}{{"batched", batched}, {"direct", direct}, {"tiny-watermark", tiny}} {
+			}{{"batched", batched}, {"flush-every-send", every}, {"tiny-watermark", tiny}} {
 				if !reflect.DeepEqual(got.res, want) {
 					t.Fatalf("TCP %s diverged from memory transport:\ngot  %+v\nwant %+v",
 						got.name, got.res, want)

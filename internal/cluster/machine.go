@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"remo/internal/chaos"
 	"remo/internal/detect"
 	"remo/internal/model"
 	"remo/internal/plan"
@@ -44,8 +43,7 @@ type Machine struct {
 	// tier is the sharded collection tier (cfg.Shards > 1); nil for the
 	// classic single-collector deployment.
 	tier *shardTier
-	// eng is the persistent worker pool driving the round phases; nil
-	// selects the legacy goroutine-per-node engine (cfg.Workers < 0).
+	// eng is the persistent worker pool driving the round phases.
 	eng    *engine
 	round  int
 	closed bool
@@ -97,7 +95,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Resolve == nil {
 		cfg.Resolve = func(a model.AttrID) model.AttrID { return a }
 	}
-	cfg.Chaos = normalizeChaos(cfg)
 	// The session starts at epoch 1 so a zero-valued frame (or one from
 	// a pre-epoch wire peer) is always older than any installed plan.
 	cfg.epoch = 1
@@ -116,9 +113,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.delayed = append(m.delayed, delayedMsg{due: due, msg: msg})
 		m.delayMu.Unlock()
 	}
-	if cfg.Workers >= 0 {
-		m.eng = newEngine(resolveWorkers(cfg.Workers))
-	}
+	m.eng = newEngine(resolveWorkers(cfg.Workers))
 	if m.tr == nil {
 		m.tr = transport.NewMemory(cfg.Sys.NodeIDs())
 		m.ownTr = true
@@ -135,35 +130,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.det.Watch(m.watchSet(), 0)
 	}
 	return m, nil
-}
-
-// normalizeChaos folds the legacy FailAt/DropEvery knobs into one chaos
-// config so the emulation phases consult a single fault schedule.
-func normalizeChaos(cfg Config) *chaos.Config {
-	c := cfg.Chaos
-	if len(cfg.FailAt) == 0 && cfg.DropEvery == 0 {
-		return c
-	}
-	merged := chaos.Config{}
-	if c != nil {
-		merged = *c
-	}
-	if cfg.DropEvery > 0 && merged.DropEvery == 0 {
-		merged.DropEvery = cfg.DropEvery
-	}
-	if len(cfg.FailAt) > 0 {
-		crash := make(map[model.NodeID]int, len(cfg.FailAt)+len(merged.CrashAt))
-		for n, r := range merged.CrashAt {
-			crash[n] = r
-		}
-		for n, r := range cfg.FailAt {
-			if _, dup := crash[n]; !dup {
-				crash[n] = r
-			}
-		}
-		merged.CrashAt = crash
-	}
-	return &merged
 }
 
 // watchSet is the failure detector's subject list: every node with
@@ -211,29 +177,8 @@ func (m *Machine) Step() error {
 		}
 	}
 
-	if m.eng != nil {
-		m.eng.forEach(m.states, func(st *nodeState) { st.receivePhase(m.cfg, m.tr, round) })
-		m.eng.forEach(m.states, func(st *nodeState) { st.sendPhase(m.cfg, m.tr, round) })
-	} else {
-		// Legacy engine: one goroutine per node per phase.
-		var wg sync.WaitGroup
-		for _, st := range m.states {
-			wg.Add(1)
-			go func(st *nodeState) {
-				defer wg.Done()
-				st.receivePhase(m.cfg, m.tr, round)
-			}(st)
-		}
-		wg.Wait()
-		for _, st := range m.states {
-			wg.Add(1)
-			go func(st *nodeState) {
-				defer wg.Done()
-				st.sendPhase(m.cfg, m.tr, round)
-			}(st)
-		}
-		wg.Wait()
-	}
+	m.eng.forEach(m.states, func(st *nodeState) { st.receivePhase(m.cfg, m.tr, round) })
+	m.eng.forEach(m.states, func(st *nodeState) { st.sendPhase(m.cfg, m.tr, round) })
 	m.injectDelayed(round)
 	m.emitBeats(round)
 	if err := m.tr.Flush(); err != nil {
@@ -684,9 +629,7 @@ func (m *Machine) Close() error {
 		return nil
 	}
 	m.closed = true
-	if m.eng != nil {
-		m.eng.close()
-	}
+	m.eng.close()
 	if m.ownTr {
 		return m.tr.Close()
 	}

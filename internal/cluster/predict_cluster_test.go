@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"remo/internal/agg"
@@ -107,13 +108,14 @@ func TestSuppressionDeterministic(t *testing.T) {
 }
 
 // countingTransport sums the encoded wire size of every sent frame.
+// Sends arrive concurrently from the round engine's worker pool.
 type countingTransport struct {
 	transport.Transport
-	bytes int
+	bytes atomic.Int64
 }
 
 func (c *countingTransport) Send(msg transport.Message) error {
-	c.bytes += transport.FrameSize(msg)
+	c.bytes.Add(int64(transport.FrameSize(msg)))
 	return c.Transport.Send(msg)
 }
 
@@ -132,7 +134,7 @@ func TestSuppressionReducesWireBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = ct.Transport.Close()
-		return res, ct.bytes
+		return res, int(ct.bytes.Load())
 	}
 	_, baseline := run(nil)
 	res, suppressed := run(predictSpec(t, 0.01))

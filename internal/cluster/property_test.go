@@ -64,7 +64,7 @@ func generatedConfig(tb testing.TB, seed int64) (Config, workload.Instance) {
 	}, in
 }
 
-// TestEngineEquivalenceGenerated re-proves the legacy/worker-pool
+// TestEngineEquivalenceGenerated re-proves the inline/worker-pool
 // engine equivalence under the property generator instead of the fixed
 // seed list in equivalence_test.go: any generated workload with any
 // seed-derived chaos schedule must produce bit-identical results.
@@ -75,9 +75,9 @@ func TestEngineEquivalenceGenerated(t *testing.T) {
 		if len(base.Forest.Trees) == 0 {
 			continue
 		}
-		legacy := base
-		legacy.Workers = -1
-		want, err := Run(legacy)
+		inline := base
+		inline.Workers = 1
+		want, err := Run(inline)
 		if err != nil {
 			t.Fatalf("%v: %v", in, err)
 		}
@@ -89,7 +89,7 @@ func TestEngineEquivalenceGenerated(t *testing.T) {
 				t.Fatalf("%v: %v", in, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: workers=%d diverged from legacy engine:\ngot  %+v\nwant %+v",
+				t.Fatalf("%v: workers=%d diverged from the inline engine:\ngot  %+v\nwant %+v",
 					in, workers, got, want)
 			}
 		}

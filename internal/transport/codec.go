@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 
 	"remo/internal/model"
 )
@@ -185,13 +184,6 @@ func Encode(msg Message) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// framePool recycles encode buffers for transports that need a frame
-// only for the duration of one write.
-var framePool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
-
-func getFrameBuf() []byte  { return framePool.Get().([]byte)[:0] }
-func putFrameBuf(b []byte) { framePool.Put(b) } //nolint:staticcheck // slice header boxing is amortized
 
 // Decoder reads frames from one stream, reusing its payload buffer
 // across messages and interning tree keys, so the per-message

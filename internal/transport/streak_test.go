@@ -7,6 +7,13 @@ import (
 	"remo/internal/model"
 )
 
+// streakOf reads a destination's failure streak under its lock.
+func streakOf(q *destQueue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.streak
+}
+
 func TestStreakCapsAtMax(t *testing.T) {
 	q := &destQueue{}
 	for i := 0; i < 3*maxStreak; i++ {
@@ -23,8 +30,8 @@ func TestStreakCapsAtMax(t *testing.T) {
 // pays base backoff instead of the outage-escalated one.
 func TestStreakResetsOnSuccessfulSend(t *testing.T) {
 	nodes := []model.NodeID{1, 2}
-	// BatchBytes < 0 selects the synchronous write-per-Send path.
-	tr, err := NewTCPWithOptions(nodes, TCPOptions{BatchBytes: -1})
+	// A watermark of 1 flushes on every Send.
+	tr, err := NewTCPWithOptions(nodes, TCPOptions{BatchBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +47,13 @@ func TestStreakResetsOnSuccessfulSend(t *testing.T) {
 		Values: []Value{{Node: 1, Attr: 1, Round: 0, Value: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.streakOf(q); got != 0 {
+	if got := streakOf(q); got != 0 {
 		t.Fatalf("streak = %d after successful send, want 0", got)
 	}
 }
 
-// TestStreakResetsOnSuccessfulFlush covers the batched path the round
-// engine uses.
+// TestStreakResetsOnSuccessfulFlush covers the round-barrier flush the
+// round engine uses.
 func TestStreakResetsOnSuccessfulFlush(t *testing.T) {
 	nodes := []model.NodeID{1, 2}
 	tr, err := NewTCPWithOptions(nodes, TCPOptions{
@@ -70,7 +77,7 @@ func TestStreakResetsOnSuccessfulFlush(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.streakOf(q); got != 0 {
+	if got := streakOf(q); got != 0 {
 		t.Fatalf("streak = %d after successful flush, want 0", got)
 	}
 }

@@ -33,9 +33,8 @@ type TCPOptions struct {
 	// and are written in a single syscall when the buffer reaches
 	// BatchBytes or when Flush runs, cutting syscalls and lock
 	// acquisitions from one per message to one per destination per
-	// round. 0 selects the default (32 KiB); negative disables batching,
-	// restoring the synchronous write-per-Send path (and its synchronous
-	// unreachable-destination errors).
+	// round. 0 (or less) selects the default (32 KiB); a watermark of 1
+	// flushes on every Send, surfacing write errors synchronously.
 	BatchBytes int
 }
 
@@ -58,14 +57,11 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 100 * time.Millisecond
 	}
-	if o.BatchBytes == 0 {
+	if o.BatchBytes <= 0 {
 		o.BatchBytes = 32 << 10
 	}
 	return o
 }
-
-// batching reports whether write coalescing is enabled.
-func (o TCPOptions) batching() bool { return o.BatchBytes > 0 }
 
 // destQueue is the per-destination write state: the coalescing buffer,
 // and the write lock serializing senders to one peer without holding
@@ -210,12 +206,10 @@ func (t *TCP) read(n model.NodeID, conn net.Conn) {
 	}
 }
 
-// Send implements Transport. With batching enabled (the default) the
-// frame is appended to the destination's coalescing buffer and written
-// out at the size watermark or on Flush; a destination whose last batch
-// was lost reports ErrUnreachable once before accepting new frames.
-// With batching disabled every Send writes synchronously, retrying
-// failures with backoff before declaring the peer unreachable.
+// Send implements Transport. The frame is appended to the destination's
+// coalescing buffer and written out at the size watermark or on Flush;
+// a destination whose last batch was lost reports ErrUnreachable once
+// before accepting new frames.
 func (t *TCP) Send(msg Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -230,15 +224,6 @@ func (t *TCP) Send(msg Message) error {
 	q := t.queues[msg.To]
 	t.mu.Unlock()
 
-	if t.opts.batching() {
-		return t.sendBatched(msg, addr, q)
-	}
-	return t.sendDirect(msg, addr, q)
-}
-
-// sendBatched appends the frame to the destination's buffer, flushing
-// at the watermark.
-func (t *TCP) sendBatched(msg Message, addr string, q *destQueue) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.failed {
@@ -264,50 +249,6 @@ func (t *TCP) sendBatched(msg Message, addr string, q *destQueue) error {
 		return err
 	}
 	return nil
-}
-
-// sendDirect is the unbatched path: encode into a pooled frame buffer
-// and write synchronously with retries.
-func (t *TCP) sendDirect(msg Message, addr string, q *destQueue) error {
-	frame, err := AppendEncode(getFrameBuf(), msg)
-	defer putFrameBuf(frame)
-	if err != nil {
-		return err
-	}
-	var lastErr error
-	for attempt := 0; attempt <= t.opts.MaxRetries; attempt++ {
-		if attempt > 0 && !t.waitBackoff(attempt+t.streakOf(q)) {
-			return ErrClosed
-		}
-		if t.isClosed() {
-			return ErrClosed
-		}
-		conn, err := t.connTo(msg.To, addr)
-		if err != nil {
-			lastErr = err
-			q.mu.Lock()
-			q.bumpStreak()
-			q.mu.Unlock()
-			continue
-		}
-		q.mu.Lock()
-		err = t.writeConn(msg.To, conn, frame)
-		if err != nil {
-			q.bumpStreak()
-		} else {
-			q.streak = 0
-		}
-		q.mu.Unlock()
-		if err != nil {
-			lastErr = err
-			t.evict(msg.To, conn)
-			continue
-		}
-		t.sentCount.Add(1)
-		return nil
-	}
-	return fmt.Errorf("send to %v failed after %d attempts: %w (last: %v)",
-		msg.To, t.opts.MaxRetries+1, ErrUnreachable, lastErr)
 }
 
 // flushQueueLocked writes the destination's coalesced buffer in one
@@ -402,14 +343,6 @@ func (t *TCP) evict(to model.NodeID, conn net.Conn) {
 	_ = conn.Close()
 }
 
-// streakOf reads a destination's failure streak under its lock (for the
-// unbatched path, which computes backoff before taking the write lock).
-func (t *TCP) streakOf(q *destQueue) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.streak
-}
-
 // isClosed reports whether Close has begun.
 func (t *TCP) isClosed() bool {
 	select {
@@ -464,27 +397,25 @@ func (t *TCP) Flush() error {
 	if t.isClosed() {
 		return ErrClosed
 	}
-	if t.opts.batching() {
+	t.mu.Lock()
+	dests := make([]model.NodeID, 0, len(t.queues))
+	for n := range t.queues {
+		dests = append(dests, n)
+	}
+	t.mu.Unlock()
+	for _, n := range dests {
 		t.mu.Lock()
-		dests := make([]model.NodeID, 0, len(t.queues))
-		for n := range t.queues {
-			dests = append(dests, n)
-		}
+		addr, q := t.addrs[n], t.queues[n]
 		t.mu.Unlock()
-		for _, n := range dests {
-			t.mu.Lock()
-			addr, q := t.addrs[n], t.queues[n]
-			t.mu.Unlock()
-			q.mu.Lock()
-			err := t.flushQueueLocked(n, addr, q)
-			if err != nil && IsUnreachable(err) {
-				q.failed = true
-				err = nil
-			}
-			q.mu.Unlock()
-			if err != nil {
-				return err
-			}
+		q.mu.Lock()
+		err := t.flushQueueLocked(n, addr, q)
+		if err != nil && IsUnreachable(err) {
+			q.failed = true
+			err = nil
+		}
+		q.mu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -21,11 +21,11 @@ func fastOpts() TCPOptions {
 	}
 }
 
-// fastOptsDirect is fastOpts with write batching disabled: every Send
-// writes synchronously.
+// fastOptsDirect is fastOpts with a watermark of one byte: every Send
+// flushes, so write errors surface synchronously.
 func fastOptsDirect() TCPOptions {
 	o := fastOpts()
-	o.BatchBytes = -1
+	o.BatchBytes = 1
 	return o
 }
 

@@ -277,7 +277,6 @@ func (p *Planner) startMonitor(cfg MonitorConfig, demand *task.Demand, seedSets 
 		Demand:          ad.Demand(),
 		Spec:            p.aggSpec,
 		Source:          source,
-		Workers:         p.runtimeWorkers,
 		Resolve:         p.resolveAttr,
 		EnforceCapacity: true,
 		Chaos:           cfg.Chaos,
@@ -1046,40 +1045,14 @@ func (m *Monitor) Report() DeployReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	res := m.machine.Result()
-	return DeployReport{
-		Rounds:            res.Rounds,
-		DemandedPairs:     res.DemandedPairs,
-		CoveredPairs:      res.CoveredPairs,
-		PercentCollected:  res.PercentCollected,
-		AvgPercentError:   res.AvgPercentError,
-		AvgStaleness:      res.AvgStaleness,
-		MessagesSent:      res.MessagesSent,
-		MessagesDropped:   res.MessagesDropped,
-		ValuesDelivered:   res.ValuesDelivered,
-		ValuesObserved:    res.ValuesObserved,
-		ValuesSuppressed:  res.ValuesSuppressed,
-		ValuesImputed:     res.ValuesImputed,
-		ModelSyncs:        res.ModelSyncs,
-		MarkersLost:       res.MarkersLost,
-		ImputeBandMax:     res.ImputeBandMax,
-		ErrorSeries:       res.ErrorSeries,
-		FailuresDetected:  m.failures,
-		NodesRecovered:    m.recoveries,
-		Repairs:           append([]RepairEvent(nil), m.repairs...),
-		Replans:           append([]ReplanEvent(nil), m.replans...),
-		StaleEpochFrames:  res.StaleEpochFrames,
-		FramesBuffered:    res.FramesBuffered,
-		FramesShed:        res.FramesShed,
-		FramesRedelivered: res.FramesRedelivered,
-		CollectorRestarts: m.restarts,
-		Shards:            res.Shards,
-		ShardsDown:        res.ShardsDown,
-		OrphanedTrees:     res.OrphanedTrees,
-		TreesRedispatched: res.TreesRedispatched,
-		LeaderElections:   res.LeaderElections,
-		ShardWatermarks:   res.ShardWatermarks,
-		Redispatches:      m.redispatchEvents(),
-	}
+	rep := reportFromResult(res)
+	rep.FailuresDetected = m.failures
+	rep.NodesRecovered = m.recoveries
+	rep.Repairs = append([]RepairEvent(nil), m.repairs...)
+	rep.Replans = append([]ReplanEvent(nil), m.replans...)
+	rep.CollectorRestarts = m.restarts
+	rep.Redispatches = m.redispatchEvents()
+	return rep
 }
 
 // redispatchEvents converts the dispatcher's move log for reporting.

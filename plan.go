@@ -28,9 +28,6 @@ type Plan struct {
 	aggSpec  *agg.Spec
 	resolve  func(AttrID) AttrID
 	res      core.Result
-	// runtimeWorkers sizes Deploy's round engine pool (see
-	// WithRuntimeWorkers).
-	runtimeWorkers int
 	// verifyOn carries the planner's WithVerification setting into
 	// Deploy, which then cross-checks emulation results.
 	verifyOn bool
@@ -40,12 +37,11 @@ type Plan struct {
 // in a Plan.
 func planFromForest(p *Planner, forest *plan.Forest, d *task.Demand) *Plan {
 	return &Plan{
-		sys:            p.sys,
-		demand:         d,
-		predSpec:       p.predSpec,
-		aggSpec:        p.aggSpec,
-		resolve:        p.resolveAttr,
-		runtimeWorkers: p.runtimeWorkers,
+		sys:      p.sys,
+		demand:   d,
+		predSpec: p.predSpec,
+		aggSpec:  p.aggSpec,
+		resolve:  p.resolveAttr,
 		res: core.Result{
 			Forest:    forest,
 			Stats:     forest.ComputeStats(d, p.sys, p.aggSpec),

@@ -127,9 +127,6 @@ type Planner struct {
 	// baseline, when set, bypasses the search with a fixed partition.
 	baseline Baseline
 
-	// runtimeWorkers sizes the emulation round engine's worker pool.
-	runtimeWorkers int
-
 	// verifyOn arms the verification harness: planned topologies are
 	// cross-checked by the independent invariant checker, and plans,
 	// deployments and live monitors expose/enforce Verify.
@@ -187,15 +184,6 @@ func WithEvalBudget(k int) PlannerOption {
 // capping planner CPU next to latency-sensitive workloads.
 func WithPlannerWorkers(n int) PlannerOption {
 	return func(p *Planner) { p.opts = append(p.opts, core.WithWorkers(n)) }
-}
-
-// WithRuntimeWorkers sizes the emulation round engine's worker pool,
-// used by Plan.Deploy and live monitors: 0 (the default) sizes the pool
-// to GOMAXPROCS, positive values are used as given, and -1 selects the
-// legacy goroutine-per-node engine. Results are identical at any
-// setting — workers change wall-clock only.
-func WithRuntimeWorkers(n int) PlannerOption {
-	return func(p *Planner) { p.runtimeWorkers = n }
 }
 
 // WithVerification arms the verification harness for everything the
@@ -370,15 +358,14 @@ func (p *Planner) Plan() (*Plan, error) {
 		res = planner.Plan(p.sys, dPlan)
 	}
 	pl := &Plan{
-		sys:            p.sys,
-		demand:         d,
-		planDemand:     dPlan,
-		predSpec:       p.predSpec,
-		aggSpec:        p.aggSpec,
-		resolve:        p.resolveAttr,
-		res:            res,
-		runtimeWorkers: p.runtimeWorkers,
-		verifyOn:       p.verifyOn,
+		sys:        p.sys,
+		demand:     d,
+		planDemand: dPlan,
+		predSpec:   p.predSpec,
+		aggSpec:    p.aggSpec,
+		resolve:    p.resolveAttr,
+		res:        res,
+		verifyOn:   p.verifyOn,
 	}
 	if err := pl.Validate(); err != nil {
 		return nil, fmt.Errorf("remo: planned topology failed validation: %w", err)

@@ -2,6 +2,7 @@ package remo_test
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -121,10 +122,14 @@ func TestDeploy(t *testing.T) {
 	}
 }
 
+// TestDeployRuntimeWorkersEquivalent: Deploy sizes the round engine's
+// pool to GOMAXPROCS, and the report must not depend on it. One CPU
+// resolves to the inline single-worker engine — the reference.
 func TestDeployRuntimeWorkersEquivalent(t *testing.T) {
-	deploy := func(workers int) remo.DeployReport {
+	deploy := func(procs int) remo.DeployReport {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		sys := testSystem(t)
-		p := remo.NewPlanner(sys, remo.WithRuntimeWorkers(workers))
+		p := remo.NewPlanner(sys)
 		p.MustAddTask(remo.Task{Name: "all", Attrs: []remo.AttrID{1, 2, 3}, Nodes: allNodes(sys)})
 		plan, err := p.Plan()
 		if err != nil {
@@ -136,12 +141,12 @@ func TestDeployRuntimeWorkersEquivalent(t *testing.T) {
 		}
 		return rep
 	}
-	want := deploy(-1) // legacy goroutine-per-node engine
-	for _, workers := range []int{0, 2} {
-		got := deploy(workers)
+	want := deploy(1)
+	for _, procs := range []int{2, 4} {
+		got := deploy(procs)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("WithRuntimeWorkers(%d) changed the report:\ngot  %+v\nwant %+v",
-				workers, got, want)
+			t.Fatalf("GOMAXPROCS=%d changed the report:\ngot  %+v\nwant %+v",
+				procs, got, want)
 		}
 	}
 }
@@ -165,7 +170,7 @@ func TestDeployCustomSourceAndFailure(t *testing.T) {
 	}
 	failed, err := plan.Deploy(remo.DeployConfig{
 		Rounds: 15, Source: constant,
-		FailAt: map[remo.NodeID]int{plan.Trees()[0].Root: 2},
+		Chaos: &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{plan.Trees()[0].Root: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,6 +74,10 @@ func TestShardCrashResumeEndToEnd(t *testing.T) {
 		if ev.FromShard != 0 {
 			t.Fatalf("re-dispatch %+v does not come from the dead shard", ev)
 		}
+		// Suspicion window plus the dead leader's lease, not the horizon.
+		if lag := ev.Round - crashRnd; lag <= 0 || lag > 10 {
+			t.Fatalf("re-dispatch %+v landed %d rounds after the crash, want (0, 10]", ev, lag)
+		}
 	}
 	if len(pre.ShardWatermarks) != shards {
 		t.Fatalf("got %d watermarks, want %d", len(pre.ShardWatermarks), shards)
