@@ -1,11 +1,10 @@
 package remo
 
 import (
-	"fmt"
 	"time"
 
 	"remo/internal/adapt"
-	"remo/internal/task"
+	"remo/internal/plan"
 )
 
 // AdaptScheme names a runtime adaptation policy.
@@ -80,14 +79,10 @@ func NewAdaptor(p *Planner, scheme adapt.Scheme) *Adaptor {
 // SetTasks replaces the task set and adapts the topology. The first call
 // plans from scratch; later calls follow the adaptor's scheme.
 func (a *Adaptor) SetTasks(tasks []Task) (AdaptReport, error) {
-	mgr := task.NewManager(task.WithSystem(a.planner.sys))
-	for _, t := range tasks {
-		if err := mgr.Add(t); err != nil {
-			return AdaptReport{}, fmt.Errorf("remo: %w", err)
-		}
+	d, err := a.planner.demandFor(tasks)
+	if err != nil {
+		return AdaptReport{}, err
 	}
-	d := mgr.Demand()
-
 	var rep adapt.Report
 	if !a.started {
 		rep = a.inner.Init(d)
@@ -95,18 +90,25 @@ func (a *Adaptor) SetTasks(tasks []Task) (AdaptReport, error) {
 	} else {
 		rep = a.inner.Apply(d)
 	}
+	return adaptReportFrom(rep, rep.Diff), nil
+}
+
+// adaptReportFrom maps an adaptation round onto the public report; diff
+// is the tree-level diff of the swap it caused (the adaptor's own, or
+// the running machine's for a live session).
+func adaptReportFrom(rep adapt.Report, diff plan.Diff) AdaptReport {
 	return AdaptReport{
 		AdaptMessages:  rep.AdaptMessages,
 		PlanTime:       rep.PlanTime,
 		CollectedPairs: rep.Stats.Collected,
 		Operations:     rep.Operations,
-		TreesKept:      len(rep.Diff.Kept),
-		TreesRebuilt:   len(rep.Diff.Rebuilt),
-		TreesDropped:   len(rep.Diff.Dropped),
-		TreeReusePct:   rep.Diff.ReusePct(),
+		TreesKept:      len(diff.Kept),
+		TreesRebuilt:   len(diff.Rebuilt),
+		TreesDropped:   len(diff.Dropped),
+		TreeReusePct:   diff.ReusePct(),
 		Incremental:    rep.Replan.Incremental,
 		FellBack:       rep.Replan.FellBack,
-	}, nil
+	}
 }
 
 // Plan exposes the topology currently in force as a Plan.

@@ -115,9 +115,6 @@ type DeployConfig struct {
 	// UseTCP runs the overlay over real loopback TCP connections
 	// instead of the in-process transport.
 	UseTCP bool
-	// EnforceCapacity applies per-round capacity budgets (default true
-	// via Deploy; set DisableCapacity to lift them).
-	DisableCapacity bool
 	// Chaos schedules fault injection: crash/recover schedules,
 	// periodic, probabilistic and per-link message loss, and message
 	// delay.
@@ -139,46 +136,18 @@ type DeployConfig struct {
 	Trace *TraceRecorder
 }
 
-// DeployReport summarizes what the central collector observed.
+// CollectionResult is everything the collection tier measured: rounds
+// run, coverage (DemandedPairs, CoveredPairs, PercentCollected), error
+// and staleness against ground truth, overlay traffic, the dead-band
+// suppression ledger (sessions armed via WithPrediction), epoch-fencing
+// and leaf-buffer counters (journaled sessions) and the sharded tier's
+// counters. Its fields are documented on the type.
+type CollectionResult = cluster.Result
+
+// DeployReport summarizes what the central collector observed, plus —
+// for live Monitor sessions — the session's own history.
 type DeployReport struct {
-	// Rounds actually run.
-	Rounds int
-	// DemandedPairs and CoveredPairs measure coverage: pairs delivered
-	// at least once.
-	DemandedPairs int
-	CoveredPairs  int
-	// PercentCollected is delivered observations over expected ones.
-	PercentCollected float64
-	// AvgPercentError is the collector's mean relative error against
-	// ground truth (staleness + loss), in percent.
-	AvgPercentError float64
-	// AvgStaleness is the mean view age in rounds.
-	AvgStaleness float64
-	// MessagesSent and MessagesDropped count overlay traffic.
-	MessagesSent    int
-	MessagesDropped int
-	// ValuesDelivered counts attribute values received by the collector.
-	ValuesDelivered int
-	// ErrorSeries is the average percentage error per round — the
-	// warm-up/convergence curve.
-	ErrorSeries []float64
-	// ValuesObserved, ValuesSuppressed, ValuesImputed, ModelSyncs and
-	// MarkersLost account forecast-driven dead-band suppression
-	// (sessions armed via WithPrediction; all zero otherwise):
-	// suppression-eligible observations, observations elided from the
-	// wire as within-band, markers the collector turned into imputed
-	// values, periodic/forced model re-syncs absorbed, and markers that
-	// died with their frame or were refused as unsafe. Conservation:
-	// ValuesSuppressed ≤ ValuesObserved and
-	// ValuesImputed + MarkersLost ≤ ValuesSuppressed.
-	ValuesObserved   int
-	ValuesSuppressed int
-	ValuesImputed    int
-	ModelSyncs       int
-	MarkersLost      int
-	// ImputeBandMax is the worst observed |imputed − truth| as a
-	// fraction of the allowed band — ≤ 1 by construction.
-	ImputeBandMax float64
+	CollectionResult
 	// FailuresDetected counts death declarations by the failure detector
 	// (self-healing sessions only).
 	FailuresDetected int
@@ -186,39 +155,12 @@ type DeployReport struct {
 	NodesRecovered int
 	// Repairs records every automatic topology repair, in order.
 	Repairs []RepairEvent
-	// StaleEpochFrames counts frames rejected by epoch fencing
-	// (journaled sessions only): values composed under a plan epoch
-	// older than the receiver's — pre-crash or pre-swap traffic.
-	StaleEpochFrames int
-	// FramesBuffered, FramesShed and FramesRedelivered account the
-	// leaf-side outgoing buffers of a journaled session: frames parked
-	// during collector outages, frames dropped oldest-first on
-	// overflow, and parked frames delivered after the fact.
-	FramesBuffered    int
-	FramesShed        int
-	FramesRedelivered int
 	// CollectorRestarts counts successful collector resumes
 	// (Monitor.Resume and cold ResumeMonitor starts).
 	CollectorRestarts int
 	// Replans records every SetTasks-driven plan swap's tree-level diff,
-	// in order (live Monitor sessions only).
+	// in order.
 	Replans []ReplanEvent
-	// Shards is the collector shard count (0 for single-collector
-	// sessions); the fields below are populated for sharded sessions
-	// only.
-	Shards int
-	// ShardsDown counts shards currently declared dead.
-	ShardsDown int
-	// OrphanedTrees counts trees that lost their owning shard to a
-	// death, cumulatively; TreesRedispatched counts how many of those
-	// re-homings landed on a surviving shard.
-	OrphanedTrees     int
-	TreesRedispatched int
-	// LeaderElections counts dispatcher leadership changes.
-	LeaderElections int
-	// ShardWatermarks is the last round each shard was live (-1 = never)
-	// — a lagging shard degrades these instead of blocking the round.
-	ShardWatermarks []int
 	// Redispatches records every tree re-homing the dispatcher decided
 	// (orphan re-dispatches after a shard death plus rebalances onto
 	// recovered shards), in apply order.
@@ -310,7 +252,7 @@ func (p *Plan) Deploy(cfg DeployConfig) (DeployReport, error) {
 		Source:          source,
 		Rounds:          rounds,
 		Resolve:         p.resolve,
-		EnforceCapacity: !cfg.DisableCapacity,
+		EnforceCapacity: true,
 		Chaos:           cfg.Chaos,
 		Observer:        cfg.OnValue,
 		Trace:           cfg.Trace,
@@ -334,39 +276,5 @@ func (p *Plan) Deploy(cfg DeployConfig) (DeployReport, error) {
 			return DeployReport{}, fmt.Errorf("remo: deploy result failed verification: %w", err)
 		}
 	}
-	return reportFromResult(res), nil
-}
-
-// reportFromResult maps everything the collection tier measured onto
-// the public report. The session-owned fields — self-healing history,
-// collector restarts, replans, re-dispatches — are left for the caller.
-func reportFromResult(res cluster.Result) DeployReport {
-	return DeployReport{
-		Rounds:            res.Rounds,
-		DemandedPairs:     res.DemandedPairs,
-		CoveredPairs:      res.CoveredPairs,
-		PercentCollected:  res.PercentCollected,
-		AvgPercentError:   res.AvgPercentError,
-		AvgStaleness:      res.AvgStaleness,
-		MessagesSent:      res.MessagesSent,
-		MessagesDropped:   res.MessagesDropped,
-		ValuesDelivered:   res.ValuesDelivered,
-		ValuesObserved:    res.ValuesObserved,
-		ValuesSuppressed:  res.ValuesSuppressed,
-		ValuesImputed:     res.ValuesImputed,
-		ModelSyncs:        res.ModelSyncs,
-		MarkersLost:       res.MarkersLost,
-		ImputeBandMax:     res.ImputeBandMax,
-		ErrorSeries:       res.ErrorSeries,
-		StaleEpochFrames:  res.StaleEpochFrames,
-		FramesBuffered:    res.FramesBuffered,
-		FramesShed:        res.FramesShed,
-		FramesRedelivered: res.FramesRedelivered,
-		Shards:            res.Shards,
-		ShardsDown:        res.ShardsDown,
-		OrphanedTrees:     res.OrphanedTrees,
-		TreesRedispatched: res.TreesRedispatched,
-		LeaderElections:   res.LeaderElections,
-		ShardWatermarks:   res.ShardWatermarks,
-	}
+	return DeployReport{CollectionResult: res}, nil
 }

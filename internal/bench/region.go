@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"remo"
 	"remo/internal/cluster"
@@ -35,26 +34,6 @@ const regionInterCost = cost.DefaultInterRegionCost
 // regionFloorPct is the coverage floor every surviving region must hold
 // after the region loss, read off the timeline's final row.
 const regionFloorPct = 90
-
-// regionCountingTransport classifies every accepted Send's frame bytes
-// by the regions of its endpoints. Classification only needs labels —
-// it is independent of the cost model, so blind and aware plans are
-// metered by the same geography.
-type regionCountingTransport struct {
-	transport.Transport
-	regionOf     func(model.NodeID) string
-	cross, intra atomic.Int64
-}
-
-func (c *regionCountingTransport) Send(msg transport.Message) error {
-	sz := int64(transport.FrameSize(msg))
-	if c.regionOf(msg.From) == c.regionOf(msg.To) {
-		c.intra.Add(sz)
-	} else {
-		c.cross.Add(sz)
-	}
-	return c.Transport.Send(msg)
-}
 
 // regionEnv prepares the headline WAN deployment: the Fig. 6a shape
 // (200 nodes, 150 dense tasks at scale 1) cut into contiguous regions
@@ -131,10 +110,7 @@ func regionBytesPoint(o Options, regions int) []float64 {
 // region-classifying transport and returns inter-region bytes plus the
 // percent of demanded pairs collected.
 func meteredRegionRun(sys *model.System, f *plan.Forest, e env, o Options, seedSalt uint64) (crossBytes, covPct float64) {
-	ct := &regionCountingTransport{
-		Transport: transport.NewMemory(sys.NodeIDs()),
-		regionOf:  sys.RegionOf,
-	}
+	ct := &transport.Meter{Transport: transport.NewMemory(sys.NodeIDs()), RegionOf: sys.RegionOf}
 	defer func() { _ = ct.Close() }()
 	res, err := cluster.Run(cluster.Config{
 		Sys:             sys,
@@ -148,7 +124,7 @@ func meteredRegionRun(sys *model.System, f *plan.Forest, e env, o Options, seedS
 	if err != nil {
 		panic(fmt.Sprintf("bench: region run: %v", err))
 	}
-	return float64(ct.cross.Load()), pct(res.CoveredPairs, e.d.PairCount())
+	return float64(ct.CrossRegionBytes()), pct(res.CoveredPairs, e.d.PairCount())
 }
 
 // regionLossTimeline drives a monitored 3-region session through a

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"remo/internal/chaos"
 	"remo/internal/cluster"
@@ -34,19 +33,6 @@ var suppressChaosColumns = []string{
 // suppressEps is the headline error bound: the ε=1% row's REDUCTION_X
 // is the number BENCH_suppress.json records.
 const suppressEps = 0.01
-
-// countingTransport wraps a transport and sums the encoded frame size
-// of every accepted Send — the wire-byte meter for the sweep. Sends
-// arrive concurrently from the round engine's worker pool.
-type countingTransport struct {
-	transport.Transport
-	bytes atomic.Int64
-}
-
-func (c *countingTransport) Send(msg transport.Message) error {
-	c.bytes.Add(int64(transport.FrameSize(msg)))
-	return c.Transport.Send(msg)
-}
 
 // suppressEnv prepares the Fig. 6a-shaped deployment (200 nodes, 150
 // tasks at scale 1) over the plateau-utilization source — the workload
@@ -100,7 +86,7 @@ func mustSpec(eps float64) *predict.Spec {
 // countedRun executes one emulation over a byte-counting memory
 // transport and enforces the suppression invariants on the result.
 func countedRun(cfg cluster.Config) (bytes float64, res cluster.Result) {
-	ct := &countingTransport{Transport: transport.NewMemory(cfg.Sys.NodeIDs())}
+	ct := &transport.Meter{Transport: transport.NewMemory(cfg.Sys.NodeIDs())}
 	defer func() { _ = ct.Close() }()
 	cfg.Transport = ct
 	res, err := cluster.Run(cfg)
@@ -108,7 +94,7 @@ func countedRun(cfg cluster.Config) (bytes float64, res cluster.Result) {
 		panic(fmt.Sprintf("bench: suppress run: %v", err))
 	}
 	checkSuppressInvariants(res)
-	return float64(ct.bytes.Load()), res
+	return float64(ct.Bytes()), res
 }
 
 // checkSuppressInvariants panics on any violation of the suppression
@@ -209,7 +195,7 @@ func suppressCrashRun(cfg cluster.Config) (bytes float64, res cluster.Result) {
 	cfg.Chaos = &chaos.Config{CollectorCrashAt: crashAt, Seed: 23}
 	cfg.FenceEpochs = true
 	cfg.LeafBuffer = 8
-	ct := &countingTransport{Transport: transport.NewMemory(cfg.Sys.NodeIDs())}
+	ct := &transport.Meter{Transport: transport.NewMemory(cfg.Sys.NodeIDs())}
 	defer func() { _ = ct.Close() }()
 	cfg.Transport = ct
 
@@ -228,7 +214,7 @@ func suppressCrashRun(cfg cluster.Config) (bytes float64, res cluster.Result) {
 	}
 	res = m.Result()
 	checkSuppressInvariants(res)
-	return float64(ct.bytes.Load()), res
+	return float64(ct.Bytes()), res
 }
 
 // suppressCrashPoint re-measures the ε=1% point across a collector

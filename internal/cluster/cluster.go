@@ -95,9 +95,6 @@ type Config struct {
 	// CollectorCrashAt/CollectorCrashProb chaos schedules — shard-level
 	// outages use ShardCrashAt/ShardWindows instead.
 	Shards int
-	// ShardLease is the dispatcher's leadership lease length in rounds
-	// (0 uses the shard package default).
-	ShardLease int
 	// SeedAssignment, when it names a valid shard for every tree in the
 	// forest, is adopted verbatim as the initial tree→shard map — the
 	// journal-recovery path that must rebuild the identical pre-crash

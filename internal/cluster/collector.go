@@ -323,10 +323,9 @@ func (c *collector) absorb(msgs []transport.Message, round int) {
 			}
 		}
 		for _, sp := range msg.Suppressed {
-			c.impute(sp, round)
+			c.impute(sp)
 		}
 	}
-	_ = round
 }
 
 // isSynced reports whether the value carries a sync marker — the leaf
@@ -381,7 +380,7 @@ func (c *collector) advanceReplica(slot int, v transport.Value, synced bool) {
 // and stores it as a delivered view. Refusals (no live lockstep
 // replica, or the marker is not the next expected update) count the
 // marker lost — the protocol never imputes a value it cannot bound.
-func (c *collector) impute(sp transport.Supp, round int) {
+func (c *collector) impute(sp transport.Supp) {
 	orig := c.cfg.Resolve(sp.Attr)
 	pair := model.Pair{Node: sp.Node, Attr: orig}
 	slot, ok := c.slotOf[pair]
@@ -423,7 +422,6 @@ func (c *collector) impute(sp transport.Supp, round int) {
 		c.viewSet[slot] = true
 	}
 	c.markSlot(slot, sp.Round)
-	_ = round
 }
 
 // markSlot records delivery of a demanded (pair, round) observation.

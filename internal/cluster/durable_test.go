@@ -24,7 +24,7 @@ func TestEpochFenceDropsStaleFrames(t *testing.T) {
 	defer func() { _ = m.Close() }()
 	// Bump the epoch the way a plan install does, before any traffic is
 	// in flight, so the stale count below is exactly the injected frame.
-	m.Install(forest, d)
+	m.InstallDiff(forest, d)
 	if m.Epoch() != 2 {
 		t.Fatalf("epoch = %d after install, want 2", m.Epoch())
 	}
@@ -59,7 +59,7 @@ func TestEpochFenceDropsStaleFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = m2.Close() }()
-	m2.Install(forest, d)
+	m2.InstallDiff(forest, d)
 	if err := m2.tr.Send(transport.Message{
 		From: 1, To: model.Central, Epoch: 1,
 		Values: []transport.Value{{Node: 1, Attr: 1, Round: 0, Value: 7}},

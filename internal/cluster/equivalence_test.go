@@ -149,7 +149,7 @@ func TestEngineEquivalenceAcrossInstall(t *testing.T) {
 			nd.Set(id, model.AttrID(997), 1)
 		}
 		res := core.NewPlanner().Plan(cfg.Sys, nd)
-		m.Install(res.Forest, nd)
+		m.InstallDiff(res.Forest, nd)
 		if err := m.StepN(10); err != nil {
 			t.Fatal(err)
 		}

@@ -190,7 +190,7 @@ func (m *Machine) Step() error {
 		// here (it never dies with a shard), frames route to their owning
 		// shard's collector, and the dispatcher closes the round.
 		if m.det != nil {
-			msgs = m.feedDetector(msgs, round)
+			msgs = m.feedDetector(msgs)
 		}
 		m.shardAbsorb(msgs, round)
 		m.shardScore(round)
@@ -215,7 +215,7 @@ func (m *Machine) Step() error {
 		return nil
 	}
 	if m.det != nil {
-		msgs = m.feedDetector(msgs, round)
+		msgs = m.feedDetector(msgs)
 	}
 	m.coll.absorb(msgs, round)
 	m.coll.score(round)
@@ -287,7 +287,7 @@ func (m *Machine) emitBeats(round int) {
 // feedDetector routes evidence of life to the failure detector and
 // filters heartbeat-only messages out of the collector's inbox so they
 // stay exempt from the capacity cost model.
-func (m *Machine) feedDetector(msgs []transport.Message, round int) []transport.Message {
+func (m *Machine) feedDetector(msgs []transport.Message) []transport.Message {
 	kept := msgs[:0]
 	for _, msg := range msgs {
 		for _, b := range msg.Beats {
@@ -305,7 +305,6 @@ func (m *Machine) feedDetector(msgs []transport.Message, round int) []transport.
 			kept = append(kept, msg)
 		}
 	}
-	_ = round
 	return kept
 }
 
@@ -352,22 +351,16 @@ func (m *Machine) StepN(n int) error {
 	return nil
 }
 
-// Install swaps in a new topology and demand between rounds, modeling
-// the overlay reconfiguration the adaptation planner ordered. Nodes
-// keep the relay buffers of trees they remain members of; buffers of
+// InstallDiff swaps in a new topology and demand between rounds, modeling
+// the overlay reconfiguration the adaptation planner ordered, and
+// returns the tree-level plan diff against the outgoing topology. Trees
+// kept byte-for-byte (identical fingerprint) keep their members' relay
+// state across the swap and need no re-announcement; buffers of
 // reshaped trees are dropped (their in-flight values are lost, which is
 // the transient cost of adaptation). The collector keeps its stale
 // views — exactly what a real collector would do — but re-targets its
-// coverage accounting to the new demand.
-func (m *Machine) Install(forest *plan.Forest, d *task.Demand) {
-	m.InstallDiff(forest, d)
-}
-
-// InstallDiff is Install returning the tree-level plan diff against the
-// outgoing topology. Trees kept byte-for-byte (identical fingerprint)
-// keep their members' relay state across the swap and need no
-// re-announcement; only rebuilt trees cost reconfiguration. Per-tree
-// outcomes are recorded on the trace when one is attached.
+// coverage accounting to the new demand. Per-tree outcomes are recorded
+// on the trace when one is attached.
 func (m *Machine) InstallDiff(forest *plan.Forest, d *task.Demand) plan.Diff {
 	diff := plan.DiffForests(m.cfg.Forest, forest)
 	m.cfg.Forest = forest

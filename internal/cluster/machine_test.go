@@ -73,7 +73,7 @@ func TestMachineInstallRewiresAndPreservesCounters(t *testing.T) {
 		nd.Set(id, 2, 1)
 	}
 	res := core.NewPlanner().Plan(sys, nd)
-	m.Install(res.Forest, nd)
+	m.InstallDiff(res.Forest, nd)
 	if err := m.StepN(5); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestMachineInstallShrinkingDemand(t *testing.T) {
 		nd.Set(id, 1, 1)
 	}
 	res := core.NewPlanner().Plan(sys, nd)
-	m.Install(res.Forest, nd)
+	m.InstallDiff(res.Forest, nd)
 	if err := m.StepN(4); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestMachineInstallEmptyForest(t *testing.T) {
 	if err := m.StepN(2); err != nil {
 		t.Fatal(err)
 	}
-	m.Install(plan.NewForest(), task.NewDemand())
+	m.InstallDiff(plan.NewForest(), task.NewDemand())
 	if err := m.StepN(2); err != nil {
 		t.Fatal(err)
 	}

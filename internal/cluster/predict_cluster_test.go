@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"remo/internal/agg"
@@ -107,22 +106,10 @@ func TestSuppressionDeterministic(t *testing.T) {
 	}
 }
 
-// countingTransport sums the encoded wire size of every sent frame.
-// Sends arrive concurrently from the round engine's worker pool.
-type countingTransport struct {
-	transport.Transport
-	bytes atomic.Int64
-}
-
-func (c *countingTransport) Send(msg transport.Message) error {
-	c.bytes.Add(int64(transport.FrameSize(msg)))
-	return c.Transport.Send(msg)
-}
-
 func TestSuppressionReducesWireBytes(t *testing.T) {
 	sys, d, forest := deployEnv(t, 24, 6, 1e5)
 	run := func(sp *predict.Spec) (Result, int) {
-		ct := &countingTransport{Transport: transport.NewMemory(sys.NodeIDs())}
+		ct := &transport.Meter{Transport: transport.NewMemory(sys.NodeIDs())}
 		res, err := Run(Config{
 			Sys: sys, Forest: forest, Demand: d,
 			Rounds: 120, EnforceCapacity: true,
@@ -134,7 +121,7 @@ func TestSuppressionReducesWireBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = ct.Transport.Close()
-		return res, int(ct.bytes.Load())
+		return res, int(ct.Bytes())
 	}
 	_, baseline := run(nil)
 	res, suppressed := run(predictSpec(t, 0.01))
@@ -186,7 +173,7 @@ func TestSuppressionSurvivesInstall(t *testing.T) {
 	mid := m.Result()
 	// Re-install the same plan: epoch bumps, collector replicas wipe,
 	// leaves force a sync — imputation must resume, in band.
-	m.Install(forest, d)
+	m.InstallDiff(forest, d)
 	if err := m.StepN(60); err != nil {
 		t.Fatal(err)
 	}

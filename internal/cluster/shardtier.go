@@ -63,7 +63,7 @@ func (m *Machine) initShardTier() {
 	}
 	t := &shardTier{
 		n:         n,
-		disp:      shard.New(shard.Config{Shards: n, Suspicion: suspicion, LeaseRounds: m.cfg.ShardLease}),
+		disp:      shard.New(shard.Config{Shards: n, Suspicion: suspicion}),
 		down:      make([]bool, n),
 		latched:   make([]bool, n),
 		watermark: make([]int, n),

@@ -17,10 +17,6 @@ type Options struct {
 	// between automatic checkpoints (default 16; negative disables
 	// automatic checkpointing).
 	CheckpointEvery int
-	// SegmentBytes rotates the WAL into a fresh checkpointed segment
-	// once it grows past this size (default 1 MiB; checkpoint cadence
-	// usually rotates first).
-	SegmentBytes int
 	// KeepSegments is how many sealed segments to retain besides the
 	// live one (default 2).
 	KeepSegments int
@@ -29,12 +25,13 @@ type Options struct {
 	NoSync bool
 }
 
+// segmentBytes rotates the WAL into a fresh checkpointed segment once
+// it grows past this size (checkpoint cadence usually rotates first).
+const segmentBytes = 1 << 20
+
 func (o Options) withDefaults() Options {
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 16
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
 	}
 	if o.KeepSegments <= 0 {
 		o.KeepSegments = 2
@@ -197,7 +194,7 @@ func (w *Writer) AppendSamples(round int, recs []SampleRec) (checkpointDue bool,
 	}
 	w.rounds++
 	due := (w.opts.CheckpointEvery > 0 && w.rounds >= w.opts.CheckpointEvery) ||
-		w.walSize >= w.opts.SegmentBytes
+		w.walSize >= segmentBytes
 	return due, nil
 }
 

@@ -34,19 +34,21 @@ type Config struct {
 	RoundEvery time.Duration
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// OpRetention bounds retained operation-status records (default
-	// 65536; terminal records beyond it are evicted oldest-first).
-	OpRetention int
 	// StreamBuffer is the per-subscriber event buffer (default 256);
 	// events beyond a slow subscriber's buffer are dropped and counted.
 	StreamBuffer int
 	// VerifyEvery cross-checks the live session every n rounds when the
 	// planner has verification armed (default 32; <0 disables).
 	VerifyEvery int
-	// MaxBatch bounds how many queued operations one round applies
-	// (default 1024).
-	MaxBatch int
 }
+
+const (
+	// opRetention bounds retained operation-status records; terminal
+	// records beyond it are evicted oldest-first.
+	opRetention = 65536
+	// maxBatch bounds how many queued operations one round applies.
+	maxBatch = 1024
+)
 
 // Server is one service instance. Create with New, mount Handler on an
 // http.Server, and Drain on shutdown.
@@ -171,17 +173,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	if cfg.OpRetention <= 0 {
-		cfg.OpRetention = 65536
-	}
 	if cfg.StreamBuffer <= 0 {
 		cfg.StreamBuffer = 256
 	}
 	if cfg.VerifyEvery == 0 {
 		cfg.VerifyEvery = 32
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1024
 	}
 
 	reg := metrics.NewRegistry()
@@ -194,8 +190,8 @@ func New(cfg Config) (*Server, error) {
 		desired:  make(map[string]remo.Task),
 		pairRefs: make(map[model.Pair]int),
 		triggers: make(map[string]remo.Trigger),
-		ops:      newOpRegistry(cfg.OpRetention),
-		queue:    make(chan *operation, cfg.MaxBatch),
+		ops:      newOpRegistry(opRetention),
+		queue:    make(chan *operation, maxBatch),
 		done:     make(chan struct{}),
 		reg:      reg,
 		ins:      ins,
@@ -294,7 +290,7 @@ func (s *Server) backend() {
 // batch bound.
 func (s *Server) drainQueue() []*operation {
 	var batch []*operation
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < maxBatch {
 		select {
 		case op := <-s.queue:
 			batch = append(batch, op)

@@ -1,7 +1,9 @@
 package remo_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"remo"
 )
@@ -129,5 +131,36 @@ func TestMonitorOverTCP(t *testing.T) {
 	rep := mon.Report()
 	if rep.MessagesSent == 0 || rep.CoveredPairs == 0 {
 		t.Fatalf("TCP session: %+v", rep)
+	}
+}
+
+// TestMonitorCloseReleasesTCP opens and closes TCP sessions in a row and
+// requires the goroutine count to return to where it started: the
+// session opened the transport (listeners, accept loops, one reader per
+// connection), so closing the session must close it.
+func TestMonitorCloseReleasesTCP(t *testing.T) {
+	sys := testSystem(t)
+	p := remo.NewPlanner(sys)
+	p.MustAddTask(remo.Task{Name: "a", Attrs: []remo.AttrID{1}, Nodes: allNodes(sys)})
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		mon, err := p.StartMonitor(remo.MonitorConfig{UseTCP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Readers exit when they observe their connection closed.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > baseline {
+		t.Fatalf("goroutine leak: %d before five TCP sessions, %d after", baseline, now)
 	}
 }

@@ -16,7 +16,7 @@ import (
 func (m *Monitor) RegionCoverage() map[string]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return verify.RegionCoverageMap(m.regionVerifyContext(), m.adaptor.Forest())
+	return verify.RegionCoverageMap(m.s.verifyContext(m.s.baseDemand), m.s.adaptor.Forest())
 }
 
 // VerifyRegionCoverage machine-checks the region-loss survival
@@ -31,40 +31,33 @@ func (m *Monitor) RegionCoverage() map[string]float64 {
 func (m *Monitor) VerifyRegionCoverage(floorPct float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	live := make(map[string]bool)
-	for _, t := range m.adaptor.Forest().Trees {
-		for _, n := range t.Members() {
-			if _, dead := m.dead[n]; !dead {
-				live[m.planner.sys.RegionOf(n)] = true
-			}
-		}
-	}
-	lost := make(map[string]bool)
-	for r, ids := range m.planner.sys.RegionNodes() {
-		if len(ids) == 0 || live[r] {
-			continue
-		}
-		for _, n := range ids {
-			if _, dead := m.dead[n]; dead {
-				lost[r] = true
-				break
-			}
-		}
-	}
-	if err := verify.RegionCoverage(m.regionVerifyContext(), m.adaptor.Forest(), lost, floorPct); err != nil {
+	if err := m.s.verifyRegionCoverage(floorPct); err != nil {
 		return fmt.Errorf("remo: %w", err)
 	}
 	return nil
 }
 
-// regionVerifyContext builds the verification context region checks run
-// against: the base demand, so lost pairs count as lost rather than
-// silently dropping out with the pruned demand. Callers hold m.mu.
-func (m *Monitor) regionVerifyContext() verify.Context {
-	return verify.Context{
-		Sys:     m.planner.sys,
-		Demand:  m.baseDemand,
-		Spec:    m.planner.aggSpec,
-		Resolve: m.planner.resolveAttr,
+func (s *session) verifyRegionCoverage(floorPct float64) error {
+	sys, forest := s.planner.sys, s.adaptor.Forest()
+	live := make(map[string]bool)
+	for _, t := range forest.Trees {
+		for _, n := range t.Members() {
+			if _, dead := s.dead[n]; !dead {
+				live[sys.RegionOf(n)] = true
+			}
+		}
 	}
+	lost := make(map[string]bool)
+	for r, ids := range sys.RegionNodes() {
+		if len(ids) == 0 || live[r] {
+			continue
+		}
+		for _, n := range ids {
+			if _, dead := s.dead[n]; dead {
+				lost[r] = true
+				break
+			}
+		}
+	}
+	return verify.RegionCoverage(s.verifyContext(s.baseDemand), forest, lost, floorPct)
 }

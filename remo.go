@@ -334,10 +334,7 @@ func (p *Planner) DedupStats() (raw, distinct int) { return p.mgr.DedupStats() }
 // applying any declared update frequencies (piggyback weights) and
 // reliability constraints.
 func (p *Planner) Plan() (*Plan, error) {
-	d := p.mgr.Demand()
-	if p.freqSpec != nil {
-		d = p.freqSpec.Apply(d)
-	}
+	d := p.currentDemand()
 	// Prediction discounts are planner-side only: the search packs
 	// against rate-scaled weights (identity until transmit rates are
 	// recorded via SetPredictionRate or ObserveRate feedback), while the
@@ -376,6 +373,30 @@ func (p *Planner) Plan() (*Plan, error) {
 		}
 	}
 	return pl, nil
+}
+
+// demandFor is the one tasks → demand path: pairs deduplicated across
+// tasks with replica aliases resolved, then weighted by the declared
+// update frequencies.
+func (p *Planner) demandFor(tasks []Task) (*task.Demand, error) {
+	mgr := task.NewManager(task.WithSystem(p.sys), task.WithAliasResolver(p.resolveAttr))
+	for _, t := range tasks {
+		if err := mgr.Add(t); err != nil {
+			return nil, fmt.Errorf("remo: %w", err)
+		}
+	}
+	return p.weighted(mgr.Demand()), nil
+}
+
+// currentDemand is the demand of the planner's registered tasks.
+func (p *Planner) currentDemand() *task.Demand { return p.weighted(p.mgr.Demand()) }
+
+// weighted applies the planner's frequency weighting to a demand.
+func (p *Planner) weighted(d *task.Demand) *task.Demand {
+	if p.freqSpec != nil {
+		d = p.freqSpec.Apply(d)
+	}
+	return d
 }
 
 // corePlanner builds the internal planner with this facade's options

@@ -1,0 +1,742 @@
+package remo
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+
+	"remo/internal/adapt"
+	"remo/internal/cluster"
+	"remo/internal/detect"
+	"remo/internal/journal"
+	"remo/internal/model"
+	"remo/internal/partition"
+	"remo/internal/plan"
+	"remo/internal/repair"
+	"remo/internal/store"
+	"remo/internal/task"
+	"remo/internal/trace"
+	"remo/internal/transport"
+	"remo/internal/tree"
+	"remo/internal/verify"
+)
+
+// leafBufferFrames bounds each node's outgoing buffer in a journaled
+// session.
+const leafBufferFrames = 64
+
+// session is the one owner of a live session's state: the adaptor's
+// plan, the running machine, the self-healing history and the durable
+// logs. Self-heal, task swaps, shard resume and the region checks all
+// read and write this copy. It holds no lock — Monitor serializes every
+// call under its mutex.
+type session struct {
+	planner *Planner
+	adaptor *adapt.Adaptor
+	machine *cluster.Machine
+	// tr is the TCP transport the session opened and therefore closes
+	// (nil over memory: the machine owns the transport it defaults to).
+	tr transport.Transport
+
+	// heal enables automatic repair (false = detect and report only).
+	heal    bool
+	builder tree.Builder
+	trace   *TraceRecorder
+	// baseDemand is the demand of the current task set before failure
+	// pruning — the target to restore when nodes recover.
+	baseDemand *task.Demand
+	// dead tracks declared-dead nodes already pruned from the topology.
+	dead map[model.NodeID]struct{}
+
+	failures, recoveries int
+	// restarts counts successful collector and shard resumes.
+	restarts int
+	repairs  []RepairEvent
+	// replans records every task swap's plan diff.
+	replans []ReplanEvent
+	// verifyErr is the first verification failure of a topology the
+	// self-healing loop installed (surfaced by step and verify).
+	verifyErr error
+
+	// logs is empty unless the session journals. logs[0] is session-wide;
+	// a sharded session adds logs[1+s] for shard s, under the session's
+	// directory, so a shard crash loses only that shard's unjournaled
+	// tail.
+	logs []durableLog
+	// proc, when provided, has its trigger re-arm state checkpointed.
+	proc    *store.Processor
+	onValue func(pair Pair, round int, value float64)
+	// journalErr is the first journal write failure (surfaced by step).
+	journalErr error
+	// movesSeen is how many dispatcher moves logs[0] has captured as
+	// assignment records.
+	movesSeen int
+}
+
+// durableLog is one journal directory and what it persists: a
+// repository of every value collected behind it, which is both the
+// queryable store and the state checkpointed, and the current round's
+// accepted values between the machine's absorb and the WAL append.
+type durableLog struct {
+	dir     string
+	writer  *journal.Writer
+	repo    *store.Store
+	pending []journal.SampleRec
+}
+
+func (l *durableLog) observe(rec journal.SampleRec) {
+	l.repo.Observe(rec.Pair, rec.Round, rec.Value)
+	l.pending = append(l.pending, rec)
+}
+
+// startSession boots a session over the given demand (the planner's
+// current demand normally, a journal-recovered one on cold resume). A
+// cold resume also passes the recovered state as seed: its partition,
+// when valid for the demand's universe, rebuilds the exact pre-crash
+// forest instead of searching; its assignment seeds the dispatcher's
+// tree→shard map; its model snapshots seed both ends of the forecasting
+// replicas, so lockstep holds from round zero.
+func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed journal.State) (*session, error) {
+	scheme := cfg.Scheme
+	if scheme == "" {
+		scheme = AdaptAdaptive
+		if p.incReplan {
+			scheme = AdaptIncremental
+		}
+	}
+	core := p.corePlanner()
+	ad := adapt.New(scheme, core, p.sys)
+	if len(p.replanOpts) > 0 {
+		ad.SetReplanOptions(p.replanOpts...)
+	}
+	if len(seed.Partition) > 0 && partition.Validate(seed.Partition, demand.Universe()) == nil {
+		ad.InitPartition(demand, seed.Partition)
+	} else {
+		ad.Init(demand)
+	}
+
+	var source ValueSource = cfg.Source
+	if source == nil {
+		source = cluster.BurstyWalk{Seed: cfg.Seed}
+	}
+	var det *detect.Config
+	if cfg.Chaos != nil || cfg.Failure != nil {
+		det = &detect.Config{}
+		if cfg.Failure != nil {
+			det.SuspicionRounds = cfg.Failure.SuspicionRounds
+		}
+	}
+	labelRegionChaos(cfg.Chaos, p.sys)
+	s := &session{
+		planner:    p,
+		adaptor:    ad,
+		heal:       det != nil && (cfg.Failure == nil || !cfg.Failure.DisableRepair),
+		builder:    core.Builder(),
+		trace:      cfg.Trace,
+		baseDemand: ad.Demand().Clone(),
+		dead:       make(map[model.NodeID]struct{}),
+		proc:       cfg.Processor,
+		onValue:    cfg.OnValue,
+	}
+	ccfg := cluster.Config{
+		Sys:             p.sys,
+		Forest:          ad.Forest(),
+		Demand:          ad.Demand(),
+		Spec:            p.aggSpec,
+		Source:          source,
+		Resolve:         p.resolveAttr,
+		EnforceCapacity: true,
+		Chaos:           cfg.Chaos,
+		Detect:          det,
+		Observer:        cfg.OnValue,
+		Trace:           cfg.Trace,
+		Shards:          cfg.Shards,
+		SeedAssignment:  seed.Assignment,
+		Predict:         p.predSpec,
+		SeedModels:      seed.Models,
+	}
+	if cfg.Journal == "" {
+		cfg.Journal = p.journalDir
+	}
+	if cfg.Journal != "" {
+		// A durable session fences plan epochs and buffers leaf output, so
+		// the recovery path has clean semantics to restore into.
+		ccfg.FenceEpochs = true
+		ccfg.LeafBuffer = leafBufferFrames
+		ccfg.Observer = s.observe
+		for _, dir := range logDirs(cfg.Journal, cfg.Shards) {
+			s.logs = append(s.logs, durableLog{dir: dir, repo: store.New(0)})
+		}
+	}
+	if cfg.UseTCP {
+		tr, err := transport.NewTCP(p.sys.NodeIDs())
+		if err != nil {
+			return nil, fmt.Errorf("remo: start TCP transport: %w", err)
+		}
+		s.tr, ccfg.Transport = tr, tr
+	}
+	var err error
+	if s.machine, err = cluster.NewMachine(ccfg); err != nil {
+		_ = s.close()
+		return nil, fmt.Errorf("remo: start monitor: %w", err)
+	}
+	for i := range s.logs {
+		if err := s.reopen(i); err != nil {
+			_ = s.close()
+			return nil, fmt.Errorf("remo: start journal: %w", err)
+		}
+	}
+	return s, nil
+}
+
+// logDirs lists a session's journal directories: its own, then one per
+// shard under it when the collection tier is sharded.
+func logDirs(dir string, shards int) []string {
+	dirs := []string{dir}
+	for sh := 0; shards > 1 && sh < shards; sh++ {
+		dirs = append(dirs, filepath.Join(dir, fmt.Sprintf("shard-%d", sh)))
+	}
+	return dirs
+}
+
+// observe receives every value the collection tier accepts: into the
+// session-wide log, the trigger processor, the owning shard's log
+// (residual, shardless values live only in the session-wide one), and
+// on to the caller's OnValue.
+func (s *session) observe(pair Pair, round int, value float64) {
+	rec := journal.SampleRec{Pair: pair, Round: round, Value: value}
+	s.logs[0].observe(rec)
+	if s.proc != nil {
+		s.proc.Observe(pair, round, value)
+	}
+	if len(s.logs) > 1 {
+		if sh := s.machine.ShardOf(pair); sh >= 0 && sh < len(s.logs)-1 {
+			s.logs[1+sh].observe(rec)
+		}
+	}
+	if s.onValue != nil {
+		s.onValue(pair, round, value)
+	}
+}
+
+// step executes one collection round, then closes the self-healing loop
+// and journals the round before the next one.
+func (s *session) step() error {
+	if err := s.machine.Step(); err != nil {
+		return err
+	}
+	s.selfHeal()
+	s.appendRound()
+	if s.verifyErr != nil {
+		return s.verifyErr
+	}
+	return s.journalErr
+}
+
+// down reports whether the collector behind log i — the central one for
+// 0, shard i-1 otherwise — is in a crash window.
+func (s *session) down(i int) bool {
+	if i == 0 {
+		return s.machine.CollectorDown()
+	}
+	return s.machine.ShardDown(i - 1)
+}
+
+// appendRound appends the executed round's accepted values to every
+// log's WAL and checkpoints at the journal's cadence. A down collector
+// or shard persists nothing — that outage is precisely the window its
+// recovery must cover — and its unjournaled tail is discarded.
+func (s *session) appendRound() {
+	round := s.machine.Round() - 1
+	for i := range s.logs {
+		l := &s.logs[i]
+		recs := l.pending
+		l.pending = l.pending[:0]
+		if s.down(i) {
+			continue
+		}
+		// New dispatcher decisions (orphan re-dispatches, rebalances) are
+		// captured as full-assignment records before the samples, so a cold
+		// resume rebuilds the identical tree→shard map.
+		if i == 0 && s.machine.ShardCount() > 1 {
+			if moved := len(s.machine.ShardMoves()); moved > s.movesSeen {
+				s.movesSeen = moved
+				s.noteJournal(l.writer.AppendAssignment(s.machine.ShardAssignment()))
+			}
+		}
+		due, err := l.writer.AppendSamples(round, recs)
+		if err == nil && due {
+			err = l.writer.Checkpoint(s.state(i))
+		}
+		s.noteJournal(err)
+	}
+}
+
+// noteJournal retains the first journal write failure.
+func (s *session) noteJournal(err error) {
+	if err != nil && s.journalErr == nil {
+		s.journalErr = fmt.Errorf("remo: journal: %w", err)
+	}
+}
+
+// state snapshots what log i checkpoints: for a shard, the repository of
+// values it collected under the session's current epoch and
+// fingerprint; for the session-wide log, everything a restarted
+// collector cannot re-derive from configuration.
+func (s *session) state(i int) journal.State {
+	st := journal.State{
+		Epoch:       s.machine.Epoch(),
+		Fingerprint: s.adaptor.Forest().Fingerprint(),
+		Round:       s.machine.Round() - 1,
+		Store:       s.logs[i].repo,
+	}
+	if i > 0 {
+		return st
+	}
+	st.Failures, st.Recoveries, st.Repairs = s.failures, s.recoveries, len(s.repairs)
+	st.Demand, st.BaseDemand = s.adaptor.Demand(), s.baseDemand
+	st.Partition = s.adaptor.Partition()
+	st.Dead = make(map[model.NodeID]int)
+	if det := s.machine.Detector(); det != nil {
+		st.Dead = det.DeadAt()
+	}
+	if s.proc != nil {
+		st.Cooldowns = s.proc.Cooldowns()
+	}
+	if s.machine.ShardCount() > 1 {
+		st.Assignment = s.machine.ShardAssignment()
+	}
+	st.Models = s.machine.PredictSnapshots()
+	return st
+}
+
+// reopen starts a fresh journal for log i in its directory, sealing the
+// current state as its first checkpoint; an existing journal there is
+// superseded.
+func (s *session) reopen(i int) error {
+	l := &s.logs[i]
+	if l.writer != nil {
+		_ = l.writer.Close()
+	}
+	w, err := journal.Create(l.dir, journal.Options{}, s.state(i))
+	if err != nil {
+		return err
+	}
+	l.writer = w
+	return nil
+}
+
+// checkpoint seals every log's current state now, off the usual
+// cadence, and returns the first failure. Down shards are skipped: their
+// journals must keep describing the moment they died.
+func (s *session) checkpoint() error {
+	var first error
+	for i := range s.logs {
+		l := &s.logs[i]
+		if l.writer == nil || i > 0 && s.down(i) {
+			continue
+		}
+		if err := l.writer.Checkpoint(s.state(i)); err != nil && first == nil {
+			first = fmt.Errorf("checkpoint %s: %w", l.dir, err)
+		}
+	}
+	return first
+}
+
+// close seals a final checkpoint, so a clean shutdown resumes exactly,
+// and releases the journals, the machine and the transport.
+func (s *session) close() error {
+	var err error
+	if s.machine != nil {
+		_ = s.checkpoint()
+		for i := range s.logs {
+			if w := s.logs[i].writer; w != nil {
+				_ = w.Close()
+			}
+		}
+		err = s.machine.Close()
+	}
+	if s.tr != nil {
+		if cerr := s.tr.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// install hot-swaps the adaptor's topology into the running machine and
+// logs the swap: a task swap logs the new base demand and the partition
+// behind the plan first, every swap logs the epoch it opened and — an
+// install retargets the dispatcher — the assignment then in force.
+func (s *session) install(taskSwap bool) plan.Diff {
+	forest, demand := s.adaptor.Forest(), s.adaptor.Demand()
+	diff := s.machine.InstallDiff(forest, demand)
+	if len(s.logs) == 0 {
+		return diff
+	}
+	w, fp := s.logs[0].writer, forest.Fingerprint()
+	if taskSwap {
+		s.noteJournal(w.AppendTasks(s.baseDemand, s.adaptor.Partition(), fp,
+			len(diff.Kept), len(diff.Rebuilt), len(diff.Dropped)))
+	}
+	s.noteJournal(w.AppendEpoch(s.machine.Epoch(), fp, demand))
+	if s.machine.ShardCount() > 1 {
+		s.movesSeen = len(s.machine.ShardMoves())
+		s.noteJournal(w.AppendAssignment(s.machine.ShardAssignment()))
+	}
+	return diff
+}
+
+// record traces a session-level event at the collector.
+func (s *session) record(kind trace.Kind, values int) {
+	if s.trace != nil {
+		s.trace.Record(trace.Event{Round: s.machine.Round(), Kind: kind, Node: model.Central, Values: values})
+	}
+}
+
+// selfHeal consumes the failure detector's verdicts and closes the
+// detect→repair→resume loop between rounds.
+func (s *session) selfHeal() {
+	verdicts := s.machine.TakeVerdicts()
+	if len(verdicts) == 0 {
+		return
+	}
+	var failed, recovered []NodeID
+	detection := 0
+	for _, v := range verdicts {
+		if len(s.logs) > 0 {
+			s.noteJournal(s.logs[0].writer.AppendVerdict(v.Node, v.DeclaredAt, v.Recovered))
+		}
+		if v.Recovered {
+			recovered = append(recovered, v.Node)
+			continue
+		}
+		failed = append(failed, v.Node)
+		if lag := v.DeclaredAt - v.LastHeard; lag > detection {
+			detection = lag
+		}
+	}
+	s.failures += len(failed)
+	s.recoveries += len(recovered)
+	for _, n := range failed {
+		s.dead[n] = struct{}{}
+	}
+	for _, n := range recovered {
+		delete(s.dead, n)
+	}
+	if !s.heal {
+		return // detection-only: the dead set is tracked for reporting
+	}
+	if len(failed) > 0 {
+		s.repairFailed(failed, detection)
+	}
+	if len(recovered) > 0 {
+		s.reintegrate(recovered)
+	}
+	if s.planner.verifyOn && s.verifyErr == nil {
+		if err := verify.Plan(s.verifyContext(s.adaptor.Demand()), s.adaptor.Forest()); err != nil {
+			s.verifyErr = fmt.Errorf("remo: repaired topology failed verification: %w", err)
+		}
+	}
+}
+
+// repairFailed rebuilds the topology around newly declared-dead nodes
+// and hot-swaps the healed forest in.
+func (s *session) repairFailed(failed []NodeID, detection int) {
+	newlyDead := make(map[model.NodeID]struct{}, len(failed))
+	for _, n := range failed {
+		newlyDead[n] = struct{}{}
+	}
+	// The adaptor's demand is already pruned of earlier failures, so
+	// repairing against the newly-dead set alone keeps the accounting
+	// incremental.
+	healed, rep := repair.Repair(repair.Config{
+		Sys:     s.planner.sys,
+		Demand:  s.adaptor.Demand(),
+		Spec:    s.planner.aggSpec,
+		Builder: s.builder,
+	}, s.adaptor.Forest(), newlyDead)
+	pruned, _ := repair.Prune(s.adaptor.Demand(), newlyDead)
+	s.adaptor.Rewire(pruned, healed)
+	s.installRepair(RepairEvent{
+		Failed:          failed,
+		DetectionRounds: detection,
+		TreesRebuilt:    rep.TreesRebuilt,
+		EdgesChanged:    rep.EdgesChanged,
+		PairsLost:       rep.PairsLost,
+	})
+}
+
+// reintegrate restores recovered nodes' demanded pairs (from the task
+// set's base demand) and replans through the adaptor.
+func (s *session) reintegrate(recovered []NodeID) {
+	restored, _ := repair.Prune(s.baseDemand, s.dead)
+	rep := s.adaptor.Apply(restored)
+	s.installRepair(RepairEvent{Recovered: recovered, EdgesChanged: rep.AdaptMessages})
+}
+
+// installRepair installs the topology a repair left in the adaptor and
+// records the event.
+func (s *session) installRepair(ev RepairEvent) {
+	s.install(false)
+	ev.Round = s.machine.Round()
+	ev.CoverageAfter = s.plannedCoverage()
+	s.repairs = append(s.repairs, ev)
+	if len(s.logs) > 0 {
+		s.noteJournal(s.logs[0].writer.AppendRepair(ev.Round))
+	}
+	s.record(trace.Repair, len(ev.Failed)+len(ev.Recovered))
+}
+
+// plannedCoverage is the percentage of demanded pairs the installed
+// forest collects, per the planner's static stats.
+func (s *session) plannedCoverage() float64 {
+	d := s.adaptor.Demand()
+	total := len(d.Pairs())
+	if total == 0 {
+		return 100
+	}
+	st := s.adaptor.Forest().ComputeStats(d, s.planner.sys, s.planner.aggSpec)
+	return 100 * float64(st.Collected) / float64(total)
+}
+
+// setTasks is Monitor.SetTasks.
+func (s *session) setTasks(tasks []Task) (AdaptReport, error) {
+	d, err := s.planner.demandFor(tasks)
+	if err != nil {
+		return AdaptReport{}, err
+	}
+	s.baseDemand = d.Clone()
+	if len(s.dead) > 0 {
+		d, _ = repair.Prune(d, s.dead)
+	}
+	rep := adaptReportFrom(s.adaptor.Apply(d), s.install(true))
+	s.replans = append(s.replans, ReplanEvent{
+		Round:         s.machine.Round(),
+		TreesKept:     rep.TreesKept,
+		TreesRebuilt:  rep.TreesRebuilt,
+		TreesDropped:  rep.TreesDropped,
+		ReusePct:      rep.TreeReusePct,
+		Incremental:   rep.Incremental,
+		FellBack:      rep.FellBack,
+		PlanTime:      rep.PlanTime,
+		AdaptMessages: rep.AdaptMessages,
+	})
+	s.record(trace.Replan, rep.TreesRebuilt)
+	return rep, nil
+}
+
+// plan wraps the topology in force.
+func (s *session) plan() *Plan {
+	return planFromForest(s.planner, s.adaptor.Forest(), s.adaptor.Demand())
+}
+
+// verifyContext is what the verification harness checks the installed
+// topology against: the installed demand for the live checks, the base
+// demand for the region checks, so lost pairs count as lost rather than
+// silently dropping out with the pruned demand.
+func (s *session) verifyContext(d *task.Demand) verify.Context {
+	return verify.Context{
+		Sys:     s.planner.sys,
+		Demand:  d,
+		Spec:    s.planner.aggSpec,
+		Resolve: s.planner.resolveAttr,
+	}
+}
+
+// verify is Monitor.Verify.
+func (s *session) verify() error {
+	if s.verifyErr != nil {
+		return s.verifyErr
+	}
+	ctx, forest, res := s.verifyContext(s.adaptor.Demand()), s.adaptor.Forest(), s.machine.Result()
+	if err := verify.Plan(ctx, forest); err != nil {
+		return fmt.Errorf("remo: live topology failed verification: %w", err)
+	}
+	if err := verify.Result(ctx, res); err != nil {
+		return fmt.Errorf("remo: live result failed verification: %w", err)
+	}
+	if s.machine.ShardCount() <= 1 {
+		return nil
+	}
+	err := verify.Sharding(verify.ShardState{
+		Shards:     s.machine.ShardCount(),
+		Assignment: s.machine.ShardAssignment(),
+		Down:       s.machine.ShardsDownList(),
+		Pending:    s.machine.PendingOrphans(),
+	}, forest)
+	if err == nil {
+		err = verify.ShardUnion(res, s.machine.ShardResults())
+	}
+	if err != nil {
+		return fmt.Errorf("remo: sharded tier failed verification: %w", err)
+	}
+	return nil
+}
+
+// report is Monitor.Report.
+func (s *session) report() DeployReport {
+	rep := DeployReport{
+		CollectionResult:  s.machine.Result(),
+		FailuresDetected:  s.failures,
+		NodesRecovered:    s.recoveries,
+		Repairs:           append([]RepairEvent(nil), s.repairs...),
+		Replans:           append([]ReplanEvent(nil), s.replans...),
+		CollectorRestarts: s.restarts,
+	}
+	for _, mv := range s.machine.ShardMoves() {
+		rep.Redispatches = append(rep.Redispatches, RedispatchEvent{
+			Round: mv.Round, TreeKey: mv.Key, FromShard: mv.From, ToShard: mv.To,
+		})
+	}
+	return rep
+}
+
+// recoverLog reads a journal directory back, naming it on failure: a
+// sharded session has several.
+func recoverLog(dir string) (*journal.Recovered, error) {
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
+	return rec, nil
+}
+
+// restore adopts the session-wide history a journal recovered.
+func (s *session) restore(st journal.State) {
+	s.failures, s.recoveries = st.Failures, st.Recoveries
+	s.dead = make(map[model.NodeID]struct{}, len(st.Dead))
+	for n := range st.Dead {
+		s.dead[n] = struct{}{}
+	}
+	if st.BaseDemand != nil && len(st.BaseDemand.Pairs()) > 0 {
+		s.baseDemand = st.BaseDemand
+	}
+	if s.proc != nil && st.Cooldowns != nil {
+		s.proc.RestoreCooldowns(st.Cooldowns)
+	}
+}
+
+// resume restarts the collector behind log i from recovered state: its
+// views are rebuilt strictly from the recovered repository (never from
+// the dead collector's memory), which becomes the log's repository, and
+// its trees open an epoch past the given one, fencing every frame the
+// dead collector could have been sent. dead restores the failure
+// detector (central collector only).
+func (s *session) resume(i int, st journal.State, epoch uint32, dead map[model.NodeID]int) error {
+	rs := cluster.ResumeState{Epoch: epoch, Repo: st.Store, Dead: dead, Models: st.Models}
+	if i == 0 {
+		s.machine.ResumeCollector(rs) // a no-op on a sharded tier, whose root never dies
+	} else if err := s.machine.ResumeShard(i-1, rs); err != nil {
+		return err
+	}
+	s.logs[i].repo = st.Store
+	s.logs[i].pending = s.logs[i].pending[:0]
+	return nil
+}
+
+// resumeFrom is the in-process resume of log i from the journal in dir:
+// recover, restart the collector behind it, and re-arm journaling into
+// the same directory.
+func (s *session) resumeFrom(i int, dir string) (ResumeReport, error) {
+	rec, err := recoverLog(dir)
+	if err != nil {
+		return ResumeReport{}, err
+	}
+	if err := s.resume(i, rec.State, rec.State.Epoch, rec.State.Dead); err != nil {
+		return ResumeReport{}, err
+	}
+	if i == 0 {
+		s.restore(rec.State)
+	}
+	s.restarts++
+	s.logs[i].dir = dir
+	if err := s.reopen(i); err != nil {
+		return ResumeReport{}, err
+	}
+	if i == 0 {
+		s.journalErr = nil
+	}
+	return s.resumeReport(rec), nil
+}
+
+// resumeCollector is Monitor.Resume.
+func (s *session) resumeCollector(dir string) (ResumeReport, error) {
+	if len(s.logs) == 0 {
+		return ResumeReport{}, errors.New("session was started without journaling")
+	}
+	return s.resumeFrom(0, dir)
+}
+
+// resumeShard is Monitor.ResumeShard.
+func (s *session) resumeShard(sh int) (ResumeReport, error) {
+	if len(s.logs) < 2 {
+		return ResumeReport{}, errors.New("session is not sharded or not journaled")
+	}
+	if sh < 0 || sh >= len(s.logs)-1 {
+		return ResumeReport{}, fmt.Errorf("shard out of [0,%d)", len(s.logs)-1)
+	}
+	return s.resumeFrom(1+sh, s.logs[1+sh].dir)
+}
+
+// resumeReport summarizes a finished resume.
+func (s *session) resumeReport(rec *journal.Recovered) ResumeReport {
+	return ResumeReport{
+		Epoch:            s.machine.Epoch(),
+		RecoveredRound:   rec.LastRound,
+		RecoveredSamples: rec.State.Store.Len(),
+		ReplayedRecords:  rec.Replayed,
+		TornTail:         rec.Torn,
+		PlanMatched:      s.adaptor.Forest().Fingerprint() == rec.State.Fingerprint,
+	}
+}
+
+// resumeSession cold-starts a session from the journal in cfg.Journal:
+// the recovered installed demand is replanned, a fresh machine boots at
+// round zero, and every collector is seeded from its own log. The round
+// clock restarts, so recovered dead declarations are anchored at -1 (any
+// fresh evidence of life resurrects).
+func (p *Planner) resumeSession(cfg MonitorConfig) (*session, ResumeReport, error) {
+	// Every log must be read before startSession supersedes it with a
+	// fresh checkpoint. A missing or unreadable shard log degrades to a
+	// cold shard, not a failed resume.
+	var recs []*journal.Recovered
+	for i, dir := range logDirs(cfg.Journal, cfg.Shards) {
+		rec, err := recoverLog(dir)
+		if err != nil && i == 0 {
+			return nil, ResumeReport{}, fmt.Errorf("remo: resume: %w", err)
+		}
+		recs = append(recs, rec)
+	}
+	st := recs[0].State
+	demand := st.Demand
+	if demand == nil || len(demand.Pairs()) == 0 {
+		demand = p.currentDemand()
+	}
+	s, err := p.startSession(cfg, demand, st)
+	if err != nil {
+		return nil, ResumeReport{}, err
+	}
+	s.restore(st)
+	s.restarts = 1
+	coldDead := make(map[model.NodeID]int, len(st.Dead))
+	for n := range st.Dead {
+		coldDead[n] = -1
+	}
+	// The session-wide log's assignment already rebuilt the tree→shard
+	// map; each shard fences past both the session's epoch and its own.
+	for i, r := range recs {
+		if r != nil && err == nil {
+			err = s.resume(i, r.State, max(st.Epoch, r.State.Epoch), coldDead)
+		}
+	}
+	// Re-seal the logs with the recovered (not empty) state.
+	if err == nil {
+		err = s.checkpoint()
+	}
+	if err != nil {
+		_ = s.close()
+		return nil, ResumeReport{}, fmt.Errorf("remo: resume: %w", err)
+	}
+	return s, s.resumeReport(recs[0]), nil
+}

@@ -1,0 +1,227 @@
+package remo_test
+
+import (
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"remo"
+	"remo/internal/journal"
+)
+
+// goldenSessions holds, per scripted session and stage, the FNV-1a hash
+// of Monitor.Report() plus the state journal.Recover reads back from the
+// session's directory, as produced by the last commit whose monitor.go
+// wrote the recover → restore → re-create sequence out once per resume
+// entry point (ca881aa). Memory and TCP gave the same hash at every
+// stage. A failing run prints the hash it got: regenerate an entry only
+// after checking that the behaviour change is the intended one.
+var goldenSessions = map[string]uint64{
+	"lone/live":    0x3e34cf06ab703512,
+	"lone/cold":    0xb3d578ae391e113a,
+	"sharded/live": 0x0e5944243f76b37e,
+	"sharded/cold": 0x0fbe77e466390ebe,
+}
+
+// TestSessionGolden pins everything a session's owner of state must get
+// right — self-heal, task swaps, in-process and cold resume, per-shard
+// journals — to the reports and journal bytes of the pre-split Monitor.
+func TestSessionGolden(t *testing.T) {
+	for _, tr := range []struct {
+		name string
+		tcp  bool
+	}{{"memory", false}, {"tcp", true}} {
+		if tr.tcp && testing.Short() {
+			continue // real sockets
+		}
+		t.Run("lone/"+tr.name, func(t *testing.T) { loneSession(t, tr.tcp) })
+		t.Run("sharded/"+tr.name, func(t *testing.T) { shardedSession(t, tr.tcp) })
+	}
+}
+
+// loneSession scripts a single-collector session: a node crash with
+// repair and reintegration, two task swaps, a second node that dies for
+// good (so every journal carries a dead set), a collector crash resumed
+// in-process, then Close and a cold resume that sees the node alive.
+func loneSession(t *testing.T, tcp bool) {
+	dir := t.TempDir()
+	sys := bigSystem(t, 16)
+	all := sys.NodeIDs()
+	cpu := remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: all}
+	mem := remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: all}
+	disk := remo.Task{Name: "disk", Attrs: []remo.AttrID{3}, Nodes: all[:8]}
+	p := remo.NewPlanner(sys, remo.WithVerification())
+	p.MustAddTask(cpu)
+	p.MustAddTask(mem)
+
+	mon, err := p.StartMonitor(remo.MonitorConfig{
+		Seed: 7, UseTCP: tcp, Journal: dir,
+		Chaos: &remo.ChaosConfig{
+			Seed:             7,
+			CrashWindows:     map[remo.NodeID][]remo.ChaosWindow{5: {{From: 6, To: 12}}},
+			CrashAt:          map[remo.NodeID]int{9: 22},
+			CollectorCrashAt: 30,
+		},
+		Failure: &remo.FailurePolicy{SuspicionRounds: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	run(t, mon, 20)
+	if rep := mon.Report(); rep.FailuresDetected != 1 || rep.NodesRecovered != 1 || len(rep.Repairs) != 2 {
+		t.Fatalf("script did not exercise repair + reintegration: %+v", rep.Repairs)
+	}
+	if _, err := mon.SetTasks([]remo.Task{cpu, mem, disk}); err != nil {
+		t.Fatal(err)
+	}
+	run(t, mon, 5)
+	if _, err := mon.SetTasks([]remo.Task{cpu, disk}); err != nil {
+		t.Fatal(err)
+	}
+	run(t, mon, 8)
+	if !mon.CollectorDown() || len(mon.Failed()) != 1 {
+		t.Fatalf("collector down %v, dead %v at round 33", mon.CollectorDown(), mon.Failed())
+	}
+	rr, err := mon.Resume(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, mon, 10)
+	if err := mon.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "lone/live", mon, rr, dir, 0)
+
+	mon2, rr, err := p.ResumeMonitor(dir, remo.MonitorConfig{Seed: 7, UseTCP: tcp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon2.Close() }()
+	run(t, mon2, 5)
+	checkGolden(t, "lone/cold", mon2, rr, dir, 0)
+}
+
+// shardedSession scripts a 4-shard session: shard 0 crashes, its trees
+// are re-dispatched, it resumes from its own journal, one task swap,
+// then Close and a cold resume that reads every shard journal.
+func shardedSession(t *testing.T, tcp bool) {
+	const shards = 4
+	dir := t.TempDir()
+	sys := bigSystem(t, 16)
+	all := sys.NodeIDs()
+	cpu := remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: all}
+	mem := remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: all}
+	disk := remo.Task{Name: "disk", Attrs: []remo.AttrID{3}, Nodes: all[:8]}
+	p := remo.NewPlanner(sys, remo.WithVerification())
+	p.MustAddTask(cpu)
+	p.MustAddTask(mem)
+
+	mon, err := p.StartMonitor(remo.MonitorConfig{
+		Seed: 7, UseTCP: tcp, Journal: dir, Shards: shards,
+		Chaos:   &remo.ChaosConfig{Seed: 7, ShardCrashAt: map[int]int{0: 8}},
+		Failure: &remo.FailurePolicy{SuspicionRounds: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	run(t, mon, 20)
+	if rep := mon.Report(); rep.ShardsDown != 1 || rep.TreesRedispatched == 0 {
+		t.Fatalf("script did not exercise re-dispatch: %+v", rep)
+	}
+	rr, err := mon.ResumeShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, mon, 10)
+	if _, err := mon.SetTasks([]remo.Task{cpu, mem, disk}); err != nil {
+		t.Fatal(err)
+	}
+	run(t, mon, 5)
+	if err := mon.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "sharded/live", mon, rr, dir, shards)
+
+	mon2, rr, err := p.ResumeMonitor(dir, remo.MonitorConfig{Seed: 7, UseTCP: tcp, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon2.Close() }()
+	run(t, mon2, 5)
+	checkGolden(t, "sharded/cold", mon2, rr, dir, shards)
+}
+
+func run(t *testing.T, mon *remo.Monitor, n int) {
+	t.Helper()
+	if err := mon.Run(n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkGolden closes the session and compares the hash of its last
+// resume report, its final report and what its journal directories (dir
+// plus one per shard) now recover to against the golden one.
+func checkGolden(t *testing.T, name string, mon *remo.Monitor, rr remo.ResumeReport, dir string, shards int) {
+	t.Helper()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", rr)
+	hashReport(h, mon.Report())
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hashJournal(t, h, dir)
+	for s := 0; s < shards; s++ {
+		hashJournal(t, h, filepath.Join(dir, fmt.Sprintf("shard-%d", s)))
+	}
+	if got, want := h.Sum64(), goldenSessions[name]; got != want {
+		t.Errorf("%s: hash %#016x, golden %#016x", name, got, want)
+	}
+}
+
+// hashReport feeds every field of the report but the wall-clock
+// ReplanEvent.PlanTime, field by field so the hash does not depend on
+// how DeployReport lays them out.
+func hashReport(h hash.Hash64, rep remo.DeployReport) {
+	fmt.Fprintln(h, rep.Rounds, rep.DemandedPairs, rep.CoveredPairs, rep.PercentCollected,
+		rep.AvgPercentError, rep.AvgStaleness, rep.MessagesSent, rep.MessagesDropped,
+		rep.ValuesDelivered, rep.ValuesObserved, rep.ValuesSuppressed, rep.ValuesImputed,
+		rep.ModelSyncs, rep.MarkersLost, rep.ImputeBandMax, rep.ErrorSeries,
+		rep.StaleEpochFrames, rep.FramesBuffered, rep.FramesShed, rep.FramesRedelivered,
+		rep.Shards, rep.ShardsDown, rep.OrphanedTrees, rep.TreesRedispatched,
+		rep.LeaderElections, rep.ShardWatermarks,
+		rep.FailuresDetected, rep.NodesRecovered, rep.CollectorRestarts)
+	fmt.Fprintf(h, "%+v %+v\n", rep.Repairs, rep.Redispatches)
+	for _, ev := range rep.Replans {
+		ev.PlanTime = 0
+		fmt.Fprintf(h, "%+v\n", ev)
+	}
+}
+
+// hashJournal feeds what a recovery of dir would restore.
+func hashJournal(t *testing.T, h hash.Hash64, dir string) {
+	t.Helper()
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rec.State
+	dead := make([]int, 0, len(st.Dead))
+	for n := range st.Dead {
+		dead = append(dead, int(n))
+	}
+	sort.Ints(dead)
+	keys := make([]string, 0, len(st.Assignment))
+	for k := range st.Assignment {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintln(h, st.Epoch, st.Fingerprint, st.Round, st.Store.Len(), rec.LastRound, dead)
+	for _, k := range keys {
+		fmt.Fprintln(h, k, st.Assignment[k])
+	}
+}
