@@ -27,7 +27,7 @@ const (
 	// change's dirty attribute neighborhood, seeded from the current
 	// partition, falling back to the full search on quality regression.
 	// This is the default for Monitor task mutations (see
-	// WithIncrementalReplan).
+	// MonitorConfig.Scheme).
 	AdaptIncremental = adapt.Incremental
 )
 

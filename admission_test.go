@@ -58,10 +58,10 @@ func TestCheckAdmission(t *testing.T) {
 func TestMonitorServeHooks(t *testing.T) {
 	sys := testSystem(t)
 	dir := t.TempDir()
-	p := remo.NewPlanner(sys, remo.WithJournal(dir))
+	p := remo.NewPlanner(sys)
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: allNodes(sys)})
 
-	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 7})
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 7, Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,9 @@
 //
 // On SIGINT/SIGTERM the server drains: in-flight admissions are
 // applied, a final checkpoint is journaled, and the process exits.
-// A second signal (or an expired -drain-deadline) force-exits.
+// A second signal (or an expired -drain-deadline) force-exits. The
+// journal a drain leaves is for Planner.ResumeMonitor; the daemon does
+// not resume, and refuses a -journal directory that already holds one.
 package main
 
 import (
@@ -33,6 +35,7 @@ import (
 	"time"
 
 	"remo"
+	"remo/internal/journal"
 	"remo/internal/lifecycle"
 	"remo/internal/serve"
 	"remo/internal/workload"
@@ -56,7 +59,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		verifyOn = fs.Bool("verify", false, "arm the verification harness: cross-check the plan and the live session periodically")
 
-		journalDir = fs.String("journal", "", "journal directory for checkpoints and the WAL (default: a fresh temp dir)")
+		journalDir = fs.String("journal", "", "journal directory for checkpoints and the WAL, empty or new (default: a fresh temp dir)")
 		roundEvery = fs.Duration("round-every", 50*time.Millisecond, "collection round pacing")
 		verifyEv   = fs.Int("verify-every", 32, "with -verify, cross-check the session every n rounds")
 		maxBody    = fs.Int64("max-body", 1<<20, "maximum request body size in bytes")
@@ -69,13 +72,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	journal := *journalDir
-	if journal == "" {
-		dir, err := os.MkdirTemp("", "remo-serve-journal-")
+	dir := *journalDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "remo-serve-journal-")
 		if err != nil {
 			return fmt.Errorf("create journal dir: %w", err)
 		}
-		journal = dir
+		dir = tmp
+	} else if journal.Exists(dir) {
+		// StartMonitor would number a fresh, empty checkpoint after the
+		// newest segment and recovery would find that one: the drained
+		// session the directory holds would be superseded unread.
+		return fmt.Errorf("journal directory %s already holds a session, and this daemon cannot resume one: recover it with Planner.ResumeMonitor, or start on an empty directory", dir)
 	}
 
 	planner, err := buildPlanner(*specPath, *nodes, *attrs, *tasks, *seed, *verifyOn)
@@ -86,7 +94,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Planner: planner,
 		Monitor: remo.MonitorConfig{
 			Seed:    uint64(*seed),
-			Journal: journal,
+			Journal: dir,
 		},
 		RoundEvery:   *roundEvery,
 		MaxBodyBytes: *maxBody,
@@ -101,7 +109,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		srv.Drain()
 		return err
 	}
-	fmt.Fprintf(stdout, "remo-serve listening on http://%s (journal %s)\n", ln.Addr(), journal)
+	fmt.Fprintf(stdout, "remo-serve listening on http://%s (journal %s)\n", ln.Addr(), dir)
 
 	ctx, release := lifecycle.Context(ctx, lifecycle.Options{DrainDeadline: *drainDl})
 	defer release()
@@ -132,7 +140,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
 	<-errCh // hs.Serve has returned http.ErrServerClosed
-	fmt.Fprintf(stdout, "drained: session journaled under %s\n", journal)
+	fmt.Fprintf(stdout, "drained: session journaled under %s\n", dir)
 	return nil
 }
 

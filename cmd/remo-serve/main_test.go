@@ -4,11 +4,14 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"remo/internal/journal"
 )
 
 // syncWriter is a race-safe strings.Builder: run() writes from the
@@ -112,6 +115,69 @@ func TestServeAdmission(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("admission status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServeRefusesUsedJournal boots on a directory, admits a task and
+// drains; a second boot on the same directory must fail naming it, and
+// must leave the first session's journal exactly as recovery found it
+// before — journal.Create would otherwise supersede it with an empty
+// checkpoint.
+func TestServeRefusesUsedJournal(t *testing.T) {
+	dir := t.TempDir()
+	out := &syncWriter{}
+	base, cancel, errCh := startServe(t, out, "-journal", dir)
+	resp, err := http.Post(base+"/v1/tasks", "application/json",
+		strings.NewReader(`{"name":"probe","attrs":[1],"nodes":[1,2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("admission status %d", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/v1/latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), `"values": []`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no value collected: %s", body)
+		}
+	}
+	cancel()
+	if err := <-errCh; err != nil {
+		t.Fatalf("first run returned %v\n%s", err, out.String())
+	}
+	first, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.State.Store.Len() == 0 {
+		t.Fatalf("first session journaled no samples (round %d)", first.State.Round)
+	}
+
+	// Already cancelled: a build that does start drains at once and
+	// fails the assertion below rather than serving forever.
+	ctx, stop := context.WithCancel(context.Background())
+	stop()
+	err = run(ctx, []string{"-addr", "127.0.0.1:0", "-journal", dir}, &syncWriter{})
+	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "ResumeMonitor") {
+		t.Fatalf("second boot on a used journal: err = %v, want a refusal naming %s and ResumeMonitor", err, dir)
+	}
+	again, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Segment != first.Segment || again.State.Round != first.State.Round ||
+		!reflect.DeepEqual(again.State.Store.Dump(), first.State.Store.Dump()) {
+		t.Fatalf("refused boot changed the journal: segment %d round %d → segment %d round %d",
+			first.Segment, first.State.Round, again.Segment, again.State.Round)
 	}
 }
 

@@ -105,10 +105,10 @@ func TestCollectorCrashRecoveryEndToEnd(t *testing.T) {
 func TestColdResumeMonitor(t *testing.T) {
 	dir := t.TempDir()
 	sys := bigSystem(t, 12)
-	p := remo.NewPlanner(sys, remo.WithVerification(), remo.WithJournal(dir))
+	p := remo.NewPlanner(sys, remo.WithVerification())
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 
-	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 3})
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 3, Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,10 @@ func TestColdResumeMonitor(t *testing.T) {
 func TestColdResumeAfterChurn(t *testing.T) {
 	dir := t.TempDir()
 	sys := bigSystem(t, 12)
-	p := remo.NewPlanner(sys, remo.WithVerification(), remo.WithJournal(dir))
+	p := remo.NewPlanner(sys, remo.WithVerification())
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 
-	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 11})
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 11, Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestResumeRequiresJournal(t *testing.T) {
 func TestJournaledTriggersResumeCooldowns(t *testing.T) {
 	dir := t.TempDir()
 	sys := bigSystem(t, 8)
-	p := remo.NewPlanner(sys, remo.WithJournal(dir))
+	p := remo.NewPlanner(sys)
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 
 	proc := remo.NewProcessor(0)
@@ -272,7 +272,7 @@ func TestJournaledTriggersResumeCooldowns(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 5, Processor: proc})
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 5, Processor: proc, Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,9 +95,8 @@ type Adaptor struct {
 	maxOps int
 
 	// replan is the INCREMENTAL scheme's stateful replanner, created on
-	// Init; replanOpts tune it.
-	replan     *core.Replanner
-	replanOpts []core.ReplanOption
+	// Init.
+	replan *core.Replanner
 }
 
 // New returns an adaptor using the given policy. The planner supplies
@@ -118,10 +117,6 @@ func New(scheme Scheme, planner *core.Planner, sys *model.System) *Adaptor {
 // Scheme returns the adaptor's policy.
 func (a *Adaptor) Scheme() Scheme { return a.scheme }
 
-// SetReplanOptions tunes the INCREMENTAL scheme's replanner; call
-// before Init.
-func (a *Adaptor) SetReplanOptions(opts ...core.ReplanOption) { a.replanOpts = opts }
-
 // Forest returns the topology currently in force.
 func (a *Adaptor) Forest() *plan.Forest { return a.forest }
 
@@ -138,7 +133,7 @@ func (a *Adaptor) Demand() *task.Demand { return a.demand }
 func (a *Adaptor) Init(d *task.Demand) Report {
 	return a.initWith(d, func() core.Result {
 		if a.scheme == Incremental {
-			a.replan = core.NewReplanner(a.planner, a.sys, d, a.replanOpts...)
+			a.replan = core.NewReplanner(a.planner, a.sys, d)
 			return a.replan.Current()
 		}
 		return a.planner.Plan(a.sys, d)
@@ -153,7 +148,7 @@ func (a *Adaptor) InitPartition(d *task.Demand, sets []model.AttrSet) Report {
 	return a.initWith(d, func() core.Result {
 		res := a.planner.PlanPartition(a.sys, d, sets)
 		if a.scheme == Incremental {
-			a.replan = core.NewReplannerFrom(a.planner, a.sys, d, res, a.replanOpts...)
+			a.replan = core.NewReplannerFrom(a.planner, a.sys, d, res)
 		}
 		return res
 	})
@@ -194,7 +189,7 @@ func (a *Adaptor) Apply(newDemand *task.Demand) Report {
 				Forest:    a.forest,
 				Stats:     a.forest.ComputeStats(a.demand, a.sys, a.planner.Spec()),
 				Partition: a.Partition(),
-			}, a.replanOpts...)
+			})
 		}
 		res, rstats := a.replan.Update(newDemand)
 		rep.AdaptMessages = plan.DiffEdges(a.forest, res.Forest)

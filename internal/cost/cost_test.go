@@ -60,112 +60,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestLedgerChargeRefund(t *testing.T) {
-	l := NewLedger()
-	l.SetBudget(1, 100)
-
-	if err := l.Charge(1, 60); err != nil {
-		t.Fatalf("first charge: %v", err)
-	}
-	if err := l.Charge(1, 50); err == nil {
-		t.Fatal("overcommit charge succeeded, want error")
-	} else {
-		var oe *OverloadError
-		if !errors.As(err, &oe) {
-			t.Fatalf("error %v is not *OverloadError", err)
-		}
-		if oe.Entity != 1 || oe.Requested != 50 {
-			t.Fatalf("OverloadError = %+v", oe)
-		}
-	}
-	if got := l.Used(1); got != 60 {
-		t.Fatalf("failed charge mutated usage: %v", got)
-	}
-	l.Refund(1, 60)
-	if got := l.Used(1); got != 0 {
-		t.Fatalf("after refund Used = %v, want 0", got)
-	}
-}
-
-func TestLedgerForceAndOverloaded(t *testing.T) {
-	l := NewLedger()
-	l.SetBudget(1, 10)
-	l.SetBudget(2, 10)
-	l.Force(1, 15)
-	over := l.Overloaded()
-	if len(over) != 1 || over[0] != 1 {
-		t.Fatalf("Overloaded() = %v, want [1]", over)
-	}
-	if got := l.Available(1); got != -5 {
-		t.Fatalf("Available(1) = %v, want -5", got)
-	}
-}
-
-func TestLedgerCloneIsDeep(t *testing.T) {
-	l := NewLedger()
-	l.SetBudget(1, 10)
-	_ = l.Charge(1, 4)
-	c := l.Clone()
-	_ = c.Charge(1, 4)
-	if l.Used(1) != 4 {
-		t.Fatalf("clone charge leaked into original: %v", l.Used(1))
-	}
-	if c.Used(1) != 8 {
-		t.Fatalf("clone Used = %v, want 8", c.Used(1))
-	}
-}
-
-func TestLedgerReset(t *testing.T) {
-	l := NewLedger()
-	l.SetBudget(7, 3)
-	_ = l.Charge(7, 2)
-	l.Reset()
-	if l.Used(7) != 0 || l.Budget(7) != 3 {
-		t.Fatalf("Reset lost state: used=%v budget=%v", l.Used(7), l.Budget(7))
-	}
-}
-
-func TestLedgerChargeRefundRoundTrip(t *testing.T) {
-	// Property: any sequence of successful charges followed by matching
-	// refunds restores availability.
-	f := func(amounts []float64) bool {
-		l := NewLedger()
-		l.SetBudget(0, 1e12)
-		var charged []float64
-		for _, a := range amounts {
-			a = math.Mod(math.Abs(a), 1e6)
-			if math.IsNaN(a) {
-				continue
-			}
-			if err := l.Charge(0, a); err == nil {
-				charged = append(charged, a)
-			}
-		}
-		for _, a := range charged {
-			l.Refund(0, a)
-		}
-		return math.Abs(l.Used(0)) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTotalUsedAndEntities(t *testing.T) {
-	l := NewLedger()
-	l.SetBudget(3, 10)
-	l.SetBudget(1, 10)
-	_ = l.Charge(3, 2.5)
-	_ = l.Charge(1, 1.5)
-	if got := l.TotalUsed(); got != 4 {
-		t.Fatalf("TotalUsed = %v, want 4", got)
-	}
-	ents := l.Entities()
-	if len(ents) != 2 || ents[0] != 1 || ents[1] != 3 {
-		t.Fatalf("Entities = %v, want [1 3]", ents)
-	}
-}
-
 func TestRate(t *testing.T) {
 	tests := []struct {
 		name string
@@ -217,16 +111,16 @@ func TestEffectiveBounds(t *testing.T) {
 	}
 }
 
-// TestLedgerComposedRateNeverUndercounts is the frequency x prediction
+// TestComposedRateNeverUndercounts is the frequency x prediction
 // composition property. The two traffic-reduction axes are hierarchical:
 // the frequency spec decides which rounds a slot is due, and dead-band
 // suppression then elides a fraction of those due transmissions. The
 // planner's per-slot estimate uses the product of the measured per-axis
 // rates (Rate(w, r) with w = due/rounds, r = sent/due); the property is
-// that a ledger whose budget is set from those estimates admits every
-// realized per-round charge — composing multiplicatively never
+// that a budget set from those estimates covers the running sum of the
+// realized per-round charges — composing multiplicatively never
 // undercounts the realized traffic.
-func TestLedgerComposedRateNeverUndercounts(t *testing.T) {
+func TestComposedRateNeverUndercounts(t *testing.T) {
 	m := Default()
 	f := func(seed uint32, nSlots8 uint8, rounds8 uint8) bool {
 		nSlots := 1 + int(nSlots8%8)
@@ -270,11 +164,11 @@ func TestLedgerComposedRateNeverUndercounts(t *testing.T) {
 			}
 			budget += float64(rounds) * m.Values(1) * Rate(w, r)
 		}
-		l := NewLedger()
-		l.SetBudget(0, budget)
+		used := 0.0
 		for r := 0; r < rounds; r++ {
-			if err := l.Charge(0, m.Message(perRound[r])); err != nil {
-				t.Logf("round %d rejected: %v (budget %v used %v)", r, err, budget, l.Used(0))
+			used += m.Message(perRound[r])
+			if used > budget+1e-9 {
+				t.Logf("round %d over budget: used %v > %v", r, used, budget)
 				return false
 			}
 		}

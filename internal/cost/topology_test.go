@@ -94,16 +94,16 @@ func TestTopologyClone(t *testing.T) {
 	}
 }
 
-// TestLedgerTopologyPricedRateNeverUndercounts is the WAN composition
-// property, mirroring TestLedgerComposedRateNeverUndercounts: edge-cost
+// TestTopologyPricedRateNeverUndercounts is the WAN composition
+// property, mirroring TestComposedRateNeverUndercounts: edge-cost
 // multipliers compose with the frequency x prediction rate product by
-// plain multiplication, and a ledger whose budget is set from the
-// topology-priced per-slot estimates admits every realized
-// topology-priced charge. Edge pricing is undirected, so the estimate
+// plain multiplication, and a budget set from the topology-priced
+// per-slot estimates covers the running sum of the realized
+// topology-priced charges. Edge pricing is undirected, so the estimate
 // prices (src, dst) while the realized charges price (dst, src) —
 // catching any asymmetry between the planner's estimate path and the
 // verifier's re-pricing path, link overrides included.
-func TestLedgerTopologyPricedRateNeverUndercounts(t *testing.T) {
+func TestTopologyPricedRateNeverUndercounts(t *testing.T) {
 	m := Default()
 	regions := []string{"r0", "r1", "r2"}
 	f := func(seed uint32, nSlots8, rounds8 uint8, intra16, inter16, link16 uint16) bool {
@@ -135,7 +135,6 @@ func TestLedgerTopologyPricedRateNeverUndercounts(t *testing.T) {
 		// occurrence is one message over the slot's edge.
 		sent := make([]int, nSlots)
 		due := make([]int, nSlots)
-		l := NewLedger()
 		var charges []float64
 		for i, s := range slots {
 			for r := 0; r < rounds; r++ {
@@ -161,10 +160,11 @@ func TestLedgerTopologyPricedRateNeverUndercounts(t *testing.T) {
 			}
 			budget += float64(rounds) * topo.EdgeCost(s.src, s.dst) * m.Effective(s.values, Rate(w, r))
 		}
-		l.SetBudget(0, budget)
+		used := 0.0
 		for i, c := range charges {
-			if err := l.Charge(0, c); err != nil {
-				t.Logf("charge %d rejected: %v (budget %v used %v)", i, err, budget, l.Used(0))
+			used += c
+			if used > budget+1e-9 {
+				t.Logf("charge %d over budget: used %v > %v", i, used, budget)
 				return false
 			}
 		}

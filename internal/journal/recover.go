@@ -52,6 +52,14 @@ func Recover(dir string) (*Recovered, error) {
 	return nil, lastErr
 }
 
+// Exists reports whether dir already holds a journal: at least one
+// checkpoint segment, the thing Create would supersede and Recover
+// would read. A missing or unreadable directory holds none.
+func Exists(dir string) bool {
+	segs, err := listSegments(dir)
+	return err == nil && len(segs) > 0
+}
+
 // listSegments returns the segment numbers with a ckpt file, ascending.
 func listSegments(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
@@ -211,11 +219,4 @@ func (rec *Recovered) apply(kind uint8, payload []byte) error {
 		return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
 	return nil
-}
-
-// IsDir reports whether path exists and is a directory — a flag-
-// validation helper for callers taking a journal directory.
-func IsDir(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
 }

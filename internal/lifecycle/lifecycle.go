@@ -2,7 +2,7 @@
 // repo's binaries: a context cancelled on SIGINT/SIGTERM, a drain
 // deadline that bounds how long graceful shutdown may take, and a
 // double-signal escape hatch that force-exits immediately. Every
-// binary (remo-serve, remo-load, remo-sim, remo-bench) shares this
+// binary (remo-serve, remo-sim, remo-bench) shares this
 // package instead of installing its own ad-hoc signal handling.
 package lifecycle
 

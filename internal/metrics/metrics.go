@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -129,14 +128,6 @@ func (t *Table) FprintCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// FprintJSON renders the table as an indented JSON object; the field
-// names match the struct (Title, XLabel, Columns, Rows).
-func (t *Table) FprintJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }
 
 func printRow(w io.Writer, cells []string, widths []int) error {

@@ -26,9 +26,8 @@ type Config struct {
 	// Planner owns the system model and planning configuration. The
 	// desired task set starts from the planner's current tasks.
 	Planner *remo.Planner
-	// Monitor configures the session. A journal directory is required
-	// (directly or via the planner's WithJournal): a service that cannot
-	// checkpoint cannot drain gracefully.
+	// Monitor configures the session. Its Journal directory is required:
+	// a service that cannot checkpoint cannot drain gracefully.
 	Monitor remo.MonitorConfig
 	// RoundEvery paces collection rounds (default 50ms).
 	RoundEvery time.Duration
@@ -198,8 +197,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.broker = newBroker(cfg.StreamBuffer, ins.streamEvents, ins.streamDropped, ins.streamSubs)
 
-	// The monitor always journals: the planner seeds the directory via
-	// WithJournal unless the config overrides it.
 	mcfg := cfg.Monitor
 	s.proc = mcfg.Processor
 	if s.proc == nil {
@@ -236,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if mon.JournalDir() == "" {
 		_ = mon.Close()
-		return nil, errors.New("serve: a journal directory is required (MonitorConfig.Journal or WithJournal)")
+		return nil, errors.New("serve: a journal directory is required (MonitorConfig.Journal)")
 	}
 	s.mon = mon
 

@@ -35,11 +35,10 @@ func testServer(t *testing.T, central float64, opts ...remo.PlannerOption) (*Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts = append(opts, remo.WithJournal(t.TempDir()))
 	p := remo.NewPlanner(sys, opts...)
 	s, err := New(Config{
 		Planner:      p,
-		Monitor:      remo.MonitorConfig{Seed: 42},
+		Monitor:      remo.MonitorConfig{Seed: 42, Journal: t.TempDir()},
 		RoundEvery:   2 * time.Millisecond,
 		MaxBodyBytes: 1024,
 	})
@@ -350,10 +349,10 @@ func regionTestServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	sys.CentralRegion = remo.RegionName(0)
 	sys.ApplyTopology(remo.NewTopology(1, 0))
-	p := remo.NewPlanner(sys, remo.WithJournal(t.TempDir()))
+	p := remo.NewPlanner(sys)
 	s, err := New(Config{
 		Planner:      p,
-		Monitor:      remo.MonitorConfig{Seed: 42},
+		Monitor:      remo.MonitorConfig{Seed: 42, Journal: t.TempDir()},
 		RoundEvery:   2 * time.Millisecond,
 		MaxBodyBytes: 1024,
 	})

@@ -292,23 +292,6 @@ func (s *state) applyChain(changes []chainChange, firstInDelta []float64, centra
 	s.centralUsage += centralDelta
 }
 
-// canAttach reports whether node n can be attached under parent p (p may
-// be model.Central only when the tree is empty).
-func (s *state) canAttach(n, p model.NodeID) bool {
-	lv := s.localVec(n)
-	lout := s.funnel(lv)
-	endpoint := s.msgCost(vecSum(lout))
-	un := endpoint * s.ctx.Sys.Dist(n, p)
-	if un > s.avail(n)+capEps {
-		return false
-	}
-	if p.IsCentral() {
-		return s.tree.Empty() && s.centralUsage+endpoint <= s.ctx.CentralAvail+capEps
-	}
-	ok, _, _ := s.chainDeltas(p, lout, endpoint)
-	return ok
-}
-
 // attach adds node n under parent p, updating all bookkeeping. It
 // reports false (with no side effects) if the attachment is infeasible.
 func (s *state) attach(n, p model.NodeID) bool {

@@ -6,7 +6,6 @@ import (
 
 	"remo/internal/core"
 	"remo/internal/model"
-	"remo/internal/plan"
 	"remo/internal/task"
 )
 
@@ -60,16 +59,6 @@ func Optimum(p *core.Planner, sys *model.System, d *task.Demand) (core.Result, i
 		count = 1
 	}
 	return best, count, nil
-}
-
-// OptimumScore is Optimum reduced to its comparison key, for tests that
-// only need the achievable pair count and cost.
-func OptimumScore(p *core.Planner, sys *model.System, d *task.Demand) (plan.Score, int, error) {
-	best, count, err := Optimum(p, sys, d)
-	if err != nil {
-		return plan.Score{}, 0, err
-	}
-	return best.Stats.Score(), count, nil
 }
 
 // forEachPartition enumerates every set partition of attrs by placing

@@ -59,8 +59,7 @@ type FailurePolicy struct {
 type MonitorConfig struct {
 	// Scheme selects the adaptation policy. The default is
 	// AdaptIncremental — scoped replanning seeded from the live
-	// partition — unless the planner disabled it via
-	// WithIncrementalReplan(false), which falls back to AdaptAdaptive.
+	// partition; AdaptAdaptive restores the paper's scheme.
 	Scheme AdaptScheme
 	// Source overrides the ground-truth value generator.
 	Source ValueSource
@@ -82,8 +81,7 @@ type MonitorConfig struct {
 	// Journal, when set, makes the session durable: collector state is
 	// checkpointed and write-ahead logged under this directory, epoch
 	// fencing is armed, and leaves buffer outgoing values across
-	// collector outages (see Monitor.Resume). Defaults to the planner's
-	// WithJournal directory.
+	// collector outages (see Monitor.Resume).
 	Journal string
 	// Processor, when set alongside Journal, is fed every collected
 	// value and has its trigger re-arm state checkpointed, so triggers
@@ -205,8 +203,8 @@ type ResumeReport struct {
 // never died — buffered values drain into the recovered collector on
 // the next round. Journaling re-arms into the same directory.
 //
-// The session must have been started with journaling (MonitorConfig.
-// Journal or WithJournal).
+// The session must have been started with journaling
+// (MonitorConfig.Journal).
 func (m *Monitor) Resume(journalDir string) (ResumeReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

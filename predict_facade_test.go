@@ -9,12 +9,10 @@ import (
 
 // predictPlanner builds a verification-armed planner with dead-band
 // suppression at the given bound, monitoring attrs 1 and 2 everywhere.
-func predictPlanner(t *testing.T, eps float64, opts ...remo.PlannerOption) *remo.Planner {
+func predictPlanner(t *testing.T, eps float64) *remo.Planner {
 	t.Helper()
 	sys := testSystem(t)
-	p := remo.NewPlanner(sys, append([]remo.PlannerOption{
-		remo.WithPrediction(eps), remo.WithVerification(),
-	}, opts...)...)
+	p := remo.NewPlanner(sys, remo.WithPrediction(eps), remo.WithVerification())
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 	p.MustAddTask(remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: sys.NodeIDs()})
 	return p
@@ -79,8 +77,8 @@ func TestDeployPredictionCountersFlow(t *testing.T) {
 
 func TestPredictionColdResumeSeedsModels(t *testing.T) {
 	dir := t.TempDir()
-	p := predictPlanner(t, 0.01, remo.WithJournal(dir))
-	mon, err := p.StartMonitor(remo.MonitorConfig{Source: remo.UtilWalk{Seed: 5}})
+	p := predictPlanner(t, 0.01)
+	mon, err := p.StartMonitor(remo.MonitorConfig{Source: remo.UtilWalk{Seed: 5}, Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

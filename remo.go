@@ -131,16 +131,6 @@ type Planner struct {
 	// cross-checked by the independent invariant checker, and plans,
 	// deployments and live monitors expose/enforce Verify.
 	verifyOn bool
-
-	// journalDir, when set, makes every StartMonitor session durable by
-	// default (see WithJournal / MonitorConfig.Journal).
-	journalDir string
-
-	// incReplan selects incremental replanning as the default scheme
-	// for Monitor task mutations (on unless WithIncrementalReplan(false)
-	// turned it off); replanOpts tune the replanner.
-	incReplan  bool
-	replanOpts []core.ReplanOption
 }
 
 // PlannerOption configures a Planner.
@@ -198,39 +188,6 @@ func WithVerification() PlannerOption {
 	return func(p *Planner) { p.verifyOn = true }
 }
 
-// WithJournal makes every monitoring session this planner starts
-// durable: collector-side state (installed plan epoch and fingerprint,
-// demand, detector verdicts, repair history, collected samples) is
-// checkpointed and write-ahead logged under dir, epoch fencing is
-// armed, and leaves buffer their outgoing values across collector
-// outages. A crashed session resumes via Monitor.Resume (in-process)
-// or Planner.ResumeMonitor (cold start). MonitorConfig.Journal
-// overrides the directory per session.
-func WithJournal(dir string) PlannerOption {
-	return func(p *Planner) { p.journalDir = dir }
-}
-
-// WithIncrementalReplan controls whether Monitor task mutations replan
-// incrementally (the default): the guided search is seeded from the
-// live partition and scoped to the attribute sets the mutation touches,
-// reusing untouched trees byte-for-byte, and falls back to the full
-// search when the scoped result regresses. Pass false to restore the
-// paper's ADAPTIVE scheme as the default for sessions that do not name
-// a scheme explicitly; MonitorConfig.Scheme always wins.
-func WithIncrementalReplan(enabled bool) PlannerOption {
-	return func(p *Planner) { p.incReplan = enabled }
-}
-
-// WithReplanFallback tunes incremental replanning's fallback condition:
-// a scoped replan whose coverage fraction drops more than tol below
-// what the previous plan still collects under the mutated demand is
-// discarded for a full replan. The default tolerance 0.01 absorbs the
-// capacity allocator's reordering noise; pass 0 to fall back on any
-// coverage regression.
-func WithReplanFallback(tol float64) PlannerOption {
-	return func(p *Planner) { p.replanOpts = append(p.replanOpts, core.WithReplanFallback(tol)) }
-}
-
 // Forecasting model kinds for WithPrediction / SetPredictionModel.
 const (
 	// PredictEWMA forecasts with an exponentially weighted moving
@@ -285,9 +242,8 @@ func WithBaseline(b Baseline) PlannerOption {
 // NewPlanner returns a planner for the system.
 func NewPlanner(sys *System, opts ...PlannerOption) *Planner {
 	p := &Planner{
-		sys:       sys,
-		aggSpec:   agg.NewSpec(),
-		incReplan: true,
+		sys:     sys,
+		aggSpec: agg.NewSpec(),
 	}
 	p.mgr = task.NewManager(task.WithSystem(sys), task.WithAliasResolver(p.resolveAttr))
 	for _, o := range opts {

@@ -68,16 +68,16 @@ func TestMonitorIncrementalReplanTrace(t *testing.T) {
 	}
 }
 
-// TestWithIncrementalReplanDisabled pins the opt-out: the session falls
-// back to the paper's ADAPTIVE scheme and reports non-incremental
+// TestAdaptiveSchemeOptsOutOfIncremental pins the opt-out: a session
+// that names the paper's ADAPTIVE scheme reports non-incremental
 // replans.
-func TestWithIncrementalReplanDisabled(t *testing.T) {
+func TestAdaptiveSchemeOptsOutOfIncremental(t *testing.T) {
 	sys := testSystem(t)
-	p := remo.NewPlanner(sys, remo.WithIncrementalReplan(false))
+	p := remo.NewPlanner(sys)
 	ids := allNodes(sys)
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: ids})
 
-	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 5})
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 5, Scheme: remo.AdaptAdaptive})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package remo_test
 
 // End-to-end acceptance for the service tier: a serve.Server behind a
-// real loopback listener, driven over HTTP and with the remo-load
-// client library. TestServiceEndToEnd walks the full lifecycle —
-// admit, inspect, stream, modify (incremental replan), remove, drain,
-// resume. TestServiceSoak runs concurrent admissions, streaming
-// readers, and a chaos collector-crash window for a few seconds
+// real loopback listener, driven over HTTP. TestServiceEndToEnd walks
+// the full lifecycle — admit, inspect, stream, modify (incremental
+// replan), remove, drain, resume. TestServiceSoak runs concurrent
+// admissions, delta and streaming readers, and a chaos collector-crash
+// window for a few seconds
 // (REMO_SOAK_SECONDS stretches it for the CI soak), then checks for
 // goroutine leaks and dropped operation-status records.
 
@@ -22,11 +22,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"remo"
-	"remo/internal/load"
 	"remo/internal/serve"
 )
 
@@ -43,7 +43,7 @@ type service struct {
 }
 
 // bootService starts the service tier on 127.0.0.1:0 with fast rounds.
-func bootService(t *testing.T, mcfg remo.MonitorConfig, opts ...remo.PlannerOption) *service {
+func bootService(t *testing.T, mcfg remo.MonitorConfig) *service {
 	t.Helper()
 	nodes := make([]remo.Node, 12)
 	for i := range nodes {
@@ -61,9 +61,8 @@ func bootService(t *testing.T, mcfg remo.MonitorConfig, opts ...remo.PlannerOpti
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal := t.TempDir()
-	opts = append(opts, remo.WithJournal(journal), remo.WithVerification())
-	p := remo.NewPlanner(sys, opts...)
+	mcfg.Journal = t.TempDir()
+	p := remo.NewPlanner(sys, remo.WithVerification())
 	srv, err := serve.New(serve.Config{
 		Planner:     p,
 		Monitor:     mcfg,
@@ -83,7 +82,7 @@ func bootService(t *testing.T, mcfg remo.MonitorConfig, opts ...remo.PlannerOpti
 		srv:     srv,
 		hs:      &http.Server{Handler: srv.Handler()},
 		base:    "http://" + ln.Addr().String(),
-		journal: journal,
+		journal: mcfg.Journal,
 		served:  make(chan error, 1),
 	}
 	go func() { svc.served <- svc.hs.Serve(ln) }()
@@ -271,24 +270,6 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("task list after remove: %s", body)
 	}
 
-	// Drive it with the load harness over the same socket: the client
-	// library's traffic must come back error-free.
-	rep, err := load.Run(context.Background(), load.Options{
-		BaseURL:     base,
-		Clients:     10,
-		Duration:    600 * time.Millisecond,
-		Ramp:        60 * time.Millisecond,
-		Think:       load.ThinkSpec{Dist: load.ThinkExp, Mean: 20 * time.Millisecond},
-		MutatorFrac: 0.4,
-		Seed:        17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 || rep.Errors > 0 {
-		t.Fatalf("load drive: %d requests, %d errors, taxonomy %v", rep.Requests, rep.Errors, rep.Taxonomy)
-	}
-
 	// Drain seals the journal; a cold ResumeMonitor accepts it.
 	svc.shutdown(t)
 	mon, rr, err := svc.planner.ResumeMonitor(svc.journal, remo.MonitorConfig{Seed: 42})
@@ -301,12 +282,92 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServiceSoak hammers the service with concurrent admissions and
-// streaming readers across a chaos collector-crash window. The default
-// few-second run keeps plain `go test` fast; check.sh stretches it via
-// REMO_SOAK_SECONDS for the -race soak. After drain the goroutine
-// count must return to baseline and every admitted operation must hold
-// a terminal status record.
+// churn is the soak's bulk traffic until ctx ends: each mutator cycles
+// create → modify → remove on a task of its own, each reader polls
+// /v1/latest?since= behind a round cursor. It returns how many requests
+// finished while ctx was live and how many of those failed (transport
+// error or non-2xx answer); the first failure is logged.
+func churn(ctx context.Context, t *testing.T, base string, mutators, readers int) (requests, failed int64) {
+	var reqs, errs atomic.Int64
+	call := func(method, path, body string) []byte {
+		req, err := http.NewRequestWithContext(ctx, method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		var data []byte
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			data, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err == nil && resp.StatusCode/100 != 2 {
+				err = fmt.Errorf("status %d: %s", resp.StatusCode, data)
+			}
+		}
+		if ctx.Err() != nil {
+			return nil // cut off by the end of the run, not by the service
+		}
+		reqs.Add(1)
+		if err != nil {
+			if errs.Add(1) == 1 {
+				t.Logf("churn: %s %s: %v", method, path, err)
+			}
+			return nil
+		}
+		return data
+	}
+	pause := func() {
+		select {
+		case <-ctx.Done():
+		case <-time.After(15 * time.Millisecond):
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < mutators; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("soak-churn-%d", i)
+			for step := 0; ctx.Err() == nil; step++ {
+				switch step % 3 {
+				case 0:
+					call(http.MethodPost, "/v1/tasks",
+						fmt.Sprintf(`{"name":%q,"attrs":[%d],"nodes":[%d,%d]}`, name, i%4+1, i+1, i+7))
+				case 1:
+					call(http.MethodPut, "/v1/tasks/"+name,
+						fmt.Sprintf(`{"name":%q,"attrs":[%d,%d],"nodes":[%d,%d]}`, name, i%4+1, (i+1)%4+1, i+1, i+7))
+				case 2:
+					call(http.MethodDelete, "/v1/tasks/"+name, "")
+				}
+				pause()
+			}
+		}(i)
+	}
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for since := 0; ctx.Err() == nil; pause() {
+				var rd struct {
+					Round int `json:"round"`
+				}
+				body := call(http.MethodGet, "/v1/latest?since="+strconv.Itoa(since), "")
+				if json.Unmarshal(body, &rd) == nil && rd.Round >= since {
+					since = rd.Round + 1
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return reqs.Load(), errs.Load()
+}
+
+// TestServiceSoak hammers the service with concurrent admissions, delta
+// readers and streaming readers across a chaos collector-crash window.
+// The default few-second run keeps plain `go test` fast; check.sh
+// stretches it via REMO_SOAK_SECONDS for the -race soak. After drain
+// the goroutine count must return to baseline and every admitted
+// operation must hold a terminal status record.
 func TestServiceSoak(t *testing.T) {
 	dur := 3 * time.Second
 	if s := os.Getenv("REMO_SOAK_SECONDS"); s != "" {
@@ -351,7 +412,7 @@ func TestServiceSoak(t *testing.T) {
 		}()
 	}
 
-	// Direct admissions alongside the harness: record every operation ID
+	// Direct admissions alongside the churn: record every operation ID
 	// the service accepted so conservation is checkable per-record.
 	// (Helpers that t.Fatal are off-limits in a goroutine, so this loop
 	// reports through t.Errorf and stops.)
@@ -392,28 +453,21 @@ func TestServiceSoak(t *testing.T) {
 		}
 	}()
 
-	// The harness supplies the bulk concurrency: half mutators, half
-	// delta readers.
-	rep, err := load.Run(ctx, load.Options{
-		BaseURL:     base,
-		Clients:     24,
-		Duration:    dur,
-		Think:       load.ThinkSpec{Dist: load.ThinkExp, Mean: 25 * time.Millisecond},
-		MutatorFrac: 0.5,
-		Seed:        23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The churn supplies the bulk concurrency: half mutators, half delta
+	// readers.
+	churnCtx, churnDone := context.WithTimeout(ctx, dur)
+	requests, failed := churn(churnCtx, t, base, 4, 4)
+	churnDone()
 	cancel()
 	readers.Wait()
 	<-directDone
 
-	if rep.Requests == 0 {
+	t.Logf("churn: %d requests, %d failed", requests, failed)
+	if requests == 0 {
 		t.Fatal("soak sent no traffic")
 	}
-	if rep.Errors > 0 {
-		t.Fatalf("soak errors = %d, taxonomy %v", rep.Errors, rep.Taxonomy)
+	if failed > 0 {
+		t.Fatalf("soak errors = %d of %d requests", failed, requests)
 	}
 
 	// The chaos window actually hit and the backend healed it.

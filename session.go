@@ -99,16 +99,10 @@ func (l *durableLog) observe(rec journal.SampleRec) {
 func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed journal.State) (*session, error) {
 	scheme := cfg.Scheme
 	if scheme == "" {
-		scheme = AdaptAdaptive
-		if p.incReplan {
-			scheme = AdaptIncremental
-		}
+		scheme = AdaptIncremental
 	}
 	core := p.corePlanner()
 	ad := adapt.New(scheme, core, p.sys)
-	if len(p.replanOpts) > 0 {
-		ad.SetReplanOptions(p.replanOpts...)
-	}
 	if len(seed.Partition) > 0 && partition.Validate(seed.Partition, demand.Universe()) == nil {
 		ad.InitPartition(demand, seed.Partition)
 	} else {
@@ -154,9 +148,6 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 		SeedAssignment:  seed.Assignment,
 		Predict:         p.predSpec,
 		SeedModels:      seed.Models,
-	}
-	if cfg.Journal == "" {
-		cfg.Journal = p.journalDir
 	}
 	if cfg.Journal != "" {
 		// A durable session fences plan epochs and buffers leaf output, so

@@ -130,11 +130,11 @@ func TestShardCrashResumeEndToEnd(t *testing.T) {
 func TestShardColdResumeIdenticalAssignment(t *testing.T) {
 	dir := t.TempDir()
 	sys := bigSystem(t, 12)
-	p := remo.NewPlanner(sys, remo.WithVerification(), remo.WithJournal(dir))
+	p := remo.NewPlanner(sys, remo.WithVerification())
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 	p.MustAddTask(remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: sys.NodeIDs()})
 
-	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 3, Shards: 4})
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 3, Shards: 4, Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
