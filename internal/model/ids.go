@@ -50,14 +50,17 @@ type Pair struct {
 // String implements fmt.Stringer.
 func (p Pair) String() string { return fmt.Sprintf("(%v,%v)", p.Node, p.Attr) }
 
+// Less orders pairs by node then attribute.
+func (p Pair) Less(q Pair) bool {
+	if p.Node != q.Node {
+		return p.Node < q.Node
+	}
+	return p.Attr < q.Attr
+}
+
 // SortPairs orders pairs by node then attribute, in place.
 func SortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Node != pairs[j].Node {
-			return pairs[i].Node < pairs[j].Node
-		}
-		return pairs[i].Attr < pairs[j].Attr
-	})
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Less(pairs[j]) })
 }
 
 // SortNodes orders node ids ascending, in place.

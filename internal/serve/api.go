@@ -3,13 +3,16 @@ package serve
 // The HTTP frontend: synchronous validation, asynchronous application.
 // Every mutation handler validates against the desired task set, checks
 // the admission budget, mutates the desired state, and answers 202 with
-// an operation to poll. Reads serve from the Monitor's repository and
-// plan. Errors share one envelope: {"error":{"code","message"}}.
+// an operation to poll. Reads load the Monitor's published view once
+// and answer from it — round, fingerprint, plan and store of one
+// instant — without waiting for the round or replan in flight. Errors
+// share one envelope: {"error":{"code","message"}}.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -485,7 +488,8 @@ func (s *Server) handleOpList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	plan := s.mon.Plan()
+	v := s.mon.View()
+	plan := v.Plan
 	type treeWire struct {
 		Root   int   `json:"root"`
 		Size   int   `json:"size"`
@@ -501,8 +505,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		trees = append(trees, tw)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"fingerprint":      s.mon.Fingerprint(),
-		"round":            s.mon.Round(),
+		"fingerprint":      v.Fingerprint,
+		"round":            v.Round,
 		"demandedPairs":    plan.DemandedPairs(),
 		"collectedPairs":   plan.CollectedPairs(),
 		"percentCollected": plan.PercentCollected(),
@@ -545,22 +549,12 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Name < tasks[j].Name })
-	repo := s.mon.Store()
-	values := make([]valueWire, 0)
-	if repo != nil {
-		for _, pr := range repo.Pairs() {
-			if smp, ok := repo.Latest(pr); ok {
-				values = append(values, valueWire{
-					Node: int(pr.Node), Attr: int(pr.Attr), Round: smp.Round, Value: smp.Value,
-				})
-			}
-		}
-	}
+	v := s.mon.View()
 	resp := map[string]any{
-		"round":       s.mon.Round(),
-		"fingerprint": s.mon.Fingerprint(),
+		"round":       v.Round,
+		"fingerprint": v.Fingerprint,
 		"tasks":       tasks,
-		"values":      values,
+		"values":      latestValues(v.Store, math.MinInt),
 	}
 	// Region-labeled systems carry the WAN view: each region's label,
 	// monitoring-node count, and live coverage percentage.
@@ -603,10 +597,9 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 			"series requires integer node= and attr= (from=/to= optional)"})
 		return
 	}
-	repo := s.mon.Store()
 	pr := model.Pair{Node: model.NodeID(node), Attr: model.AttrID(attr)}
 	samples := make([]valueWire, 0)
-	if repo != nil {
+	if repo := s.mon.Store(); repo != nil {
 		for _, smp := range repo.Window(pr, from, to) {
 			samples = append(samples, valueWire{Node: node, Attr: attr, Round: smp.Round, Value: smp.Value})
 		}
@@ -614,26 +607,33 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"samples": samples})
 }
 
+// latestValues is the store scan behind /v1/state and /v1/latest: every
+// pair's newest sample at or after since, in pair order.
+func latestValues(repo *remo.Store, since int) []valueWire {
+	if repo == nil {
+		return []valueWire{}
+	}
+	latest := repo.LatestSince(since)
+	values := make([]valueWire, len(latest))
+	for i, ps := range latest {
+		values[i] = valueWire{Node: int(ps.Pair.Node), Attr: int(ps.Pair.Attr), Round: ps.Round, Value: ps.Value}
+	}
+	return values
+}
+
 // handleLatest is the delta read: every pair's newest sample at or
-// after ?since= (default: everything).
+// after ?since= (default: everything). The "round" it answers is the
+// cursor for the next read and comes from the view loaded before the
+// scan, so it is never newer than what the scan saw: a value at or after
+// it may be returned again by the next read, but none is skipped.
 func (s *Server) handleLatest(w http.ResponseWriter, r *http.Request) {
 	since, err := queryInt(r, "since", 0)
 	if err != nil {
 		writeErr(w, &apiError{http.StatusBadRequest, codeBadRequest, "since= must be an integer"})
 		return
 	}
-	repo := s.mon.Store()
-	values := make([]valueWire, 0)
-	if repo != nil {
-		for _, pr := range repo.Pairs() {
-			if smp, ok := repo.Latest(pr); ok && smp.Round >= since {
-				values = append(values, valueWire{
-					Node: int(pr.Node), Attr: int(pr.Attr), Round: smp.Round, Value: smp.Value,
-				})
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"round": s.mon.Round(), "values": values})
+	v := s.mon.View()
+	writeJSON(w, http.StatusOK, map[string]any{"round": v.Round, "values": latestValues(v.Store, since)})
 }
 
 // handleStream serves SSE: value, alert, and round events, filterable

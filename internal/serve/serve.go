@@ -347,19 +347,22 @@ func (s *Server) applyBatch(batch []*operation) {
 }
 
 // runRound executes one collection round, self-heals a crashed
-// collector from the journal, and publishes the round event.
+// collector from the journal, and publishes the round event. A healthy
+// round takes the monitor's mutex once, in Run; what it then reports
+// comes from the view that round published.
 func (s *Server) runRound() {
 	if err := s.mon.Run(1); err != nil {
 		s.ins.roundErrors.Inc()
 		return
 	}
 	s.ins.rounds.Inc()
-	round := s.mon.Round() - 1
-	if s.mon.CollectorDown() {
+	v := s.mon.View()
+	round := v.Round - 1
+	if v.CollectorDown {
 		// A chaos (or real) collector outage latches until an explicit
 		// resume; the service owns the session, so it restarts the
 		// collector from its own journal.
-		if _, err := s.mon.Resume(s.mon.JournalDir()); err == nil {
+		if _, err := s.mon.Resume(v.JournalDir); err == nil {
 			s.ins.resumes.Inc()
 		}
 	}
@@ -368,7 +371,7 @@ func (s *Server) runRound() {
 			s.ins.verifyFailures.Inc()
 		}
 	}
-	s.broker.publish("round", roundWire{Round: round, Fingerprint: s.mon.Fingerprint()})
+	s.broker.publish("round", roundWire{Round: round, Fingerprint: v.Fingerprint})
 }
 
 // finalDrain applies every remaining queued operation, seals the final

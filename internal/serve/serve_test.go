@@ -14,14 +14,13 @@ import (
 	"remo/internal/metrics"
 )
 
-// testServer boots a Server over a 12-node system (central capacity
-// 600 → admission budget 590) with fast rounds, plus its httptest
-// frontend.
-func testServer(t *testing.T, central float64, opts ...remo.PlannerOption) (*Server, *httptest.Server) {
-	t.Helper()
-	nodes := make([]remo.Node, 12)
-	for i := range nodes {
-		nodes[i] = remo.Node{
+// testSystem is the suite's system: identical nodes observing four
+// attributes under the C=10, a=1 cost model.
+func testSystem(tb testing.TB, nodes int, central float64) *remo.System {
+	tb.Helper()
+	list := make([]remo.Node, nodes)
+	for i := range list {
+		list[i] = remo.Node{
 			ID:       remo.NodeID(i + 1),
 			Capacity: 120,
 			Attrs:    []remo.AttrID{1, 2, 3, 4},
@@ -30,11 +29,20 @@ func testServer(t *testing.T, central float64, opts ...remo.PlannerOption) (*Ser
 	sys, err := remo.NewSystem(remo.SystemSpec{
 		CentralCapacity: central,
 		Cost:            remo.CostModel{PerMessage: 10, PerValue: 1},
-		Nodes:           nodes,
+		Nodes:           list,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sys
+}
+
+// testServer boots a Server over a 12-node system (central capacity
+// 600 → admission budget 590) with fast rounds, plus its httptest
+// frontend.
+func testServer(t *testing.T, central float64, opts ...remo.PlannerOption) (*Server, *httptest.Server) {
+	t.Helper()
+	sys := testSystem(t, 12, central)
 	p := remo.NewPlanner(sys, opts...)
 	s, err := New(Config{
 		Planner:      p,

@@ -101,6 +101,30 @@ func (s *Store) Pairs() []model.Pair {
 	return out
 }
 
+// PairSample is one sample tagged with the pair it belongs to.
+type PairSample struct {
+	Pair model.Pair
+	Sample
+}
+
+// LatestSince returns the newest sample of every pair whose newest
+// sample is at or after round since, sorted by pair — what Pairs plus a
+// Latest per pair would return, in one pass under one read lock, so a
+// full read neither sorts pairs it will filter out nor contends with
+// Observe once per pair.
+func (s *Store) LatestSince(since int) []PairSample {
+	s.mu.RLock()
+	out := make([]PairSample, 0, len(s.series))
+	for p, r := range s.series {
+		if r.len() > 0 && r.newest().Round >= since {
+			out = append(out, PairSample{Pair: p, Sample: r.newest()})
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Pair.Less(out[j].Pair) })
+	return out
+}
+
 // Len returns the total number of retained samples.
 func (s *Store) Len() int {
 	s.mu.RLock()

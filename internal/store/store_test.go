@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -113,6 +114,32 @@ func TestStorePairsSorted(t *testing.T) {
 	}
 }
 
+// TestLatestSinceMatchesPairsLatest is the property LatestSince is
+// defined by: on random stores (sparse and dense, in- and out-of-order
+// arrivals, evictions) and random cursors it returns exactly what the
+// Pairs + per-pair Latest loop does, in the same order.
+func TestLatestSinceMatchesPairsLatest(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		s := New(rng.Intn(6) + 1)
+		nodes, rounds := rng.Intn(12)+1, rng.Intn(40)+1
+		for i := rng.Intn(300); i > 0; i-- {
+			s.Observe(pair(rng.Intn(nodes), rng.Intn(4)), rng.Intn(rounds)-5, rng.Float64())
+		}
+		for _, since := range []int{-6, 0, rng.Intn(rounds), rounds, rounds + 1} {
+			want := []PairSample{}
+			for _, p := range s.Pairs() {
+				if smp, ok := s.Latest(p); ok && smp.Round >= since {
+					want = append(want, PairSample{Pair: p, Sample: smp})
+				}
+			}
+			if got := s.LatestSince(since); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d since %d: LatestSince = %v, want %v", trial, since, got, want)
+			}
+		}
+	}
+}
+
 func TestStoreConcurrent(t *testing.T) {
 	s := New(32)
 	var wg sync.WaitGroup
@@ -126,6 +153,7 @@ func TestStoreConcurrent(t *testing.T) {
 				s.Observe(p, i, rng.Float64())
 				_, _ = s.Latest(p)
 				_ = s.Window(p, 0, i)
+				_ = s.LatestSince(i / 2)
 			}
 		}(w)
 	}

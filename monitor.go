@@ -3,10 +3,11 @@ package remo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"remo/internal/journal"
-	"remo/internal/model"
 	"remo/internal/transport"
 )
 
@@ -37,12 +38,58 @@ import (
 // Monitor is safe for concurrent use: Run, SetTasks, Report, Plan and
 // Close may be called from different goroutines. Rounds are serialized;
 // a SetTasks lands between rounds of a concurrent Run.
+//
+// Reads are split in two. View — and Round, Fingerprint, Plan, Store,
+// Failed, CollectorDown, JournalDir, ShardCount and ShardLeader, which
+// are fields of it — are wait-free: one atomic load of the view the last
+// state change published, never blocked by a round or a replan in
+// flight, and still answering after Close. Report, Verify,
+// RegionCoverage, VerifyRegionCoverage and ShardAssignment walk the
+// collector's cumulative state and take the mutex, so they wait for the
+// round or replan in progress.
 type Monitor struct {
 	mu     sync.Mutex
 	closed bool
-	// s owns all session state; every method locks, checks closed where
-	// the call needs a live session, and delegates.
+	// s owns all session state; every locked method delegates to it.
 	s *session
+	// v is the read side: replaced, under mu, after every call that can
+	// change what it holds (see locked).
+	v atomic.Pointer[MonitorView]
+}
+
+// MonitorView is one published instant of a session's read side. Every
+// field was true at the same moment — between two rounds — so a reader
+// that needs several of them (a round and the fingerprint it ran under,
+// a cursor and the store it indexes) takes one View and reads them all
+// from it. A view is immutable once published: do not modify what its
+// fields point to.
+type MonitorView struct {
+	// Round is the next round to execute.
+	Round int
+	// Fingerprint is the installed forest's structural fingerprint — the
+	// identity a resumed session is matched against (ResumeReport.
+	// PlanMatched).
+	Fingerprint uint64
+	// Plan is the topology in force.
+	Plan *Plan
+	// Store is the session's value repository (nil unless the session
+	// journals): every collected value, and the state checkpointed for
+	// crash recovery. It is live — rounds append while readers scan — so
+	// it can already hold samples of round Round.
+	Store *Store
+	// JournalDir is the session's journal directory ("" for non-durable
+	// sessions).
+	JournalDir string
+	// CollectorDown reports that the central collector is in a crash
+	// window (chaos-injected or otherwise); a serve-mode backend resumes
+	// it from the journal.
+	CollectorDown bool
+	// Failed lists the nodes declared dead, in ID order.
+	Failed []NodeID
+	// ShardCount is the number of collector shards (0 for a
+	// single-collector session) and ShardLeader the dispatcher's
+	// leaseholder (-1 likewise).
+	ShardCount, ShardLeader int
 }
 
 // FailurePolicy configures the self-healing behavior of a Monitor.
@@ -110,42 +157,49 @@ func (p *Planner) StartMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{s: s}, nil
+	return newMonitor(s), nil
 }
+
+// newMonitor wraps a booted session and publishes its first view.
+func newMonitor(s *session) *Monitor {
+	m := &Monitor{s: s}
+	m.v.Store(s.view())
+	return m
+}
+
+// locked is every state change: take the mutex, refuse a closed
+// session, run f on the session, publish the view it left behind.
+func (m *Monitor) locked(f func(*session) error) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return ErrMonitorClosed
+	}
+	err := f(m.s)
+	m.v.Store(m.s.view())
+	return err
+}
+
+// View returns the session's current read side. It never waits.
+func (m *Monitor) View() MonitorView { return *m.v.Load() }
 
 // Run executes n collection rounds, applying self-healing between
 // rounds: failure-detector verdicts reached during a round trigger an
 // automatic topology repair (or reintegration) before the next one.
 func (m *Monitor) Run(n int) error {
 	for i := 0; i < n; i++ {
-		m.mu.Lock()
-		err := ErrMonitorClosed
-		if !m.closed {
-			err = m.s.step()
-		}
-		m.mu.Unlock()
-		if err != nil {
+		if err := m.locked((*session).step); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Fingerprint returns the installed forest's structural fingerprint —
-// the identity a resumed session is matched against (ResumeReport.
-// PlanMatched).
-func (m *Monitor) Fingerprint() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.s.adaptor.Forest().Fingerprint()
-}
+// Fingerprint is View().Fingerprint.
+func (m *Monitor) Fingerprint() uint64 { return m.v.Load().Fingerprint }
 
-// Round returns the next round to execute.
-func (m *Monitor) Round() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.s.machine.Round()
-}
+// Round is View().Round: the next round to execute.
+func (m *Monitor) Round() int { return m.v.Load().Round }
 
 // Verify cross-checks the session's current state against the
 // verification harness: the topology in force (structure, ownership,
@@ -163,13 +217,12 @@ func (m *Monitor) Verify() error {
 // SetTasks replaces the task set, adapts the topology per the session's
 // scheme, and rewires the running overlay. Nodes currently declared
 // dead stay excluded until the detector sees them recover.
-func (m *Monitor) SetTasks(tasks []Task) (AdaptReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return AdaptReport{}, ErrMonitorClosed
-	}
-	return m.s.setTasks(tasks)
+func (m *Monitor) SetTasks(tasks []Task) (rep AdaptReport, err error) {
+	err = m.locked(func(s *session) (err error) {
+		rep, err = s.setTasks(tasks)
+		return err
+	})
+	return rep, err
 }
 
 // ResumeReport summarizes what a resume recovered from the journal.
@@ -205,17 +258,14 @@ type ResumeReport struct {
 //
 // The session must have been started with journaling
 // (MonitorConfig.Journal).
-func (m *Monitor) Resume(journalDir string) (ResumeReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ResumeReport{}, ErrMonitorClosed
-	}
-	rr, err := m.s.resumeCollector(journalDir)
-	if err != nil {
-		return ResumeReport{}, fmt.Errorf("remo: resume: %w", err)
-	}
-	return rr, nil
+func (m *Monitor) Resume(journalDir string) (rr ResumeReport, err error) {
+	err = m.locked(func(s *session) (err error) {
+		if rr, err = s.resumeCollector(journalDir); err != nil {
+			return fmt.Errorf("remo: resume: %w", err)
+		}
+		return nil
+	})
+	return rr, err
 }
 
 // ResumeShard restarts one crashed collector shard from its own
@@ -227,17 +277,14 @@ func (m *Monitor) Resume(journalDir string) (ResumeReport, error) {
 //
 // The session must have been started with both Shards > 1 and
 // journaling.
-func (m *Monitor) ResumeShard(s int) (ResumeReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ResumeReport{}, ErrMonitorClosed
-	}
-	rr, err := m.s.resumeShard(s)
-	if err != nil {
-		return ResumeReport{}, fmt.Errorf("remo: resume shard %d: %w", s, err)
-	}
-	return rr, nil
+func (m *Monitor) ResumeShard(sh int) (rr ResumeReport, err error) {
+	err = m.locked(func(s *session) (err error) {
+		if rr, err = s.resumeShard(sh); err != nil {
+			return fmt.Errorf("remo: resume shard %d: %w", sh, err)
+		}
+		return nil
+	})
+	return rr, err
 }
 
 // ResumeMonitor cold-starts a monitoring session from a journal: the
@@ -253,39 +300,18 @@ func (p *Planner) ResumeMonitor(journalDir string, cfg MonitorConfig) (*Monitor,
 	if err != nil {
 		return nil, ResumeReport{}, err
 	}
-	return &Monitor{s: s}, rr, nil
+	return newMonitor(s), rr, nil
 }
 
-// Store exposes the session's value repository (nil unless the session
-// journals). It retains every collected value and is the state
-// checkpointed for crash recovery.
-func (m *Monitor) Store() *Store {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.s.logs) == 0 {
-		return nil
-	}
-	return m.s.logs[0].repo
-}
+// Store is View().Store: the session's value repository (nil unless
+// the session journals).
+func (m *Monitor) Store() *Store { return m.v.Load().Store }
 
-// Plan exposes the topology currently in force.
-func (m *Monitor) Plan() *Plan {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.s.plan()
-}
+// Plan is View().Plan: the topology currently in force.
+func (m *Monitor) Plan() *Plan { return m.v.Load().Plan }
 
 // Failed lists the nodes currently declared dead, in ID order.
-func (m *Monitor) Failed() []NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]NodeID, 0, len(m.s.dead))
-	for n := range m.s.dead {
-		out = append(out, n)
-	}
-	model.SortNodes(out)
-	return out
-}
+func (m *Monitor) Failed() []NodeID { return slices.Clone(m.v.Load().Failed) }
 
 // Report summarizes everything the collector observed so far, including
 // the session's self-healing history.
@@ -295,13 +321,9 @@ func (m *Monitor) Report() DeployReport {
 	return m.s.report()
 }
 
-// ShardCount returns the number of collector shards (0 for a
-// single-collector session).
-func (m *Monitor) ShardCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.s.machine.ShardCount()
-}
+// ShardCount is View().ShardCount: the number of collector shards (0
+// for a single-collector session).
+func (m *Monitor) ShardCount() int { return m.v.Load().ShardCount }
 
 // ShardAssignment snapshots the dispatcher's tree→shard map (nil for
 // single-collector sessions). Orphans awaiting re-dispatch are included,
@@ -312,53 +334,35 @@ func (m *Monitor) ShardAssignment() map[string]int {
 	return m.s.machine.ShardAssignment()
 }
 
-// ShardLeader returns the dispatcher's current leaseholder (-1 for
-// single-collector sessions).
-func (m *Monitor) ShardLeader() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.s.machine.ShardLeader()
-}
+// ShardLeader is View().ShardLeader: the dispatcher's current
+// leaseholder (-1 for single-collector sessions).
+func (m *Monitor) ShardLeader() int { return m.v.Load().ShardLeader }
 
-// CollectorDown reports whether the central collector is currently in
-// a crash window (chaos-injected or otherwise). A serve-mode backend
-// polls it to decide when to auto-resume from the journal.
-func (m *Monitor) CollectorDown() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.s.machine.CollectorDown()
-}
+// CollectorDown is View().CollectorDown: whether the central collector
+// is in a crash window.
+func (m *Monitor) CollectorDown() bool { return m.v.Load().CollectorDown }
 
-// JournalDir returns the session's journal directory ("" for
-// non-durable sessions).
-func (m *Monitor) JournalDir() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.s.logs) == 0 {
-		return ""
-	}
-	return m.s.logs[0].dir
-}
+// JournalDir is View().JournalDir: the session's journal directory (""
+// for non-durable sessions).
+func (m *Monitor) JournalDir() string { return m.v.Load().JournalDir }
 
 // Checkpoint forces a journal checkpoint of the session's durable state
 // now, off the usual cadence — a serve-mode drain seals one before the
 // process exits. It is a no-op error on non-durable sessions.
 func (m *Monitor) Checkpoint() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrMonitorClosed
-	}
-	if len(m.s.logs) == 0 {
-		return errors.New("remo: checkpoint: session was started without journaling")
-	}
-	if err := m.s.checkpoint(); err != nil {
-		return fmt.Errorf("remo: %w", err)
-	}
-	return nil
+	return m.locked(func(s *session) error {
+		if len(s.logs) == 0 {
+			return errors.New("remo: checkpoint: session was started without journaling")
+		}
+		if err := s.checkpoint(); err != nil {
+			return fmt.Errorf("remo: %w", err)
+		}
+		return nil
+	})
 }
 
-// Close stops the session and releases its transport.
+// Close stops the session and releases its transport. The wait-free
+// reads keep answering from the last view published before it.
 func (m *Monitor) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

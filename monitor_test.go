@@ -1,6 +1,8 @@
 package remo_test
 
 import (
+	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -94,13 +96,25 @@ func TestMonitorTaskRemovalShrinksDemand(t *testing.T) {
 	}
 }
 
+// TestMonitorClosed pins both halves of the read/write split on a
+// closed session: every call that changes state refuses with
+// ErrMonitorClosed, and the wait-free reads keep answering from the last
+// view published before Close.
 func TestMonitorClosed(t *testing.T) {
 	sys := testSystem(t)
 	p := remo.NewPlanner(sys)
 	p.MustAddTask(remo.Task{Name: "a", Attrs: []remo.AttrID{1}, Nodes: allNodes(sys)})
-	mon, err := p.StartMonitor(remo.MonitorConfig{})
+	dir := t.TempDir()
+	mon, err := p.StartMonitor(remo.MonitorConfig{Journal: dir})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := mon.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	last := mon.View()
+	if last.Round != 3 || last.Plan == nil || last.Store == nil || last.JournalDir != dir || last.ShardLeader != -1 {
+		t.Fatalf("view before Close = %+v", last)
 	}
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
@@ -108,11 +122,24 @@ func TestMonitorClosed(t *testing.T) {
 	if err := mon.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := mon.Run(1); err == nil {
-		t.Fatal("Run on closed monitor succeeded")
+	_, setErr := mon.SetTasks(nil)
+	_, resumeErr := mon.Resume(dir)
+	_, shardErr := mon.ResumeShard(0)
+	for name, err := range map[string]error{
+		"Run": mon.Run(1), "SetTasks": setErr, "Resume": resumeErr,
+		"ResumeShard": shardErr, "Checkpoint": mon.Checkpoint(),
+	} {
+		if !errors.Is(err, remo.ErrMonitorClosed) {
+			t.Errorf("%s on a closed monitor = %v, want ErrMonitorClosed", name, err)
+		}
 	}
-	if _, err := mon.SetTasks(nil); err == nil {
-		t.Fatal("SetTasks on closed monitor succeeded")
+	if got := mon.View(); !reflect.DeepEqual(got, last) {
+		t.Fatalf("view after Close = %+v, want the last one published %+v", got, last)
+	}
+	if mon.Round() != last.Round || mon.Fingerprint() != last.Fingerprint || mon.Plan() != last.Plan ||
+		mon.Store() != last.Store || mon.JournalDir() != dir || mon.CollectorDown() ||
+		len(mon.Failed()) != 0 || mon.ShardCount() != 0 || mon.ShardLeader() != -1 {
+		t.Fatal("an accessor disagrees with the view it is a field of")
 	}
 }
 

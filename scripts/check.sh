@@ -54,6 +54,9 @@ go test -race -timeout 45m ./...
 
 echo "==> runtime benchmarks (1 iteration, with allocation stats)"
 go test -run '^$' -bench 'BenchmarkRuntime' -benchtime 1x -benchmem .
+# The read path's sizing benchmark (delta reads beside an unpaced
+# backend), run once so it cannot rot.
+go test -run '^$' -bench 'BenchmarkLatestBesideRounds' -benchtime 1x ./internal/serve
 
 echo "==> verification harness (plan + repairs + results cross-checked)"
 go run ./cmd/remo-sim -nodes 40 -tasks 20 -rounds 12 -chaos 0.15 -suspicion 2 -verify > /dev/null
@@ -92,7 +95,8 @@ fi
 echo "==> service soak (60s churn + streams + collector crash, leak-checked, under -race)"
 REMO_SOAK_SECONDS=60 go test -race -count=1 -run 'TestServiceSoak' .
 
-echo "==> service smoke (remo-serve boot, admit, read, SIGTERM drain)"
+echo "==> service smoke (reads answer while a round is parked; remo-serve boot, admit, read, SIGTERM drain)"
+go test -count=1 -run 'TestReadsAnswerWhileRoundParked' ./internal/serve
 tmp_paths+=(/tmp/remo-serve-smoke)
 go build -o /tmp/remo-serve-smoke ./cmd/remo-serve
 journal_dir=$(mktemp -d)

@@ -48,6 +48,14 @@ type session struct {
 	// dead tracks declared-dead nodes already pruned from the topology.
 	dead map[model.NodeID]struct{}
 
+	// fp, cur and failed are what views share with their readers: the
+	// installed forest's fingerprint and facade plan (adopt) and the dead
+	// set in ID order (deadChanged). Replaced, never edited; cached here
+	// so publishing a view is O(1) however large the forest is.
+	fp     uint64
+	cur    *Plan
+	failed []NodeID
+
 	failures, recoveries int
 	// restarts counts successful collector and shard resumes.
 	restarts int
@@ -132,6 +140,7 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 		proc:       cfg.Processor,
 		onValue:    cfg.OnValue,
 	}
+	s.adopt()
 	ccfg := cluster.Config{
 		Sys:             p.sys,
 		Forest:          ad.Forest(),
@@ -277,7 +286,7 @@ func (s *session) noteJournal(err error) {
 func (s *session) state(i int) journal.State {
 	st := journal.State{
 		Epoch:       s.machine.Epoch(),
-		Fingerprint: s.adaptor.Forest().Fingerprint(),
+		Fingerprint: s.fp,
 		Round:       s.machine.Round() - 1,
 		Store:       s.logs[i].repo,
 	}
@@ -360,12 +369,13 @@ func (s *session) close() error {
 // behind the plan first, every swap logs the epoch it opened and — an
 // install retargets the dispatcher — the assignment then in force.
 func (s *session) install(taskSwap bool) plan.Diff {
-	forest, demand := s.adaptor.Forest(), s.adaptor.Demand()
-	diff := s.machine.InstallDiff(forest, demand)
+	demand := s.adaptor.Demand()
+	diff := s.machine.InstallDiff(s.adaptor.Forest(), demand)
+	s.adopt()
 	if len(s.logs) == 0 {
 		return diff
 	}
-	w, fp := s.logs[0].writer, forest.Fingerprint()
+	w, fp := s.logs[0].writer, s.fp
 	if taskSwap {
 		s.noteJournal(w.AppendTasks(s.baseDemand, s.adaptor.Partition(), fp,
 			len(diff.Kept), len(diff.Rebuilt), len(diff.Dropped)))
@@ -376,6 +386,40 @@ func (s *session) install(taskSwap bool) plan.Diff {
 		s.noteJournal(w.AppendAssignment(s.machine.ShardAssignment()))
 	}
 	return diff
+}
+
+// adopt recomputes what depends on the adaptor's forest alone.
+func (s *session) adopt() {
+	s.fp = s.adaptor.Forest().Fingerprint()
+	s.cur = planFromForest(s.planner, s.adaptor.Forest(), s.adaptor.Demand())
+}
+
+// deadChanged re-lists the dead set for readers.
+func (s *session) deadChanged() {
+	s.failed = make([]NodeID, 0, len(s.dead))
+	for n := range s.dead {
+		s.failed = append(s.failed, n)
+	}
+	model.SortNodes(s.failed)
+}
+
+// view is the session's read side as of now, for Monitor to publish. It
+// must stay O(1): a field that needs a walk (machine.Result copies one
+// float per round ever run) belongs behind the mutex, not here.
+func (s *session) view() *MonitorView {
+	v := &MonitorView{
+		Round:         s.machine.Round(),
+		Fingerprint:   s.fp,
+		Plan:          s.cur,
+		CollectorDown: s.machine.CollectorDown(),
+		Failed:        s.failed,
+		ShardCount:    s.machine.ShardCount(),
+		ShardLeader:   s.machine.ShardLeader(),
+	}
+	if len(s.logs) > 0 {
+		v.Store, v.JournalDir = s.logs[0].repo, s.logs[0].dir
+	}
+	return v
 }
 
 // record traces a session-level event at the collector.
@@ -415,6 +459,7 @@ func (s *session) selfHeal() {
 	for _, n := range recovered {
 		delete(s.dead, n)
 	}
+	s.deadChanged()
 	if !s.heal {
 		return // detection-only: the dead set is tracked for reporting
 	}
@@ -482,13 +527,11 @@ func (s *session) installRepair(ev RepairEvent) {
 // plannedCoverage is the percentage of demanded pairs the installed
 // forest collects, per the planner's static stats.
 func (s *session) plannedCoverage() float64 {
-	d := s.adaptor.Demand()
-	total := len(d.Pairs())
+	total := s.cur.DemandedPairs()
 	if total == 0 {
 		return 100
 	}
-	st := s.adaptor.Forest().ComputeStats(d, s.planner.sys, s.planner.aggSpec)
-	return 100 * float64(st.Collected) / float64(total)
+	return 100 * float64(s.cur.CollectedPairs()) / float64(total)
 }
 
 // setTasks is Monitor.SetTasks.
@@ -517,11 +560,6 @@ func (s *session) setTasks(tasks []Task) (AdaptReport, error) {
 	return rep, nil
 }
 
-// plan wraps the topology in force.
-func (s *session) plan() *Plan {
-	return planFromForest(s.planner, s.adaptor.Forest(), s.adaptor.Demand())
-}
-
 // verifyContext is what the verification harness checks the installed
 // topology against: the installed demand for the live checks, the base
 // demand for the region checks, so lost pairs count as lost rather than
@@ -541,6 +579,9 @@ func (s *session) verify() error {
 		return s.verifyErr
 	}
 	ctx, forest, res := s.verifyContext(s.adaptor.Demand()), s.adaptor.Forest(), s.machine.Result()
+	if fp := forest.Fingerprint(); fp != s.fp || s.cur.forest() != forest {
+		return fmt.Errorf("remo: published plan (fingerprint %#x) is not the installed forest (%#x)", s.fp, fp)
+	}
 	if err := verify.Plan(ctx, forest); err != nil {
 		return fmt.Errorf("remo: live topology failed verification: %w", err)
 	}
@@ -600,6 +641,7 @@ func (s *session) restore(st journal.State) {
 	for n := range st.Dead {
 		s.dead[n] = struct{}{}
 	}
+	s.deadChanged()
 	if st.BaseDemand != nil && len(st.BaseDemand.Pairs()) > 0 {
 		s.baseDemand = st.BaseDemand
 	}
@@ -678,7 +720,7 @@ func (s *session) resumeReport(rec *journal.Recovered) ResumeReport {
 		RecoveredSamples: rec.State.Store.Len(),
 		ReplayedRecords:  rec.Replayed,
 		TornTail:         rec.Torn,
-		PlanMatched:      s.adaptor.Forest().Fingerprint() == rec.State.Fingerprint,
+		PlanMatched:      s.fp == rec.State.Fingerprint,
 	}
 }
 
