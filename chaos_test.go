@@ -1,7 +1,10 @@
 package remo_test
 
 import (
+	"math"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +33,16 @@ func bigSystem(t *testing.T, n int) *remo.System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// downFrom schedules each node's crash at the given round, never to
+// recover: a crash window that never closes.
+func downFrom(at map[remo.NodeID]int) map[remo.NodeID][]remo.ChaosWindow {
+	out := make(map[remo.NodeID][]remo.ChaosWindow, len(at))
+	for n, r := range at {
+		out[n] = []remo.ChaosWindow{{From: r, To: math.MaxInt}}
+	}
+	return out
 }
 
 // TestChaosSelfHealingEndToEnd is the acceptance run: kill over 20% of
@@ -64,7 +77,7 @@ func TestChaosSelfHealingEndToEnd(t *testing.T) {
 	mon, err := p.StartMonitor(remo.MonitorConfig{
 		Scheme:  remo.AdaptAdaptive,
 		Seed:    42,
-		Chaos:   &remo.ChaosConfig{CrashAt: crashAt},
+		Chaos:   &remo.ChaosConfig{CrashWindows: downFrom(crashAt)},
 		Failure: &remo.FailurePolicy{SuspicionRounds: suspicion},
 		OnValue: func(pair remo.Pair, round int, value float64) {
 			if round >= rounds-10 {
@@ -165,7 +178,7 @@ func TestChaosSelfHealingOverTCP(t *testing.T) {
 
 	mon, err := p.StartMonitor(remo.MonitorConfig{
 		UseTCP:  true,
-		Chaos:   &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{4: 5, 9: 5}},
+		Chaos:   &remo.ChaosConfig{CrashWindows: downFrom(map[remo.NodeID]int{4: 5, 9: 5})},
 		Failure: &remo.FailurePolicy{SuspicionRounds: 2},
 	})
 	if err != nil {
@@ -193,8 +206,7 @@ func TestChaosRecoveryReintegratesNode(t *testing.T) {
 
 	mon, err := p.StartMonitor(remo.MonitorConfig{
 		Chaos: &remo.ChaosConfig{
-			CrashAt:   map[remo.NodeID]int{5: 4},
-			RecoverAt: map[remo.NodeID]int{5: 12},
+			CrashWindows: map[remo.NodeID][]remo.ChaosWindow{5: {{From: 4, To: 12}}},
 		},
 		Failure: &remo.FailurePolicy{SuspicionRounds: 2},
 	})
@@ -231,7 +243,7 @@ func TestChaosDetectionOnlyPolicy(t *testing.T) {
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 
 	mon, err := p.StartMonitor(remo.MonitorConfig{
-		Chaos:   &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{3: 4}},
+		Chaos:   &remo.ChaosConfig{CrashWindows: downFrom(map[remo.NodeID]int{3: 4})},
 		Failure: &remo.FailurePolicy{SuspicionRounds: 2, DisableRepair: true},
 	})
 	if err != nil {
@@ -260,7 +272,7 @@ func TestChaosMonitorConcurrency(t *testing.T) {
 	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 
 	mon, err := p.StartMonitor(remo.MonitorConfig{
-		Chaos:   &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{2: 5}},
+		Chaos:   &remo.ChaosConfig{CrashWindows: downFrom(map[remo.NodeID]int{2: 5})},
 		Failure: &remo.FailurePolicy{SuspicionRounds: 2},
 	})
 	if err != nil {
@@ -297,5 +309,101 @@ func TestChaosMonitorConcurrency(t *testing.T) {
 	wg.Wait()
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosScheduleRefused pins the rules StartMonitor and Deploy refuse
+// a fault schedule by: one they would silently drop, or whose crash
+// nothing could ever resume.
+func TestChaosScheduleRefused(t *testing.T) {
+	sys := regionSystem(t, 2, 4)
+	p := remo.NewPlanner(sys)
+	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+	flap := func(a, b string) map[remo.ChaosRegionLink][]remo.ChaosWindow {
+		return map[remo.ChaosRegionLink][]remo.ChaosWindow{remo.ChaosNormLink(a, b): {{From: 2, To: 4}}}
+	}
+	for _, tc := range []struct {
+		name   string
+		chaos  remo.ChaosConfig
+		shards int
+		// journal runs the session durable.
+		journal bool
+		want    string
+	}{
+		{"collector crash on a sharded tier", remo.ChaosConfig{CollectorCrashAt: 5}, 4, true, "root never dies"},
+		{"collector crash without a journal", remo.ChaosConfig{CollectorCrashAt: 5}, 1, false, "requires a journal"},
+		{"shard crash on a lone collector", remo.ChaosConfig{ShardCrashAt: map[int]int{0: 5}}, 1, true, "requires a sharded tier"},
+		{"shard crash past the last shard", remo.ChaosConfig{ShardCrashAt: map[int]int{4: 5}}, 4, true, "not in [0, 4)"},
+		{"negative shard crash", remo.ChaosConfig{ShardCrashAt: map[int]int{-1: 5}}, 4, true, "not in [0, 4)"},
+		{"shard crash without a journal", remo.ChaosConfig{ShardCrashAt: map[int]int{1: 5}}, 4, false, "requires a journal"},
+		{"partition of an unknown region", remo.ChaosConfig{RegionPartitions: map[string][]remo.ChaosWindow{"r7": {{From: 2, To: 4}}}}, 1, false, `"r7"`},
+		{"flap of an unknown region", remo.ChaosConfig{LinkFlaps: flap("r0", "east")}, 1, false, `"east"`},
+		{"drop probability over 1", remo.ChaosConfig{DropProb: 1.5}, 1, false, "[0, 1]"},
+		{"negative delay probability", remo.ChaosConfig{DelayProb: -0.1}, 1, false, "[0, 1]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := remo.MonitorConfig{Chaos: &tc.chaos, Shards: tc.shards}
+			if tc.journal {
+				cfg.Journal = t.TempDir()
+			}
+			mon, err := p.StartMonitor(cfg)
+			if err == nil {
+				_ = mon.Close()
+				t.Fatal("StartMonitor accepted the schedule")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("StartMonitor: %v, want %q", err, tc.want)
+			}
+		})
+	}
+
+	// A deployment has no journal and no shards: a collector or shard
+	// crash could never resume.
+	plan, err := p.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range []remo.ChaosConfig{{CollectorCrashAt: 5}, {ShardCrashAt: map[int]int{0: 5}}, {DropProb: 2}} {
+		if _, err := plan.Deploy(remo.DeployConfig{Rounds: 8, Chaos: &cc}); err == nil {
+			t.Fatalf("Deploy accepted %+v", cc)
+		}
+	}
+}
+
+// TestChaosConfigLeftUntouched checks a session reads the caller's fault
+// schedule and never writes it: after StartMonitor and Deploy it still
+// deep-equals what was passed in.
+func TestChaosConfigLeftUntouched(t *testing.T) {
+	sys := regionSystem(t, 2, 4)
+	p := remo.NewPlanner(sys)
+	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+	schedule := func() *remo.ChaosConfig {
+		return &remo.ChaosConfig{
+			CrashWindows:     map[remo.NodeID][]remo.ChaosWindow{2: {{From: 3, To: 6}}},
+			RegionPartitions: map[string][]remo.ChaosWindow{remo.RegionName(1): {{From: 4, To: 8}}},
+			DropProb:         0.05,
+			Seed:             3,
+		}
+	}
+	cc := schedule()
+	mon, err := p.StartMonitor(remo.MonitorConfig{Chaos: cc, Failure: &remo.FailurePolicy{SuspicionRounds: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := p.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Deploy(remo.DeployConfig{Rounds: 10, Chaos: cc}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cc, schedule()) {
+		t.Fatalf("the caller's chaos config was written: %+v", *cc)
 	}
 }

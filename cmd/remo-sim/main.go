@@ -118,7 +118,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *rounds, *suspicion, *journalDir, *collCrash, *shards, *shardCrash, *predictOn, *predictEps, *predictSync); err != nil {
+	if err := validateFlags(fs, *rounds, *suspicion, *collCrash, *shards, *shardCrash, *predictOn, *predictEps, *predictSync); err != nil {
 		return err
 	}
 	if err := validateRegionFlags(fs, *specPath, *regions, *chaosRegion, *chaosLink, *regionFloor); err != nil {
@@ -172,7 +172,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var rep remo.DeployReport
 	var regionCov map[string]float64
 	if *chaosFrac > 0 || *chaosDrop > 0 || *chaosDelay > 0 || *journalDir != "" || *shards > 1 ||
-		*regions > 1 {
+		*regions > 1 || *collCrash > 0 || *shardCrash >= 0 || *chaosRegion >= 0 || *chaosLink != "" {
 		rep, regionCov, err = runChaos(planner, chaosOpts{
 			rounds:      *rounds,
 			useTCP:      *useTCP,
@@ -275,11 +275,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
-// validateFlags rejects flag combinations that would silently do
-// nothing (explicitly-zero chaos rates), cannot work (a suspicion
-// window shorter than one round), or contradict each other (a collector
-// crash with no journal to resume from).
-func validateFlags(fs *flag.FlagSet, rounds, suspicion int, journalDir string, collCrash, shards, shardCrash int, predictOn bool, predictEps float64, predictSync int) error {
+// validateFlags rejects flag values that would silently do nothing
+// (explicitly-zero chaos rates, a negative shard to crash), cannot work
+// (a suspicion window shorter than one round) or fall outside the run.
+// Whether a fault schedule suits the session — a journal to resume a
+// crash from, a shard or region the system has — is StartMonitor's to
+// refuse.
+func validateFlags(fs *flag.FlagSet, rounds, suspicion int, collCrash, shards, shardCrash int, predictOn bool, predictEps float64, predictSync int) error {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
@@ -306,12 +308,6 @@ func validateFlags(fs *flag.FlagSet, rounds, suspicion int, journalDir string, c
 		if collCrash >= rounds {
 			return fmt.Errorf("-chaos-collector round %d must fall inside the %d-round run", collCrash, rounds)
 		}
-		if journalDir == "" {
-			return fmt.Errorf("-chaos-collector requires -journal: a crashed collector can only resume from its journal")
-		}
-		if shards > 1 {
-			return fmt.Errorf("-chaos-collector targets the single central collector; a sharded tier's root never dies (use -chaos-shard)")
-		}
 	}
 	if set["shards"] && shards < 1 {
 		return fmt.Errorf("-shards must be at least 1 (got %d)", shards)
@@ -328,24 +324,16 @@ func validateFlags(fs *flag.FlagSet, rounds, suspicion int, journalDir string, c
 	if predictOn && set["predict-sync"] && predictSync < 1 {
 		return fmt.Errorf("-predict-sync must be at least 1 round (got %d)", predictSync)
 	}
-	if set["chaos-shard"] {
-		if shards < 2 {
-			return fmt.Errorf("-chaos-shard requires -shards of at least 2: a single-collector session has no shard to crash")
-		}
-		if shardCrash < 0 || shardCrash >= shards {
-			return fmt.Errorf("-chaos-shard %d must name a shard in [0, %d)", shardCrash, shards)
-		}
-		if journalDir == "" {
-			return fmt.Errorf("-chaos-shard requires -journal: a crashed shard can only resume from its journal")
-		}
+	if set["chaos-shard"] && shardCrash < 0 {
+		return fmt.Errorf("-chaos-shard %d must name a shard in [0, %d)", shardCrash, shards)
 	}
 	return nil
 }
 
-// validateRegionFlags rejects WAN-topology flag combinations that
-// cannot work: zero/negative region counts, a partitioned region index
-// outside the labeled range, or a link flap without at least two
-// regions to string a link between.
+// validateRegionFlags rejects WAN-topology flags that cannot work:
+// zero/negative region counts, a negative region to partition, or a link
+// that is not two distinct regions. Whether the named regions exist is
+// StartMonitor's to refuse.
 func validateRegionFlags(fs *flag.FlagSet, specPath string, regions, chaosRegion int, chaosLink string, regionFloor float64) error {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -358,24 +346,12 @@ func validateRegionFlags(fs *flag.FlagSet, specPath string, regions, chaosRegion
 			return fmt.Errorf("-regions only applies to the synthetic generator: spec files carry their own region labels")
 		}
 	}
-	if set["chaos-region"] {
-		if regions < 2 {
-			return fmt.Errorf("-chaos-region requires -regions of at least 2: a single-region cluster has no region to partition")
-		}
-		if chaosRegion < 0 || chaosRegion >= regions {
-			return fmt.Errorf("-chaos-region %d must name a region in [0, %d)", chaosRegion, regions)
-		}
+	if set["chaos-region"] && chaosRegion < 0 {
+		return fmt.Errorf("-chaos-region %d must name a region in [0, %d)", chaosRegion, regions)
 	}
 	if set["chaos-link"] {
-		if regions < 2 {
-			return fmt.Errorf("-chaos-link requires -regions of at least 2: an inter-region link needs two regions")
-		}
-		a, b, err := parseRegionLink(chaosLink)
-		if err != nil {
+		if _, _, err := parseRegionLink(chaosLink); err != nil {
 			return err
-		}
-		if a >= regions || b >= regions {
-			return fmt.Errorf("-chaos-link %q names a region outside [0, %d)", chaosLink, regions)
 		}
 	}
 	if set["region-floor"] {
@@ -470,11 +446,12 @@ func runChaos(planner *remo.Planner, o chaosOpts, stdout io.Writer) (remo.Deploy
 		if kill > len(ids) {
 			kill = len(ids)
 		}
-		cc.CrashAt = make(map[remo.NodeID]int, kill)
-		// Kill every len/kill-th node for an even spread across trees.
+		// Kill every len/kill-th node for an even spread across trees, for
+		// the rest of the run.
+		cc.CrashWindows = make(map[remo.NodeID][]remo.ChaosWindow, kill)
 		stride := len(ids) / kill
 		for i := 0; i < kill; i++ {
-			cc.CrashAt[ids[i*stride]] = crashRound
+			cc.CrashWindows[ids[i*stride]] = []remo.ChaosWindow{{From: crashRound, To: o.rounds + 1}}
 		}
 	}
 	if o.collCrash > 0 {

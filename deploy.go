@@ -45,10 +45,9 @@ const (
 type (
 	// ChaosConfig schedules crashes, recoveries, message loss and delay.
 	ChaosConfig = chaos.Config
-	// ChaosLink identifies a directed overlay link for per-link loss.
-	ChaosLink = chaos.Link
-	// ChaosWindow is one [From, To) round interval a node is down, for
-	// ChaosConfig.CrashWindows flapping schedules.
+	// ChaosWindow is one [From, To) round interval: a node down for
+	// ChaosConfig.CrashWindows, a region or link cut for its region
+	// schedules.
 	ChaosWindow = chaos.Window
 	// ChaosRegionLink names an undirected inter-region link for
 	// ChaosConfig.LinkFlaps schedules; build keys with ChaosNormLink.
@@ -58,19 +57,6 @@ type (
 // ChaosNormLink normalizes an undirected region pair into the
 // ChaosConfig.LinkFlaps key.
 func ChaosNormLink(a, b string) ChaosRegionLink { return chaos.NormLink(a, b) }
-
-// labelRegionChaos copies the system's region labels into a chaos
-// config that uses region-scoped schedules but was not labeled
-// explicitly, so callers only declare the windows.
-func labelRegionChaos(c *ChaosConfig, sys *System) {
-	if c == nil || len(c.Regions) > 0 {
-		return
-	}
-	if len(c.RegionPartitions) == 0 && len(c.LinkFlaps) == 0 {
-		return
-	}
-	c.LabelRegions(sys)
-}
 
 // RollingUpgrade builds a deterministic ChaosConfig.CrashWindows
 // schedule taking the given fraction of members down at a time in
@@ -115,9 +101,9 @@ type DeployConfig struct {
 	// UseTCP runs the overlay over real loopback TCP connections
 	// instead of the in-process transport.
 	UseTCP bool
-	// Chaos schedules fault injection: crash/recover schedules,
-	// periodic, probabilistic and per-link message loss, and message
-	// delay.
+	// Chaos schedules fault injection: node crash windows, region
+	// partitions and link flaps, message loss and delay. A deployment
+	// has no journal, so a collector or shard crash is refused.
 	Chaos *ChaosConfig
 	// Seed decorrelates the default value generator.
 	Seed uint64
@@ -140,8 +126,8 @@ type DeployConfig struct {
 // run, coverage (DemandedPairs, CoveredPairs, PercentCollected), error
 // and staleness against ground truth, overlay traffic, the dead-band
 // suppression ledger (sessions armed via WithPrediction), epoch-fencing
-// and leaf-buffer counters (journaled sessions) and the sharded tier's
-// counters. Its fields are documented on the type.
+// counters, leaf-buffer counters (journaled sessions) and the sharded
+// tier's counters. Its fields are documented on the type.
 type CollectionResult = cluster.Result
 
 // DeployReport summarizes what the central collector observed, plus —
@@ -242,7 +228,9 @@ func (p *Plan) Deploy(cfg DeployConfig) (DeployReport, error) {
 	if source == nil {
 		source = cluster.BurstyWalk{Seed: cfg.Seed}
 	}
-	labelRegionChaos(cfg.Chaos, p.sys)
+	if err := cfg.Chaos.Validate(p.sys, 1, false); err != nil {
+		return DeployReport{}, fmt.Errorf("remo: deploy: %w", err)
+	}
 
 	ccfg := cluster.Config{
 		Sys:             p.sys,

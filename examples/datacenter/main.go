@@ -91,13 +91,15 @@ func run() error {
 	fmt.Printf("healthy run:   %d/%d pairs covered, %.2f%% avg error\n",
 		clean.CoveredPairs, clean.DemandedPairs, clean.AvgPercentError)
 
-	// Kill one replica path's root mid-run: the SLA metric must stay
-	// covered through the surviving tree.
+	// Kill one replica path's root mid-run, for good: the SLA metric
+	// must stay covered through the surviving tree.
 	victim := plan.Trees()[0].Root
 	faulty, err := plan.Deploy(remo.DeployConfig{
 		Rounds: 40,
 		Seed:   3,
-		Chaos:  &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{victim: 10}},
+		Chaos: &remo.ChaosConfig{CrashWindows: map[remo.NodeID][]remo.ChaosWindow{
+			victim: {{From: 10, To: 40}},
+		}},
 	})
 	if err != nil {
 		return err

@@ -193,7 +193,6 @@ func suppressChaosPoint(o Options) []float64 {
 func suppressCrashRun(cfg cluster.Config) (bytes float64, res cluster.Result) {
 	crashAt := cfg.Rounds / 3
 	cfg.Chaos = &chaos.Config{CollectorCrashAt: crashAt, Seed: 23}
-	cfg.FenceEpochs = true
 	cfg.LeafBuffer = 8
 	ct := &transport.Meter{Transport: transport.NewMemory(cfg.Sys.NodeIDs())}
 	defer func() { _ = ct.Close() }()

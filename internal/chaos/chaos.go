@@ -1,73 +1,59 @@
 // Package chaos unifies fault injection for the emulated deployment:
-// crash/recover schedules, deterministic and probabilistic message loss,
-// and message delay. One Config drives every transport because injection
-// happens in the emulation layer, before messages reach the wire — the
-// same schedule reproduces identically over the memory and TCP overlays.
+// crash/recover schedules, probabilistic message loss, and message
+// delay. One Config drives every transport because injection happens in
+// the emulation layer, before messages reach the wire — the same
+// schedule reproduces identically over the memory and TCP overlays.
 //
 // All probabilistic decisions are pure functions of (Seed, link, round,
 // sequence), so chaos runs are replayable: the same configuration always
 // kills the same messages in the same rounds.
 package chaos
 
-import "remo/internal/model"
+import (
+	"errors"
+	"fmt"
+	"slices"
 
-// Link identifies a directed overlay link.
-type Link struct {
-	From, To model.NodeID
-}
+	"remo/internal/model"
+)
 
-// Window is one half-open round interval [From, To) during which a node
-// is down. Windows model repeated crash/recover cycles (flapping) that
-// the single CrashAt/RecoverAt pair cannot express.
+// Window is one half-open round interval [From, To). A window that ends
+// past the run never closes.
 type Window struct {
 	From, To int
+}
+
+// in reports whether round falls inside any of the windows.
+func in(ws []Window, round int) bool {
+	for _, w := range ws {
+		if round >= w.From && round < w.To {
+			return true
+		}
+	}
+	return false
 }
 
 // Config schedules fault injection for one emulated session. The zero
 // value (and a nil *Config) injects nothing; every method is nil-safe.
 type Config struct {
-	// CrashAt kills node n at the start of round CrashAt[n]: it stops
-	// sending (data and heartbeats), discards received messages, and
-	// loses its relay state.
-	CrashAt map[model.NodeID]int
-	// RecoverAt revives node n at the start of round RecoverAt[n]
-	// (ignored unless it is after the node's crash round). Without an
-	// entry, a crashed node stays down forever.
-	RecoverAt map[model.NodeID]int
-	// CrashWindows schedules repeated crash/recover cycles: node n is
-	// down during every listed [From, To) window. Windows compose with
-	// CrashAt/RecoverAt (a node is down when either schedule says so).
+	// CrashWindows schedules node crashes: node n is down during every
+	// listed [From, To) window — it stops sending (data and heartbeats),
+	// discards received messages, and loses its relay state. One window
+	// that ends past the run is a crash that never recovers; several are
+	// a node that flaps.
 	CrashWindows map[model.NodeID][]Window
 	// CollectorCrashAt kills the central collector at the start of the
 	// given round (0 = never). The collector stays down until the
-	// session restarts it (Monitor.Resume); leaves keep running and
-	// buffer or shed their outgoing values in the meantime.
+	// session restarts it from its journal (Monitor.Resume); leaves keep
+	// running and buffer or shed their outgoing values in the meantime.
+	// A sharded tier's root never dies, so it applies to a lone collector
+	// only.
 	CollectorCrashAt int
-	// CollectorCrashProb crashes the collector in any given round with
-	// this probability in [0,1), decided by the same splitmix64 hash as
-	// message loss — deterministic in Seed. The first round whose hash
-	// fires is the crash round.
-	CollectorCrashProb float64
 	// ShardCrashAt kills collector shard s at the start of round
 	// ShardCrashAt[s] (sharded sessions only). Like CollectorCrashAt the
-	// crash latches: the shard stays down until the session explicitly
-	// resumes it from its journal, so shard-crash schedules require a
-	// durable session. Ignored when the session runs a single collector.
+	// crash latches: the shard stays down until the session resumes it
+	// from its journal.
 	ShardCrashAt map[int]int
-	// ShardWindows schedules repeated shard crash/recover cycles: shard
-	// s is down during every listed [From, To) window and cold-resumes
-	// (views wiped, journal not consulted) when a window closes — the
-	// flapping schedule that exercises re-dispatch and rebalance without
-	// requiring per-shard journals.
-	ShardWindows map[int][]Window
-	// Regions labels nodes with their WAN region for the region-scoped
-	// schedules (RegionPartitions, LinkFlaps). Populate it from a
-	// labeled system with LabelRegions; unlabeled nodes share the empty
-	// default region.
-	Regions map[model.NodeID]string
-	// CentralRegion is the region hosting the collector tier (central
-	// node and shards). Empty means the default region.
-	CentralRegion string
 	// RegionPartitions cuts an entire region off from the rest of the
 	// overlay during each listed [From, To) window: every message with
 	// exactly one endpoint inside the partitioned region is dropped,
@@ -79,54 +65,98 @@ type Config struct {
 	// the link (in either direction) are dropped. Key links through
 	// NormLink.
 	LinkFlaps map[RegionLink][]Window
-	// DropEvery drops every k-th message per sender (0 disables) — the
-	// legacy deterministic loss model, kept for reproducibility of older
-	// experiments.
-	DropEvery int
-	// DropProb drops each message with this probability in [0,1).
+	// DropProb drops each message with this probability in [0,1].
 	DropProb float64
-	// LinkDropProb overrides DropProb on specific directed links,
-	// modeling individually lossy paths.
-	LinkDropProb map[Link]float64
 	// DelayProb delays each surviving message with this probability in
-	// [0,1); delayed messages arrive DelayRounds (default 1) collection
-	// rounds late instead of being lost.
+	// [0,1]; delayed messages arrive late instead of being lost.
 	DelayProb float64
 	// MaxDelayRounds bounds the injected delay; delays are uniform in
 	// [1, MaxDelayRounds] (default 1, i.e. always one round).
 	MaxDelayRounds int
 	// Seed decorrelates the probabilistic decisions between runs.
 	Seed uint64
+
+	// regions and centralRegion label the endpoints for the region-scoped
+	// schedules; ForSystem fills them in from the deployed system.
+	regions       map[model.NodeID]string
+	centralRegion string
 }
 
-// Enabled reports whether the config injects any fault at all.
-func (c *Config) Enabled() bool {
+// ForSystem returns a copy of c whose region-scoped schedules label
+// endpoints with sys's regions. c itself is never written, so one
+// config can drive sessions over differently labeled systems.
+func (c *Config) ForSystem(sys *model.System) *Config {
 	if c == nil {
-		return false
+		return nil
 	}
-	return len(c.CrashAt) > 0 || len(c.CrashWindows) > 0 || c.DropEvery > 0 ||
-		c.DropProb > 0 || len(c.LinkDropProb) > 0 || c.DelayProb > 0 ||
-		c.CollectorCrashAt > 0 || c.CollectorCrashProb > 0 ||
-		len(c.ShardCrashAt) > 0 || len(c.ShardWindows) > 0 ||
-		len(c.RegionPartitions) > 0 || len(c.LinkFlaps) > 0
+	out := *c
+	out.regions, out.centralRegion = nil, ""
+	if len(c.RegionPartitions) > 0 || len(c.LinkFlaps) > 0 {
+		out.centralRegion = sys.CentralRegion
+		out.regions = make(map[model.NodeID]string, len(sys.Nodes))
+		for _, n := range sys.Nodes {
+			out.regions[n.ID] = n.Region
+		}
+	}
+	return &out
+}
+
+// Validate refuses a schedule the session would silently drop or could
+// never recover from. sys is the deployed system, shards the number of
+// collector shards (<= 1 for a lone collector), and durable whether the
+// session journals — the only place a latched crash resumes from.
+func (c *Config) Validate(sys *model.System, shards int, durable bool) error {
+	if c == nil {
+		return nil
+	}
+	if !(c.DropProb >= 0 && c.DropProb <= 1 && c.DelayProb >= 0 && c.DelayProb <= 1) {
+		return fmt.Errorf("chaos: DropProb %v and DelayProb %v must be probabilities in [0, 1]", c.DropProb, c.DelayProb)
+	}
+	if c.CollectorCrashAt > 0 {
+		if shards > 1 {
+			return errors.New("chaos: CollectorCrashAt targets the lone collector; a sharded tier's root never dies (use ShardCrashAt)")
+		}
+		if !durable {
+			return errors.New("chaos: CollectorCrashAt requires a journal: a crashed collector can only resume from its journal")
+		}
+	}
+	if len(c.ShardCrashAt) > 0 {
+		if shards <= 1 {
+			return errors.New("chaos: ShardCrashAt requires a sharded tier: a lone collector has no shard to crash")
+		}
+		for s := range c.ShardCrashAt {
+			if s < 0 || s >= shards {
+				return fmt.Errorf("chaos: ShardCrashAt names shard %d, not in [0, %d)", s, shards)
+			}
+		}
+		if !durable {
+			return errors.New("chaos: ShardCrashAt requires a journal: a crashed shard can only resume from its journal")
+		}
+	}
+	var named []string
+	for r := range c.RegionPartitions {
+		named = append(named, r)
+	}
+	for l := range c.LinkFlaps {
+		named = append(named, l.A, l.B)
+	}
+	if len(named) == 0 {
+		return nil
+	}
+	known := sys.Regions()
+	for _, r := range named {
+		if _, ok := slices.BinarySearch(known, r); !ok {
+			return fmt.Errorf("chaos: a region schedule names region %q, which the system lacks (it has %q)", r, known)
+		}
+	}
+	return nil
 }
 
 // CollectorCrash reports whether the collector crashes at the start of
-// the given round: either the deterministic CollectorCrashAt round, or
-// the first round whose seeded hash clears CollectorCrashProb. The
-// emulation machine latches the first firing; a restarted collector is
-// only re-crashed by the probabilistic schedule.
+// the given round. The emulation machine latches the firing; only an
+// explicit resume brings the collector back.
 func (c *Config) CollectorCrash(round int) bool {
-	if c == nil {
-		return false
-	}
-	if c.CollectorCrashAt > 0 && round == c.CollectorCrashAt {
-		return true
-	}
-	if c.CollectorCrashProb <= 0 {
-		return false
-	}
-	return unit(c.Seed, 0xC011, uint64(round)) < c.CollectorCrashProb
+	return c != nil && c.CollectorCrashAt > 0 && round == c.CollectorCrashAt
 }
 
 // ShardCrash reports whether collector shard s crashes at the start of
@@ -141,42 +171,10 @@ func (c *Config) ShardCrash(s, round int) bool {
 	return ok && at > 0 && round == at
 }
 
-// ShardWindowDown reports whether shard s is inside one of its flap
-// windows during the given round.
-func (c *Config) ShardWindowDown(s, round int) bool {
-	if c == nil {
-		return false
-	}
-	for _, w := range c.ShardWindows[s] {
-		if round >= w.From && round < w.To {
-			return true
-		}
-	}
-	return false
-}
-
-// Crashed reports whether node n is down during the given round per the
-// crash/recover schedule (CrashAt/RecoverAt or any crash window).
+// Crashed reports whether node n is down during the given round per its
+// crash windows.
 func (c *Config) Crashed(n model.NodeID, round int) bool {
-	if c == nil {
-		return false
-	}
-	for _, w := range c.CrashWindows[n] {
-		if round >= w.From && round < w.To {
-			return true
-		}
-	}
-	if len(c.CrashAt) == 0 {
-		return false
-	}
-	at, ok := c.CrashAt[n]
-	if !ok || round < at {
-		return false
-	}
-	if rec, ok := c.RecoverAt[n]; ok && rec > at && round >= rec {
-		return false
-	}
-	return true
+	return c != nil && in(c.CrashWindows[n], round)
 }
 
 // JustCrashed reports whether round is the first round node n is down —
@@ -186,27 +184,18 @@ func (c *Config) JustCrashed(n model.NodeID, round int) bool {
 }
 
 // Drop decides whether the seq-th message from 'from' in the given round
-// is lost on the wire. seq is the sender's running message counter; the
-// legacy DropEvery rule is (seq+round) % DropEvery == 0, preserved
-// bit-for-bit from the pre-chaos emulation.
+// is lost on the wire. seq is the sender's running message counter.
 func (c *Config) Drop(from, to model.NodeID, round, seq int) bool {
 	if c == nil {
 		return false
 	}
-	if c.DropEvery > 0 && (seq+round)%c.DropEvery == 0 {
-		return true
-	}
 	if c.regionCut(from, to, round) {
 		return true
 	}
-	p := c.DropProb
-	if lp, ok := c.LinkDropProb[Link{From: from, To: to}]; ok {
-		p = lp
-	}
-	if p <= 0 {
+	if c.DropProb <= 0 {
 		return false
 	}
-	return unit(c.Seed, 0xD709, uint64(from), uint64(to), uint64(round), uint64(seq)) < p
+	return unit(c.Seed, 0xD709, uint64(from), uint64(to), uint64(round), uint64(seq)) < c.DropProb
 }
 
 // Delay returns how many rounds late the seq-th message from 'from'

@@ -8,9 +8,6 @@ import (
 
 func TestChaosNilConfigIsInert(t *testing.T) {
 	var c *Config
-	if c.Enabled() {
-		t.Fatal("nil config enabled")
-	}
 	if c.Crashed(1, 5) || c.JustCrashed(1, 5) {
 		t.Fatal("nil config crashed a node")
 	}
@@ -23,10 +20,10 @@ func TestChaosNilConfigIsInert(t *testing.T) {
 }
 
 func TestChaosCrashRecoverSchedule(t *testing.T) {
-	c := &Config{
-		CrashAt:   map[model.NodeID]int{1: 5, 2: 3},
-		RecoverAt: map[model.NodeID]int{1: 8, 2: 2}, // node 2's recovery precedes its crash: ignored
-	}
+	c := &Config{CrashWindows: map[model.NodeID][]Window{
+		1: {{From: 5, To: 8}},
+		2: {{From: 3, To: 1 << 30}}, // a crash that never recovers
+	}}
 	if c.Crashed(1, 4) {
 		t.Fatal("node 1 down before its crash round")
 	}
@@ -41,24 +38,11 @@ func TestChaosCrashRecoverSchedule(t *testing.T) {
 	if !c.JustCrashed(1, 5) || c.JustCrashed(1, 6) {
 		t.Fatal("JustCrashed edge wrong")
 	}
-	if !c.Crashed(2, 10) {
-		t.Fatal("node 2's bogus recovery (before crash) honored")
+	if c.Crashed(2, 2) || !c.Crashed(2, 10) {
+		t.Fatal("node 2's open-ended crash window misplaced")
 	}
 	if c.Crashed(3, 0) {
 		t.Fatal("unscheduled node crashed")
-	}
-}
-
-func TestChaosDropEveryLegacyParity(t *testing.T) {
-	// The legacy emulation dropped when (sent+round) % DropEvery == 0.
-	c := &Config{DropEvery: 3}
-	for round := 0; round < 6; round++ {
-		for seq := 1; seq < 7; seq++ {
-			want := (seq+round)%3 == 0
-			if got := c.Drop(1, 2, round, seq); got != want {
-				t.Fatalf("Drop(round=%d, seq=%d) = %v, want %v", round, seq, got, want)
-			}
-		}
 	}
 }
 
@@ -78,19 +62,6 @@ func TestChaosDropProbDeterministicAndCalibrated(t *testing.T) {
 	rate := float64(dropped) / trials
 	if rate < 0.17 || rate > 0.23 {
 		t.Fatalf("empirical drop rate %.3f, want ~0.2", rate)
-	}
-}
-
-func TestChaosLinkDropOverride(t *testing.T) {
-	c := &Config{
-		DropProb:     0,
-		LinkDropProb: map[Link]float64{{From: 1, To: 2}: 1},
-	}
-	if !c.Drop(1, 2, 0, 1) {
-		t.Fatal("fully lossy link delivered")
-	}
-	if c.Drop(2, 1, 0, 1) {
-		t.Fatal("reverse link inherited the override")
 	}
 }
 

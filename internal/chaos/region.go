@@ -21,62 +21,30 @@ func NormLink(a, b string) RegionLink {
 	return RegionLink{A: a, B: b}
 }
 
-// LabelRegions copies a system's region labels (node regions plus the
-// collector tier's region) into the config so the region-scoped
-// schedules know which links cross which domains.
-func (c *Config) LabelRegions(sys *model.System) {
-	if c == nil || sys == nil {
-		return
-	}
-	if c.Regions == nil {
-		c.Regions = make(map[model.NodeID]string, len(sys.Nodes))
-	}
-	for _, n := range sys.Nodes {
-		c.Regions[n.ID] = n.Region
-	}
-	c.CentralRegion = sys.CentralRegion
-}
-
-// RegionOf returns the configured region of an endpoint: the collector
-// tier's CentralRegion for the central id, the node's label otherwise
-// (unlabeled nodes share the empty default region).
-func (c *Config) RegionOf(n model.NodeID) string {
+// regionOf returns the labeled region of an endpoint (see ForSystem):
+// the collector tier's region for the central id, the node's label
+// otherwise (unlabeled nodes share the empty default region).
+func (c *Config) regionOf(n model.NodeID) string {
 	if c == nil {
 		return ""
 	}
 	if n.IsCentral() {
-		return c.CentralRegion
+		return c.centralRegion
 	}
-	return c.Regions[n]
+	return c.regions[n]
 }
 
 // RegionPartitioned reports whether region r is cut off from the rest of
 // the overlay during the given round.
 func (c *Config) RegionPartitioned(r string, round int) bool {
-	if c == nil {
-		return false
-	}
-	for _, w := range c.RegionPartitions[r] {
-		if round >= w.From && round < w.To {
-			return true
-		}
-	}
-	return false
+	return c != nil && in(c.RegionPartitions[r], round)
 }
 
 // LinkFlapped reports whether the undirected inter-region link between
 // ra and rb is down during the given round. Same-region traffic never
 // crosses a link and is never flapped.
 func (c *Config) LinkFlapped(ra, rb string, round int) bool {
-	if c == nil || ra == rb {
-		return false
-	}
-	for _, w := range c.LinkFlaps[NormLink(ra, rb)] {
-		if round >= w.From && round < w.To {
-			return true
-		}
-	}
-	return false
+	return c != nil && ra != rb && in(c.LinkFlaps[NormLink(ra, rb)], round)
 }
 
 // regionCut applies the region-scoped drop rules to one concrete
@@ -89,7 +57,7 @@ func (c *Config) regionCut(from, to model.NodeID, round int) bool {
 	if len(c.RegionPartitions) == 0 && len(c.LinkFlaps) == 0 {
 		return false
 	}
-	rf, rt := c.RegionOf(from), c.RegionOf(to)
+	rf, rt := c.regionOf(from), c.regionOf(to)
 	if rf == rt {
 		return false
 	}

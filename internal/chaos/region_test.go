@@ -1,29 +1,31 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 
 	"remo/internal/cost"
 	"remo/internal/model"
 )
 
-// regionCfg labels nodes 1-2 as r0, 3-4 as r1, 5-6 as r2 with the
+// regionSys labels nodes 1-2 as r0, 3-4 as r1, 5-6 as r2 with the
 // collector in r0.
-func regionCfg() *Config {
-	return &Config{
-		Regions: map[model.NodeID]string{
-			1: "r0", 2: "r0", 3: "r1", 4: "r1", 5: "r2", 6: "r2",
-		},
-		CentralRegion: "r0",
+func regionSys(t *testing.T) *model.System {
+	t.Helper()
+	var nodes []model.Node
+	for i := 1; i <= 6; i++ {
+		nodes = append(nodes, model.Node{ID: model.NodeID(i), Capacity: 10, Region: fmt.Sprintf("r%d", (i-1)/2)})
 	}
+	sys, err := model.NewSystem(100, cost.Default(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.CentralRegion = "r0"
+	return sys
 }
 
 func TestRegionPartitionDrop(t *testing.T) {
-	c := regionCfg()
-	c.RegionPartitions = map[string][]Window{"r1": {{From: 5, To: 10}}}
-	if !c.Enabled() {
-		t.Fatal("region partition should enable chaos")
-	}
+	c := (&Config{RegionPartitions: map[string][]Window{"r1": {{From: 5, To: 10}}}}).ForSystem(regionSys(t))
 	cases := []struct {
 		name     string
 		from, to model.NodeID
@@ -47,13 +49,9 @@ func TestRegionPartitionDrop(t *testing.T) {
 }
 
 func TestLinkFlapDrop(t *testing.T) {
-	c := regionCfg()
 	// Key deliberately built in reversed order: NormLink must make
 	// orientation irrelevant.
-	c.LinkFlaps = map[RegionLink][]Window{NormLink("r1", "r0"): {{From: 3, To: 6}}}
-	if !c.Enabled() {
-		t.Fatal("link flap should enable chaos")
-	}
+	c := (&Config{LinkFlaps: map[RegionLink][]Window{NormLink("r1", "r0"): {{From: 3, To: 6}}}}).ForSystem(regionSys(t))
 	if !c.Drop(1, 3, 4, 0) || !c.Drop(3, 1, 4, 0) {
 		t.Fatal("flapped link should drop both directions")
 	}
@@ -73,7 +71,7 @@ func TestLinkFlapDrop(t *testing.T) {
 
 func TestRegionScheduleNilSafe(t *testing.T) {
 	var c *Config
-	if c.RegionOf(1) != "" || c.RegionPartitioned("r0", 1) || c.LinkFlapped("a", "b", 1) {
+	if c.regionOf(1) != "" || c.RegionPartitioned("r0", 1) || c.LinkFlapped("a", "b", 1) {
 		t.Fatal("nil config must inject nothing")
 	}
 	if c.Drop(1, 2, 0, 0) {
@@ -81,6 +79,9 @@ func TestRegionScheduleNilSafe(t *testing.T) {
 	}
 }
 
+// TestLabelRegions checks ForSystem labels a copy from the system it is
+// given and leaves the caller's config as it was, so one config labels
+// differently for differently labeled systems.
 func TestLabelRegions(t *testing.T) {
 	sys, err := model.NewSystem(100, cost.Default(), []model.Node{
 		{ID: 1, Capacity: 10, Region: "east"},
@@ -90,10 +91,18 @@ func TestLabelRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.CentralRegion = "east"
-	c := &Config{}
-	c.LabelRegions(sys)
-	if c.RegionOf(2) != "west" || c.RegionOf(model.Central) != "east" {
-		t.Fatalf("labels not copied: %+v central=%q", c.Regions, c.CentralRegion)
+	c := &Config{RegionPartitions: map[string][]Window{"west": {{From: 0, To: 5}}}}
+	east := c.ForSystem(sys)
+	if east.regionOf(2) != "west" || east.regionOf(model.Central) != "east" {
+		t.Fatalf("labels not copied: %+v central=%q", east.regions, east.centralRegion)
+	}
+	if c.regions != nil || c.centralRegion != "" {
+		t.Fatal("ForSystem wrote into the caller's config")
+	}
+	sys.Nodes[1].Region = "east"
+	sys.CentralRegion = "west"
+	if west := c.ForSystem(sys); west.regionOf(2) != "east" || !west.Drop(2, model.Central, 1, 0) {
+		t.Fatal("a second system's labels did not replace the first's")
 	}
 }
 
@@ -148,11 +157,11 @@ func TestRollingUpgrade(t *testing.T) {
 // evaluation, independent of probabilistic seeds.
 func TestRegionScheduleDeterministic(t *testing.T) {
 	mk := func(seed uint64) *Config {
-		c := regionCfg()
-		c.Seed = seed
-		c.RegionPartitions = map[string][]Window{"r2": {{From: 2, To: 4}}}
-		c.LinkFlaps = map[RegionLink][]Window{NormLink("r0", "r1"): {{From: 6, To: 8}}}
-		return c
+		return (&Config{
+			Seed:             seed,
+			RegionPartitions: map[string][]Window{"r2": {{From: 2, To: 4}}},
+			LinkFlaps:        map[RegionLink][]Window{NormLink("r0", "r1"): {{From: 6, To: 8}}},
+		}).ForSystem(regionSys(t))
 	}
 	if scheduleHash(mk(1)) != scheduleHash(mk(1)) {
 		t.Fatal("identical region configs produced different schedules")

@@ -13,7 +13,7 @@ func TestChaosMachineDetectsCrash(t *testing.T) {
 	m, err := NewMachine(Config{
 		Sys: sys, Forest: forest, Demand: d,
 		Rounds: 20, EnforceCapacity: true,
-		Chaos:  &chaos.Config{CrashAt: map[model.NodeID]int{2: 3}},
+		Chaos:  &chaos.Config{CrashWindows: map[model.NodeID][]chaos.Window{2: {{From: 3, To: 1 << 30}}}},
 		Detect: &detect.Config{SuspicionRounds: 2},
 	})
 	if err != nil {
@@ -51,8 +51,7 @@ func TestChaosMachineSeesRecovery(t *testing.T) {
 		Sys: sys, Forest: forest, Demand: d,
 		Rounds: 20, EnforceCapacity: true,
 		Chaos: &chaos.Config{
-			CrashAt:   map[model.NodeID]int{2: 3},
-			RecoverAt: map[model.NodeID]int{2: 8},
+			CrashWindows: map[model.NodeID][]chaos.Window{2: {{From: 3, To: 8}}},
 		},
 		Detect: &detect.Config{SuspicionRounds: 2},
 	})

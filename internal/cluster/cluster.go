@@ -73,14 +73,6 @@ type Config struct {
 	Observer func(pair model.Pair, round int, value float64)
 	// Trace, when set, records structured emulation events.
 	Trace *trace.Recorder
-	// FenceEpochs arms epoch fencing: every frame carries the epoch of
-	// the plan it was composed under, and frames from older epochs are
-	// rejected (counted in Result.StaleEpochFrames). A collector
-	// restarted after a crash bumps the epoch, so pre-crash in-flight
-	// frames cannot corrupt its recovered views. Off by default because
-	// fencing also discards the one-round in-flight tail of every
-	// topology swap, changing legacy session results.
-	FenceEpochs bool
 	// LeafBuffer bounds the per-node outgoing frame buffer (0 disables
 	// buffering). When the collector is down — or a transport send fails
 	// — nodes park up to this many frames instead of dropping them, shed
@@ -91,9 +83,9 @@ type Config struct {
 	// shards (<= 1 keeps the single central collector). Each tree is
 	// owned by exactly one shard, placed by the internal/shard
 	// dispatcher; a root aggregation tier merges the per-shard partials
-	// into the single Result. Sharded sessions ignore the
-	// CollectorCrashAt/CollectorCrashProb chaos schedules — shard-level
-	// outages use ShardCrashAt/ShardWindows instead.
+	// into the single Result. A sharded tier's root never dies, so the
+	// CollectorCrashAt chaos schedule does not apply; shard outages come
+	// from ShardCrashAt instead.
 	Shards int
 	// SeedAssignment, when it names a valid shard for every tree in the
 	// forest, is adopted verbatim as the initial tree→shard map — the
@@ -118,13 +110,16 @@ type Config struct {
 	// by the machine so sendPhase can hand messages back for later
 	// injection.
 	delaySink func(due int, msg transport.Message)
-	// epoch is the running plan epoch, stamped on every frame; bumped by
-	// the machine on every Install and on collector resume.
+	// epoch is the newest plan epoch issued: 1 at start, advanced by
+	// every install and by every collector resume, shard resume and shard
+	// move (Machine.openEpoch).
 	epoch uint32
-	// keyEpochs, set only in sharded sessions, carries the per-tree plan
-	// epoch: a shard resume or an orphan re-dispatch advances only the
-	// affected trees' epochs, so fencing is scoped to the trees that
-	// actually moved. Nil falls back to the session-wide epoch.
+	// keyEpochs is each tree's plan epoch, stamped on its frames and
+	// checked by every receiver, which rejects (fences) a frame composed
+	// under an older epoch than its tree's. Every install moves every
+	// tree to a new epoch; a collector resume moves the trees it
+	// collects, a shard move the moved tree, so a shard's outage fences
+	// only its own trees.
 	keyEpochs map[string]uint32
 	// collectorDown is latched by the machine while the central collector
 	// is crashed, steering root nodes into their outgoing buffers.
@@ -136,14 +131,12 @@ type Config struct {
 	downKeys map[string]bool
 }
 
-// epochFor returns the plan epoch frames of the given tree must carry:
-// the tree's own epoch in sharded sessions, the session-wide epoch
-// otherwise.
+// epochFor returns the plan epoch frames of the given tree must carry.
+// A tree without an epoch — retired by an install — fences at the newest
+// epoch, so its frames still in flight are all rejected.
 func (c *Config) epochFor(key string) uint32 {
-	if c.keyEpochs != nil {
-		if e, ok := c.keyEpochs[key]; ok {
-			return e
-		}
+	if e, ok := c.keyEpochs[key]; ok {
+		return e
 	}
 	return c.epoch
 }
@@ -213,7 +206,7 @@ type Result struct {
 	// curves, convergence analysis).
 	ErrorSeries []float64
 	// StaleEpochFrames counts frames rejected by epoch fencing — values
-	// composed under a plan epoch older than the receiver's.
+	// composed under an older plan epoch than their tree's.
 	StaleEpochFrames int
 	// FramesBuffered counts frames parked in node outgoing buffers
 	// (collector outages and transport failures).
@@ -490,10 +483,10 @@ func (st *nodeState) receivePhase(cfg Config, tr transport.Transport, round int)
 		return
 	}
 	for _, msg := range tr.Drain(st.id) {
-		if cfg.FenceEpochs && msg.Epoch < cfg.epochFor(msg.TreeKey) {
-			// Frame composed under an older plan epoch: reject it so values
-			// routed for a pre-swap (or pre-crash) topology cannot leak into
-			// the current one.
+		if msg.Epoch < cfg.epochFor(msg.TreeKey) {
+			// Frame composed under an older plan epoch than its tree's:
+			// reject it so values routed for a rebuilt (or pre-crash) tree
+			// cannot leak into the current one.
 			st.stale++
 			st.markersLost += len(msg.Suppressed)
 			continue

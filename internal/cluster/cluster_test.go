@@ -186,7 +186,7 @@ func TestNodeFailureLosesSubtree(t *testing.T) {
 	// Node 2 dies at round 3: nodes 2..5 stop reaching the collector.
 	res, err := Run(Config{
 		Sys: sys, Forest: f, Demand: d, Rounds: 20,
-		Chaos: &chaos.Config{CrashAt: map[model.NodeID]int{2: 3}},
+		Chaos: &chaos.Config{CrashWindows: map[model.NodeID][]chaos.Window{2: {{From: 3, To: 20}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestLinkDropsDegradeFreshness(t *testing.T) {
 	sys, d, forest := deployEnv(t, 10, 2, 1e5)
 	lossy, err := Run(Config{
 		Sys: sys, Forest: forest, Demand: d, Rounds: 20,
-		Chaos: &chaos.Config{DropEvery: 3},
+		Chaos: &chaos.Config{DropProb: 0.3, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestLinkDropsDegradeFreshness(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lossy.MessagesDropped == 0 {
-		t.Fatal("DropEvery dropped nothing")
+		t.Fatal("DropProb dropped nothing")
 	}
 	if lossy.AvgPercentError <= clean.AvgPercentError {
 		t.Fatalf("lossy error %.2f%% <= clean %.2f%%",

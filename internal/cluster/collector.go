@@ -25,14 +25,14 @@ type collector struct {
 	cfg Config
 
 	// holisticPairs are the demanded pairs collected holistically, in
-	// canonical order; periods, views, viewSet and bits are parallel to
-	// it. views[i] is meaningful only when viewSet[i]; bits[i] is the
-	// lazily allocated delivered-round bitmap.
+	// canonical order; periods, views, viewSet and seen are parallel to
+	// it. views[i] is meaningful only when viewSet[i]; seen[i] dedups the
+	// slot's delivered rounds.
 	holisticPairs []model.Pair
 	periods       []int
 	views         []transport.Value
 	viewSet       []bool
-	bits          [][]uint64
+	seen          []roundWindow
 	slotOf        map[model.Pair]int
 
 	// Suppression replica state, parallel to holisticPairs (allocated
@@ -47,7 +47,7 @@ type collector struct {
 
 	// Overflow state for pairs without a slot.
 	extraView map[model.Pair]transport.Value
-	extraBits map[model.Pair][]uint64
+	extraSeen map[model.Pair]roundWindow
 
 	// aggView holds the freshest delivered aggregate per aggregated
 	// attribute.
@@ -85,7 +85,7 @@ func newCollector(cfg Config) *collector {
 	c := &collector{
 		aggView:   make(map[model.AttrID]transport.Value),
 		extraView: make(map[model.Pair]transport.Value),
-		extraBits: make(map[model.Pair][]uint64),
+		extraSeen: make(map[model.Pair]roundWindow),
 	}
 	c.retarget(cfg)
 	c.seedModels(cfg.SeedModels)
@@ -148,7 +148,7 @@ func (c *collector) predSnapshots(into map[model.Pair]predict.Snapshot) map[mode
 
 // retarget rebuilds the collector's demanded-pair accounting for a new
 // configuration (topology adaptation), keeping its views and error
-// accumulators. Views and delivery bitmaps of pairs leaving the demand
+// accumulators. Views and delivery windows of pairs leaving the demand
 // are parked in the overflow maps; pairs rejoining pick them back up —
 // exactly what a real collector's retained state would do.
 func (c *collector) retarget(cfg Config) {
@@ -156,8 +156,8 @@ func (c *collector) retarget(cfg Config) {
 		if c.viewSet[i] {
 			c.extraView[p] = c.views[i]
 		}
-		if c.bits[i] != nil {
-			c.extraBits[p] = c.bits[i]
+		if c.seen[i].bits != nil {
+			c.extraSeen[p] = c.seen[i]
 		}
 	}
 	c.cfg = cfg
@@ -197,7 +197,7 @@ func (c *collector) retarget(cfg Config) {
 	c.periods = make([]int, n)
 	c.views = make([]transport.Value, n)
 	c.viewSet = make([]bool, n)
-	c.bits = make([][]uint64, n)
+	c.seen = make([]roundWindow, n)
 	c.slotOf = make(map[model.Pair]int, n)
 	if cfg.Predict != nil {
 		// Replicas do not survive a retarget: slots may have moved and the
@@ -218,9 +218,9 @@ func (c *collector) retarget(cfg Config) {
 			c.viewSet[i] = true
 			delete(c.extraView, p)
 		}
-		if b, ok := c.extraBits[p]; ok {
-			c.bits[i] = b
-			delete(c.extraBits, p)
+		if w, ok := c.extraSeen[p]; ok {
+			c.seen[i] = w
+			delete(c.extraSeen, p)
 		}
 	}
 }
@@ -235,10 +235,10 @@ func (c *collector) retarget(cfg Config) {
 // the aggregating node's identity); they refresh on the next delivery.
 func (c *collector) recover(cfg Config, repo *store.Store, round int) {
 	c.holisticPairs = nil
-	c.periods, c.views, c.viewSet, c.bits = nil, nil, nil, nil
+	c.periods, c.views, c.viewSet, c.seen = nil, nil, nil, nil
 	c.slotOf = nil
 	c.extraView = make(map[model.Pair]transport.Value)
-	c.extraBits = make(map[model.Pair][]uint64)
+	c.extraSeen = make(map[model.Pair]roundWindow)
 	c.aggView = make(map[model.AttrID]transport.Value)
 	c.retarget(cfg)
 	if repo == nil {
@@ -275,7 +275,7 @@ func (c *collector) lookupView(p model.Pair) (transport.Value, bool) {
 func (c *collector) absorb(msgs []transport.Message, round int) {
 	budget := c.cfg.Sys.CentralCapacity
 	for _, msg := range msgs {
-		if c.cfg.FenceEpochs && msg.Epoch < c.cfg.epochFor(msg.TreeKey) {
+		if msg.Epoch < c.cfg.epochFor(msg.TreeKey) {
 			c.staleFrames++
 			c.markersLost += len(msg.Suppressed)
 			continue
@@ -426,17 +426,7 @@ func (c *collector) impute(sp transport.Supp) {
 
 // markSlot records delivery of a demanded (pair, round) observation.
 func (c *collector) markSlot(slot, round int) {
-	if round < 0 || round >= c.cfg.Rounds {
-		return
-	}
-	bits := c.bits[slot]
-	if bits == nil {
-		bits = make([]uint64, (c.cfg.Rounds+63)/64)
-		c.bits[slot] = bits
-	}
-	word, bit := round/64, uint(round%64)
-	if bits[word]&(1<<bit) == 0 {
-		bits[word] |= 1 << bit
+	if c.seen[slot].mark(round, c.cfg.Rounds) {
 		c.delivered++
 	}
 }
@@ -444,19 +434,66 @@ func (c *collector) markSlot(slot, round int) {
 // markExtra records delivery for a pair outside the current demand (it
 // may have been demanded before a retarget, or become demanded later).
 func (c *collector) markExtra(p model.Pair, round int) {
-	if round < 0 || round >= c.cfg.Rounds {
-		return
-	}
-	bits := c.extraBits[p]
-	if bits == nil {
-		bits = make([]uint64, (c.cfg.Rounds+63)/64)
-		c.extraBits[p] = bits
-	}
-	word, bit := round/64, uint(round%64)
-	if bits[word]&(1<<bit) == 0 {
-		bits[word] |= 1 << bit
+	w := c.extraSeen[p]
+	if w.mark(round, c.cfg.Rounds) {
 		c.delivered++
 	}
+	c.extraSeen[p] = w
+}
+
+// dedupRounds is how many recent rounds a pair remembers deliveries of:
+// far more than any delivery lags its origin round (tree depth, chaos
+// delay, an outage's leaf buffer), in the 8 KiB a delivered pair held
+// when this was a fixed horizon — a smaller window changes the heap's
+// size, and with it how often the collector's process collects garbage.
+const dedupRounds = 1 << 16
+
+// roundWindow dedups one pair's delivered rounds over a sliding window
+// ending at the newest round delivered, so a session counts deliveries
+// for as long as it runs, in bounded memory.
+type roundWindow struct {
+	// newest is the newest round marked; bits holds round r at bit
+	// r mod the window's span for the span rounds up to newest. It is
+	// allocated on the first delivery.
+	newest int
+	bits   []uint64
+}
+
+// mark records round r and reports whether it is a first delivery. The
+// window spans dedupRounds rounds, or the whole run when a fixed-length
+// run (horizon > 0) is shorter. A round older than the window cannot be
+// told from a duplicate and is not counted.
+func (w *roundWindow) mark(r, horizon int) bool {
+	if r < 0 {
+		return false
+	}
+	if w.bits == nil {
+		span := dedupRounds
+		if horizon > 0 && horizon < span {
+			span = horizon + 63
+		}
+		w.bits = make([]uint64, span/64)
+		w.newest = r
+	}
+	span := 64 * len(w.bits)
+	switch {
+	case r-w.newest >= span:
+		clear(w.bits)
+		w.newest = r
+	case r > w.newest:
+		for q := w.newest + 1; q <= r; q++ {
+			w.bits[q%span/64] &^= 1 << uint(q%64)
+		}
+		w.newest = r
+	case r <= w.newest-span:
+		return false
+	}
+	word, bit := r%span/64, uint(r%64)
+	if w.bits[word]&(1<<bit) != 0 {
+		return false
+	}
+	w.bits[word] |= 1 << bit
+	return true
 }
 
 // score accumulates the per-round error and staleness metrics after
@@ -565,7 +602,6 @@ func (c *collector) covered() int {
 // result finalizes the measurements.
 func (c *collector) result() Result {
 	res := Result{
-		Rounds:          c.cfg.Rounds,
 		DemandedPairs:   len(c.holisticPairs) + len(c.aggAttrs),
 		ValuesDelivered: c.valuesDelivered,
 		MessagesDropped: c.centralDrops,

@@ -189,3 +189,33 @@ func TestErrorSeriesConverges(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundWindowDedups walks one pair's delivery window: duplicates and
+// rounds older than the window never count, late rounds inside it do,
+// and the window keeps counting however far the session runs.
+func TestRoundWindowDedups(t *testing.T) {
+	var w roundWindow
+	for _, step := range []struct {
+		round int
+		first bool
+	}{
+		{5, true}, {5, false}, {3, true}, {-1, false},
+		{dedupRounds + 2, true},   // slides the window past round 2
+		{4, true},                 // still inside: (2, dedupRounds+2]
+		{2, false},                // fell out
+		{5, false},                // inside and already seen
+		{5 * dedupRounds, true},   // a jump clears the window
+		{4*dedupRounds + 1, true}, // inside the new window, never seen
+		{dedupRounds + 2, false},  // long gone
+	} {
+		if got := w.mark(step.round, 0); got != step.first {
+			t.Fatalf("mark(%d) = %v, want %v", step.round, got, step.first)
+		}
+	}
+	// A fixed-length run sizes the window to the run.
+	var short roundWindow
+	short.mark(0, 12)
+	if len(short.bits) != 1 {
+		t.Fatalf("12-round run got a %d-word window", len(short.bits))
+	}
+}

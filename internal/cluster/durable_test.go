@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"remo/internal/chaos"
 	"remo/internal/model"
+	"remo/internal/plan"
 	"remo/internal/store"
 	"remo/internal/transport"
 )
@@ -16,7 +18,7 @@ func TestEpochFenceDropsStaleFrames(t *testing.T) {
 	sys, d, forest := deployEnv(t, 6, 1, 1e5)
 	m, err := NewMachine(Config{
 		Sys: sys, Forest: forest, Demand: d,
-		FenceEpochs: true, Source: BurstyWalk{Seed: 1},
+		Source: BurstyWalk{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,27 +52,68 @@ func TestEpochFenceDropsStaleFrames(t *testing.T) {
 	if res.ValuesDelivered <= delivered {
 		t.Fatal("current-epoch traffic stopped flowing")
 	}
+}
 
-	// Without fencing the same frame is absorbed (legacy behavior).
-	m2, err := NewMachine(Config{
-		Sys: sys, Forest: forest, Demand: d, Source: BurstyWalk{Seed: 1},
+// TestInstallFencesEveryTreeInFlight pins what an install fences: the
+// frames on the wire at the swap of a tree it rebuilt, and of a tree it
+// kept byte for byte, whose frames would otherwise arrive a whole replan
+// late in a session.
+func TestInstallFencesEveryTreeInFlight(t *testing.T) {
+	sys, d, forest := shardEnv(t, 4, 2)
+	var delivered []float64
+	m, err := NewMachine(Config{
+		Sys: sys, Forest: forest, Demand: d, Source: BurstyWalk{Seed: 5},
+		Observer: func(_ model.Pair, _ int, v float64) { delivered = append(delivered, v) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = m2.Close() }()
-	m2.InstallDiff(forest, d)
-	if err := m2.tr.Send(transport.Message{
-		From: 1, To: model.Central, Epoch: 1,
-		Values: []transport.Value{{Node: 1, Attr: 1, Round: 0, Value: 7}},
-	}); err != nil {
+	defer func() { _ = m.Close() }()
+	if err := m.StepN(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Step(); err != nil {
+	a, b := forest.Trees[0], forest.Trees[1]
+	// B moves from root 2 to root 3; A is the same tree.
+	rebuilt := plan.NewTree(b.Attrs)
+	if err := rebuilt.AddNode(3, model.Central); err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.Result().StaleEpochFrames; got != 0 {
-		t.Fatalf("unfenced machine counted %d stale frames", got)
+	for _, n := range []model.NodeID{1, 2, 4} {
+		if err := rebuilt.AddNode(n, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := plan.NewForest()
+	next.Add(a)
+	next.Add(rebuilt)
+	diff := m.InstallDiff(next, d)
+	if len(diff.Kept) != 1 || diff.Kept[0] != a.Attrs.Key() || len(diff.Rebuilt) != 1 {
+		t.Fatalf("diff %+v, want A kept and B rebuilt", diff)
+	}
+
+	// Each old root's frame, composed at epoch 1 before the swap, lands
+	// at the collector in the first round after it.
+	for _, f := range []struct {
+		tree  *plan.Tree
+		value float64
+	}{{a, 1e9}, {b, 2e9}} {
+		attr := f.tree.Attrs.Attrs()[0]
+		if err := m.tr.Send(transport.Message{
+			TreeKey: f.tree.Attrs.Key(), From: f.tree.Root(), To: model.Central, Epoch: 1,
+			Values: []transport.Value{{Node: f.tree.Root(), Attr: attr, Round: 2, Value: f.value}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := m.Result().StaleEpochFrames
+	if err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(delivered, 1e9) || slices.Contains(delivered, 2e9) {
+		t.Fatalf("a frame composed before the swap was absorbed: %v", delivered)
+	}
+	if got := m.Result().StaleEpochFrames - stale; got < 2 {
+		t.Fatalf("%d stale frames counted, want both injected ones at least", got)
 	}
 }
 
@@ -82,9 +125,9 @@ func TestCollectorCrashBuffersAndResumes(t *testing.T) {
 	sys, d, forest := deployEnv(t, 8, 1, 1e5)
 	m, err := NewMachine(Config{
 		Sys: sys, Forest: forest, Demand: d,
-		FenceEpochs: true, LeafBuffer: 64,
-		Chaos:  &chaos.Config{CollectorCrashAt: 4},
-		Source: BurstyWalk{Seed: 2},
+		LeafBuffer: 64,
+		Chaos:      &chaos.Config{CollectorCrashAt: 4},
+		Source:     BurstyWalk{Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +197,9 @@ func TestLeafBufferShedsOldest(t *testing.T) {
 	sys, d, forest := deployEnv(t, 6, 1, 1e5)
 	m, err := NewMachine(Config{
 		Sys: sys, Forest: forest, Demand: d,
-		FenceEpochs: true, LeafBuffer: 2,
-		Chaos:  &chaos.Config{CollectorCrashAt: 2},
-		Source: BurstyWalk{Seed: 3},
+		LeafBuffer: 2,
+		Chaos:      &chaos.Config{CollectorCrashAt: 2},
+		Source:     BurstyWalk{Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +227,7 @@ func TestLeafBufferShedsOldest(t *testing.T) {
 func TestResumeCollectorAdoptsNewerEpoch(t *testing.T) {
 	sys, d, forest := deployEnv(t, 4, 1, 1e5)
 	m, err := NewMachine(Config{
-		Sys: sys, Forest: forest, Demand: d, FenceEpochs: true,
+		Sys: sys, Forest: forest, Demand: d,
 	})
 	if err != nil {
 		t.Fatal(err)

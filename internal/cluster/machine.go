@@ -80,14 +80,12 @@ type Machine struct {
 }
 
 // NewMachine validates the configuration and prepares a deployment at
-// round 0. Rounds in cfg is ignored for stepping but bounds the
-// delivered-observation bitmaps; it defaults to a generous horizon.
+// round 0. Rounds in cfg does not bound stepping — a machine steps until
+// it is closed — but a positive one shrinks each pair's delivery dedup
+// window to the run's length.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Sys == nil || cfg.Forest == nil || cfg.Demand == nil {
 		return nil, ErrNoForest
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1 << 16
 	}
 	if cfg.Source == nil {
 		cfg.Source = BurstyWalk{}
@@ -95,9 +93,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Resolve == nil {
 		cfg.Resolve = func(a model.AttrID) model.AttrID { return a }
 	}
+	cfg.Chaos = cfg.Chaos.ForSystem(cfg.Sys)
 	// The session starts at epoch 1 so a zero-valued frame (or one from
 	// a pre-epoch wire peer) is always older than any installed plan.
 	cfg.epoch = 1
+	cfg.keyEpochs = make(map[string]uint32, len(cfg.Forest.Trees))
+	for _, t := range cfg.Forest.Trees {
+		cfg.keyEpochs[t.Attrs.Key()] = cfg.epoch
+	}
 	m := &Machine{cfg: cfg, tr: cfg.Transport}
 	m.cfg.delaySink = func(due int, msg transport.Message) {
 		// Delayed messages outlive the round barrier, so they cannot
@@ -163,9 +166,9 @@ func (m *Machine) Step() error {
 	m.round++
 
 	if m.tier != nil {
-		// Sharded tier: shard-level crash/flap schedules replace the
-		// whole-collector ones (CollectorCrashAt/Prob are ignored — the
-		// root aggregation tier itself never dies in this model).
+		// Sharded tier: shard crashes replace the whole-collector one
+		// (CollectorCrashAt does not apply — the root aggregation tier
+		// itself never dies in this model).
 		m.stepShardChaos(round)
 	} else if !m.collectorDown && m.cfg.Chaos.CollectorCrash(round) {
 		// Latch the outage: the collector stays down until the session
@@ -355,36 +358,33 @@ func (m *Machine) StepN(n int) error {
 // the overlay reconfiguration the adaptation planner ordered, and
 // returns the tree-level plan diff against the outgoing topology. Trees
 // kept byte-for-byte (identical fingerprint) keep their members' relay
-// state across the swap and need no re-announcement; buffers of
-// reshaped trees are dropped (their in-flight values are lost, which is
-// the transient cost of adaptation). The collector keeps its stale
-// views — exactly what a real collector would do — but re-targets its
-// coverage accounting to the new demand. Per-tree outcomes are recorded
-// on the trace when one is attached.
+// state across the swap and need no re-announcement. Every tree of the
+// new forest opens a new plan epoch, so the frames in flight at the swap
+// are fenced (the transient cost of adaptation) and a retired tree's
+// fence at the newest epoch. The collector keeps its stale views —
+// exactly what a real collector would do — but re-targets its coverage
+// accounting to the new demand. Per-tree outcomes are recorded on the
+// trace when one is attached.
 func (m *Machine) InstallDiff(forest *plan.Forest, d *task.Demand) plan.Diff {
 	diff := plan.DiffForests(m.cfg.Forest, forest)
 	m.cfg.Forest = forest
 	m.cfg.Demand = d
-	// Every install opens a new plan epoch; with FenceEpochs on, frames
-	// still in flight for the previous topology are rejected on arrival.
-	m.cfg.epoch++
 	m.rebuildStates()
+	for _, k := range diff.Dropped {
+		delete(m.cfg.keyEpochs, k)
+	}
+	// Kept trees fence too. A session installs only once the replan that
+	// ordered the swap is done, and no round runs meanwhile, so a kept
+	// tree's frames on the wire would reach the collector a whole replan
+	// late, and sparing them would add that wait to the age of every
+	// value they carry.
+	m.openEpoch(0, func(string) bool { return true })
 	if m.tier != nil {
 		// Re-place the new forest: persisting trees stick to their live
 		// owners, fresh trees spread onto the least-loaded shards, retired
-		// trees leave the map. Install semantics match the single path:
-		// every tree opens the new epoch, so the whole in-flight tail of
-		// the swap is fenced.
+		// trees leave the map.
 		m.tier.disp.Retarget(shardLoads(m.cfg), m.round)
 		m.tier.owner = m.tier.ownerMap()
-		for k := range m.cfg.keyEpochs {
-			if _, ok := m.tier.owner[k]; !ok {
-				delete(m.cfg.keyEpochs, k)
-			}
-		}
-		for k := range m.tier.owner {
-			m.cfg.keyEpochs[k] = m.cfg.epoch
-		}
 		m.recomputeDownKeys()
 		m.rebuildShardDemands()
 	} else {
@@ -534,9 +534,22 @@ func (m *Machine) PredictSnapshots() map[model.Pair]predict.Snapshot {
 	return m.coll.predSnapshots(nil)
 }
 
-// Epoch returns the current plan epoch (1 at session start, bumped on
-// every Install and on collector resume).
+// Epoch returns the newest plan epoch issued (1 at session start).
 func (m *Machine) Epoch() uint32 { return m.cfg.epoch }
+
+// openEpoch issues the next plan epoch, past floor (the newest epoch a
+// recovered journal saw), and moves every tree fresh selects onto it:
+// frames composed for those trees under an older epoch are fenced from
+// then on. Every other tree keeps its epoch, and its frames on the wire
+// survive.
+func (m *Machine) openEpoch(floor uint32, fresh func(key string) bool) {
+	m.cfg.epoch = max(m.cfg.epoch, floor) + 1
+	for _, t := range m.cfg.Forest.Trees {
+		if k := t.Attrs.Key(); fresh(k) {
+			m.cfg.keyEpochs[k] = m.cfg.epoch
+		}
+	}
+}
 
 // CollectorDown reports whether the central collector is currently
 // crashed per the chaos schedule.
@@ -588,10 +601,7 @@ func (m *Machine) ResumeCollector(rs ResumeState) {
 		// aggregation tier never dies.
 		return
 	}
-	if rs.Epoch > m.cfg.epoch {
-		m.cfg.epoch = rs.Epoch
-	}
-	m.cfg.epoch++
+	m.openEpoch(rs.Epoch, func(string) bool { return true })
 	m.collectorDown = false
 	m.cfg.collectorDown = false
 	m.coll.recover(m.cfg, rs.Repo, m.round)

@@ -141,7 +141,7 @@ func TestSuppressionSurvivesChaosDrops(t *testing.T) {
 		Rounds: 150, EnforceCapacity: true,
 		Source:  UtilWalk{Seed: 9},
 		Predict: predictSpec(t, 0.01),
-		Chaos:   &chaos.Config{DropEvery: 7},
+		Chaos:   &chaos.Config{DropProb: 1.0 / 7, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,9 +238,8 @@ func TestSuppressionCollectorCrashResume(t *testing.T) {
 		Sys: sys, Forest: forest, Demand: d,
 		Rounds: 300, EnforceCapacity: true,
 		Source: UtilWalk{Seed: 6}, Predict: predictSpec(t, 0.01),
-		Chaos:       &chaos.Config{CollectorCrashAt: 40},
-		FenceEpochs: true,
-		LeafBuffer:  8,
+		Chaos:      &chaos.Config{CollectorCrashAt: 40},
+		LeafBuffer: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

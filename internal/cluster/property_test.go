@@ -40,8 +40,7 @@ func generatedConfig(tb testing.TB, seed int64) (Config, workload.Instance) {
 		DelayProb:      rng.Float64() * 0.2,
 		MaxDelayRounds: 1 + rng.Intn(3),
 		Seed:           uint64(seed) * 2654435761,
-		CrashAt:        map[model.NodeID]int{},
-		RecoverAt:      map[model.NodeID]int{},
+		CrashWindows:   map[model.NodeID][]chaos.Window{},
 	}
 	var placed []model.NodeID
 	for n := range res.Stats.Usage {
@@ -51,10 +50,11 @@ func generatedConfig(tb testing.TB, seed int64) (Config, workload.Instance) {
 	rng.Shuffle(len(placed), func(i, j int) { placed[i], placed[j] = placed[j], placed[i] })
 	for i := 0; i < len(placed) && i < 2; i++ {
 		at := 2 + rng.Intn(rounds-2)
-		cc.CrashAt[placed[i]] = at
+		w := chaos.Window{From: at, To: rounds}
 		if rng.Intn(2) == 0 {
-			cc.RecoverAt[placed[i]] = at + 1 + rng.Intn(3)
+			w.To = at + 1 + rng.Intn(3)
 		}
+		cc.CrashWindows[placed[i]] = []chaos.Window{w}
 	}
 	return Config{
 		Sys: in.Sys, Forest: res.Forest, Demand: d,
@@ -138,7 +138,7 @@ func TestChaosDeterminismAcrossTransports(t *testing.T) {
 	}
 	for _, seed := range []int64{9100, 9101, 9102} {
 		base, in := generatedConfig(t, seed)
-		if len(base.Forest.Trees) == 0 || !base.Chaos.Enabled() {
+		if len(base.Forest.Trees) == 0 {
 			continue
 		}
 		mem := chaosSchedule(t, base)

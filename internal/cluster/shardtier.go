@@ -39,7 +39,6 @@ type shardTier struct {
 	pairOwner map[model.Pair]int
 
 	down      []bool
-	latched   []bool
 	watermark []int
 
 	// errSeries is the merged per-round error series across all shards
@@ -53,7 +52,7 @@ type shardTier struct {
 
 // initShardTier builds the sharded collection tier during NewMachine.
 // Must run after cfg defaults are resolved and before any collector is
-// created: the scoped configs share the machine's per-key epoch and
+// created: the scoped configs share the machine's per-tree epoch and
 // down-key maps by reference.
 func (m *Machine) initShardTier() {
 	n := m.cfg.Shards
@@ -65,23 +64,18 @@ func (m *Machine) initShardTier() {
 		n:         n,
 		disp:      shard.New(shard.Config{Shards: n, Suspicion: suspicion}),
 		down:      make([]bool, n),
-		latched:   make([]bool, n),
 		watermark: make([]int, n),
 		batches:   make([][]transport.Message, n),
 	}
 	for s := range t.watermark {
 		t.watermark[s] = -1
 	}
-	m.cfg.keyEpochs = make(map[string]uint32)
 	m.cfg.downKeys = make(map[string]bool)
 	m.tier = t
 
 	t.disp.Init(shardLoads(m.cfg), m.cfg.SeedAssignment)
 	t.owner = t.ownerMap()
-	for k := range t.owner {
-		m.cfg.keyEpochs[k] = m.cfg.epoch
-		m.cfg.downKeys[k] = false
-	}
+	m.recomputeDownKeys()
 	m.rebuildShardDemands()
 }
 
@@ -198,28 +192,18 @@ func (m *Machine) recomputeDownKeys() {
 	}
 }
 
-// stepShardChaos applies the shard crash/flap schedules at the start of
-// a round: ShardCrashAt latches an outage that only an explicit
-// ResumeShard clears, ShardWindows flap shards down for their windows
-// and cold-resume them (views wiped, journal not consulted) when a
-// window closes.
+// stepShardChaos applies the ShardCrashAt schedule at the start of a
+// round: a crash latches until an explicit ResumeShard clears it.
 func (m *Machine) stepShardChaos(round int) {
 	t := m.tier
 	for s := 0; s < t.n; s++ {
-		windowDown := m.cfg.Chaos.ShardWindowDown(s, round)
-		if !t.down[s] && (m.cfg.Chaos.ShardCrash(s, round) || windowDown) {
-			t.down[s] = true
-			if m.cfg.Chaos.ShardCrash(s, round) {
-				t.latched[s] = true
-			}
-			m.recomputeDownKeys()
-			if m.cfg.Trace != nil {
-				m.cfg.Trace.Record(trace.Event{Round: round, Kind: trace.ShardDead, Node: model.NodeID(s)})
-			}
+		if t.down[s] || !m.cfg.Chaos.ShardCrash(s, round) {
 			continue
 		}
-		if t.down[s] && !t.latched[s] && !windowDown {
-			m.resumeShardAt(s, ResumeState{}, round)
+		t.down[s] = true
+		m.recomputeDownKeys()
+		if m.cfg.Trace != nil {
+			m.cfg.Trace.Record(trace.Event{Round: round, Kind: trace.ShardDead, Node: model.NodeID(s)})
 		}
 	}
 }
@@ -331,39 +315,14 @@ func (m *Machine) shardDispatch(round int) {
 		// Every moved tree opens a new epoch: frames composed for the old
 		// owner (or buffered during the outage and not yet re-stamped)
 		// cannot leak into the new owner's views.
-		m.cfg.epoch++
+		moved := make(map[string]bool, len(acts.Moves))
 		for _, mv := range acts.Moves {
-			m.cfg.keyEpochs[mv.Key] = m.cfg.epoch
+			moved[mv.Key] = true
 		}
+		m.openEpoch(0, func(k string) bool { return moved[k] })
 	}
 	m.recomputeDownKeys()
 	m.rebuildShardDemands()
-}
-
-// resumeShardAt is the shared resume path: the shard rejoins with wiped
-// views (re-seeded from rs.Repo when a journal recovery supplies one),
-// its trees open a fresh epoch so pre-outage frames fence, and the
-// dispatcher sees its next heartbeat.
-func (m *Machine) resumeShardAt(s int, rs ResumeState, round int) {
-	t := m.tier
-	if rs.Epoch > m.cfg.epoch {
-		m.cfg.epoch = rs.Epoch
-	}
-	m.cfg.epoch++
-	t.down[s] = false
-	t.latched[s] = false
-	for k, o := range t.owner {
-		if o == s {
-			m.cfg.keyEpochs[k] = m.cfg.epoch
-		}
-	}
-	m.recomputeDownKeys()
-	t.cfgs[s].epoch = m.cfg.epoch
-	t.colls[s].recover(t.cfgs[s], rs.Repo, round)
-	t.colls[s].restoreModels(rs.Models)
-	if m.cfg.Trace != nil {
-		m.cfg.Trace.Record(trace.Event{Round: round, Kind: trace.ShardResume, Node: model.NodeID(s)})
-	}
 }
 
 // ResumeShard restarts a crashed collector shard from journaled state,
@@ -375,16 +334,28 @@ func (m *Machine) resumeShardAt(s int, rs ResumeState, round int) {
 // be down — a cold process restart seeds every shard's views from its
 // journal this way.
 func (m *Machine) ResumeShard(s int, rs ResumeState) error {
-	if m.tier == nil {
+	t := m.tier
+	if t == nil {
 		return fmt.Errorf("cluster: ResumeShard on a single-collector session")
 	}
-	if s < 0 || s >= m.tier.n {
-		return fmt.Errorf("cluster: ResumeShard: shard %d out of [0,%d)", s, m.tier.n)
+	if s < 0 || s >= t.n {
+		return fmt.Errorf("cluster: ResumeShard: shard %d out of [0,%d)", s, t.n)
 	}
-	if !m.tier.down[s] && m.round > 0 {
+	if !t.down[s] && m.round > 0 {
 		return fmt.Errorf("cluster: ResumeShard: shard %d is not down", s)
 	}
-	m.resumeShardAt(s, rs, m.round)
+	m.openEpoch(rs.Epoch, func(k string) bool {
+		o, ok := t.owner[k]
+		return ok && o == s
+	})
+	t.down[s] = false
+	m.recomputeDownKeys()
+	t.cfgs[s].epoch = m.cfg.epoch
+	t.colls[s].recover(t.cfgs[s], rs.Repo, m.round)
+	t.colls[s].restoreModels(rs.Models)
+	if m.cfg.Trace != nil {
+		m.cfg.Trace.Record(trace.Event{Round: m.round, Kind: trace.ShardResume, Node: model.NodeID(s)})
+	}
 	return nil
 }
 

@@ -65,7 +65,7 @@ func shardEnv(t *testing.T, n, nAttrs int) (*model.System, *task.Demand, *plan.F
 func shardConfig(sys *model.System, d *task.Demand, forest *plan.Forest, shards int) Config {
 	return Config{
 		Sys: sys, Forest: forest, Demand: d,
-		Shards: shards, FenceEpochs: true,
+		Shards: shards,
 		Detect: &detect.Config{},
 		Source: BurstyWalk{Seed: 11},
 	}
@@ -250,17 +250,21 @@ func TestShardCrashDegradesNotBlocks(t *testing.T) {
 func TestShardFlapReconvergesBalanced(t *testing.T) {
 	sys, d, forest := shardEnv(t, 12, 8)
 	cfg := shardConfig(sys, d, forest, 4)
-	// Three crash/recover cycles on shard 3 — windows are long enough
-	// for the suspicion window (3) to declare it each cycle.
-	cfg.Chaos = &chaos.Config{ShardWindows: map[int][]chaos.Window{
-		3: {{From: 4, To: 10}, {From: 14, To: 20}, {From: 24, To: 30}},
-	}}
+	// Shard 3 crashes at 4, is declared dead after the suspicion window
+	// (3), and comes back cold — views wiped, no journal — at 10.
+	cfg.Chaos = &chaos.Config{ShardCrashAt: map[int]int{3: 4}}
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = m.Close() }()
-	if err := m.StepN(40); err != nil {
+	if err := m.StepN(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ResumeShard(3, ResumeState{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StepN(30); err != nil {
 		t.Fatal(err)
 	}
 	res := m.Result()

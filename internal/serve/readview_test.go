@@ -8,6 +8,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -117,6 +118,14 @@ func (g *gate) pass() {
 func (g *gate) park(tb testing.TB, what string) {
 	tb.Helper()
 	g.armed.Store(true)
+	g.await(tb, what)
+}
+
+// await returns once a caller is held in the gate, which the caller
+// armed before starting what it waits for: arming again here would catch
+// a second caller once the first had passed, and hold it forever.
+func (g *gate) await(tb testing.TB, what string) {
+	tb.Helper()
 	select {
 	case <-g.entered:
 	case <-time.After(10 * time.Second):
@@ -171,7 +180,7 @@ func TestReadsAnswerWhileRoundParked(t *testing.T) {
 
 	inReplan.armed.Store(true)
 	id := admit(t, h, http.MethodPost, "/v1/tasks", taskWire{Name: "more", Attrs: []int{3}, Nodes: []int{1, 2, 3, 4, 5, 6}})
-	inReplan.park(t, "in a SetTasks")
+	inReplan.await(t, "in a SetTasks")
 	readsAnswer("a SetTasks is parked in the planner")
 	inReplan.open()
 	if op := settle(t, h, id); op.Status != OpSucceeded {
@@ -495,7 +504,7 @@ func TestRoundEventFingerprintMatchesPlan(t *testing.T) {
 	})
 	t.Run("repair", func(t *testing.T) {
 		mcfg := remo.MonitorConfig{
-			Chaos:   &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{3: 5}},
+			Chaos:   &remo.ChaosConfig{CrashWindows: map[remo.NodeID][]remo.ChaosWindow{3: {{From: 5, To: math.MaxInt}}}},
 			Failure: &remo.FailurePolicy{SuspicionRounds: 2},
 		}
 		check(t, mcfg, func(t *testing.T, s *Server) {

@@ -103,6 +103,7 @@ type instruments struct {
 	streamSubs      *metrics.Gauge
 	draining        *metrics.Gauge
 	resumes         *metrics.Counter
+	resumeFailures  *metrics.Counter
 	verifyFailures  *metrics.Counter
 	httpRequests    *metrics.Counter
 	httpErrors      *metrics.Counter
@@ -127,6 +128,7 @@ func newInstruments(reg *metrics.Registry) instruments {
 		streamSubs:      reg.Gauge("remo_stream_subscribers", "live stream subscribers"),
 		draining:        reg.Gauge("remo_draining", "1 while the server drains"),
 		resumes:         reg.Counter("remo_collector_resumes_total", "collector auto-resumes from the journal"),
+		resumeFailures:  reg.Counter("remo_collector_resume_failures_total", "collector auto-resumes the journal could not serve (retried next round)"),
 		verifyFailures:  reg.Counter("remo_verify_failures_total", "live verification failures"),
 		httpRequests:    reg.Counter("remo_http_requests_total", "HTTP requests served"),
 		httpErrors:      reg.Counter("remo_http_errors_total", "HTTP responses with error status"),
@@ -361,8 +363,11 @@ func (s *Server) runRound() {
 	if v.CollectorDown {
 		// A chaos (or real) collector outage latches until an explicit
 		// resume; the service owns the session, so it restarts the
-		// collector from its own journal.
-		if _, err := s.mon.Resume(v.JournalDir); err == nil {
+		// collector from its own journal, and tries again next round if
+		// the journal cannot serve it.
+		if _, err := s.mon.Resume(v.JournalDir); err != nil {
+			s.ins.resumeFailures.Inc()
+		} else {
 			s.ins.resumes.Inc()
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -443,6 +445,50 @@ func TestRegionSurface(t *testing.T) {
 		}
 	}
 	checkGolden(t, "region_metrics", []byte(strings.Join(family, "\n")+"\n"))
+}
+
+// TestCollectorResumeFailureCounted corrupts the journal before a chaos
+// collector crash: the backend's auto-resume cannot recover it, so every
+// round's retry must show in remo_collector_resume_failures_total while
+// the collector stays down.
+func TestCollectorResumeFailureCounted(t *testing.T) {
+	sys := testSystem(t, 8, 600)
+	p := remo.NewPlanner(sys)
+	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+	dir := t.TempDir()
+	// An hour-long tick keeps the backend idle: the test runs the rounds.
+	s, err := New(Config{
+		Planner:    p,
+		Monitor:    remo.MonitorConfig{Seed: 3, Journal: dir, Chaos: &remo.ChaosConfig{CollectorCrashAt: 3}},
+		RoundEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	for i := 0; i < 3; i++ {
+		s.runRound()
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "ckpt-*"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no checkpoints to corrupt: %v", err)
+	}
+	for _, f := range ckpts {
+		if err := os.WriteFile(f, []byte("not a checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.runRound() // round 3: the collector crashes and cannot resume
+	s.runRound()
+	if got := s.ins.resumeFailures.Value(); got != 2 {
+		t.Fatalf("remo_collector_resume_failures_total = %d, want 2", got)
+	}
+	if got := s.ins.resumes.Value(); got != 0 {
+		t.Fatalf("remo_collector_resumes_total = %d from a corrupt journal", got)
+	}
+	if !s.Monitor().CollectorDown() {
+		t.Fatal("the collector came back from a corrupt journal")
+	}
 }
 
 // TestDrainRejectsAndResumes pins drain semantics: mutations are

@@ -52,10 +52,11 @@ type Supp struct {
 // parent To within the tree identified by TreeKey (the tree's
 // attribute-set key). Heartbeat messages carry Beats and no Values.
 //
-// Epoch is the plan epoch the sender composed the message under. Every
-// topology install bumps the epoch, and receivers running with epoch
-// fencing reject frames from superseded epochs — the mechanism that
-// keeps pre-crash frames out of a restarted collector's accounting.
+// Epoch is the plan epoch of the message's tree when the sender composed
+// it. A tree moves to a new epoch when a plan is installed, its
+// collector restarts or it moves shards, and receivers reject frames
+// from superseded epochs — the mechanism that keeps pre-crash frames out
+// of a restarted collector's accounting.
 //
 // Buffer ownership: Send borrows the message's Values/Beats/Suppressed/
 // Syncs slices only for the duration of the call — the transport either

@@ -179,7 +179,7 @@ func TestPropertyChaosRunsVerifyResult(t *testing.T) {
 			DelayProb:      rng.Float64() * 0.2,
 			MaxDelayRounds: 1 + rng.Intn(3),
 			Seed:           uint64(seed) + 1,
-			CrashAt:        map[model.NodeID]int{},
+			CrashWindows:   map[model.NodeID][]chaos.Window{},
 		}
 		// Crash up to two placed nodes mid-run.
 		var placed []model.NodeID
@@ -189,7 +189,7 @@ func TestPropertyChaosRunsVerifyResult(t *testing.T) {
 		rng.Shuffle(len(placed), func(i, j int) { placed[i], placed[j] = placed[j], placed[i] })
 		rounds := 8 + rng.Intn(8)
 		for i := 0; i < len(placed) && i < 2; i++ {
-			cfg.CrashAt[placed[i]] = 2 + rng.Intn(rounds-2)
+			cfg.CrashWindows[placed[i]] = []chaos.Window{{From: 2 + rng.Intn(rounds-2), To: rounds}}
 		}
 
 		out, err := cluster.Run(cluster.Config{

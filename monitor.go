@@ -126,9 +126,9 @@ type MonitorConfig struct {
 	// zero-valued) arms detection without requiring chaos injection.
 	Failure *FailurePolicy
 	// Journal, when set, makes the session durable: collector state is
-	// checkpointed and write-ahead logged under this directory, epoch
-	// fencing is armed, and leaves buffer outgoing values across
-	// collector outages (see Monitor.Resume).
+	// checkpointed and write-ahead logged under this directory, and
+	// leaves buffer outgoing values across collector outages (see
+	// Monitor.Resume).
 	Journal string
 	// Processor, when set alongside Journal, is fed every collected
 	// value and has its trigger re-arm state checkpointed, so triggers

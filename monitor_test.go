@@ -191,3 +191,31 @@ func TestMonitorCloseReleasesTCP(t *testing.T) {
 		t.Fatalf("goroutine leak: %d before five TCP sessions, %d after", baseline, now)
 	}
 }
+
+// TestMonitorCountsPastRound65536 runs a small session past round 65 536,
+// where a fixed per-pair delivery horizon would stop counting and decay
+// PercentCollected: every round's value must keep counting.
+func TestMonitorCountsPastRound65536(t *testing.T) {
+	sys, err := remo.NewSystem(remo.SystemSpec{
+		CentralCapacity: 100,
+		Cost:            remo.CostModel{PerMessage: 10, PerValue: 1},
+		Nodes:           []remo.Node{{ID: 1, Capacity: 100, Attrs: []remo.AttrID{1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := remo.NewPlanner(sys)
+	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	if err := mon.Run(70000); err != nil {
+		t.Fatal(err)
+	}
+	rep := mon.Report()
+	if rep.PercentCollected < 99.99 || rep.ValuesDelivered != 70000 {
+		t.Fatalf("after %d rounds: %.3f%% collected, %d values delivered", rep.Rounds, rep.PercentCollected, rep.ValuesDelivered)
+	}
+}

@@ -2,6 +2,7 @@ package remo_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -237,5 +238,42 @@ func TestMonitorVerifyRegionFloorTrips(t *testing.T) {
 	}
 	if err := mon.VerifyRegionCoverage(101); !errors.Is(err, verify.ErrRegion) {
 		t.Fatalf("floor 101 passed: %v", err)
+	}
+}
+
+// TestRegionPartitionFollowsEachSystem reuses one partition schedule for
+// two plans whose systems label the same nodes the other way round: each
+// deployment must cut off the nodes its own system puts in the
+// partitioned region.
+func TestRegionPartitionFollowsEachSystem(t *testing.T) {
+	cc := &remo.ChaosConfig{RegionPartitions: map[string][]remo.ChaosWindow{
+		remo.RegionName(1): {{From: 0, To: math.MaxInt}},
+	}}
+	flipped := regionSystem(t, 2, 4)
+	for i := range flipped.Nodes {
+		flipped.Nodes[i].Region = remo.RegionName(1 - i/4)
+	}
+	for _, sys := range []*remo.System{regionSystem(t, 2, 4), flipped} {
+		p := remo.NewPlanner(sys)
+		p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+		plan, err := p.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		heard := make(map[remo.NodeID]bool)
+		if _, err := plan.Deploy(remo.DeployConfig{
+			Rounds: 8, Chaos: cc,
+			OnValue: func(pair remo.Pair, _ int, _ float64) { heard[pair.Node] = true },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(heard) == 0 {
+			t.Fatal("the collector's own region delivered nothing")
+		}
+		for n := range heard {
+			if sys.RegionOf(n) == remo.RegionName(1) {
+				t.Fatalf("node %v of the partitioned region delivered", n)
+			}
+		}
 	}
 }

@@ -170,7 +170,7 @@ func TestDeployCustomSourceAndFailure(t *testing.T) {
 	}
 	failed, err := plan.Deploy(remo.DeployConfig{
 		Rounds: 15, Source: constant,
-		Chaos: &remo.ChaosConfig{CrashAt: map[remo.NodeID]int{plan.Trees()[0].Root: 2}},
+		Chaos: &remo.ChaosConfig{CrashWindows: downFrom(map[remo.NodeID]int{plan.Trees()[0].Root: 2})},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -105,6 +105,9 @@ func (l *durableLog) observe(rec journal.SampleRec) {
 // tree→shard map; its model snapshots seed both ends of the forecasting
 // replicas, so lockstep holds from round zero.
 func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed journal.State) (*session, error) {
+	if err := cfg.Chaos.Validate(p.sys, cfg.Shards, cfg.Journal != ""); err != nil {
+		return nil, fmt.Errorf("remo: start monitor: %w", err)
+	}
 	scheme := cfg.Scheme
 	if scheme == "" {
 		scheme = AdaptIncremental
@@ -128,7 +131,6 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 			det.SuspicionRounds = cfg.Failure.SuspicionRounds
 		}
 	}
-	labelRegionChaos(cfg.Chaos, p.sys)
 	s := &session{
 		planner:    p,
 		adaptor:    ad,
@@ -159,9 +161,8 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 		SeedModels:      seed.Models,
 	}
 	if cfg.Journal != "" {
-		// A durable session fences plan epochs and buffers leaf output, so
-		// the recovery path has clean semantics to restore into.
-		ccfg.FenceEpochs = true
+		// A durable session buffers leaf output across collector outages,
+		// so the recovery path has clean semantics to restore into.
 		ccfg.LeafBuffer = leafBufferFrames
 		ccfg.Observer = s.observe
 		for _, dir := range logDirs(cfg.Journal, cfg.Shards) {

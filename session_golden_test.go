@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"math"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -60,9 +61,11 @@ func loneSession(t *testing.T, tcp bool) {
 	mon, err := p.StartMonitor(remo.MonitorConfig{
 		Seed: 7, UseTCP: tcp, Journal: dir,
 		Chaos: &remo.ChaosConfig{
-			Seed:             7,
-			CrashWindows:     map[remo.NodeID][]remo.ChaosWindow{5: {{From: 6, To: 12}}},
-			CrashAt:          map[remo.NodeID]int{9: 22},
+			Seed: 7,
+			CrashWindows: map[remo.NodeID][]remo.ChaosWindow{
+				5: {{From: 6, To: 12}},
+				9: {{From: 22, To: math.MaxInt}},
+			},
 			CollectorCrashAt: 30,
 		},
 		Failure: &remo.FailurePolicy{SuspicionRounds: 2},

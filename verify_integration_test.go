@@ -1,6 +1,7 @@
 package remo_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -75,11 +76,10 @@ func TestVerifiedChaosMonitorSessions(t *testing.T) {
 
 		rounds := 24 + rng.Intn(16)
 		cc := &remo.ChaosConfig{
-			DropProb:  rng.Float64() * 0.15,
-			DelayProb: rng.Float64() * 0.15,
-			Seed:      uint64(seed),
-			CrashAt:   map[remo.NodeID]int{},
-			RecoverAt: map[remo.NodeID]int{},
+			DropProb:     rng.Float64() * 0.15,
+			DelayProb:    rng.Float64() * 0.15,
+			Seed:         uint64(seed),
+			CrashWindows: map[remo.NodeID][]remo.ChaosWindow{},
 		}
 		// Crash 1-3 nodes mid-run; recover some so reintegration rewires
 		// get verified too.
@@ -87,10 +87,11 @@ func TestVerifiedChaosMonitorSessions(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
 		for i := 0; i < 1+rng.Intn(3) && i < len(shuffled); i++ {
 			at := 4 + rng.Intn(rounds/2)
-			cc.CrashAt[shuffled[i]] = at
+			w := remo.ChaosWindow{From: at, To: math.MaxInt}
 			if rng.Intn(2) == 0 {
-				cc.RecoverAt[shuffled[i]] = at + 6 + rng.Intn(6)
+				w.To = at + 6 + rng.Intn(6)
 			}
+			cc.CrashWindows[shuffled[i]] = []remo.ChaosWindow{w}
 		}
 
 		mon, err := p.StartMonitor(remo.MonitorConfig{
