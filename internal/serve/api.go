@@ -637,7 +637,9 @@ func (s *Server) handleLatest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves SSE: value, alert, and round events, filterable
-// with ?kinds=value,alert,round.
+// with ?kinds=value,alert,round, plus a gap event after any it lost.
+// Whatever the broker queued since the last write goes out as one Write
+// and one Flush.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var kinds []string
 	if q := r.URL.Query().Get("kinds"); q != "" {
@@ -648,7 +650,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &apiError{http.StatusInternalServerError, codeBadRequest, "streaming unsupported"})
 		return
 	}
-	sub := s.broker.subscribe(kinds)
+	sub := s.broker.subscribe(parseKinds(kinds))
 	if sub == nil {
 		writeErr(w, errDraining())
 		return
@@ -660,19 +662,24 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": stream open\n\n")
 	fl.Flush()
+	var spare []byte
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, open := <-sub.ch:
-			if !open {
-				return // broker closed: drain
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, ev.Data); err != nil {
+		case <-sub.wake:
+		}
+		queued, open := s.broker.take(sub, spare)
+		if len(queued) > 0 {
+			if _, err := w.Write(queued); err != nil {
 				return
 			}
 			fl.Flush()
 		}
+		if !open {
+			return // broker let go: drain
+		}
+		spare = queued
 	}
 }
 

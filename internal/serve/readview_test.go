@@ -6,11 +6,14 @@ package serve
 // it came with.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -322,18 +325,22 @@ func hammer(t *testing.T, mcfg remo.MonitorConfig) {
 	h := s.Handler()
 
 	// Ground truth: the fingerprint each round's event carried.
-	events := s.broker.subscribe([]string{"round"})
+	events := s.broker.subscribe(kindRound)
 	eventFP := map[int]uint64{-1: s.Monitor().Fingerprint()}
 	var eventsDone sync.WaitGroup
 	eventsDone.Add(1)
 	go func() {
 		defer eventsDone.Done()
-		for ev := range events.ch {
-			var rw roundWire
-			if err := json.Unmarshal(ev.Data, &rw); err != nil {
-				t.Error(err)
+		for open := true; open; {
+			var evs []sseEvent
+			evs, open = nextEvents(t, s.broker, events)
+			for _, ev := range evs {
+				var rw roundWire
+				if err := json.Unmarshal([]byte(ev.Data), &rw); err != nil {
+					t.Error(err)
+				}
+				eventFP[rw.Round] = rw.Fingerprint
 			}
-			eventFP[rw.Round] = rw.Fingerprint
 		}
 	}()
 
@@ -476,19 +483,18 @@ func TestRoundEventFingerprintMatchesPlan(t *testing.T) {
 		}
 		// Subscribed after the change: every event from here on ran
 		// under the changed forest.
-		sub := s.broker.subscribe([]string{"round"})
+		sub := s.broker.subscribe(kindRound)
 		defer s.broker.unsubscribe(sub)
-		select {
-		case ev := <-sub.ch:
-			var rw roundWire
-			if err := json.Unmarshal(ev.Data, &rw); err != nil {
-				t.Fatal(err)
-			}
-			if rw.Fingerprint != plan.Fingerprint {
-				t.Fatalf("round %d event carries %#x, /v1/plan at round %d says %#x", rw.Round, rw.Fingerprint, plan.Round, plan.Fingerprint)
-			}
-		case <-time.After(10 * time.Second):
+		evs, _ := nextEvents(t, s.broker, sub)
+		if len(evs) == 0 {
 			t.Fatal("no round event")
+		}
+		var rw roundWire
+		if err := json.Unmarshal([]byte(evs[0].Data), &rw); err != nil {
+			t.Fatal(err)
+		}
+		if rw.Fingerprint != plan.Fingerprint {
+			t.Fatalf("round %d event carries %#x, /v1/plan at round %d says %#x", rw.Round, rw.Fingerprint, plan.Round, plan.Fingerprint)
 		}
 		if err := s.Monitor().Verify(); err != nil {
 			t.Fatal(err)
@@ -541,4 +547,53 @@ func BenchmarkLatestBesideRounds(b *testing.B) {
 	b.StopTimer()
 	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
 	b.ReportMetric(float64(took[len(took)*99/100]), "p99-ns")
+}
+
+// BenchmarkStreamRound sizes the stream in seconds: one real SSE
+// subscriber on a loopback listener reads every event of a backend
+// running rounds back to back on the memory transport. An op is one
+// round received; it reports rounds/s, ns per value streamed and the
+// process's allocations per round.
+func BenchmarkStreamRound(b *testing.B) {
+	sys := testSystem(b, 60, 600)
+	s := bootServer(b, sys, Config{RoundEvery: time.Microsecond, StreamBuffer: 1 << 16}, allOf(sys, 1, 2, 3, 4))
+	ts := httptest.NewServer(s.Handler())
+	b.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/v1/stream")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReaderSize(resp.Body, 1<<16)
+	// round reads through the next round event, counting values.
+	round := func() (values int) {
+		for {
+			line, err := rd.ReadSlice('\n')
+			if err != nil {
+				b.Fatal(err)
+			}
+			switch {
+			case bytes.HasPrefix(line, []byte("event: value")):
+				values++
+			case bytes.HasPrefix(line, []byte("event: round")):
+				return values
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		round()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	start, values := time.Now(), 0
+	for i := 0; i < b.N; i++ {
+		values += round()
+	}
+	took := time.Since(start)
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.N)/took.Seconds(), "rounds/s")
+	b.ReportMetric(float64(took.Nanoseconds())/float64(max(1, values)), "ns/value")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/round")
 }

@@ -33,8 +33,9 @@ type Config struct {
 	RoundEvery time.Duration
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// StreamBuffer is the per-subscriber event buffer (default 256);
-	// events beyond a slow subscriber's buffer are dropped and counted.
+	// StreamBuffer bounds a subscriber's backlog in events (default
+	// 256); a round's events that would overflow a slow subscriber's
+	// backlog are dropped whole, counted, and announced by a gap event.
 	StreamBuffer int
 	// VerifyEvery cross-checks the live session every n rounds when the
 	// planner has verification armed (default 32; <0 disables).
@@ -74,6 +75,9 @@ type Server struct {
 	ops    *opRegistry
 	queue  chan *operation
 	broker *broker
+	// pending collects the round in flight's stream events; the backend
+	// publishes it whole once the round returns.
+	pending chunk
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -205,12 +209,18 @@ func New(cfg Config) (*Server, error) {
 		s.proc = remo.NewProcessor(0)
 		mcfg.Processor = s.proc
 	}
-	s.proc.SetHandler(func(a remo.Alert) { s.broker.publish("alert", alertWire(a)) })
+	s.proc.SetHandler(func(a remo.Alert) {
+		if s.broker.listening() {
+			s.pending.appendAlert(alertWire(a))
+		}
+	})
 	user := mcfg.OnValue
 	mcfg.OnValue = func(pair remo.Pair, round int, value float64) {
-		s.broker.publish("value", valueWire{
-			Node: int(pair.Node), Attr: int(pair.Attr), Round: round, Value: value,
-		})
+		if s.broker.listening() {
+			s.pending.appendValue(valueWire{
+				Node: int(pair.Node), Attr: int(pair.Attr), Round: round, Value: value,
+			})
+		}
 		if user != nil {
 			user(pair, round, value)
 		}
@@ -348,18 +358,25 @@ func (s *Server) applyBatch(batch []*operation) {
 	}
 }
 
-// runRound executes one collection round, self-heals a crashed
-// collector from the journal, and publishes the round event. A healthy
-// round takes the monitor's mutex once, in Run; what it then reports
-// comes from the view that round published.
+// runRound executes one collection round, publishes its stream events,
+// and self-heals a crashed collector from the journal. A healthy round
+// takes the monitor's mutex once, in Run; what it then reports comes
+// from the view that round published.
 func (s *Server) runRound() {
 	if err := s.mon.Run(1); err != nil {
 		s.ins.roundErrors.Inc()
+		// What the failed round observed still streams, with no round event.
+		s.broker.publish(&s.pending)
 		return
 	}
 	s.ins.rounds.Inc()
 	v := s.mon.View()
 	round := v.Round - 1
+	// The round's values and alerts, then its round event, go out in one
+	// hand-off as soon as Run has journaled them, ahead of the resume and
+	// verification that would otherwise age every value they carry.
+	s.pending.appendRound(roundWire{Round: round, Fingerprint: v.Fingerprint})
+	s.broker.publish(&s.pending)
 	if v.CollectorDown {
 		// A chaos (or real) collector outage latches until an explicit
 		// resume; the service owns the session, so it restarts the
@@ -376,7 +393,6 @@ func (s *Server) runRound() {
 			s.ins.verifyFailures.Inc()
 		}
 	}
-	s.broker.publish("round", roundWire{Round: round, Fingerprint: v.Fingerprint})
 }
 
 // finalDrain applies every remaining queued operation, seals the final

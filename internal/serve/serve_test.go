@@ -550,16 +550,19 @@ func TestOpRetentionEviction(t *testing.T) {
 }
 
 // TestBrokerDropsOnSlowSubscriber pins the non-blocking publish: a
-// full subscriber buffer drops, never blocks.
+// full subscriber backlog drops, never blocks, and the subscriber is
+// told what it lost ahead of the next events it gets.
 func TestBrokerDropsOnSlowSubscriber(t *testing.T) {
 	reg := metrics.NewRegistry()
 	events := reg.Counter("e_total", "e")
 	dropped := reg.Counter("d_total", "d")
 	gauge := reg.Gauge("g", "g")
 	b := newBroker(2, events, dropped, gauge)
-	sub := b.subscribe(nil)
+	sub := b.subscribe(allKinds)
+	var c chunk
 	for i := 0; i < 5; i++ {
-		b.publish("round", roundWire{Round: i})
+		c.appendRound(roundWire{Round: i})
+		b.publish(&c)
 	}
 	if got := events.Value(); got != 2 {
 		t.Fatalf("delivered = %d, want 2 (buffer)", got)
@@ -567,9 +570,26 @@ func TestBrokerDropsOnSlowSubscriber(t *testing.T) {
 	if got := dropped.Value(); got != 3 {
 		t.Fatalf("dropped = %d, want 3", got)
 	}
+	queued, _ := b.take(sub, nil)
+	c.appendRound(roundWire{Round: 5})
+	b.publish(&c)
+	more, _ := b.take(sub, nil)
+	var got []string
+	for _, ev := range parseSSE(append(queued, more...)) {
+		got = append(got, ev.Kind+" "+ev.Data)
+	}
+	want := []string{
+		`round {"round":0,"fingerprint":0}`,
+		`round {"round":1,"fingerprint":0}`,
+		`gap {"dropped":3}`,
+		`round {"round":5,"fingerprint":0}`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("stream:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 	b.unsubscribe(sub)
 	b.close()
-	if b.subscribe(nil) != nil {
+	if b.subscribe(allKinds) != nil {
 		t.Fatal("subscribe after close succeeded")
 	}
 }

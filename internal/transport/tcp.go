@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -118,6 +119,9 @@ type TCP struct {
 	boxes     map[model.NodeID][]Message
 	closed    bool
 	closedCh  chan struct{}
+	// delivered holds a token after any frame reaches a mailbox: Flush
+	// waits on it instead of polling the delivery count.
+	delivered chan struct{}
 	wg        sync.WaitGroup
 	opts      TCPOptions
 
@@ -146,6 +150,7 @@ func NewTCPWithOptions(nodes []model.NodeID, opts TCPOptions) (*TCP, error) {
 		queues:    make(map[model.NodeID]*destQueue, len(nodes)+1),
 		boxes:     make(map[model.NodeID][]Message, len(nodes)+1),
 		closedCh:  make(chan struct{}),
+		delivered: make(chan struct{}, 1),
 		opts:      opts.withDefaults(),
 	}
 	all := append([]model.NodeID{model.Central}, nodes...)
@@ -182,11 +187,12 @@ func (t *TCP) accept(n model.NodeID, ln net.Listener) {
 // read decodes frames from one connection into the node's mailbox. The
 // per-connection Decoder reuses its payload buffer and interns tree
 // keys, so steady-state decoding allocates only the messages' value
-// slices.
+// slices; it reads through a buffer, so the batch Send wrote in one
+// syscall is read in about one rather than two per frame.
 func (t *TCP) read(n model.NodeID, conn net.Conn) {
 	defer t.wg.Done()
 	defer func() { _ = conn.Close() }()
-	dec := NewDecoder(conn)
+	dec := NewDecoder(bufio.NewReader(conn))
 	for {
 		msg, err := dec.Decode()
 		if err != nil {
@@ -203,6 +209,16 @@ func (t *TCP) read(n model.NodeID, conn net.Conn) {
 		}
 		t.mu.Unlock()
 		t.deliveredCount.Add(1)
+		t.wakeFlush()
+	}
+}
+
+// wakeFlush leaves a token for a Flush waiting on deliveries, if none
+// is there yet.
+func (t *TCP) wakeFlush() {
+	select {
+	case t.delivered <- struct{}{}:
+	default:
 	}
 }
 
@@ -389,7 +405,8 @@ func (t *TCP) backoff(attempt int) time.Duration {
 
 // Flush implements Transport: it writes out every destination's
 // coalesced buffer, then waits until every written frame has been
-// decoded into a mailbox. A destination that stays unreachable loses
+// decoded into a mailbox, woken by each delivery rather than polling,
+// for at most 10 s. A destination that stays unreachable loses
 // its buffered frames (LostFrames) and latches an error for the next
 // Send, but does not fail the barrier — the emulation degrades
 // gracefully around dead peers instead of aborting the round.
@@ -418,16 +435,22 @@ func (t *TCP) Flush() error {
 			return err
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for t.deliveredCount.Load() < t.sentCount.Load() {
-		if t.isClosed() {
-			return ErrClosed
+	if t.deliveredCount.Load() < t.sentCount.Load() {
+		timer := time.NewTimer(10 * time.Second)
+		defer timer.Stop()
+		for t.deliveredCount.Load() < t.sentCount.Load() {
+			select {
+			case <-t.delivered:
+			case <-t.closedCh:
+				return ErrClosed
+			case <-timer.C:
+				return fmt.Errorf("transport: flush timed out (%d of %d delivered)",
+					t.deliveredCount.Load(), t.sentCount.Load())
+			}
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: flush timed out (%d of %d delivered)",
-				t.deliveredCount.Load(), t.sentCount.Load())
-		}
-		time.Sleep(200 * time.Microsecond)
+		// A token this call took may have been a concurrent Flush's last
+		// wake-up: pass one on.
+		t.wakeFlush()
 	}
 	return nil
 }

@@ -307,3 +307,135 @@ func TestTCPFlushAfterCloseErrors(t *testing.T) {
 		t.Fatalf("Flush after close = %v", err)
 	}
 }
+
+// TestTCPFlushReturnsClosedWhenCloseRaces: a Flush waiting for
+// deliveries returns ErrClosed as soon as Close runs, not at its 10 s
+// timeout — both when a frame can never arrive and when Close races
+// frames in flight.
+func TestTCPFlushReturnsClosedWhenCloseRaces(t *testing.T) {
+	flushAndClose := func(t *testing.T, tr *TCP) {
+		t.Helper()
+		errc := make(chan error, 1)
+		go func() { errc <- tr.Flush() }()
+		time.Sleep(time.Millisecond)
+		_ = tr.Close()
+		select {
+		case err := <-errc:
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Fatalf("Flush = %v, want nil or ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Flush still waiting 2s after Close")
+		}
+	}
+	t.Run("undeliverable", func(t *testing.T) {
+		tr, err := NewTCP([]model.NodeID{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.sentCount.Add(1) // a frame written that no reader will deliver
+		flushAndClose(t, tr)
+	})
+	t.Run("in-flight", func(t *testing.T) {
+		for i := 0; i < 20; i++ {
+			tr, err := NewTCP([]model.NodeID{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 200; j++ {
+				_ = tr.Send(Message{TreeKey: "k", From: model.NodeID(j + 3), To: model.NodeID(1 + j%2)})
+			}
+			flushAndClose(t, tr)
+		}
+	})
+}
+
+// TestTCPFlushDeliversFramesLargerThanReadBuffer: frames several times
+// the reader's buffer, batched between small ones, decode intact.
+func TestTCPFlushDeliversFramesLargerThanReadBuffer(t *testing.T) {
+	tr, err := NewTCP([]model.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	var sent []Message
+	for i, n := range []int{1, 1000, 0, 3000, 2, 205} {
+		msg := Message{TreeKey: "big", From: model.NodeID(i + 2), To: 1}
+		for v := 0; v < n; v++ {
+			msg.Values = append(msg.Values, Value{Node: model.NodeID(v), Attr: 1, Round: i, Value: float64(v) / 3})
+		}
+		if err := tr.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, msg)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := tr.Drain(1)
+	sortMessages(sent)
+	if !reflect.DeepEqual(got, sent) {
+		t.Fatalf("delivered %d frames, not the %d sent", len(got), len(sent))
+	}
+}
+
+// TestTCPFlushBesideConcurrentSenders: senders write to every
+// destination while two goroutines flush; once the senders stop, one
+// more Flush leaves every frame in a mailbox.
+func TestTCPFlushBesideConcurrentSenders(t *testing.T) {
+	nodes := []model.NodeID{1, 2, 3}
+	tr, err := NewTCPWithOptions(nodes, TCPOptions{BatchBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	const senders, each = 4, 300
+	var sending, flushing sync.WaitGroup
+	stop := make(chan struct{})
+	for f := 0; f < 2; f++ {
+		flushing.Add(1)
+		go func() {
+			defer flushing.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := tr.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for s := 0; s < senders; s++ {
+		sending.Add(1)
+		go func(s int) {
+			defer sending.Done()
+			for i := 0; i < each; i++ {
+				msg := Message{TreeKey: "k", From: model.NodeID(10 + s), To: nodes[i%len(nodes)]}
+				for v := 0; v < i%40; v++ {
+					msg.Values = append(msg.Values, Value{Node: model.NodeID(s), Attr: 1, Round: i, Value: float64(v)})
+				}
+				if err := tr.Send(msg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	sending.Wait()
+	close(stop)
+	flushing.Wait()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, n := range nodes {
+		total += len(tr.Drain(n))
+	}
+	if total != senders*each {
+		t.Fatalf("mailboxes hold %d frames after Flush, want %d", total, senders*each)
+	}
+}

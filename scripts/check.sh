@@ -54,9 +54,13 @@ go test -race -timeout 45m ./...
 
 echo "==> runtime benchmarks (1 iteration, with allocation stats)"
 go test -run '^$' -bench 'BenchmarkRuntime' -benchtime 1x -benchmem .
-# The read path's sizing benchmark (delta reads beside an unpaced
-# backend), run once so it cannot rot.
-go test -run '^$' -bench 'BenchmarkLatestBesideRounds' -benchtime 1x ./internal/serve
+# The read path's and the stream's sizing benchmarks (delta reads
+# beside an unpaced backend; one SSE subscriber reading every round of
+# one), run once so they cannot rot.
+go test -run '^$' -bench 'BenchmarkLatestBesideRounds|BenchmarkStreamRound' -benchtime 1x ./internal/serve
+
+echo "==> stream and round barrier under -race, repeated"
+go test -race -count=10 -run 'Stream|Broker|Gap|Flush' ./internal/serve ./internal/transport
 
 echo "==> verification harness (plan + repairs + results cross-checked)"
 go run ./cmd/remo-sim -nodes 40 -tasks 20 -rounds 12 -chaos 0.15 -suspicion 2 -verify > /dev/null
