@@ -56,6 +56,11 @@ type AdaptReport struct {
 	Incremental bool
 	// FellBack reports a discarded scoped attempt (see Incremental).
 	FellBack bool
+	// Round and Fingerprint are set by Monitor.SetTasks from the view it
+	// published with the new plan: the first round the plan runs and the
+	// installed forest's fingerprint.
+	Round       int
+	Fingerprint uint64
 }
 
 // Adaptor maintains a monitoring topology across task-set changes.

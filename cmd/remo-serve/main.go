@@ -12,8 +12,8 @@
 // The service follows a frontend/backend split: task mutations (POST,
 // PUT, DELETE under /v1/tasks) validate synchronously against the
 // admission budget and return 202 with an asynchronous operation to
-// poll; a single backend goroutine materializes the desired task set
-// between collection rounds, driving the incremental replanner. Store
+// poll; a planner goroutine materializes the desired task set beside
+// the paced collection rounds, driving the incremental replanner. Store
 // values and trigger firings stream over SSE at /v1/stream; /metrics
 // exposes Prometheus-style counters; /healthz answers liveness.
 //

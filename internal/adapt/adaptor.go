@@ -175,13 +175,31 @@ func (a *Adaptor) initWith(d *task.Demand, build func() core.Result) Report {
 	}
 }
 
+// Proposal is an adaptation planned but not yet in force: Propose
+// builds it from the adaptor's state, Commit installs it.
+type Proposal struct {
+	demand    *task.Demand
+	forest    *plan.Forest
+	partition []model.AttrSet
+	// touched lists the tree keys whose adjustment timestamps advance on
+	// commit; nil advances every tree (full replans).
+	touched map[string]struct{}
+	rep     Report
+}
+
 // Apply adapts the topology to a new demand according to the policy.
 func (a *Adaptor) Apply(newDemand *task.Demand) Report {
-	start := time.Now()
-	a.epoch++
-	base := a.forest
+	return a.Commit(a.Propose(newDemand))
+}
 
-	var rep Report
+// Propose plans the adaptation to a new demand without changing the
+// topology in force: it only reads the adaptor's plan, partition and
+// adjustment history, and advances nothing but the incremental
+// replanner's own state. So readers of Forest, Demand and Partition may
+// run beside it; another Propose, Commit, Rewire or Init may not.
+func (a *Adaptor) Propose(newDemand *task.Demand) Proposal {
+	start := time.Now()
+	p := Proposal{demand: newDemand}
 	switch a.scheme {
 	case Incremental:
 		if a.replan == nil {
@@ -192,44 +210,40 @@ func (a *Adaptor) Apply(newDemand *task.Demand) Report {
 			})
 		}
 		res, rstats := a.replan.Update(newDemand)
-		rep.AdaptMessages = plan.DiffEdges(a.forest, res.Forest)
-		rep.Replan = rstats
-		touched := make(map[string]struct{}, len(rstats.Diff.Rebuilt))
+		p.forest, p.partition = res.Forest, res.Partition
+		p.rep.Replan = rstats
+		p.rep.Stats = res.Stats
+		p.touched = make(map[string]struct{}, len(rstats.Diff.Rebuilt))
 		for _, k := range rstats.Diff.Rebuilt {
-			touched[k] = struct{}{}
+			p.touched[k] = struct{}{}
 		}
-		a.install(newDemand, res.Forest, res.Partition, touched)
-		rep.Stats = res.Stats
-	case Rebuild:
-		res := a.planner.Plan(a.sys, newDemand)
-		rep.AdaptMessages = plan.DiffEdges(a.forest, res.Forest)
-		a.install(newDemand, res.Forest, res.Partition, nil)
-		rep.Stats = res.Stats
 	case DirectApply:
-		forest, sets, _ := a.directApply(newDemand)
-		rep.AdaptMessages = plan.DiffEdges(a.forest, forest)
-		a.install(newDemand, forest, sets, nil)
-		rep.Stats = forest.ComputeStats(newDemand, a.sys, a.planner.Spec())
+		p.forest, p.partition, _ = a.directApply(newDemand)
+		p.rep.Stats = p.forest.ComputeStats(newDemand, a.sys, a.planner.Spec())
 	case NoThrottle, Adaptive:
 		forest, sets, rebuilt := a.directApply(newDemand)
-		base := a.forest
-		forest, sets, ops := a.optimize(newDemand, forest, sets, rebuilt, a.scheme == Adaptive)
-		rep.Operations = ops
-		rep.AdaptMessages = plan.DiffEdges(base, forest)
-		touched := make(map[string]struct{}, len(rebuilt))
-		for k := range rebuilt {
-			touched[k] = struct{}{}
-		}
-		a.install(newDemand, forest, sets, touched)
-		rep.Stats = forest.ComputeStats(newDemand, a.sys, a.planner.Spec())
-	default:
+		p.forest, p.partition, p.rep.Operations = a.optimize(newDemand, forest, sets, rebuilt, a.scheme == Adaptive)
+		p.rep.Stats = p.forest.ComputeStats(newDemand, a.sys, a.planner.Spec())
+		p.touched = rebuilt
+	default: // Rebuild
 		res := a.planner.Plan(a.sys, newDemand)
-		rep.AdaptMessages = plan.DiffEdges(a.forest, res.Forest)
-		a.install(newDemand, res.Forest, res.Partition, nil)
-		rep.Stats = res.Stats
+		p.forest, p.partition = res.Forest, res.Partition
+		p.rep.Stats = res.Stats
 	}
+	p.rep.AdaptMessages = plan.DiffEdges(a.forest, p.forest)
+	p.rep.PlanTime = time.Since(start)
+	return p
+}
+
+// Commit installs a proposal as a new adaptation epoch and reports the
+// round. The proposal must be the last one Propose returned, with
+// nothing committed or rewired since.
+func (a *Adaptor) Commit(p Proposal) Report {
+	a.epoch++
+	base := a.forest
+	a.install(p.demand, p.forest, p.partition, p.touched)
+	rep := p.rep
 	rep.Diff = plan.DiffForests(base, a.forest)
-	rep.PlanTime = time.Since(start)
 	return rep
 }
 

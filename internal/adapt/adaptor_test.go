@@ -288,3 +288,43 @@ func TestReportFields(t *testing.T) {
 		t.Error("Demand not installed")
 	}
 }
+
+// TestProposeLeavesPlanInForce: for every scheme, over a churn
+// sequence, Propose changes nothing a reader of the adaptor sees — the
+// forest, the demand, the partition — and Commit then installs exactly
+// the demand the proposal was planned for.
+func TestProposeLeavesPlanInForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sys, d, mutated := churnEnv(t, rng, 25, 4)
+	seq := []*task.Demand{mutated, d, mutated.Clone(), d.Clone()}
+	for _, scheme := range append(Schemes(), Incremental) {
+		a := newAdaptor(scheme, sys)
+		a.Init(d)
+		for i, nd := range seq {
+			before, sets, demand := a.Forest().Fingerprint(), a.Partition(), a.Demand()
+			p := a.Propose(nd)
+			if a.Forest().Fingerprint() != before || a.Demand() != demand || !sameSets(a.Partition(), sets) {
+				t.Fatalf("%s step %d: Propose changed the plan in force", scheme, i)
+			}
+			a.Commit(p)
+			if got, want := a.Demand().Pairs(), nd.Pairs(); len(got) != len(want) {
+				t.Fatalf("%s step %d: committed %d pairs, proposed for %d", scheme, i, len(got), len(want))
+			}
+			if err := a.Forest().Validate(nd, sys, nil); err != nil {
+				t.Fatalf("%s step %d: committed topology invalid: %v", scheme, i, err)
+			}
+		}
+	}
+}
+
+func sameSets(a, b []model.AttrSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}

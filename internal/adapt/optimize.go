@@ -147,8 +147,10 @@ type searchOp struct {
 
 // optimize runs the bounded merge/split search of §4.1 over the D-A base
 // topology. Only operations involving at least one reconstructed tree
-// (keys in rebuilt) are considered. With throttle set, each operation
-// must additionally pass the cost-benefit threshold of §4.2.
+// (keys in rebuilt) are considered; the trees each adopted operation
+// builds join rebuilt. With throttle set, each operation must
+// additionally pass the cost-benefit threshold of §4.2, judged at the
+// epoch the search's result will be committed in.
 func (a *Adaptor) optimize(
 	d *task.Demand,
 	forest *plan.Forest,
@@ -159,6 +161,10 @@ func (a *Adaptor) optimize(
 	spec := a.planner.Spec()
 	curStats := forest.ComputeStats(d, a.sys, spec)
 	ops := 0
+	// adjusted holds the trees adopted operations built: to the throttle
+	// they were adjusted this epoch, though Commit stamps them only once
+	// the search's result is in force.
+	adjusted := make(map[string]struct{})
 
 	for ops < a.maxOps {
 		cands := a.rankOps(d, sets, forest, rebuilt)
@@ -187,7 +193,7 @@ func (a *Adaptor) optimize(
 				if !newStats.Score().Better(bestStats.Score()) {
 					continue
 				}
-				if throttle && !a.passThrottle(curStats, newStats, forest, newForest, opSourceKeys(sets, c.op)) {
+				if throttle && !a.passThrottle(curStats, newStats, forest, newForest, opSourceKeys(sets, c.op), adjusted) {
 					// Not cost effective: terminate the search for this
 					// kind immediately (§4.2).
 					break
@@ -204,7 +210,7 @@ func (a *Adaptor) optimize(
 		forest, sets, curStats = bestForest, bestSets, bestStats
 		for _, k := range bestKeys {
 			rebuilt[k] = struct{}{}
-			a.lastAdjusted[k] = a.epoch
+			adjusted[k] = struct{}{}
 		}
 		ops++
 	}
@@ -334,7 +340,9 @@ func opSourceKeys(sets []model.AttrSet, op partition.Op) []string {
 //	Threshold(A_m) = (T_cur − min{T_adj,i}) · (C_cur − C_adj)
 //
 // where the first factor is how long the operation's trees have been
-// stable (in adaptation epochs) and the second is the per-round benefit.
+// stable (in adaptation epochs; T_cur is the epoch being planned, and a
+// tree in adjusted was built earlier in this very search) and the second
+// is the per-round benefit.
 // The benefit combines the monitoring cost the operation saves with the
 // value of any additional coverage (priced at the topology's average
 // per-pair delivery cost), so coverage-improving operations are favored
@@ -343,18 +351,23 @@ func (a *Adaptor) passThrottle(
 	curStats, newStats plan.Stats,
 	curForest, newForest *plan.Forest,
 	keys []string,
+	adjusted map[string]struct{},
 ) bool {
 	adaptMsgs := float64(plan.DiffEdges(curForest, newForest))
 	mAdapt := adaptMsgs * a.sys.Cost.PerMessage
 
-	minAdj := a.epoch
+	epoch := a.epoch + 1
+	minAdj := epoch
 	for _, k := range keys {
+		if _, now := adjusted[k]; now {
+			continue
+		}
 		if at, ok := a.lastAdjusted[k]; ok && at < minAdj {
 			minAdj = at
 		}
 	}
 	// Trees adjusted this very epoch (or brand new) have zero stability.
-	stability := float64(a.epoch - minAdj)
+	stability := float64(epoch - minAdj)
 
 	benefit := curStats.TotalCost - newStats.TotalCost
 	if gained := newStats.Collected - curStats.Collected; gained > 0 && curStats.Collected > 0 {

@@ -25,9 +25,11 @@ const (
 // Terminal reports whether the status is final.
 func (s OpStatus) Terminal() bool { return s == OpSucceeded || s == OpFailed }
 
-// ReplanSummary is the plan diff the operation's apply produced.
+// ReplanSummary is the plan diff the operation's apply produced: Round
+// is the first round the new plan ran and Fingerprint its forest's.
 type ReplanSummary struct {
 	Round        int     `json:"round"`
+	Fingerprint  uint64  `json:"fingerprint"`
 	TreesKept    int     `json:"treesKept"`
 	TreesRebuilt int     `json:"treesRebuilt"`
 	TreesDropped int     `json:"treesDropped"`

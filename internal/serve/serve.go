@@ -1,12 +1,13 @@
 // Package serve is the service front door: a long-running HTTP/JSON
 // tier wrapping a remo.Planner/Monitor pair. It follows a strict
 // frontend/backend split — admission handlers validate synchronously,
-// mutate the desired task set, and enqueue an asynchronous operation;
-// a single backend goroutine owns the Monitor, materializes the
-// desired state between collection rounds (driving the incremental
-// replanner), runs rounds on a pacing clock, and journals a final
-// checkpoint on drain. Callers poll operation status; store values and
-// trigger firings stream over SSE.
+// mutate the desired task set, and enqueue an asynchronous operation.
+// Two goroutines own the Monitor: the backend runs rounds on a pacing
+// clock and journals a final checkpoint on drain; the planner, woken by
+// the queue, materializes the desired state (driving the incremental
+// replanner) beside the rounds, which keep running while it plans.
+// Callers poll operation status; store values and trigger firings
+// stream over SSE.
 package serve
 
 import (
@@ -81,8 +82,11 @@ type Server struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{}
-	drain  sync.Once
+	// planned closes when the planner goroutine exits, done when the
+	// backend does.
+	planned chan struct{}
+	done    chan struct{}
+	drain   sync.Once
 
 	reg *metrics.Registry
 	ins instruments
@@ -166,8 +170,8 @@ func attrIndex(sys *remo.System) map[model.AttrID]bool {
 	return set
 }
 
-// New boots the monitor session and the backend goroutine. The caller
-// must Drain (or Close) the returned server.
+// New boots the monitor session and the backend and planner
+// goroutines. The caller must Drain (or Close) the returned server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Planner == nil {
 		return nil, errors.New("serve: Config.Planner is required")
@@ -197,6 +201,7 @@ func New(cfg Config) (*Server, error) {
 		triggers: make(map[string]remo.Trigger),
 		ops:      newOpRegistry(opRetention),
 		queue:    make(chan *operation, maxBatch),
+		planned:  make(chan struct{}),
 		done:     make(chan struct{}),
 		reg:      reg,
 		ins:      ins,
@@ -258,6 +263,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	go s.plan()
 	go s.backend()
 	return s, nil
 }
@@ -275,10 +281,9 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// backend is the single goroutine that owns the Monitor: it
-// materializes queued mutations between rounds, runs rounds on the
-// pacing clock, auto-resumes a crashed collector from the journal, and
-// publishes round events.
+// backend runs rounds on the pacing clock, auto-resumes a crashed
+// collector from the journal, and publishes round events. On drain it
+// waits for the planner goroutine to stop, then applies what is left.
 func (s *Server) backend() {
 	defer close(s.done)
 	ticker := time.NewTicker(s.cfg.RoundEvery)
@@ -286,12 +291,28 @@ func (s *Server) backend() {
 	for {
 		select {
 		case <-s.ctx.Done():
+			<-s.planned
 			s.finalDrain()
 			return
 		case <-ticker.C:
 		}
-		s.applyBatch(s.drainQueue())
 		s.runRound()
+	}
+}
+
+// plan is the planner goroutine: it wakes on the first queued
+// operation, coalesces whatever else is queued by then, and applies the
+// batch with one SetTasks while rounds go on. Operations admitted during
+// that plan wait for the next batch.
+func (s *Server) plan() {
+	defer close(s.planned)
+	for {
+		select {
+		case <-s.ctx.Done():
+			return
+		case op := <-s.queue:
+			s.applyBatch(append([]*operation{op}, s.drainQueue()...))
+		}
 	}
 }
 
@@ -326,11 +347,10 @@ func (s *Server) applyBatch(batch []*operation) {
 		s.ops.setStatus(op, OpApplying, nil, ReplanSummary{})
 	}
 	rep, err := s.mon.SetTasks(tasks)
-	round := s.mon.Round()
 	if err != nil {
 		s.ins.opsFailed.Add(int64(len(batch)))
 		for _, op := range batch {
-			s.ops.setStatus(op, OpFailed, err, ReplanSummary{Round: round})
+			s.ops.setStatus(op, OpFailed, err, ReplanSummary{Round: s.mon.Round()})
 		}
 		return
 	}
@@ -345,7 +365,8 @@ func (s *Server) applyBatch(batch []*operation) {
 	s.ins.treesRebuilt.Add(int64(rep.TreesRebuilt))
 	s.ins.opsSucceeded.Add(int64(len(batch)))
 	sum := ReplanSummary{
-		Round:        round,
+		Round:        rep.Round,
+		Fingerprint:  rep.Fingerprint,
 		TreesKept:    rep.TreesKept,
 		TreesRebuilt: rep.TreesRebuilt,
 		TreesDropped: rep.TreesDropped,
@@ -360,17 +381,18 @@ func (s *Server) applyBatch(batch []*operation) {
 
 // runRound executes one collection round, publishes its stream events,
 // and self-heals a crashed collector from the journal. A healthy round
-// takes the monitor's mutex once, in Run; what it then reports comes
-// from the view that round published.
+// takes the monitor's mutex once, in Step; what it then reports comes
+// from the view that step published, not a later one: a SetTasks may
+// install its plan the moment the round lets go of the mutex.
 func (s *Server) runRound() {
-	if err := s.mon.Run(1); err != nil {
+	v, err := s.mon.Step()
+	if err != nil {
 		s.ins.roundErrors.Inc()
 		// What the failed round observed still streams, with no round event.
 		s.broker.publish(&s.pending)
 		return
 	}
 	s.ins.rounds.Inc()
-	v := s.mon.View()
 	round := v.Round - 1
 	// The round's values and alerts, then its round event, go out in one
 	// hand-off as soon as Run has journaled them, ahead of the resume and
@@ -397,7 +419,7 @@ func (s *Server) runRound() {
 
 // finalDrain applies every remaining queued operation, seals the final
 // checkpoint, and closes the session and the stream broker. Backend
-// goroutine only.
+// goroutine only, once the planner goroutine has stopped.
 func (s *Server) finalDrain() {
 	for {
 		batch := s.drainQueue()
@@ -417,9 +439,10 @@ func (s *Server) finalDrain() {
 }
 
 // Drain gracefully shuts the server down: new mutations are rejected,
-// queued operations are applied, a final checkpoint is sealed, and
-// stream subscribers are disconnected. It blocks until the backend has
-// exited and is safe to call more than once.
+// the plan in flight is installed, queued operations are applied, a
+// final checkpoint is sealed, and stream subscribers are disconnected.
+// It blocks until both goroutines have exited and is safe to call more
+// than once.
 func (s *Server) Drain() {
 	s.drain.Do(func() {
 		s.mu.Lock()

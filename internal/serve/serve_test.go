@@ -499,6 +499,14 @@ func TestDrainRejectsAndResumes(t *testing.T) {
 	base := ts.URL
 	id := admitTask(t, base, "cpu", []int{1}, []int{1, 2, 3, 4})
 	waitOp(t, base, id)
+	// The planner applies an op beside the rounds, so it can succeed
+	// before any round runs under its plan: wait for the plan to deliver,
+	// so the drained journal has collected values to hold.
+	for deadline := time.Now().Add(10 * time.Second); s.Monitor().Store().Len() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the admitted task never delivered a value")
+		}
+	}
 	fp := s.Monitor().Fingerprint()
 	dir := s.Monitor().JournalDir()
 	s.Drain()

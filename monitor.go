@@ -36,8 +36,11 @@ import (
 //	fmt.Println(mon.Report().AvgPercentError)
 //
 // Monitor is safe for concurrent use: Run, SetTasks, Report, Plan and
-// Close may be called from different goroutines. Rounds are serialized;
-// a SetTasks lands between rounds of a concurrent Run.
+// Close may be called from different goroutines. Rounds are serialized
+// under mu. SetTasks are serialized under planMu and hold mu only at
+// their two ends — to snapshot the demand, and to install the finished
+// plan between two rounds — so rounds go on while the planner works.
+// The lock order is planMu, then mu, never the reverse.
 //
 // Reads are split in two. View — and Round, Fingerprint, Plan, Store,
 // Failed, CollectorDown, JournalDir, ShardCount and ShardLeader, which
@@ -46,8 +49,10 @@ import (
 // flight, and still answering after Close. Report, Verify,
 // RegionCoverage, VerifyRegionCoverage and ShardAssignment walk the
 // collector's cumulative state and take the mutex, so they wait for the
-// round or replan in progress.
+// round or install in progress (not for a plan being made).
 type Monitor struct {
+	// planMu serializes SetTasks; it is taken before mu, never after.
+	planMu sync.Mutex
 	mu     sync.Mutex
 	closed bool
 	// s owns all session state; every locked method delegates to it.
@@ -168,16 +173,18 @@ func newMonitor(s *session) *Monitor {
 }
 
 // locked is every state change: take the mutex, refuse a closed
-// session, run f on the session, publish the view it left behind.
-func (m *Monitor) locked(f func(*session) error) error {
+// session, run f on the session, publish the view it left behind and
+// return it.
+func (m *Monitor) locked(f func(*session) error) (*MonitorView, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return ErrMonitorClosed
+		return m.v.Load(), ErrMonitorClosed
 	}
 	err := f(m.s)
-	m.v.Store(m.s.view())
-	return err
+	v := m.s.view()
+	m.v.Store(v)
+	return v, err
 }
 
 // View returns the session's current read side. It never waits.
@@ -188,11 +195,19 @@ func (m *Monitor) View() MonitorView { return *m.v.Load() }
 // automatic topology repair (or reintegration) before the next one.
 func (m *Monitor) Run(n int) error {
 	for i := 0; i < n; i++ {
-		if err := m.locked((*session).step); err != nil {
+		if _, err := m.Step(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Step executes one round, as Run(1), and returns the view it
+// published: the round's own, whatever a concurrent SetTasks installs
+// right after it.
+func (m *Monitor) Step() (MonitorView, error) {
+	v, err := m.locked((*session).step)
+	return *v, err
 }
 
 // Fingerprint is View().Fingerprint.
@@ -217,12 +232,34 @@ func (m *Monitor) Verify() error {
 // SetTasks replaces the task set, adapts the topology per the session's
 // scheme, and rewires the running overlay. Nodes currently declared
 // dead stay excluded until the detector sees them recover.
-func (m *Monitor) SetTasks(tasks []Task) (rep AdaptReport, err error) {
-	err = m.locked(func(s *session) (err error) {
-		rep, err = s.setTasks(tasks)
+//
+// It plans on a snapshot of the demand and the dead set with the mutex
+// released, so rounds (and Checkpoint, Resume, Verify) go on meanwhile
+// under the plan still in force, and only the install lands between two
+// rounds. Verdicts the detector reaches while it plans are journaled at
+// once and healed at the install: a node that died since the snapshot is
+// repaired around, one that came back is reintegrated.
+func (m *Monitor) SetTasks(tasks []Task) (AdaptReport, error) {
+	m.planMu.Lock()
+	defer m.planMu.Unlock()
+	var snap replan
+	if _, err := m.locked(func(s *session) (err error) {
+		snap, err = s.beginReplan(tasks)
 		return err
+	}); err != nil {
+		return AdaptReport{}, err
+	}
+	p := m.s.adaptor.Propose(snap.demand)
+	var rep AdaptReport
+	v, err := m.locked(func(s *session) error {
+		rep = s.commitReplan(snap, p)
+		return nil
 	})
-	return rep, err
+	if err != nil {
+		return AdaptReport{}, err
+	}
+	rep.Round, rep.Fingerprint = v.Round, v.Fingerprint
+	return rep, nil
 }
 
 // ResumeReport summarizes what a resume recovered from the journal.
@@ -259,7 +296,7 @@ type ResumeReport struct {
 // The session must have been started with journaling
 // (MonitorConfig.Journal).
 func (m *Monitor) Resume(journalDir string) (rr ResumeReport, err error) {
-	err = m.locked(func(s *session) (err error) {
+	_, err = m.locked(func(s *session) (err error) {
 		if rr, err = s.resumeCollector(journalDir); err != nil {
 			return fmt.Errorf("remo: resume: %w", err)
 		}
@@ -278,7 +315,7 @@ func (m *Monitor) Resume(journalDir string) (rr ResumeReport, err error) {
 // The session must have been started with both Shards > 1 and
 // journaling.
 func (m *Monitor) ResumeShard(sh int) (rr ResumeReport, err error) {
-	err = m.locked(func(s *session) (err error) {
+	_, err = m.locked(func(s *session) (err error) {
 		if rr, err = s.resumeShard(sh); err != nil {
 			return fmt.Errorf("remo: resume shard %d: %w", sh, err)
 		}
@@ -348,9 +385,10 @@ func (m *Monitor) JournalDir() string { return m.v.Load().JournalDir }
 
 // Checkpoint forces a journal checkpoint of the session's durable state
 // now, off the usual cadence — a serve-mode drain seals one before the
-// process exits. It is a no-op error on non-durable sessions.
+// process exits. It is a no-op error on non-durable sessions. Taken
+// while a SetTasks plans, it describes the plan still in force.
 func (m *Monitor) Checkpoint() error {
-	return m.locked(func(s *session) error {
+	_, err := m.locked(func(s *session) error {
 		if len(s.logs) == 0 {
 			return errors.New("remo: checkpoint: session was started without journaling")
 		}
@@ -359,6 +397,7 @@ func (m *Monitor) Checkpoint() error {
 		}
 		return nil
 	})
+	return err
 }
 
 // Close stops the session and releases its transport. The wait-free

@@ -62,6 +62,9 @@ go test -run '^$' -bench 'BenchmarkLatestBesideRounds|BenchmarkStreamRound' -ben
 echo "==> stream and round barrier under -race, repeated"
 go test -race -count=10 -run 'Stream|Broker|Gap|Flush' ./internal/serve ./internal/transport
 
+echo "==> planner beside the round loop under -race, repeated"
+go test -race -count=10 -run 'Replan|Parked|Drain|Readers' ./internal/serve .
+
 echo "==> verification harness (plan + repairs + results cross-checked)"
 go run ./cmd/remo-sim -nodes 40 -tasks 20 -rounds 12 -chaos 0.15 -suspicion 2 -verify > /dev/null
 go run ./cmd/remo-sim -nodes 30 -tasks 15 -rounds 10 -verify > /dev/null

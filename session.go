@@ -3,6 +3,7 @@ package remo
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 
 	"remo/internal/adapt"
@@ -29,7 +30,8 @@ const leafBufferFrames = 64
 // plan, the running machine, the self-healing history and the durable
 // logs. Self-heal, task swaps, shard resume and the region checks all
 // read and write this copy. It holds no lock — Monitor serializes every
-// call under its mutex.
+// call under its mutex, save a SetTasks' planning, which only reads the
+// adaptor (see planning).
 type session struct {
 	planner *Planner
 	adaptor *adapt.Adaptor
@@ -42,11 +44,18 @@ type session struct {
 	heal    bool
 	builder tree.Builder
 	trace   *TraceRecorder
-	// baseDemand is the demand of the current task set before failure
+	// baseDemand is the demand of the task set in force before failure
 	// pruning — the target to restore when nodes recover.
 	baseDemand *task.Demand
 	// dead tracks declared-dead nodes already pruned from the topology.
 	dead map[model.NodeID]struct{}
+	// planning is set while a SetTasks plans with the mutex released. The
+	// adaptor is then read-only to everyone else: self-heal still journals
+	// and counts verdicts and keeps dead current, but leaves the repairs
+	// to the commit (reconcile), and healLag keeps the longest detection
+	// lag among the failures it deferred.
+	planning bool
+	healLag  int
 
 	// fp, cur and failed are what views share with their readers: the
 	// installed forest's fingerprint and facade plan (adopt) and the dead
@@ -461,8 +470,20 @@ func (s *session) selfHeal() {
 		delete(s.dead, n)
 	}
 	s.deadChanged()
-	if !s.heal {
-		return // detection-only: the dead set is tracked for reporting
+	if s.planning {
+		s.healLag = max(s.healLag, detection)
+		return // the commit reconciles the plan with the dead set
+	}
+	s.applyHeals(failed, recovered, detection)
+}
+
+// applyHeals repairs the topology around failed nodes and reintegrates
+// recovered ones, then verifies what it installed when armed. A
+// detection-only session tracks the dead set for reporting and leaves
+// the topology alone.
+func (s *session) applyHeals(failed, recovered []NodeID, detection int) {
+	if !s.heal || len(failed)+len(recovered) == 0 {
+		return
 	}
 	if len(failed) > 0 {
 		s.repairFailed(failed, detection)
@@ -535,17 +556,36 @@ func (s *session) plannedCoverage() float64 {
 	return 100 * float64(s.cur.CollectedPairs()) / float64(total)
 }
 
-// setTasks is Monitor.SetTasks.
-func (s *session) setTasks(tasks []Task) (AdaptReport, error) {
+// replan is what a SetTasks snapshots to plan on: the task set's demand
+// before and after pruning the dead set, and that dead set.
+type replan struct {
+	base, demand *task.Demand
+	dead         map[model.NodeID]struct{}
+}
+
+// beginReplan is SetTasks' locked first step: resolve the task set's
+// demand, prune the dead set from it, and snapshot that dead set.
+func (s *session) beginReplan(tasks []Task) (replan, error) {
 	d, err := s.planner.demandFor(tasks)
 	if err != nil {
-		return AdaptReport{}, err
+		return replan{}, err
 	}
-	s.baseDemand = d.Clone()
+	r := replan{base: d.Clone(), demand: d, dead: maps.Clone(s.dead)}
 	if len(s.dead) > 0 {
-		d, _ = repair.Prune(d, s.dead)
+		r.demand, _ = repair.Prune(d, s.dead)
 	}
-	rep := adaptReportFrom(s.adaptor.Apply(d), s.install(true))
+	s.planning = true
+	return r, nil
+}
+
+// commitReplan is SetTasks' locked last step: install the plan made on
+// r, adopt its task set as the base demand — only now, so a checkpoint
+// taken while it planned describes the plan then in force — and
+// reconcile the plan with the verdicts reached meanwhile.
+func (s *session) commitReplan(r replan, p adapt.Proposal) AdaptReport {
+	s.planning = false
+	s.baseDemand = r.base
+	rep := adaptReportFrom(s.adaptor.Commit(p), s.install(true))
 	s.replans = append(s.replans, ReplanEvent{
 		Round:         s.machine.Round(),
 		TreesKept:     rep.TreesKept,
@@ -558,7 +598,30 @@ func (s *session) setTasks(tasks []Task) (AdaptReport, error) {
 		AdaptMessages: rep.AdaptMessages,
 	})
 	s.record(trace.Replan, rep.TreesRebuilt)
-	return rep, nil
+	s.reconcile(r.dead)
+	return rep
+}
+
+// reconcile heals what the detector decided while a plan was made
+// against the dead set planned: nodes dead now but not then are repaired
+// around, nodes dead then but alive now are reintegrated.
+func (s *session) reconcile(planned map[model.NodeID]struct{}) {
+	lag := s.healLag
+	s.healLag = 0
+	var failed, recovered []NodeID
+	for n := range s.dead {
+		if _, ok := planned[n]; !ok {
+			failed = append(failed, n)
+		}
+	}
+	for n := range planned {
+		if _, ok := s.dead[n]; !ok {
+			recovered = append(recovered, n)
+		}
+	}
+	model.SortNodes(failed)
+	model.SortNodes(recovered)
+	s.applyHeals(failed, recovered, lag)
 }
 
 // verifyContext is what the verification harness checks the installed
