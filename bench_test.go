@@ -165,9 +165,30 @@ func BenchmarkDeployRound(b *testing.B) {
 	}
 }
 
-// runtimeBenchCfg plans a Fig. 6a-shaped deployment (200 nodes, 150
-// small tasks) for the runtime data-path benchmarks.
-func runtimeBenchCfg(b *testing.B, nodes, rounds int) (*remo.Plan, remo.DeployConfig) {
+// BenchmarkPlanFull measures one full plan of runtimeBenchCfg's
+// 200-node, 150-task system — what booting the largest forest costs.
+func BenchmarkPlanFull(b *testing.B) {
+	p := runtimeBenchPlanner(b, 200)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Plan(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplanChurn times TestReplanChurnGolden's replay: a boot
+// plan, then churnOps incremental replans through Monitor.SetTasks.
+func BenchmarkReplanChurn(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		p, ops := churnSchedule(b)
+		replayChurn(b, p, ops)
+	}
+}
+
+// runtimeBenchPlanner loads a Fig. 6a-shaped planner: nodes nodes, 150
+// small tasks.
+func runtimeBenchPlanner(b *testing.B, nodes int) *remo.Planner {
 	b.Helper()
 	sys, err := workload.System(workload.SystemConfig{
 		Nodes: nodes, Attrs: 100, CapacityLo: 150, CapacityHi: 400,
@@ -187,7 +208,14 @@ func runtimeBenchCfg(b *testing.B, nodes, rounds int) (*remo.Plan, remo.DeployCo
 			b.Fatal(err)
 		}
 	}
-	plan, err := p.Plan()
+	return p
+}
+
+// runtimeBenchCfg plans a Fig. 6a-shaped deployment (200 nodes, 150
+// small tasks) for the runtime data-path benchmarks.
+func runtimeBenchCfg(b *testing.B, nodes, rounds int) (*remo.Plan, remo.DeployConfig) {
+	b.Helper()
+	plan, err := runtimeBenchPlanner(b, nodes).Plan()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func (a *Adaptor) rankOps(
 		for _, t := range forest.Trees {
 			if t.Attrs.Equal(s) {
 				for _, n := range t.Members() {
-					collected += len(d.LocalAttrs(n, s))
+					collected += d.LocalCount(n, s)
 				}
 				break
 			}

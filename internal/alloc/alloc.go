@@ -202,8 +202,9 @@ func (o onDemand) Order(req Request) []int {
 }
 
 func (onDemand) Avail(req Request, k int, usedSoFar map[model.NodeID]float64) map[model.NodeID]float64 {
-	avail := make(map[model.NodeID]float64)
-	for _, n := range req.participants(req.Sets[k]) {
+	parts := req.participants(req.Sets[k])
+	avail := make(map[model.NodeID]float64, len(parts))
+	for _, n := range parts {
 		avail[n] = req.Sys.Capacity(n) - usedSoFar[n]
 		if avail[n] < 0 {
 			avail[n] = 0

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"remo/internal/agg"
 	"remo/internal/model"
 	"remo/internal/plan"
 	"remo/internal/task"
@@ -137,13 +138,16 @@ type treeKey struct {
 
 // cachedBuild is one memoized construction result. tree is a private
 // clone; used and centralUsed are the build's capacity charges, read
-// (never written) by evaluate. attrs is the delivered attribute set
-// (for neighborhood invalidation); ref is the clock sweep's
-// second-chance reference bit, set on every hit.
+// (never written) by evaluate. stats is the tree's profile, computed
+// once by the first evaluation that needs it. attrs is the delivered
+// attribute set (for neighborhood invalidation); ref is the clock
+// sweep's second-chance reference bit, set on every hit.
 type cachedBuild struct {
 	tree        *plan.Tree
 	used        map[model.NodeID]float64
 	centralUsed float64
+	statsOnce   sync.Once
+	stats       plan.TreeStats
 	attrs       model.AttrSet
 	ref         atomic.Bool
 }
@@ -198,28 +202,43 @@ func (c *evalCache) lookupTree(key treeKey) (*cachedBuild, bool) {
 	return cb, ok
 }
 
-// storeTree memoizes a build result under key. The tree is cloned on
-// insert (copy-on-insert) so the caller's tree — which joins a forest
-// the planner hands to callers — never aliases cache state. At memoCap
-// the insert reclaims a slot via the clock sweep instead of growing.
-func (c *evalCache) storeTree(key treeKey, attrs model.AttrSet, r tree.Result) {
+// storeTree memoizes a build result under key and returns the entry
+// now memoized there. The tree is cloned on insert (copy-on-insert) so
+// the caller's tree — which joins a forest the planner hands to callers
+// — never aliases cache state. At memoCap the insert reclaims a slot via
+// the clock sweep instead of growing.
+func (c *evalCache) storeTree(key treeKey, attrs model.AttrSet, r tree.Result) *cachedBuild {
 	c.builds.Add(1)
 	cb := &cachedBuild{used: r.Used, centralUsed: r.CentralUsed, attrs: attrs}
 	if r.Tree != nil {
 		cb.tree = r.Tree.Clone()
 	}
 	c.treeMu.Lock()
-	if _, dup := c.trees[key]; !dup {
-		if c.memoCap > 0 {
-			if len(c.ring) >= c.memoCap {
-				c.ring[c.reclaimSlot()] = key
-			} else {
-				c.ring = append(c.ring, key)
-			}
-		}
-		c.trees[key] = cb
+	defer c.treeMu.Unlock()
+	if prev, dup := c.trees[key]; dup {
+		return prev
 	}
-	c.treeMu.Unlock()
+	if c.memoCap > 0 {
+		if len(c.ring) >= c.memoCap {
+			c.ring[c.reclaimSlot()] = key
+		} else {
+			c.ring = append(c.ring, key)
+		}
+	}
+	c.trees[key] = cb
+	return cb
+}
+
+// treeStats returns the cached tree's profile under demand d, computing
+// it on first use. Every evaluation that hits the entry shares it, so
+// callers must not modify it.
+func (cb *cachedBuild) treeStats(d *task.Demand, sys *model.System, spec *agg.Spec) plan.TreeStats {
+	cb.statsOnce.Do(func() {
+		if cb.tree != nil {
+			cb.stats = plan.ComputeTreeStats(cb.tree, d, sys, spec)
+		}
+	})
+	return cb.stats
 }
 
 // reclaimSlot runs the clock (second-chance) sweep and returns a free

@@ -292,7 +292,7 @@ func (r *Replanner) reshape(newD *task.Demand, change task.Change, prev Result) 
 		collected := 0
 		for _, n := range t.Members() {
 			members[n] = struct{}{}
-			collected += len(newD.LocalAttrs(n, s))
+			collected += newD.LocalCount(n, s)
 		}
 		if newD.PairCountIn(s) <= collected {
 			continue // not congested: nothing left to gain
@@ -300,7 +300,7 @@ func (r *Replanner) reshape(newD *task.Demand, change task.Change, prev Result) 
 		gain := 0
 		for n := range freed {
 			if _, in := members[n]; !in {
-				gain += len(newD.LocalAttrs(n, s))
+				gain += newD.LocalCount(n, s)
 			}
 		}
 		if gain > 0 {

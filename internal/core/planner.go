@@ -423,6 +423,7 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 	order := p.cfg.Alloc.Order(req)
 
 	built := make([]*plan.Tree, len(sets))
+	stats := make([]plan.TreeStats, len(sets))
 	used := make(map[model.NodeID]float64)
 	var centralUsed float64
 	for _, k := range order {
@@ -438,6 +439,7 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 				if cb.tree != nil {
 					built[k] = cb.tree.Clone()
 				}
+				stats[k] = cb.treeStats(d, sys, p.cfg.Spec)
 				for n, u := range cb.used {
 					used[n] += u
 				}
@@ -461,19 +463,24 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 		}
 		centralUsed += r.CentralUsed
 		if memo {
-			cache.storeTree(key, sets[k], r)
+			stats[k] = cache.storeTree(key, sets[k], r).treeStats(d, sys, p.cfg.Spec)
 		} else {
 			cache.builds.Add(1)
+			stats[k] = plan.ComputeTreeStats(r.Tree, d, sys, p.cfg.Spec)
 		}
 	}
 
+	// The forest and its profile, each tree's stats folded in forest
+	// order: a memo hit reuses the stats computed when its tree was built.
 	forest := plan.NewForest()
-	for _, t := range built {
+	perTree := make([]plan.TreeStats, 0, len(sets))
+	for k, t := range built {
 		if t != nil && !t.Empty() {
 			forest.Add(t)
+			perTree = append(perTree, stats[k])
 		}
 	}
-	return forest, forest.ComputeStats(d, sys, p.cfg.Spec)
+	return forest, plan.SumStats(perTree)
 }
 
 // gainContext assembles the estimator inputs from the last evaluation.
@@ -491,7 +498,7 @@ func (p *Planner) gainContext(sys *model.System, d *task.Demand, res Result) par
 		collected := 0
 		if t := byKey[set.Key()]; t != nil {
 			for _, n := range t.Members() {
-				collected += len(d.LocalAttrs(n, set))
+				collected += d.LocalCount(n, set)
 			}
 		}
 		missed[i] = demanded - collected
@@ -526,7 +533,7 @@ func (p *Planner) lazyGainContext(sys *model.System, d *task.Demand, res Result)
 			collected := 0
 			if t := byKey[set.Key()]; t != nil {
 				for _, n := range t.Members() {
-					collected += len(d.LocalAttrs(n, set))
+					collected += d.LocalCount(n, set)
 				}
 			}
 			v := d.PairCountIn(set) - collected

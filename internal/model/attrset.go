@@ -46,6 +46,10 @@ func (s AttrSet) Attrs() []AttrID {
 	return cp
 }
 
+// Sorted returns the attributes in ascending order without copying, for
+// merge walks on hot paths. The returned slice must not be modified.
+func (s AttrSet) Sorted() []AttrID { return s.attrs }
+
 // Contains reports whether a is in the set.
 func (s AttrSet) Contains(a AttrID) bool {
 	lo, hi := 0, len(s.attrs)

@@ -79,7 +79,8 @@ func (f *Forest) Partition() []model.AttrSet {
 
 // Stats holds the evaluated resource profile of a forest.
 type Stats struct {
-	// PerTree are the tree-level profiles, parallel to Forest.Trees.
+	// PerTree are the tree-level profiles, parallel to Forest.Trees. A
+	// planner shares them between the plans it evaluates: read only.
 	PerTree []TreeStats
 	// Usage is every node's summed usage across all trees.
 	Usage map[model.NodeID]float64
@@ -97,21 +98,35 @@ type Stats struct {
 // ComputeStats evaluates the forest against demand d on system sys with
 // aggregation spec (nil for holistic).
 func (f *Forest) ComputeStats(d *task.Demand, sys *model.System, spec *agg.Spec) Stats {
+	perTree := make([]TreeStats, len(f.Trees))
+	for i, t := range f.Trees {
+		perTree[i] = ComputeTreeStats(t, d, sys, spec)
+	}
+	return SumStats(perTree)
+}
+
+// SumStats folds per-tree profiles, in forest order, into the forest's
+// profile. Every float is summed in a fixed order — trees in forest
+// order, then nodes ascending — so equal forests give bit-equal stats.
+func SumStats(perTree []TreeStats) Stats {
 	st := Stats{
-		PerTree: make([]TreeStats, len(f.Trees)),
+		PerTree: perTree,
 		Usage:   make(map[model.NodeID]float64),
 	}
-	for i, t := range f.Trees {
-		ts := ComputeTreeStats(t, d, sys, spec)
-		st.PerTree[i] = ts
+	for _, ts := range perTree {
 		for n, u := range ts.Usage {
 			st.Usage[n] += u
 		}
 		st.CentralUsage += ts.RootSend
 		st.Collected += ts.LocalPairs
 	}
-	for _, u := range st.Usage {
-		st.TotalCost += u
+	nodes := make([]model.NodeID, 0, len(st.Usage))
+	for n := range st.Usage {
+		nodes = append(nodes, n)
+	}
+	model.SortNodes(nodes)
+	for _, n := range nodes {
+		st.TotalCost += st.Usage[n]
 	}
 	st.TotalCost += st.CentralUsage
 	return st
@@ -166,7 +181,7 @@ func (f *Forest) Validate(d *task.Demand, sys *model.System, spec *agg.Spec) err
 			if _, ok := sys.Node(n); !ok {
 				return fmt.Errorf("%w: %v in tree %d", ErrUnknownMember, n, i)
 			}
-			if len(d.LocalAttrs(n, t.Attrs)) == 0 {
+			if d.LocalCount(n, t.Attrs) == 0 {
 				return fmt.Errorf("%w: %v in tree %v", ErrNonParticipant, n, t.Attrs)
 			}
 		}

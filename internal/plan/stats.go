@@ -43,27 +43,30 @@ func ComputeTreeStats(t *Tree, d *task.Demand, sys *model.System, spec *agg.Spec
 		return st
 	}
 
-	attrs := t.Attrs.Attrs()
-	// in[n][k] accumulates the weighted incoming count of attrs[k] at n.
+	attrs := t.Attrs.Sorted()
+	// in[n] accumulates node n's weighted incoming count per attribute
+	// of the tree, rows carved from one backing array.
 	in := make(map[model.NodeID][]float64, t.Size())
-	idx := make(map[model.AttrID]int, len(attrs))
-	for k, a := range attrs {
-		idx[a] = k
+	rows := make([]float64, (t.Size()+1)*len(attrs))
+	row := func() []float64 {
+		r := rows[:len(attrs):len(attrs)]
+		rows = rows[len(attrs):]
+		return r
 	}
+	out := row()
 
 	for _, n := range t.PostOrder() {
 		counts := in[n]
 		if counts == nil {
-			counts = make([]float64, len(attrs))
+			counts = row()
 		}
 		// Add locally demanded values.
-		for _, a := range d.LocalAttrs(n, t.Attrs) {
-			counts[idx[a]] += d.Weight(n, a)
+		d.VisitLocal(n, t.Attrs, func(k int, w float64) {
+			counts[k] += w
 			st.LocalPairs++
-		}
+		})
 		// Apply funnels to obtain outgoing counts.
 		var y float64
-		out := make([]float64, len(attrs))
 		for k, a := range attrs {
 			out[k] = spec.Out(a, counts[k])
 			y += out[k]
@@ -83,7 +86,7 @@ func ComputeTreeStats(t *Tree, d *task.Demand, sys *model.System, spec *agg.Spec
 		st.Usage[p] += endpoint
 		pc := in[p]
 		if pc == nil {
-			pc = make([]float64, len(attrs))
+			pc = row()
 			in[p] = pc
 		}
 		for k := range out {

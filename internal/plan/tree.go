@@ -82,13 +82,12 @@ func (t *Tree) Members() []model.NodeID {
 	if t.Empty() {
 		return nil
 	}
-	out := make([]model.NodeID, 0, len(t.parent))
-	queue := []model.NodeID{t.root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, n)
-		queue = append(queue, t.children[n]...)
+	// The output is its own BFS queue: out[i] is expanded after every
+	// node before it.
+	out := make([]model.NodeID, 1, len(t.parent))
+	out[0] = t.root
+	for i := 0; i < len(out); i++ {
+		out = append(out, t.children[out[i]]...)
 	}
 	return out
 }

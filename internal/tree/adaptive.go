@@ -1,9 +1,7 @@
 package tree
 
 import (
-	"sort"
-
-	"remo/internal/model"
+	"slices"
 )
 
 // Opts selects the adjusting-procedure variant of the ADAPTIVE builder.
@@ -43,13 +41,13 @@ func (b adaptiveBuilder) Scheme() Scheme { return Adaptive }
 // Build implements Builder.
 func (b adaptiveBuilder) Build(ctx Context) Result {
 	s := newState(ctx)
-	var excluded []model.NodeID
+	var excluded []int
 	// The adjusting budget bounds total tree surgery per build; it is a
 	// termination safeguard, sized generously relative to the paper's
 	// constructing-adjusting iteration.
 	budget := 12*len(ctx.Nodes) + 16
 
-	for _, n := range orderByAvail(ctx) {
+	for _, n := range orderByAvail(s) {
 		if attachBest(s, n, pickLowestHeight) {
 			continue
 		}
@@ -76,13 +74,11 @@ func (b adaptiveBuilder) Build(ctx Context) Result {
 // is the node the construction procedure could not attach; its demand
 // decides whether subtree-only searching is safe (Theorem 1). adjust
 // reports whether it changed the tree.
-func (b adaptiveBuilder) adjust(s *state, failed model.NodeID) bool {
-	failedOut := s.funnel(s.localVec(failed))
-	failedU := s.msgCost(vecSum(failedOut))
+func (b adaptiveBuilder) adjust(s *state, failed int) bool {
+	failedU := s.msgCost(vecSum(s.funnel(s.lout, s.localVec(failed))))
 
 	for _, dc := range s.membersByDepth() {
-		children := s.tree.Children(dc)
-		if len(children) < 2 {
+		if len(s.children[dc]) < 2 {
 			// Pruning an only child cannot reduce the node's degree
 			// without emptying its subtree.
 			continue
@@ -102,14 +98,14 @@ func (b adaptiveBuilder) adjust(s *state, failed model.NodeID) bool {
 }
 
 // lightestBranch returns dc's child with the smallest message cost.
-func (b adaptiveBuilder) lightestBranch(s *state, dc model.NodeID) (model.NodeID, bool) {
-	children := s.tree.Children(dc)
+func (b adaptiveBuilder) lightestBranch(s *state, dc int) (int, bool) {
+	children := s.children[dc]
 	if len(children) == 0 {
 		return 0, false
 	}
 	best := children[0]
 	for _, c := range children[1:] {
-		if s.u[c] < s.u[best] || (s.u[c] == s.u[best] && c < best) {
+		if s.u[c] < s.u[best] || (s.u[c] == s.u[best] && s.ids[c] < s.ids[best]) {
 			best = c
 		}
 	}
@@ -128,7 +124,7 @@ func (b adaptiveBuilder) lightestBranch(s *state, dc model.NodeID) (model.NodeID
 // starves other trees of the plan (§3.2's "minimize the total resource
 // consumption ... if it is possible to accommodate more nodes by doing
 // so").
-func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot model.NodeID, subtreeOnly bool, moveBudget float64) bool {
+func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot int, subtreeOnly bool, moveBudget float64) bool {
 	scope := b.scope(s, dc, brRoot, subtreeOnly)
 	if len(scope) == 0 {
 		return false
@@ -158,7 +154,7 @@ func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot model.NodeID, subtreeOn
 	// reattached ones).
 	saved := branchSnapshot(s, br)
 	s.dropBranchBookkeeping(br)
-	var added []model.NodeID
+	var added []int
 	ok := true
 	for _, n := range br.nodes {
 		if !b.reattachNode(s, n, dc) {
@@ -186,49 +182,35 @@ func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot model.NodeID, subtreeOn
 // scope returns candidate parents for the pruned branch ordered by depth
 // (deepest last attachments happen near the top first), excluding the
 // congested node itself and the branch.
-func (b adaptiveBuilder) scope(s *state, dc, brRoot model.NodeID, subtreeOnly bool) []model.NodeID {
-	inBranch := make(map[model.NodeID]struct{})
-	for _, n := range s.tree.Subtree(brRoot) {
-		inBranch[n] = struct{}{}
+func (b adaptiveBuilder) scope(s *state, dc, brRoot int, subtreeOnly bool) []int {
+	inBranch := s.subtree(brRoot)
+	for _, n := range inBranch {
+		s.mark[n] = true
 	}
-	var candidates []model.NodeID
+	var candidates []int
 	if subtreeOnly {
-		candidates = s.tree.Subtree(dc)
+		candidates = s.subtree(dc)
 	} else {
-		candidates = s.tree.Members()
+		candidates = s.members()
 	}
 	out := candidates[:0]
 	for _, n := range candidates {
-		if n == dc {
-			continue
+		if n != dc && !s.mark[n] {
+			out = append(out, n)
 		}
-		if _, in := inBranch[n]; in {
-			continue
-		}
-		out = append(out, n)
+	}
+	for _, n := range inBranch {
+		s.mark[n] = false
 	}
 	// Prefer parents with the most headroom; attaching the branch to a
 	// roomy node keeps future attachments possible.
-	keys := make([]memberKey, len(out))
-	for i, n := range out {
-		keys[i] = memberKey{n: n, headroom: s.avail(n) - s.usage[n]}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.headroom != b.headroom {
-			return a.headroom > b.headroom
-		}
-		return a.n < b.n
-	})
-	for i, k := range keys {
-		out[i] = k.n
-	}
+	s.byHeadroom(out)
 	return out
 }
 
 // reattachNode re-adds one node of a broken-up branch, preferring
 // low-height parents but never the congested node dc.
-func (b adaptiveBuilder) reattachNode(s *state, n, dc model.NodeID) bool {
+func (b adaptiveBuilder) reattachNode(s *state, n, dc int) bool {
 	for _, p := range s.membersByDepth() {
 		if p == dc {
 			continue
@@ -248,12 +230,13 @@ type nodeBook struct {
 	usage   float64
 }
 
-func branchSnapshot(s *state, br branch) map[model.NodeID]nodeBook {
-	snap := make(map[model.NodeID]nodeBook, len(br.nodes))
-	for _, n := range br.nodes {
-		snap[n] = nodeBook{
-			in:    append([]float64(nil), s.in[n]...),
-			out:   append([]float64(nil), s.out[n]...),
+// branchSnapshot saves the bookkeeping of br's nodes, in br.nodes order.
+func branchSnapshot(s *state, br branch) []nodeBook {
+	snap := make([]nodeBook, len(br.nodes))
+	for i, n := range br.nodes {
+		snap[i] = nodeBook{
+			in:    slices.Clone(s.row(s.in, n)),
+			out:   slices.Clone(s.row(s.out, n)),
 			recv:  s.recv[n],
 			u:     s.u[n],
 			usage: s.usage[n],
@@ -262,11 +245,11 @@ func branchSnapshot(s *state, br branch) map[model.NodeID]nodeBook {
 	return snap
 }
 
-func restoreSnapshot(s *state, br branch, snap map[model.NodeID]nodeBook) {
-	for _, n := range br.nodes {
-		bk := snap[n]
-		s.in[n] = bk.in
-		s.out[n] = bk.out
+func restoreSnapshot(s *state, br branch, snap []nodeBook) {
+	for i, n := range br.nodes {
+		bk := snap[i]
+		copy(s.row(s.in, n), bk.in)
+		copy(s.row(s.out, n), bk.out)
 		s.recv[n] = bk.recv
 		s.u[n] = bk.u
 		s.usage[n] = bk.usage

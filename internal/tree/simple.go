@@ -1,49 +1,33 @@
 package tree
 
 import (
-	"sort"
-
-	"remo/internal/model"
+	"cmp"
+	"slices"
 )
 
 // pickFunc orders candidate parents for attaching node n; the first
 // feasible candidate wins. Every scheme defers to byEdgeCost first, so
 // on a distance-priced system (racks, WAN regions) cheap edges beat the
 // scheme's shape preference and trees cluster by locality.
-type pickFunc func(s *state, n model.NodeID) []model.NodeID
+type pickFunc func(s *state, n int) []int
 
 // pickLowestHeight prefers parents close to the root (STAR: bushy trees).
-func pickLowestHeight(s *state, n model.NodeID) []model.NodeID {
+func pickLowestHeight(s *state, n int) []int {
 	return s.byEdgeCost(n, s.membersByDepth())
 }
 
 // pickHighestHeight prefers the deepest parents (CHAIN: long trees).
-func pickHighestHeight(s *state, n model.NodeID) []model.NodeID {
+func pickHighestHeight(s *state, n int) []int {
 	members := s.membersByDepth()
-	for i, j := 0, len(members)-1; i < j; i, j = i+1, j-1 {
-		members[i], members[j] = members[j], members[i]
-	}
+	slices.Reverse(members)
 	return s.byEdgeCost(n, members)
 }
 
 // pickMaxAvailable prefers the parent with the most remaining headroom
 // (the TMON MAX_AVB heuristic).
-func pickMaxAvailable(s *state, n model.NodeID) []model.NodeID {
-	members := s.tree.Members()
-	keys := make([]memberKey, len(members))
-	for i, m := range members {
-		keys[i] = memberKey{n: m, headroom: s.avail(m) - s.usage[m]}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.headroom != b.headroom {
-			return a.headroom > b.headroom
-		}
-		return a.n < b.n
-	})
-	for i, k := range keys {
-		members[i] = k.n
-	}
+func pickMaxAvailable(s *state, n int) []int {
+	members := s.members()
+	s.byHeadroom(members)
 	return s.byEdgeCost(n, members)
 }
 
@@ -63,8 +47,8 @@ func (b simpleBuilder) Scheme() Scheme { return b.scheme }
 // Build implements Builder.
 func (b simpleBuilder) Build(ctx Context) Result {
 	s := newState(ctx)
-	var excluded []model.NodeID
-	for _, n := range orderByAvail(ctx) {
+	var excluded []int
+	for _, n := range orderByAvail(s) {
 		if !attachBest(s, n, b.pick) {
 			excluded = append(excluded, n)
 		}
@@ -79,19 +63,21 @@ func (b simpleBuilder) Build(ctx Context) Result {
 // root→collector edge carries the whole tree's aggregate every round, so
 // the root should sit as close to the collector as the candidate set
 // allows.
-func orderByAvail(ctx Context) []model.NodeID {
-	nodes := append([]model.NodeID(nil), ctx.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool {
-		ai, aj := ctx.Avail[nodes[i]], ctx.Avail[nodes[j]]
-		if ai != aj {
-			return ai > aj
+func orderByAvail(s *state) []int {
+	nodes := make([]int, len(s.ids))
+	for i := range nodes {
+		nodes[i] = i
+	}
+	slices.SortFunc(nodes, func(a, b int) int {
+		if c := cmp.Compare(s.avail[b], s.avail[a]); c != 0 {
+			return c
 		}
-		return nodes[i] < nodes[j]
+		return cmp.Compare(s.ids[a], s.ids[b])
 	})
-	if ctx.Sys.Distance != nil && len(nodes) > 1 {
+	if s.ctx.Sys.Distance != nil && len(nodes) > 1 {
 		best := 0
 		for i := 1; i < len(nodes); i++ {
-			if ctx.Sys.Dist(nodes[i], model.Central) < ctx.Sys.Dist(nodes[best], model.Central) {
+			if s.dist(nodes[i], central) < s.dist(nodes[best], central) {
 				best = i
 			}
 		}
@@ -106,9 +92,9 @@ func orderByAvail(ctx Context) []model.NodeID {
 
 // attachBest attaches n to the first feasible parent in pick's order, or
 // as root if the tree is empty.
-func attachBest(s *state, n model.NodeID, pick pickFunc) bool {
-	if s.tree.Empty() {
-		return s.attach(n, model.Central)
+func attachBest(s *state, n int, pick pickFunc) bool {
+	if s.size == 0 {
+		return s.attach(n, central)
 	}
 	for _, p := range pick(s, n) {
 		if s.attach(n, p) {

@@ -1,7 +1,8 @@
 package tree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"remo/internal/agg"
 	"remo/internal/model"
@@ -11,111 +12,189 @@ import (
 // capEps absorbs floating-point accumulation error in capacity checks.
 const capEps = 1e-9
 
+// Parent indices that are not a participant: the root's parent is the
+// central collector, and a participant outside the tree has none.
+const (
+	central = -1
+	absent  = -2
+)
+
 // state is the mutable bookkeeping of one tree under construction. It
 // tracks, per member, the weighted incoming and outgoing value counts per
 // attribute dimension, the message cost u_i, and the node's total usage
 // (send + receive) in this tree. All mutations keep the bookkeeping
 // consistent incrementally, so feasibility checks are O(depth·dims).
 //
+// A participant is its index in ctx.Nodes; ties still break on node ids.
+// The tree's structure and every per-node figure are dense slices over
+// those indices; the plan.Tree is built once, in result, with the same
+// child order.
+//
 // When no attribute of the tree uses a non-holistic funnel, the state
 // collapses all attributes into a single dimension (out == in always
 // holds for holistic collection, so only totals matter).
 type state struct {
 	ctx   Context
-	tree  *plan.Tree
 	attrs []model.AttrID // vector mode: one dimension per attribute
 	// scalar is true when all attributes are holistic and a single
 	// dimension suffices.
 	scalar bool
+	dims   int
 
-	in  map[model.NodeID][]float64
-	out map[model.NodeID][]float64
+	ids   []model.NodeID
+	avail []float64
+	// local holds each participant's local demand vector (dims values a
+	// node, row-major); in and out hold members' weighted incoming and
+	// outgoing counts the same way.
+	local, in, out []float64
+
+	parent   []int
+	children [][]int
+	root     int
+	size     int
+
 	// recv is the endpoint cost C + a·y of a member's message (what its
 	// parent pays to receive it); u is the member's send cost — the
 	// endpoint cost scaled by the distance factor to its parent.
-	recv  map[model.NodeID]float64
-	u     map[model.NodeID]float64
-	usage map[model.NodeID]float64 // send + receive per member
+	recv  []float64
+	u     []float64
+	usage []float64 // send + receive per member
 
 	centralUsage float64
 
-	// localW caches per-node local demand totals (scalar mode's hot
-	// path); scratch is a reusable chain-change buffer.
-	localW  map[model.NodeID]float64
+	// scratch is a reusable chain-change buffer, lout a reusable
+	// out-vector and mark a reusable per-participant flag.
 	scratch []chainChange
+	lout    []float64
+	mark    []bool
 }
 
 func newState(ctx Context) *state {
+	n := len(ctx.Nodes)
 	s := &state{
-		ctx:    ctx,
-		tree:   plan.NewTree(ctx.Attrs),
-		in:     make(map[model.NodeID][]float64),
-		out:    make(map[model.NodeID][]float64),
-		recv:   make(map[model.NodeID]float64),
-		u:      make(map[model.NodeID]float64),
-		usage:  make(map[model.NodeID]float64),
-		localW: make(map[model.NodeID]float64),
+		ctx:      ctx,
+		scalar:   true,
+		ids:      ctx.Nodes,
+		avail:    make([]float64, n),
+		parent:   make([]int, n),
+		children: make([][]int, n),
+		root:     absent,
+		recv:     make([]float64, n),
+		u:        make([]float64, n),
+		usage:    make([]float64, n),
+		mark:     make([]bool, n),
 	}
-	s.scalar = true
-	for _, a := range ctx.Attrs.Attrs() {
+	for _, a := range ctx.Attrs.Sorted() {
 		if ctx.Spec.KindOf(a) != agg.Holistic {
 			s.scalar = false
 			break
 		}
 	}
+	s.dims = 1
 	if !s.scalar {
-		s.attrs = ctx.Attrs.Attrs()
+		s.attrs = ctx.Attrs.Sorted()
+		s.dims = len(s.attrs)
+	}
+	s.local = make([]float64, n*s.dims)
+	s.in = make([]float64, n*s.dims)
+	s.out = make([]float64, n*s.dims)
+	s.lout = make([]float64, s.dims)
+	for i, id := range ctx.Nodes {
+		s.avail[i] = ctx.Avail[id]
+		s.parent[i] = absent
+		switch {
+		case !s.scalar:
+			row := s.row(s.local, i)
+			ctx.Demand.VisitLocal(id, ctx.Attrs, func(k int, w float64) { row[k] = w })
+		case ctx.LocalWeights != nil:
+			s.local[i] = ctx.LocalWeights[id]
+		default:
+			s.local[i] = ctx.Demand.LocalWeight(id, ctx.Attrs)
+		}
 	}
 	return s
 }
 
-// dims returns the number of tracked value dimensions.
-func (s *state) dims() int {
-	if s.scalar {
-		return 1
-	}
-	return len(s.attrs)
+// row returns participant i's dims values in a row-major slice.
+func (s *state) row(v []float64, i int) []float64 {
+	return v[i*s.dims : (i+1)*s.dims : (i+1)*s.dims]
 }
 
-// localVec returns node n's local demand vector for this tree.
-func (s *state) localVec(n model.NodeID) []float64 {
-	if s.scalar {
-		return []float64{s.localWeight(n)}
+// id returns the node id of index i (model.Central for central).
+func (s *state) id(i int) model.NodeID {
+	if i == central {
+		return model.Central
 	}
-	v := make([]float64, len(s.attrs))
-	for i, a := range s.attrs {
-		v[i] = s.ctx.Demand.Weight(n, a)
-	}
-	return v
+	return s.ids[i]
 }
 
-// localWeight returns (and caches) node n's total local demand weight.
-func (s *state) localWeight(n model.NodeID) float64 {
-	if s.ctx.LocalWeights != nil {
-		return s.ctx.LocalWeights[n]
-	}
-	if w, ok := s.localW[n]; ok {
-		return w
-	}
-	w := s.ctx.Demand.LocalWeight(n, s.ctx.Attrs)
-	s.localW[n] = w
-	return w
+// dist is the distance factor of the edge from i to its parent p.
+func (s *state) dist(i, p int) float64 {
+	return s.ctx.Sys.Dist(s.ids[i], s.id(p))
 }
 
-// funnel applies the per-attribute funnels to an incoming vector.
-func (s *state) funnel(in []float64) []float64 {
-	out := make([]float64, len(in))
-	if s.scalar {
-		copy(out, in)
-		if out[0] < 0 {
-			out[0] = 0
-		}
-		return out
+func (s *state) contains(i int) bool { return s.parent[i] != absent }
+
+// addNode links i under p (central makes i the root).
+func (s *state) addNode(i, p int) {
+	s.parent[i] = p
+	s.size++
+	if p == central {
+		s.root = i
+		return
 	}
-	for i, a := range s.attrs {
-		out[i] = s.ctx.Spec.Out(a, in[i])
+	s.children[p] = append(s.children[p], i)
+}
+
+// subtree returns i and its descendants in breadth-first order.
+func (s *state) subtree(i int) []int {
+	out := []int{i}
+	for k := 0; k < len(out); k++ {
+		out = append(out, s.children[out[k]]...)
 	}
 	return out
+}
+
+// members returns every member in breadth-first order from the root.
+func (s *state) members() []int {
+	if s.size == 0 {
+		return nil
+	}
+	return s.subtree(s.root)
+}
+
+// removeSubtree unlinks i and its descendants.
+func (s *state) removeSubtree(i int) {
+	if p := s.parent[i]; p == central {
+		s.root = absent
+	} else {
+		s.children[p] = slices.DeleteFunc(s.children[p], func(c int) bool { return c == i })
+	}
+	for _, m := range s.subtree(i) {
+		s.parent[m] = absent
+		s.children[m] = s.children[m][:0]
+		s.size--
+	}
+}
+
+// localVec returns node n's local demand vector for this tree. The
+// returned slice must not be modified.
+func (s *state) localVec(n int) []float64 { return s.row(s.local, n) }
+
+// funnel applies the per-attribute funnels to an incoming vector,
+// writing the outgoing vector into dst and returning it.
+func (s *state) funnel(dst, in []float64) []float64 {
+	if s.scalar {
+		dst[0] = in[0]
+		if dst[0] < 0 {
+			dst[0] = 0
+		}
+		return dst
+	}
+	for i, a := range s.attrs {
+		dst[i] = s.ctx.Spec.Out(a, in[i])
+	}
+	return dst
 }
 
 func vecSum(v []float64) float64 {
@@ -146,13 +225,25 @@ func (s *state) msgCost(y float64) float64 {
 	return s.ctx.Sys.Cost.PerMessage + s.ctx.Sys.Cost.PerValue*y
 }
 
-func (s *state) avail(n model.NodeID) float64 {
-	return s.ctx.Avail[n]
+// headroom is what member n could still spend in this tree.
+func (s *state) headroom(n int) float64 { return s.avail[n] - s.usage[n] }
+
+// byHeadroom orders nodes by (headroom desc, id asc), in place.
+func (s *state) byHeadroom(nodes []int) {
+	slices.SortFunc(nodes, func(a, b int) int {
+		switch ha, hb := s.headroom(a), s.headroom(b); {
+		case ha > hb:
+			return -1
+		case ha < hb:
+			return 1
+		}
+		return cmp.Compare(s.ids[a], s.ids[b])
+	})
 }
 
-// totalUsage sums the tree's capacity consumption over all members and
-// the collector — the quantity the adjusting procedure's relay-for-
-// overhead trade must not inflate unprofitably.
+// totalUsage sums the tree's capacity consumption over all participants
+// in index order and the collector — the quantity the adjusting
+// procedure's relay-for-overhead trade must not inflate unprofitably.
 func (s *state) totalUsage() float64 {
 	var sum float64
 	for _, u := range s.usage {
@@ -165,7 +256,7 @@ func (s *state) totalUsage() float64 {
 // scalar (all-holistic) mode dOut is nil and dOutS carries the constant
 // out-delta instead.
 type chainChange struct {
-	node  model.NodeID
+	node  int
 	dOut  []float64
 	dOutS float64
 	// payloadDelta is the endpoint-cost change of the node's message
@@ -183,7 +274,7 @@ type chainChange struct {
 // change in the child's outgoing value vector. It reports whether all
 // affected nodes (and the central collector) stay within capacity;
 // charges (positive deltas) are checked, refunds always fit.
-func (s *state) chainDeltas(p model.NodeID, deltaOut []float64, childU float64) (bool, []chainChange, float64) {
+func (s *state) chainDeltas(p int, deltaOut []float64, childU float64) (bool, []chainChange, float64) {
 	if s.scalar {
 		return s.chainDeltasScalar(p, deltaOut[0], childU)
 	}
@@ -191,20 +282,20 @@ func (s *state) chainDeltas(p model.NodeID, deltaOut []float64, childU float64) 
 	recvDelta := childU
 	delta := deltaOut
 	cur := p
-	for !cur.IsCentral() {
-		newIn := make([]float64, s.dims())
-		copy(newIn, s.in[cur])
+	for cur != central {
+		newIn := make([]float64, s.dims)
+		copy(newIn, s.row(s.in, cur))
 		vecAdd(newIn, delta)
-		newOut := s.funnel(newIn)
-		dOut := make([]float64, s.dims())
-		for i := range dOut {
-			dOut[i] = newOut[i] - s.out[cur][i]
+		newOut := s.funnel(newIn, newIn)
+		dOut := make([]float64, s.dims)
+		for i, o := range s.row(s.out, cur) {
+			dOut[i] = newOut[i] - o
 		}
-		parent, _ := s.tree.Parent(cur)
+		parent := s.parent[cur]
 		payloadDelta := s.ctx.Sys.Cost.PerValue * vecSum(dOut)
-		sendDelta := payloadDelta * s.ctx.Sys.Dist(cur, parent)
+		sendDelta := payloadDelta * s.dist(cur, parent)
 		usageDelta := recvDelta + sendDelta
-		if usageDelta > capEps && s.usage[cur]+usageDelta > s.avail(cur)+capEps {
+		if usageDelta > capEps && s.usage[cur]+usageDelta > s.avail[cur]+capEps {
 			return false, nil, 0
 		}
 		changes = append(changes, chainChange{
@@ -233,16 +324,16 @@ func (s *state) chainDeltas(p model.NodeID, deltaOut []float64, childU float64) 
 // chainDeltasScalar is the allocation-free fast path for all-holistic
 // trees: the funnel is the identity, so the out-delta is the same
 // constant at every node on the chain.
-func (s *state) chainDeltasScalar(p model.NodeID, delta, childU float64) (bool, []chainChange, float64) {
+func (s *state) chainDeltasScalar(p int, delta, childU float64) (bool, []chainChange, float64) {
 	changes := s.scratch[:0]
 	recvDelta := childU
 	payloadDelta := s.ctx.Sys.Cost.PerValue * delta
 	cur := p
-	for !cur.IsCentral() {
-		parent, _ := s.tree.Parent(cur)
-		sendDelta := payloadDelta * s.ctx.Sys.Dist(cur, parent)
+	for cur != central {
+		parent := s.parent[cur]
+		sendDelta := payloadDelta * s.dist(cur, parent)
 		usageDelta := recvDelta + sendDelta
-		if usageDelta > capEps && s.usage[cur]+usageDelta > s.avail(cur)+capEps {
+		if usageDelta > capEps && s.usage[cur]+usageDelta > s.avail[cur]+capEps {
 			return false, nil, 0
 		}
 		changes = append(changes, chainChange{
@@ -271,8 +362,8 @@ func (s *state) applyChain(changes []chainChange, firstInDelta []float64, centra
 		// first in-delta.
 		delta := firstInDelta[0]
 		for _, c := range changes {
-			s.in[c.node][0] += delta
-			s.out[c.node][0] += c.dOutS
+			s.in[c.node] += delta
+			s.out[c.node] += c.dOutS
 			s.recv[c.node] += c.payloadDelta
 			s.u[c.node] += c.sendDelta
 			s.usage[c.node] += c.usageDelta
@@ -282,8 +373,8 @@ func (s *state) applyChain(changes []chainChange, firstInDelta []float64, centra
 	}
 	inDelta := firstInDelta
 	for _, c := range changes {
-		vecAdd(s.in[c.node], inDelta)
-		vecAdd(s.out[c.node], c.dOut)
+		vecAdd(s.row(s.in, c.node), inDelta)
+		vecAdd(s.row(s.out, c.node), c.dOut)
 		s.recv[c.node] += c.payloadDelta
 		s.u[c.node] += c.sendDelta
 		s.usage[c.node] += c.usageDelta
@@ -294,38 +385,33 @@ func (s *state) applyChain(changes []chainChange, firstInDelta []float64, centra
 
 // attach adds node n under parent p, updating all bookkeeping. It
 // reports false (with no side effects) if the attachment is infeasible.
-func (s *state) attach(n, p model.NodeID) bool {
+func (s *state) attach(n, p int) bool {
+	if s.contains(n) {
+		return false
+	}
 	lv := s.localVec(n)
-	lout := s.funnel(lv)
+	lout := s.funnel(s.lout, lv)
 	endpoint := s.msgCost(vecSum(lout))
-	un := endpoint * s.ctx.Sys.Dist(n, p)
-	if un > s.avail(n)+capEps {
+	un := endpoint * s.dist(n, p)
+	if un > s.avail[n]+capEps {
 		return false
 	}
-	if p.IsCentral() {
-		if !s.tree.Empty() || s.centralUsage+endpoint > s.ctx.CentralAvail+capEps {
+	var changes []chainChange
+	var centralDelta float64
+	if p == central {
+		if s.size > 0 || s.centralUsage+endpoint > s.ctx.CentralAvail+capEps {
 			return false
 		}
-		if err := s.tree.AddNode(n, p); err != nil {
+		centralDelta = endpoint
+	} else {
+		var ok bool
+		if ok, changes, centralDelta = s.chainDeltas(p, lout, endpoint); !ok {
 			return false
 		}
-		s.in[n] = lv
-		s.out[n] = lout
-		s.recv[n] = endpoint
-		s.u[n] = un
-		s.usage[n] += un
-		s.centralUsage += endpoint
-		return true
 	}
-	ok, changes, centralDelta := s.chainDeltas(p, lout, endpoint)
-	if !ok {
-		return false
-	}
-	if err := s.tree.AddNode(n, p); err != nil {
-		return false
-	}
-	s.in[n] = lv
-	s.out[n] = lout
+	s.addNode(n, p)
+	copy(s.row(s.in, n), lv)
+	copy(s.row(s.out, n), lout)
 	s.recv[n] = endpoint
 	s.u[n] = un
 	s.usage[n] += un
@@ -335,32 +421,30 @@ func (s *state) attach(n, p model.NodeID) bool {
 
 // branch captures a detached subtree so it can be reattached or restored.
 type branch struct {
-	root model.NodeID
-	// nodes in breadth-first order (root first).
-	nodes []model.NodeID
-	// parentOf preserves the internal structure.
-	parentOf map[model.NodeID]model.NodeID
+	root int
+	// nodes in breadth-first order (root first), and each one's parent,
+	// preserving the internal structure.
+	nodes, parents []int
 	// oldParent is where the branch was attached.
-	oldParent model.NodeID
+	oldParent int
 }
 
 // detachBranch removes the subtree rooted at b, keeping the branch
 // members' internal bookkeeping intact so the branch can be reattached
 // whole. The ancestor chain is refunded.
-func (s *state) detachBranch(b model.NodeID) branch {
-	oldParent, _ := s.tree.Parent(b)
-	sub := s.tree.Subtree(b)
-	parentOf := make(map[model.NodeID]model.NodeID, len(sub))
-	for _, n := range sub {
-		p, _ := s.tree.Parent(n)
-		parentOf[n] = p
+func (s *state) detachBranch(b int) branch {
+	oldParent := s.parent[b]
+	sub := s.subtree(b)
+	parents := make([]int, len(sub))
+	for i, n := range sub {
+		parents[i] = s.parent[n]
 	}
 
-	negOut := make([]float64, s.dims())
-	for i, x := range s.out[b] {
+	negOut := make([]float64, s.dims)
+	for i, x := range s.row(s.out, b) {
 		negOut[i] = -x
 	}
-	if !oldParent.IsCentral() {
+	if oldParent != central {
 		ok, changes, centralDelta := s.chainDeltas(oldParent, negOut, -s.recv[b])
 		if ok { // refunds always succeed
 			s.applyChain(changes, negOut, centralDelta)
@@ -372,8 +456,16 @@ func (s *state) detachBranch(b model.NodeID) branch {
 	// recharge at the new attachment point.
 	s.usage[b] -= s.u[b]
 	s.u[b] = 0
-	_, _ = s.tree.RemoveSubtree(b)
-	return branch{root: b, nodes: sub, parentOf: parentOf, oldParent: oldParent}
+	s.removeSubtree(b)
+	return branch{root: b, nodes: sub, parents: parents, oldParent: oldParent}
+}
+
+// relink re-adds a detached branch's structure, its root under p.
+func (s *state) relink(br branch, p int) {
+	s.addNode(br.root, p)
+	for i, n := range br.nodes[1:] {
+		s.addNode(n, br.parents[i+1])
+	}
 }
 
 // attachBranch reattaches a previously detached branch whole under
@@ -381,20 +473,17 @@ func (s *state) detachBranch(b model.NodeID) branch {
 // exceeds maxAdd (pass a negative maxAdd for no bound). It reports false
 // (restoring nothing) when infeasible; the caller is responsible for
 // restoring the branch elsewhere.
-func (s *state) attachBranch(br branch, newParent model.NodeID, maxAdd float64) bool {
-	if newParent.IsCentral() {
-		return false
-	}
-	if !s.tree.Contains(newParent) {
+func (s *state) attachBranch(br branch, newParent int, maxAdd float64) bool {
+	if newParent == central || !s.contains(newParent) {
 		return false
 	}
 	// The root's distance-scaled send cost at the new position must fit
 	// its own budget.
-	newU := s.recv[br.root] * s.ctx.Sys.Dist(br.root, newParent)
-	if s.usage[br.root]+newU > s.avail(br.root)+capEps {
+	newU := s.recv[br.root] * s.dist(br.root, newParent)
+	if s.usage[br.root]+newU > s.avail[br.root]+capEps {
 		return false
 	}
-	ok, changes, centralDelta := s.chainDeltas(newParent, s.out[br.root], s.recv[br.root])
+	ok, changes, centralDelta := s.chainDeltas(newParent, s.row(s.out, br.root), s.recv[br.root])
 	if !ok {
 		return false
 	}
@@ -407,96 +496,57 @@ func (s *state) attachBranch(br branch, newParent model.NodeID, maxAdd float64) 
 			return false
 		}
 	}
-	// Rebuild the branch structure.
-	if err := s.tree.AddNode(br.root, newParent); err != nil {
-		return false
-	}
-	for _, n := range br.nodes[1:] {
-		if err := s.tree.AddNode(n, br.parentOf[n]); err != nil {
-			// Structure was captured from a valid tree; failure here is a
-			// programming error, surface it by undoing the root.
-			_, _ = s.tree.RemoveSubtree(br.root)
-			return false
-		}
-	}
+	s.relink(br, newParent)
 	s.u[br.root] = newU
 	s.usage[br.root] += newU
-	s.applyChain(changes, s.out[br.root], centralDelta)
+	s.applyChain(changes, s.row(s.out, br.root), centralDelta)
 	return true
 }
 
 // restoreBranch puts a detached branch back where it was.
 func (s *state) restoreBranch(br branch) bool {
-	if br.oldParent.IsCentral() {
-		if !s.tree.Empty() {
-			return false
-		}
-		if err := s.tree.AddNode(br.root, model.Central); err != nil {
-			return false
-		}
-		for _, n := range br.nodes[1:] {
-			_ = s.tree.AddNode(n, br.parentOf[n])
-		}
-		newU := s.recv[br.root] * s.ctx.Sys.Dist(br.root, model.Central)
-		s.u[br.root] = newU
-		s.usage[br.root] += newU
-		s.centralUsage += s.recv[br.root]
-		return true
+	if br.oldParent != central {
+		return s.attachBranch(br, br.oldParent, -1)
 	}
-	return s.attachBranch(branch{
-		root:     br.root,
-		nodes:    br.nodes,
-		parentOf: br.parentOf,
-	}, br.oldParent, -1)
+	if s.size > 0 {
+		return false
+	}
+	s.relink(br, central)
+	newU := s.recv[br.root] * s.dist(br.root, central)
+	s.u[br.root] = newU
+	s.usage[br.root] += newU
+	s.centralUsage += s.recv[br.root]
+	return true
 }
 
 // dropBranchBookkeeping erases the per-node bookkeeping of a detached
 // branch, for node-based reattaching where each node is re-added fresh.
 func (s *state) dropBranchBookkeeping(br branch) {
 	for _, n := range br.nodes {
-		delete(s.in, n)
-		delete(s.out, n)
-		delete(s.recv, n)
-		delete(s.u, n)
-		delete(s.usage, n)
+		clear(s.row(s.in, n))
+		clear(s.row(s.out, n))
+		s.recv[n], s.u[n], s.usage[n] = 0, 0, 0
 	}
-}
-
-// memberKey is a precomputed sort key, avoiding map lookups inside sort
-// comparators (the construction procedure's hottest path).
-type memberKey struct {
-	n        model.NodeID
-	depth    int
-	headroom float64
 }
 
 // membersByDepth returns current members ordered by (depth asc, available
 // headroom desc, id asc) — the attachment preference of the construction
-// procedure.
-func (s *state) membersByDepth() []model.NodeID {
-	members := s.tree.Members()
-	keys := make([]memberKey, len(members))
-	depth := make(map[model.NodeID]int, len(members))
-	for i, n := range members {
-		p, _ := s.tree.Parent(n)
-		d := depth[p] + 1
-		depth[n] = d
-		keys[i] = memberKey{n: n, depth: d, headroom: s.avail(n) - s.usage[n]}
+// procedure. It walks the tree one level at a time and sorts each level.
+func (s *state) membersByDepth() []int {
+	if s.size == 0 {
+		return nil
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.depth != b.depth {
-			return a.depth < b.depth
+	out := make([]int, 1, s.size)
+	out[0] = s.root
+	for lo := 0; lo < len(out); {
+		hi := len(out)
+		s.byHeadroom(out[lo:hi])
+		for _, m := range out[lo:hi] {
+			out = append(out, s.children[m]...)
 		}
-		if a.headroom != b.headroom {
-			return a.headroom > b.headroom
-		}
-		return a.n < b.n
-	})
-	for i, k := range keys {
-		members[i] = k.n
+		lo = hi
 	}
-	return members
+	return out
 }
 
 // byEdgeCost reorders candidate parents by the distance factor of the
@@ -504,46 +554,50 @@ func (s *state) membersByDepth() []model.NodeID {
 // preference order among equal-cost candidates. On a system without a
 // distance function the order is untouched, so uniform-priced builds are
 // bit-identical to the distance-oblivious algorithm.
-func (s *state) byEdgeCost(n model.NodeID, members []model.NodeID) []model.NodeID {
+func (s *state) byEdgeCost(n int, members []int) []int {
 	if s.ctx.Sys.Distance == nil || len(members) < 2 {
 		return members
 	}
-	d := make([]float64, len(members))
+	type cand struct {
+		n int
+		d float64
+	}
+	cands := make([]cand, len(members))
 	uniform := true
 	for i, p := range members {
-		d[i] = s.ctx.Sys.Dist(n, p)
-		if d[i] != d[0] {
+		cands[i] = cand{p, s.dist(n, p)}
+		if cands[i].d != cands[0].d {
 			uniform = false
 		}
 	}
 	if uniform {
 		return members
 	}
-	idx := make([]int, len(members))
-	for i := range idx {
-		idx[i] = i
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.d, b.d) })
+	for i, c := range cands {
+		members[i] = c.n
 	}
-	sort.SliceStable(idx, func(i, j int) bool { return d[idx[i]] < d[idx[j]] })
-	out := make([]model.NodeID, len(members))
-	for i, k := range idx {
-		out[i] = members[k]
-	}
-	return out
+	return members
 }
 
-// result converts the final state into a Result.
-func (s *state) result(excluded []model.NodeID) Result {
-	used := make(map[model.NodeID]float64, len(s.usage))
-	for n, u := range s.usage {
-		if s.tree.Contains(n) {
-			used[n] = u
-		}
+// result converts the final state into a Result, building the plan.Tree
+// breadth-first so every child list keeps its insertion order.
+func (s *state) result(excluded []int) Result {
+	t := plan.NewTree(s.ctx.Attrs)
+	used := make(map[model.NodeID]float64, s.size)
+	for _, n := range s.members() {
+		_ = t.AddNode(s.ids[n], s.id(s.parent[n]))
+		used[s.ids[n]] = s.usage[n]
 	}
-	model.SortNodes(excluded)
+	var ex []model.NodeID
+	for _, n := range excluded {
+		ex = append(ex, s.ids[n])
+	}
+	model.SortNodes(ex)
 	return Result{
-		Tree:        s.tree,
+		Tree:        t,
 		Used:        used,
 		CentralUsed: s.centralUsage,
-		Excluded:    excluded,
+		Excluded:    ex,
 	}
 }

@@ -52,8 +52,9 @@ echo "==> go test -race"
 # under the race detector on a two-core box.
 go test -race -timeout 45m ./...
 
-echo "==> runtime benchmarks (1 iteration, with allocation stats)"
+echo "==> runtime and planner benchmarks (1 iteration, with allocation stats)"
 go test -run '^$' -bench 'BenchmarkRuntime' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'BenchmarkPlan|BenchmarkReplanChurn' -benchtime 1x .
 # The read path's and the stream's sizing benchmarks (delta reads
 # beside an unpaced backend; one SSE subscriber reading every round of
 # one), run once so they cannot rot.
@@ -62,8 +63,9 @@ go test -run '^$' -bench 'BenchmarkLatestBesideRounds|BenchmarkStreamRound' -ben
 echo "==> stream and round barrier under -race, repeated"
 go test -race -count=10 -run 'Stream|Broker|Gap|Flush' ./internal/serve ./internal/transport
 
-echo "==> planner beside the round loop under -race, repeated"
+echo "==> planner beside the round loop, replan-sequence golden and plan determinism under -race, repeated"
 go test -race -count=10 -run 'Replan|Parked|Drain|Readers' ./internal/serve .
+go test -race -count=10 -run 'LocalWeightDeterministic|PlanDeterministicUnderFrequencies' ./internal/task ./internal/core
 
 echo "==> verification harness (plan + repairs + results cross-checked)"
 go run ./cmd/remo-sim -nodes 40 -tasks 20 -rounds 12 -chaos 0.15 -suspicion 2 -verify > /dev/null
