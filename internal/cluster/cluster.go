@@ -202,9 +202,6 @@ type Result struct {
 	// which the sync/gap protocol guarantees. Zero when nothing was
 	// imputed.
 	ImputeBandMax float64
-	// ErrorSeries is the average percentage error per round (warm-up
-	// curves, convergence analysis).
-	ErrorSeries []float64
 	// StaleEpochFrames counts frames rejected by epoch fencing — values
 	// composed under an older plan epoch than their tree's.
 	StaleEpochFrames int

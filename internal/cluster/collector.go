@@ -60,13 +60,6 @@ type collector struct {
 	delivered int
 	expected  int
 
-	errSum     float64
-	errCount   int
-	staleSum   float64
-	staleCount int
-	// errSeries accumulates per-round average error.
-	errSeries []float64
-
 	valuesDelivered int
 	centralDrops    int
 	// staleFrames counts frames rejected by epoch fencing at the
@@ -228,11 +221,9 @@ func (c *collector) retarget(cfg Config) {
 // recover rebuilds the collector after a crash: every in-memory view is
 // wiped — a restarted collector knows only what its journal preserved —
 // and the demanded slots are re-seeded from the recovered repository's
-// newest samples. The scoring accumulators survive: they are the
-// session's measurement harness, not collector state, and keeping them
-// preserves the one-entry-per-round error series the verifier checks.
-// Aggregate views are not re-seeded (the repository stores them under
-// the aggregating node's identity); they refresh on the next delivery.
+// newest samples. Aggregate views are not re-seeded (the repository
+// stores them under the aggregating node's identity); they refresh on
+// the next delivery.
 func (c *collector) recover(cfg Config, repo *store.Store, round int) {
 	c.holisticPairs = nil
 	c.periods, c.views, c.viewSet, c.seen = nil, nil, nil, nil
@@ -496,47 +487,50 @@ func (w *roundWindow) mark(r, horizon int) bool {
 	return true
 }
 
-// score accumulates the per-round error and staleness metrics after
-// round's messages were absorbed. It returns this round's error-sum and
-// pair-count deltas so a sharded session can merge per-shard rounds into
-// one session-wide error series.
-func (c *collector) score(round int) (dErr float64, dCnt int) {
-	roundErrBase, roundCountBase := c.errSum, c.errCount
+// errUnit is the integer unit a tally counts relative error in: 2^-32,
+// so a round's tally is exact and overflows only past 2^32 targets.
+const errUnit = 1 << 32
+
+// tally is one round's score: exact integer sums, so adding the tallies
+// of collectors that split the demand gives the same totals however the
+// targets are split.
+type tally struct {
+	// err sums the targets' relative errors in units of 1/errUnit over
+	// pairs targets; stale sums the ages in rounds of the fresh targets
+	// that hold a view.
+	err          uint64
+	pairs        int
+	stale, fresh int
+}
+
+// add scores one target against its truth; a target without a view
+// counts as full error.
+func (t *tally) add(v transport.Value, ok bool, truth float64, round int) {
+	t.pairs++
+	if !ok {
+		t.err += errUnit
+		return
+	}
+	t.err += uint64(math.Round(relErr(v.Value, truth) * errUnit))
+	t.stale += round - v.Round
+	t.fresh++
+}
+
+// score adds round's error and staleness over every demanded target to
+// t, after round's messages were absorbed.
+func (c *collector) score(round int, t *tally) {
 	for i, p := range c.holisticPairs {
 		if round%c.periods[i] == 0 {
 			c.expected++
 		}
-		truth := c.cfg.Source.Value(p.Node, p.Attr, round)
-		c.errCount++
-		if !c.viewSet[i] {
-			c.errSum += 1
-			continue
-		}
-		v := c.views[i]
-		c.errSum += relErr(v.Value, truth)
-		c.staleSum += float64(round - v.Round)
-		c.staleCount++
+		t.add(c.views[i], c.viewSet[i], c.cfg.Source.Value(p.Node, p.Attr, round), round)
 	}
 	for _, a := range c.aggAttrs {
 		c.expected++
-		c.errCount++
 		truth := c.aggTruth(a, round)
 		v, ok := c.aggView[a]
-		if !ok {
-			c.errSum += 1
-			continue
-		}
-		c.errSum += relErr(v.Value, truth)
-		c.staleSum += float64(round - v.Round)
-		c.staleCount++
+		t.add(v, ok, truth, round)
 	}
-	dErr, dCnt = c.errSum-roundErrBase, c.errCount-roundCountBase
-	if dCnt > 0 {
-		c.errSeries = append(c.errSeries, 100*dErr/float64(dCnt))
-	} else {
-		c.errSeries = append(c.errSeries, 0)
-	}
-	return dErr, dCnt
 }
 
 // aggTruth computes the ground-truth aggregate of attribute a over its
@@ -554,14 +548,15 @@ func (c *collector) aggTruth(a model.AttrID, round int) float64 {
 	return combined[0]
 }
 
-// relErr is the relative error capped at 100%.
+// relErr is the relative error capped at 100%. A non-finite observation
+// or truth counts as full error.
 func relErr(observed, truth float64) float64 {
 	denom := math.Abs(truth)
 	if denom < 1e-9 {
 		denom = 1e-9
 	}
 	e := math.Abs(observed-truth) / denom
-	if e > 1 {
+	if !(e <= 1) {
 		e = 1
 	}
 	return e
@@ -599,31 +594,26 @@ func (c *collector) covered() int {
 	return n
 }
 
-// result finalizes the measurements.
-func (c *collector) result() Result {
-	res := Result{
-		DemandedPairs:   len(c.holisticPairs) + len(c.aggAttrs),
-		ValuesDelivered: c.valuesDelivered,
-		MessagesDropped: c.centralDrops,
-		ValuesImputed:   c.valuesImputed,
-		ModelSyncs:      c.modelSyncs,
-		MarkersLost:     c.markersLost,
-		ImputeBandMax:   c.imputeBandMax,
+// fold sums the partial results of collectors that split one demand.
+// Error and staleness are the machine's: it totals every round's tally.
+func fold(colls ...*collector) Result {
+	var res Result
+	var delivered, expected int
+	for _, c := range colls {
+		res.DemandedPairs += len(c.holisticPairs) + len(c.aggAttrs)
+		res.CoveredPairs += c.covered()
+		res.ValuesDelivered += c.valuesDelivered
+		res.MessagesDropped += c.centralDrops
+		res.StaleEpochFrames += c.staleFrames
+		res.ValuesImputed += c.valuesImputed
+		res.ModelSyncs += c.modelSyncs
+		res.MarkersLost += c.markersLost
+		res.ImputeBandMax = max(res.ImputeBandMax, c.imputeBandMax)
+		delivered += c.deliveredEffective()
+		expected += c.expected
 	}
-	res.CoveredPairs = c.covered()
-	delivered := c.deliveredEffective()
-	if c.expected > 0 {
-		res.PercentCollected = 100 * float64(delivered) / float64(c.expected)
-		if res.PercentCollected > 100 {
-			res.PercentCollected = 100
-		}
+	if expected > 0 {
+		res.PercentCollected = min(100, 100*float64(delivered)/float64(expected))
 	}
-	if c.errCount > 0 {
-		res.AvgPercentError = 100 * c.errSum / float64(c.errCount)
-	}
-	if c.staleCount > 0 {
-		res.AvgStaleness = c.staleSum / float64(c.staleCount)
-	}
-	res.ErrorSeries = append([]float64(nil), c.errSeries...)
 	return res
 }

@@ -159,33 +159,43 @@ func TestPiggybackSkipsOffRounds(t *testing.T) {
 	}
 }
 
+// TestErrorSeriesConverges recovers each round's error from the running
+// average: every round scores the same five pairs, so round k's error is
+// k·avg_k − (k−1)·avg_{k−1}.
 func TestErrorSeriesConverges(t *testing.T) {
 	sys, d, f := starEnv(t, 5)
 	src := ValueFunc(func(n model.NodeID, a model.AttrID, r int) float64 {
 		return 100
 	})
-	res, err := Run(Config{Sys: sys, Forest: f, Demand: d, Rounds: 12, Source: src})
+	m, err := NewMachine(Config{Sys: sys, Forest: f, Demand: d, Rounds: 12, Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.ErrorSeries) != 12 {
-		t.Fatalf("series length = %d", len(res.ErrorSeries))
+	defer func() { _ = m.Close() }()
+	var series []float64
+	prev := 0.0
+	for k := 1; k <= 12; k++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		avg := m.Result().AvgPercentError
+		series = append(series, float64(k)*avg-float64(k-1)*prev)
+		prev = avg
 	}
 	// Round 0: only the root's own value has reached the collector (its
 	// message is absorbed the same round), so 4 of 5 pairs are still
 	// missing -> 80% error.
-	if res.ErrorSeries[0] < 79 || res.ErrorSeries[0] > 81 {
-		t.Fatalf("round-0 error = %v, want ~80", res.ErrorSeries[0])
+	if series[0] < 79 || series[0] > 81 {
+		t.Fatalf("round-0 error = %v, want ~80", series[0])
 	}
 	// With a constant signal the error vanishes once everything arrives.
-	last := res.ErrorSeries[len(res.ErrorSeries)-1]
-	if last > 1 {
+	if last := series[len(series)-1]; last > 1 {
 		t.Fatalf("final error = %v, want ~0", last)
 	}
 	// The series never increases for a constant source.
-	for i := 1; i < len(res.ErrorSeries); i++ {
-		if res.ErrorSeries[i] > res.ErrorSeries[i-1]+1e-9 {
-			t.Fatalf("series not monotone: %v", res.ErrorSeries)
+	for i := 1; i < len(series); i++ {
+		if series[i] > series[i-1]+1e-9 {
+			t.Fatalf("series not monotone: %v", series)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // equivCase is one seeded workload for the engine-equivalence proof:
 // the worker-pool round engine and the inline single-worker engine must
 // produce bit-identical results (delivered values, drops, coverage,
-// error series) on every one of them.
+// error) on every one of them.
 type equivCase struct {
 	name         string
 	nodes, attrs int

@@ -57,6 +57,11 @@ type Machine struct {
 	// any node (collector-down discards, failed delayed injections).
 	extraObserved, extraSuppressed, extraMarkersLost int
 
+	// errSum, pairs, staleSum and fresh total every round's tally (see
+	// tally): errSum in whole relative errors, one float add a round.
+	errSum                 float64
+	pairs, staleSum, fresh int
+
 	// collectorDown is latched when the chaos schedule crashes the
 	// central collector; cleared by ResumeCollector.
 	collectorDown bool
@@ -188,7 +193,9 @@ func (m *Machine) Step() error {
 		return fmt.Errorf("cluster: round %d: %w", round, err)
 	}
 	msgs := m.tr.Drain(model.Central)
-	if m.tier != nil {
+	var t tally
+	switch {
+	case m.tier != nil:
 		// Root aggregation tier: node-level failure detection is hosted
 		// here (it never dies with a shard), frames route to their owning
 		// shard's collector, and the dispatcher closes the round.
@@ -196,14 +203,12 @@ func (m *Machine) Step() error {
 			msgs = m.feedDetector(msgs)
 		}
 		m.shardAbsorb(msgs, round)
-		m.shardScore(round)
+		m.shardScore(round, &t)
 		if m.det != nil {
 			m.advanceDetector(round)
 		}
 		m.shardDispatch(round)
-		return nil
-	}
-	if m.collectorDown {
+	case m.collectorDown:
 		// The dead collector hears nothing: whatever reached its mailbox
 		// (delayed injections, unbuffered root sends) is lost, and the
 		// failure detector — a collector-side component — is frozen with
@@ -214,17 +219,21 @@ func (m *Machine) Step() error {
 		for _, msg := range msgs {
 			m.extraMarkersLost += len(msg.Suppressed)
 		}
-		m.coll.score(round)
-		return nil
+		m.coll.score(round, &t)
+	default:
+		if m.det != nil {
+			msgs = m.feedDetector(msgs)
+		}
+		m.coll.absorb(msgs, round)
+		m.coll.score(round, &t)
+		if m.det != nil {
+			m.advanceDetector(round)
+		}
 	}
-	if m.det != nil {
-		msgs = m.feedDetector(msgs)
-	}
-	m.coll.absorb(msgs, round)
-	m.coll.score(round)
-	if m.det != nil {
-		m.advanceDetector(round)
-	}
+	m.errSum += float64(t.err) / errUnit
+	m.pairs += t.pairs
+	m.staleSum += t.stale
+	m.fresh += t.fresh
 	return nil
 }
 
@@ -489,10 +498,15 @@ func (m *Machine) Result() Result {
 	if m.tier != nil {
 		res = m.tier.merged()
 	} else {
-		res = m.coll.result()
-		res.StaleEpochFrames = m.coll.staleFrames
+		res = fold(m.coll)
 	}
 	res.Rounds = m.round
+	if m.pairs > 0 {
+		res.AvgPercentError = 100 * m.errSum / float64(m.pairs)
+	}
+	if m.fresh > 0 {
+		res.AvgStaleness = float64(m.staleSum) / float64(m.fresh)
+	}
 	res.MessagesSent += m.extraSent
 	res.MessagesDropped += m.extraDrops
 	res.StaleEpochFrames += m.extraStale

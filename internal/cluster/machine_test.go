@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"remo/internal/core"
@@ -149,5 +150,46 @@ func TestMachineInstallEmptyForest(t *testing.T) {
 	out := m.Result()
 	if out.DemandedPairs != 0 {
 		t.Fatalf("demanded = %d after emptying", out.DemandedPairs)
+	}
+}
+
+// resultBytes is the fewest heap bytes one Machine.Result call allocated,
+// averaged over a batch of calls, across a few batches.
+func resultBytes(m *Machine) uint64 {
+	const calls = 100
+	best := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			_ = m.Result()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	return best
+}
+
+// TestResultSizeIndependentOfUptime proves a report does not grow with
+// the rounds a session ran, for a lone collector and a sharded tier.
+func TestResultSizeIndependentOfUptime(t *testing.T) {
+	sys, d, forest := shardEnv(t, 12, 6)
+	for _, shards := range []int{0, 4} {
+		m, err := NewMachine(shardConfig(sys, d, forest, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.StepN(100); err != nil {
+			t.Fatal(err)
+		}
+		early := resultBytes(m)
+		if err := m.StepN(9900); err != nil {
+			t.Fatal(err)
+		}
+		late := resultBytes(m)
+		_ = m.Close()
+		if early != late {
+			t.Fatalf("shards=%d: Result allocates %d B after 100 rounds, %d B after 10 000", shards, early, late)
+		}
 	}
 }

@@ -41,9 +41,6 @@ type shardTier struct {
 	down      []bool
 	watermark []int
 
-	// errSeries is the merged per-round error series across all shards
-	// and the residual collector.
-	errSeries []float64
 	// batches reuses per-shard routing buffers across rounds.
 	batches [][]transport.Message
 	// redispatched counts orphan re-homings (rebalance moves excluded).
@@ -238,30 +235,18 @@ func (m *Machine) shardAbsorb(msgs []transport.Message, round int) {
 	t.resid.absorb(residBatch, round)
 }
 
-// shardScore scores every collector for the round — down shards score
-// too, accruing the frozen-view error a crashed collector earns — and
-// appends the merged entry to the session-wide error series. Live
-// shards advance their staleness watermark.
-func (m *Machine) shardScore(round int) {
-	t := m.tier
-	var errSum float64
-	var cnt int
-	for s, c := range t.colls {
-		e, n := c.score(round)
-		errSum += e
-		cnt += n
-		if !t.down[s] {
-			t.watermark[s] = round
+// shardScore adds every collector's score for the round to t — down
+// shards score too, accruing the frozen-view error a crashed collector
+// earns. Live shards advance their staleness watermark.
+func (m *Machine) shardScore(round int, t *tally) {
+	tier := m.tier
+	for s, c := range tier.colls {
+		c.score(round, t)
+		if !tier.down[s] {
+			tier.watermark[s] = round
 		}
 	}
-	e, n := t.resid.score(round)
-	errSum += e
-	cnt += n
-	if cnt > 0 {
-		t.errSeries = append(t.errSeries, 100*errSum/float64(cnt))
-	} else {
-		t.errSeries = append(t.errSeries, 0)
-	}
+	tier.resid.score(round, t)
 }
 
 // shardDispatch runs the dispatcher's round: live shards heartbeat,
@@ -359,47 +344,10 @@ func (m *Machine) ResumeShard(s int, rs ResumeState) error {
 	return nil
 }
 
-// merged folds the per-shard partials (and the residual collector) into
-// the single session Result.
+// merged folds the per-shard partials and the residual collector's
+// into the single session Result and adds the tier's own counters.
 func (t *shardTier) merged() Result {
-	all := make([]*collector, 0, t.n+1)
-	all = append(all, t.colls...)
-	all = append(all, t.resid)
-	var res Result
-	var errSum, staleSum float64
-	var errCount, staleCount, delivered, expected int
-	for _, c := range all {
-		res.DemandedPairs += len(c.holisticPairs) + len(c.aggAttrs)
-		res.CoveredPairs += c.covered()
-		res.ValuesDelivered += c.valuesDelivered
-		res.MessagesDropped += c.centralDrops
-		res.StaleEpochFrames += c.staleFrames
-		res.ValuesImputed += c.valuesImputed
-		res.ModelSyncs += c.modelSyncs
-		res.MarkersLost += c.markersLost
-		if c.imputeBandMax > res.ImputeBandMax {
-			res.ImputeBandMax = c.imputeBandMax
-		}
-		delivered += c.deliveredEffective()
-		expected += c.expected
-		errSum += c.errSum
-		errCount += c.errCount
-		staleSum += c.staleSum
-		staleCount += c.staleCount
-	}
-	if expected > 0 {
-		res.PercentCollected = 100 * float64(delivered) / float64(expected)
-		if res.PercentCollected > 100 {
-			res.PercentCollected = 100
-		}
-	}
-	if errCount > 0 {
-		res.AvgPercentError = 100 * errSum / float64(errCount)
-	}
-	if staleCount > 0 {
-		res.AvgStaleness = staleSum / float64(staleCount)
-	}
-	res.ErrorSeries = append([]float64(nil), t.errSeries...)
+	res := fold(append(t.colls[:t.n:t.n], t.resid)...)
 	res.Shards = t.n
 	for _, d := range t.down {
 		if d {
@@ -494,15 +442,17 @@ func (m *Machine) ShardOf(p model.Pair) int {
 
 // ShardResults returns the per-shard partial results, one per shard
 // plus the residual collector's partial last — the union verify checks
-// against the merged Result. Nil for single-collector sessions.
+// against the merged Result. Error and staleness are session-wide (the
+// machine totals them) and stay zero in a partial. Nil for
+// single-collector sessions.
 func (m *Machine) ShardResults() []Result {
 	if m.tier == nil {
 		return nil
 	}
 	out := make([]Result, 0, m.tier.n+1)
 	for _, c := range m.tier.colls {
-		out = append(out, c.result())
+		out = append(out, fold(c))
 	}
-	out = append(out, m.tier.resid.result())
+	out = append(out, fold(m.tier.resid))
 	return out
 }

@@ -71,38 +71,40 @@ func shardConfig(sys *model.System, d *task.Demand, forest *plan.Forest, shards 
 	}
 }
 
+// withoutShardFields blanks the fields only a sharded tier reports.
+func withoutShardFields(r Result) Result {
+	r.Shards, r.ShardsDown, r.OrphanedTrees, r.TreesRedispatched, r.LeaderElections = 0, 0, 0, 0, 0
+	r.ShardWatermarks = nil
+	return r
+}
+
+// TestShardedMatchesSingleCollectorChaosFree proves a fault-free 4-shard
+// tier reports bit for bit what one collector does, error and staleness
+// included: a round's score is an exact tally, so how the tier splits
+// the pairs cannot change its sum.
 func TestShardedMatchesSingleCollectorChaosFree(t *testing.T) {
 	sys, d, forest := shardEnv(t, 12, 6)
 	rounds := 20
 
-	single, err := Run(Config{
-		Sys: sys, Forest: forest, Demand: d,
-		Rounds: rounds, Source: BurstyWalk{Seed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(shards int) Result {
+		cfg := shardConfig(sys, d, forest, shards)
+		cfg.Rounds = rounds
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	cfg := shardConfig(sys, d, forest, 4)
-	cfg.Rounds = rounds
-	sharded, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single, sharded := run(0), run(4)
 
 	if sharded.Shards != 4 {
 		t.Fatalf("Shards = %d, want 4", sharded.Shards)
 	}
-	if sharded.DemandedPairs != single.DemandedPairs {
-		t.Fatalf("demanded: sharded %d vs single %d", sharded.DemandedPairs, single.DemandedPairs)
-	}
-	if sharded.CoveredPairs != single.CoveredPairs {
-		t.Fatalf("covered: sharded %d vs single %d", sharded.CoveredPairs, single.CoveredPairs)
+	if got, want := withoutShardFields(sharded), withoutShardFields(single); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded tier diverged from one collector:\ngot  %+v\nwant %+v", got, want)
 	}
 	if sharded.CoveredPairs != sharded.DemandedPairs {
 		t.Fatalf("sharded session incomplete: %d of %d", sharded.CoveredPairs, sharded.DemandedPairs)
-	}
-	if len(sharded.ErrorSeries) != rounds {
-		t.Fatalf("error series %d entries over %d rounds", len(sharded.ErrorSeries), rounds)
 	}
 	if sharded.OrphanedTrees != 0 || sharded.TreesRedispatched != 0 || sharded.ShardsDown != 0 {
 		t.Fatalf("chaos-free session reports shard churn: %+v", sharded)
@@ -111,6 +113,44 @@ func TestShardedMatchesSingleCollectorChaosFree(t *testing.T) {
 		if w != rounds-1 {
 			t.Fatalf("shard %d watermark %d, want %d", s, w, rounds-1)
 		}
+	}
+}
+
+// TestShardedMatchesSingleCollectorEquivCases runs every fault-free
+// seeded workload at Shards: 4 and at Shards: 0 and asks for the same
+// Result outside the shard fields. Each shard collector charges its own
+// CentralCapacity, so a case qualifies only while the lone collector's
+// budget never binds.
+func TestShardedMatchesSingleCollectorEquivCases(t *testing.T) {
+	for _, ec := range equivCases() {
+		if ec.chaos != nil || ec.detect {
+			continue
+		}
+		t.Run(ec.name, func(t *testing.T) {
+			base := ec.config(t)
+			m, err := NewMachine(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = m.Close() }()
+			if err := m.StepN(ec.rounds); err != nil {
+				t.Fatal(err)
+			}
+			if m.coll.centralDrops != 0 {
+				t.Fatalf("the collector budget binds (%d frames dropped): the case cannot compare", m.coll.centralDrops)
+			}
+			single := m.Result()
+
+			cfg := base
+			cfg.Shards = 4
+			sharded, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := withoutShardFields(sharded), withoutShardFields(single); !reflect.DeepEqual(got, want) {
+				t.Fatalf("sharded tier diverged from one collector:\ngot  %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -229,8 +269,8 @@ func TestShardCrashDegradesNotBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := m.Result()
-	if len(res.ErrorSeries) != 16 {
-		t.Fatalf("rounds blocked: %d series entries over 16 rounds", len(res.ErrorSeries))
+	if res.Rounds != 16 {
+		t.Fatalf("rounds blocked: %d rounds counted over 16", res.Rounds)
 	}
 	// The dead shard's watermark froze before the crash; live shards
 	// processed the last round.

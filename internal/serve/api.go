@@ -9,6 +9,7 @@ package serve
 // share one envelope: {"error":{"code","message"}}.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,19 +47,27 @@ const (
 	codeOverloaded       = "overloaded"
 	codeBadTrigger       = "bad_trigger"
 	codeDuplicateTrigger = "duplicate_trigger"
+	codeInternal         = "internal"
 )
 
 func errDraining() *apiError {
 	return &apiError{http.StatusServiceUnavailable, codeDraining, "server is draining"}
 }
 
-// writeJSON answers with a JSON body.
+// writeJSON answers with a JSON body. It encodes before it writes the
+// status, so a value JSON cannot carry (a non-finite float) answers 500
+// with the error envelope instead of the status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		writeErr(w, &apiError{http.StatusInternalServerError, codeInternal, "encode response: " + err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeErr answers with the error envelope.

@@ -6,8 +6,11 @@ package serve
 // off it.
 
 import (
+	"encoding/json"
 	"flag"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,4 +177,33 @@ func TestDrainingEnvelope(t *testing.T) {
 		t.Fatalf("draining admission: %d %s", code, resp)
 	}
 	checkGolden(t, "draining", resp)
+}
+
+// TestWriteJSONNonFinite pins what a body JSON cannot carry answers: a
+// NaN sample gets 500 and the error envelope, never the intended status
+// with an empty body, and a finite body goes out unchanged.
+func TestWriteJSONNonFinite(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"value": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q is not the envelope: %v", rec.Body, err)
+	}
+	if env.Error.Code != codeInternal || env.Error.Message == "" {
+		t.Fatalf("envelope %+v, want code %q with a message", env.Error, codeInternal)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusAccepted, map[string]any{"value": 1.5})
+	if rec.Code != http.StatusAccepted || rec.Body.String() != "{\n  \"value\": 1.5\n}\n" {
+		t.Fatalf("finite body: status %d, body %q", rec.Code, rec.Body)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
 }

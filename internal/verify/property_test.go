@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -241,8 +242,9 @@ func TestResultMutations(t *testing.T) {
 		{"covered without values", func(r *cluster.Result) { r.ValuesDelivered = 0 }},
 		{"percent out of range", func(r *cluster.Result) { r.PercentCollected = 101 }},
 		{"negative staleness", func(r *cluster.Result) { r.AvgStaleness = -1 }},
-		{"truncated error series", func(r *cluster.Result) { r.ErrorSeries = r.ErrorSeries[:len(r.ErrorSeries)-1] }},
-		{"error series out of range", func(r *cluster.Result) { r.ErrorSeries[0] = 250 }},
+		{"NaN percent collected", func(r *cluster.Result) { r.PercentCollected = math.NaN() }},
+		{"NaN error", func(r *cluster.Result) { r.AvgPercentError = math.NaN() }},
+		{"NaN staleness", func(r *cluster.Result) { r.AvgStaleness = math.NaN() }},
 		{"negative suppression counter", func(r *cluster.Result) { r.MarkersLost = -1 }},
 		{"suppressed beyond observed", func(r *cluster.Result) {
 			r.ValuesSuppressed = r.ValuesObserved + 1
@@ -263,12 +265,59 @@ func TestResultMutations(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tampered := out
-			tampered.ErrorSeries = append([]float64(nil), out.ErrorSeries...)
 			tc.mutate(&tampered)
 			if err := verify.Result(ctx, tampered); !errors.Is(err, verify.ErrResult) {
 				t.Fatalf("tampered result not flagged: got %v, want ErrResult", err)
 			}
 		})
+	}
+}
+
+// TestNaNSampleStaysFinite feeds one NaN sample into a run: the pair
+// scores full error that round, and the averages stay finite and verify.
+func TestNaNSampleStaysFinite(t *testing.T) {
+	in, err := workload.Generate(workload.DefaultBounds(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := in.Demand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := core.NewPlanner().Plan(in.Sys, d)
+	// Poison a pair a tree root reports: its own frame reaches the
+	// collector the round it is sent.
+	collected := res.Forest.CollectedPairs(d)
+	poisoned := collected[0]
+	for _, p := range collected {
+		if res.Forest.TreeFor(p.Attr).Root() == p.Node {
+			poisoned = p
+			break
+		}
+	}
+	src := cluster.ValueFunc(func(n model.NodeID, a model.AttrID, r int) float64 {
+		if n == poisoned.Node && a == poisoned.Attr && r == 3 {
+			return math.NaN()
+		}
+		return 100 + float64(r)
+	})
+	out, err := cluster.Run(cluster.Config{
+		Sys: in.Sys, Forest: res.Forest, Demand: d,
+		Rounds: 20, EnforceCapacity: true, Source: src,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]float64{
+		"AvgPercentError": out.AvgPercentError, "PercentCollected": out.PercentCollected,
+		"AvgStaleness": out.AvgStaleness,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("%s = %v after one NaN sample", name, v)
+		}
+	}
+	if err := verify.Result(verify.Context{Sys: in.Sys, Demand: d}, out); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 
 	"remo/internal/agg"
 	"remo/internal/cluster"
@@ -18,11 +19,9 @@ import (
 //     logical target per aggregated attribute);
 //   - 0 ≤ CoveredPairs ≤ DemandedPairs, and covering anything requires
 //     having received at least one value;
-//   - rates and errors are percentages in [0, 100], staleness is
-//     non-negative and below the round count (a view cannot predate
-//     round 0);
-//   - ErrorSeries carries exactly one entry per executed round, each in
-//     [0, 100];
+//   - the round count is non-negative; rates and errors are finite
+//     percentages in [0, 100], staleness is finite, non-negative and
+//     below the round count (a view cannot predate round 0);
 //   - traffic counters are non-negative;
 //   - durability counters are non-negative, and buffered frames are
 //     conserved (redelivered + shed never exceeds buffered);
@@ -50,15 +49,19 @@ func Result(ctx Context, res cluster.Result) error {
 		return fmt.Errorf("%w: %d pairs covered with no values delivered",
 			ErrResult, res.CoveredPairs)
 	}
-	if res.PercentCollected < 0 || res.PercentCollected > 100 {
+	if res.Rounds < 0 {
+		return fmt.Errorf("%w: %d rounds", ErrResult, res.Rounds)
+	}
+	if !(res.PercentCollected >= 0 && res.PercentCollected <= 100) {
 		return fmt.Errorf("%w: PercentCollected %.3f outside [0, 100]",
 			ErrResult, res.PercentCollected)
 	}
-	if res.AvgPercentError < 0 || res.AvgPercentError > 100 {
+	if !(res.AvgPercentError >= 0 && res.AvgPercentError <= 100) {
 		return fmt.Errorf("%w: AvgPercentError %.3f outside [0, 100]",
 			ErrResult, res.AvgPercentError)
 	}
-	if res.AvgStaleness < 0 || (res.Rounds > 0 && res.AvgStaleness >= float64(res.Rounds)) {
+	if !(res.AvgStaleness >= 0 && res.AvgStaleness < math.Inf(1)) ||
+		(res.Rounds > 0 && res.AvgStaleness >= float64(res.Rounds)) {
 		return fmt.Errorf("%w: AvgStaleness %.3f outside [0, %d)",
 			ErrResult, res.AvgStaleness, res.Rounds)
 	}
@@ -92,16 +95,6 @@ func Result(ctx Context, res cluster.Result) error {
 	if res.ImputeBandMax < 0 || res.ImputeBandMax > 1+1e-9 {
 		return fmt.Errorf("%w: ImputeBandMax %.9f outside [0, 1]",
 			ErrResult, res.ImputeBandMax)
-	}
-	if res.Rounds < 0 || len(res.ErrorSeries) != res.Rounds {
-		return fmt.Errorf("%w: %d rounds but %d error-series entries",
-			ErrResult, res.Rounds, len(res.ErrorSeries))
-	}
-	for i, e := range res.ErrorSeries {
-		if e < 0 || e > 100 {
-			return fmt.Errorf("%w: ErrorSeries[%d] = %.3f outside [0, 100]",
-				ErrResult, i, e)
-		}
 	}
 	return ResultShardCounters(res)
 }

@@ -414,8 +414,9 @@ func (s *session) deadChanged() {
 }
 
 // view is the session's read side as of now, for Monitor to publish. It
-// must stay O(1): a field that needs a walk (machine.Result copies one
-// float per round ever run) belongs behind the mutex, not here.
+// must stay O(1): a field that needs a walk belongs behind the mutex,
+// not here. machine.Result is one: it keeps nothing per round run, but
+// it visits every node and every demanded pair.
 func (s *session) view() *MonitorView {
 	v := &MonitorView{
 		Round:         s.machine.Round(),

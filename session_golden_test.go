@@ -18,13 +18,17 @@ import (
 // session's directory, as produced by the last commit whose monitor.go
 // wrote the recover → restore → re-create sequence out once per resume
 // entry point (ca881aa). Memory and TCP gave the same hash at every
-// stage. A failing run prints the hash it got: regenerate an entry only
-// after checking that the behaviour change is the intended one.
+// stage. Every hash was re-taken when a round's score became an exact
+// integer tally and the report lost its per-round error series: with
+// AvgPercentError left out the hashes matched at every stage, and
+// AvgPercentError moved by at most 3.3e-10 percentage points. A failing
+// run prints the hash it got: regenerate an entry only after checking
+// that the behaviour change is the intended one.
 var goldenSessions = map[string]uint64{
-	"lone/live":    0x3e34cf06ab703512,
-	"lone/cold":    0xb3d578ae391e113a,
-	"sharded/live": 0x0e5944243f76b37e,
-	"sharded/cold": 0x0fbe77e466390ebe,
+	"lone/live":    0x2613af3f26b47be9,
+	"lone/cold":    0xfd913abe5a8cc877,
+	"sharded/live": 0x15e11c75031ce245,
+	"sharded/cold": 0x297a4f917b54b86c,
 }
 
 // TestSessionGolden pins everything a session's owner of state must get
@@ -193,7 +197,7 @@ func hashReport(h hash.Hash64, rep remo.DeployReport) {
 	fmt.Fprintln(h, rep.Rounds, rep.DemandedPairs, rep.CoveredPairs, rep.PercentCollected,
 		rep.AvgPercentError, rep.AvgStaleness, rep.MessagesSent, rep.MessagesDropped,
 		rep.ValuesDelivered, rep.ValuesObserved, rep.ValuesSuppressed, rep.ValuesImputed,
-		rep.ModelSyncs, rep.MarkersLost, rep.ImputeBandMax, rep.ErrorSeries,
+		rep.ModelSyncs, rep.MarkersLost, rep.ImputeBandMax,
 		rep.StaleEpochFrames, rep.FramesBuffered, rep.FramesShed, rep.FramesRedelivered,
 		rep.Shards, rep.ShardsDown, rep.OrphanedTrees, rep.TreesRedispatched,
 		rep.LeaderElections, rep.ShardWatermarks,
