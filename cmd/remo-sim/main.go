@@ -228,7 +228,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "durability: %d collector restart(s); %d frames buffered (%d redelivered, %d shed); %d stale-epoch frames fenced\n",
 			rep.CollectorRestarts, rep.FramesBuffered, rep.FramesRedelivered, rep.FramesShed, rep.StaleEpochFrames)
 	}
-	if rep.Shards > 0 {
+	if rep.Shards > 1 {
 		fmt.Fprintf(stdout, "sharding: %d shards (%d down), leader elections: %d, trees orphaned: %d, re-dispatched: %d\n",
 			rep.Shards, rep.ShardsDown, rep.LeaderElections, rep.OrphanedTrees, rep.TreesRedispatched)
 		for _, ev := range rep.Redispatches {

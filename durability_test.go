@@ -1,6 +1,8 @@
 package remo_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -242,16 +244,119 @@ func TestResumeRequiresJournal(t *testing.T) {
 		t.Fatalf("err = %v, want journaling-required error", err)
 	}
 	// And resuming from an empty directory fails even on a journaled
-	// session: no checkpoint, no resume.
+	// session whose collector is down: no checkpoint, no resume.
 	p2 := remo.NewPlanner(sys)
 	p2.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
-	mon2, err := p2.StartMonitor(remo.MonitorConfig{Seed: 1, Journal: t.TempDir()})
+	mon2, err := p2.StartMonitor(remo.MonitorConfig{
+		Seed: 1, Journal: t.TempDir(), Chaos: &remo.ChaosConfig{CollectorCrashAt: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = mon2.Close() }()
+	run(t, mon2, 3)
+	if !mon2.CollectorDown() {
+		t.Fatal("collector not down after its crash round")
+	}
 	if _, err := mon2.Resume(t.TempDir()); err == nil {
 		t.Fatal("resume from an empty journal dir succeeded")
+	}
+}
+
+// TestResumeRefusesLiveCollector: Resume restarts a crashed collector,
+// so on a live session, lone or sharded, it is refused and changes
+// nothing — no restart counted, the journaled store kept.
+func TestResumeRefusesLiveCollector(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			sys := bigSystem(t, 16)
+			p := remo.NewPlanner(sys, remo.WithVerification())
+			p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+			p.MustAddTask(remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: sys.NodeIDs()})
+			mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 1, Journal: dir, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = mon.Close() }()
+			run(t, mon, 5)
+			store := mon.Store()
+			if _, err := mon.Resume(dir); err == nil || !strings.Contains(err.Error(), "not down") {
+				t.Fatalf("Resume on a live session = %v, want a not-down error", err)
+			}
+			if got := mon.Report().CollectorRestarts; got != 0 {
+				t.Fatalf("refused resume counted %d restarts", got)
+			}
+			if mon.Store() != store {
+				t.Fatal("refused resume swapped the journaled store")
+			}
+			run(t, mon, 3)
+			if err := mon.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLoneCollectorCrashCounters: a lone collector is a 1-shard tier, and
+// its crash reads as that shard's state, not as shard churn. The shard
+// is down for the outage with its watermark held at the round before
+// the crash, and up again after Resume; the dispatcher, which died with
+// it, never declares it dead, so no tree is orphaned, re-dispatched or
+// led anew — although the outage outlasts the suspicion window — and
+// the tier verifies in every round of it.
+func TestLoneCollectorCrashCounters(t *testing.T) {
+	const (
+		crashRnd = 8
+		outage   = 6
+	)
+	dir := t.TempDir()
+	sys := bigSystem(t, 12)
+	p := remo.NewPlanner(sys, remo.WithVerification())
+	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+	p.MustAddTask(remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: sys.NodeIDs()})
+	mon, err := p.StartMonitor(remo.MonitorConfig{
+		Seed:    3,
+		Chaos:   &remo.ChaosConfig{CollectorCrashAt: crashRnd, Seed: 3},
+		Failure: &remo.FailurePolicy{SuspicionRounds: 2},
+		Journal: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	check := func(stage string, down, watermark int) {
+		t.Helper()
+		rep := mon.Report()
+		if rep.Shards != 1 || rep.ShardsDown != down || !reflect.DeepEqual(rep.ShardWatermarks, []int{watermark}) {
+			t.Fatalf("%s: %d shards, %d down, watermarks %v; want 1, %d, [%d]",
+				stage, rep.Shards, rep.ShardsDown, rep.ShardWatermarks, down, watermark)
+		}
+		if rep.OrphanedTrees != 0 || rep.TreesRedispatched != 0 || rep.LeaderElections != 0 {
+			t.Fatalf("%s: shard churn: %d orphaned, %d redispatched, %d elections",
+				stage, rep.OrphanedTrees, rep.TreesRedispatched, rep.LeaderElections)
+		}
+	}
+	run(t, mon, crashRnd)
+	check("before the crash", 0, crashRnd-1)
+	for r := 0; r < outage; r++ {
+		run(t, mon, 1)
+		if !mon.CollectorDown() {
+			t.Fatalf("collector up %d rounds into its outage", r+1)
+		}
+		check(fmt.Sprintf("outage round %d", crashRnd+r), 1, crashRnd-1)
+		if err := mon.Verify(); err != nil {
+			t.Fatalf("outage round %d: %v", crashRnd+r, err)
+		}
+	}
+	if _, err := mon.Resume(dir); err != nil {
+		t.Fatal(err)
+	}
+	check("at resume", 0, crashRnd-1)
+	run(t, mon, 10)
+	check("after resume", 0, crashRnd+outage+10-1)
+	if err := mon.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -207,7 +207,9 @@ func suppressCrashRun(cfg cluster.Config) (bytes float64, res cluster.Result) {
 	if err := m.StepN(down); err != nil {
 		panic(fmt.Sprintf("bench: suppress crash run: %v", err))
 	}
-	m.ResumeCollector(cluster.ResumeState{Models: m.PredictSnapshots()})
+	if err := m.ResumeCollector(cluster.ResumeState{Models: m.PredictSnapshots()}); err != nil {
+		panic(fmt.Sprintf("bench: suppress resume: %v", err))
+	}
 	if err := m.StepN(cfg.Rounds - down); err != nil {
 		panic(fmt.Sprintf("bench: suppress resume run: %v", err))
 	}

@@ -80,12 +80,12 @@ type Config struct {
 	// destination is reachable again.
 	LeafBuffer int
 	// Shards splits the collection tier across this many collector
-	// shards (<= 1 keeps the single central collector). Each tree is
-	// owned by exactly one shard, placed by the internal/shard
-	// dispatcher; a root aggregation tier merges the per-shard partials
-	// into the single Result. A sharded tier's root never dies, so the
-	// CollectorCrashAt chaos schedule does not apply; shard outages come
-	// from ShardCrashAt instead.
+	// shards (<= 1 runs one: the lone central collector is a 1-shard
+	// tier). Each tree is owned by exactly one shard, placed by the
+	// internal/shard dispatcher; a root aggregation tier merges the
+	// per-shard partials into the single Result. CollectorCrashAt downs
+	// a 1-shard tier's shard together with its root; above one shard the
+	// root never dies, and shard outages come from ShardCrashAt instead.
 	Shards int
 	// SeedAssignment, when it names a valid shard for every tree in the
 	// forest, is adopted verbatim as the initial tree→shard map — the
@@ -121,13 +121,9 @@ type Config struct {
 	// collects, a shard move the moved tree, so a shard's outage fences
 	// only its own trees.
 	keyEpochs map[string]uint32
-	// collectorDown is latched by the machine while the central collector
-	// is crashed, steering root nodes into their outgoing buffers.
-	collectorDown bool
-	// downKeys, set only in sharded sessions, marks the trees whose
-	// owning shard is currently down (or which await re-dispatch), so
-	// their root nodes buffer instead of feeding a dead shard. Nil falls
-	// back to collectorDown.
+	// downKeys marks the trees whose owning shard is currently down (or
+	// which await re-dispatch), so their root nodes buffer instead of
+	// feeding a dead shard.
 	downKeys map[string]bool
 }
 
@@ -139,15 +135,6 @@ func (c *Config) epochFor(key string) uint32 {
 		return e
 	}
 	return c.epoch
-}
-
-// keyDown reports whether frames for the given tree currently have no
-// live collector behind them.
-func (c *Config) keyDown(key string) bool {
-	if c.downKeys != nil {
-		return c.downKeys[key]
-	}
-	return c.collectorDown
 }
 
 // Result aggregates what the collector observed.
@@ -215,9 +202,8 @@ type Result struct {
 	// FramesBuffered = FramesRedelivered + FramesShed + frames still
 	// buffered when the session ended.
 	FramesRedelivered int
-	// Shards is the number of collector shards the session ran (0 or 1
-	// for the classic single-collector tier). The fields below are zero
-	// for single-collector sessions.
+	// Shards is the number of collector shards the session ran (1 for a
+	// lone collector).
 	Shards int
 	// ShardsDown counts shards down when the session ended.
 	ShardsDown int
@@ -539,7 +525,7 @@ func (st *nodeState) sendPhase(cfg Config, tr transport.Transport, round int) {
 		if buf, ok := st.relaySync[m.key]; ok {
 			st.relaySync[m.key] = buf[:0]
 		}
-		if cfg.LeafBuffer > 0 && cfg.keyDown(m.key) && m.parent == model.Central {
+		if cfg.LeafBuffer > 0 && cfg.downKeys[m.key] && m.parent == model.Central {
 			// This tree's collector (the central one, or its owning shard)
 			// is down: park the frame instead of feeding the void. Empty
 			// frames carry nothing worth preserving. Markers are stripped —
@@ -650,7 +636,7 @@ func (st *nodeState) drainOutbox(cfg Config, tr transport.Transport) {
 	n := 0
 	for i := range st.outbox {
 		f := &st.outbox[i]
-		if f.to == model.Central && cfg.keyDown(f.key) {
+		if f.to == model.Central && cfg.downKeys[f.key] {
 			break
 		}
 		c := cfg.Sys.Cost.Message(len(f.values))

@@ -162,7 +162,9 @@ func TestCollectorCrashBuffersAndResumes(t *testing.T) {
 	}
 
 	epochBefore := m.Epoch()
-	m.ResumeCollector(ResumeState{Epoch: epochBefore, Repo: store.New(0)})
+	if err := m.ResumeCollector(ResumeState{Epoch: epochBefore, Repo: store.New(0)}); err != nil {
+		t.Fatal(err)
+	}
 	if m.CollectorDown() {
 		t.Fatal("collector still down after resume")
 	}
@@ -236,7 +238,9 @@ func TestResumeCollectorAdoptsNewerEpoch(t *testing.T) {
 
 	repo := store.New(0)
 	repo.Observe(model.Pair{Node: 1, Attr: 1}, 7, 3.5)
-	m.ResumeCollector(ResumeState{Epoch: 9, Repo: repo, Dead: map[model.NodeID]int{2: 5}})
+	if err := m.ResumeCollector(ResumeState{Epoch: 9, Repo: repo, Dead: map[model.NodeID]int{2: 5}}); err != nil {
+		t.Fatal(err)
+	}
 	if m.Epoch() != 10 {
 		t.Fatalf("epoch = %d, want recovered 9 + 1", m.Epoch())
 	}

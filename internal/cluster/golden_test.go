@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"remo/internal/transport"
@@ -27,7 +28,9 @@ func resultHash(r Result) uint64 {
 // an exact integer tally and Result lost its per-round error series: on
 // every case the remaining fields matched the old engine's bit for bit
 // except AvgPercentError, which moved by at most 2.4e-10 percentage
-// points (the tally's 2^-32 quantisation). Adding a field to Result
+// points (the tally's 2^-32 quantisation). The hashes cover a result
+// without its shard fields, which were zero when the hashes were taken;
+// the test checks those fields on their own. Adding a field to Result
 // changes every hash: regenerate the table from the values a failing run
 // prints, after checking the Workers: 1 reference is what changed.
 var goldenResults = map[string]uint64{
@@ -51,7 +54,8 @@ var goldenResults = map[string]uint64{
 // TestResultGolden pins the inline engine (Workers: 1), the worker pool
 // (Workers: 4) and default-batched TCP to the results of the retired
 // goroutine-per-node engine and unbatched TCP path, so bit-identity with
-// them stays proven after their deletion.
+// them stays proven after their deletion, and pins the lone collector's
+// shard fields to those of one live shard.
 func TestResultGolden(t *testing.T) {
 	suites := []struct {
 		prefix string
@@ -78,7 +82,8 @@ func TestResultGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := resultHash(res); got != want {
+					checkLoneShard(t, res)
+					if got := resultHash(withoutShardFields(res)); got != want {
 						t.Errorf("workers=%d over memory: hash %#016x, golden %#016x", workers, got, want)
 					}
 				}
@@ -96,7 +101,8 @@ func TestResultGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := resultHash(res); got != want {
+				checkLoneShard(t, res)
+				if got := resultHash(withoutShardFields(res)); got != want {
 					t.Errorf("default-batched TCP: hash %#016x, golden %#016x", got, want)
 				}
 			})
@@ -104,5 +110,18 @@ func TestResultGolden(t *testing.T) {
 	}
 	if seen != len(goldenResults) {
 		t.Fatalf("golden table has %d entries, cases cover %d", len(goldenResults), seen)
+	}
+}
+
+// checkLoneShard asserts the shard fields of a lone collector's run: one
+// shard, live through the last round, with no shard churn.
+func checkLoneShard(t *testing.T, res Result) {
+	t.Helper()
+	if res.Shards != 1 || res.ShardsDown != 0 || res.OrphanedTrees != 0 ||
+		res.TreesRedispatched != 0 || res.LeaderElections != 0 ||
+		!reflect.DeepEqual(res.ShardWatermarks, []int{res.Rounds - 1}) {
+		t.Errorf("lone collector's shard fields: %d shards, %d down, %d orphaned, %d redispatched, %d elections, watermarks %v after %d rounds",
+			res.Shards, res.ShardsDown, res.OrphanedTrees, res.TreesRedispatched,
+			res.LeaderElections, res.ShardWatermarks, res.Rounds)
 	}
 }

@@ -37,11 +37,8 @@ type Machine struct {
 	tr     transport.Transport
 	ownTr  bool
 	states []*nodeState
-	// coll is the single central collector; nil when the session runs a
-	// sharded collection tier instead.
-	coll *collector
-	// tier is the sharded collection tier (cfg.Shards > 1); nil for the
-	// classic single-collector deployment.
+	// tier is the collection tier: max(cfg.Shards, 1) collector shards.
+	// A lone collector is a 1-shard tier.
 	tier *shardTier
 	// eng is the persistent worker pool driving the round phases.
 	eng    *engine
@@ -63,7 +60,9 @@ type Machine struct {
 	pairs, staleSum, fresh int
 
 	// collectorDown is latched when the chaos schedule crashes the
-	// central collector; cleared by ResumeCollector.
+	// central collector — a 1-shard tier's one shard, and with it the
+	// root that hosts the failure detector and the dispatcher; cleared
+	// by ResumeCollector.
 	collectorDown bool
 
 	// det is the failure detector (nil when detection is off).
@@ -127,11 +126,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.ownTr = true
 	}
 	m.states = buildStates(m.cfg)
-	if cfg.Shards > 1 {
-		m.initShardTier()
-	} else {
-		m.coll = newCollector(m.cfg)
-	}
+	m.initShardTier()
 	if cfg.Detect != nil {
 		m.det = detect.New(*cfg.Detect)
 		m.beatNodes = cfg.Sys.NodeIDs()
@@ -169,21 +164,7 @@ func (m *Machine) Step() error {
 	}
 	round := m.round
 	m.round++
-
-	if m.tier != nil {
-		// Sharded tier: shard crashes replace the whole-collector one
-		// (CollectorCrashAt does not apply — the root aggregation tier
-		// itself never dies in this model).
-		m.stepShardChaos(round)
-	} else if !m.collectorDown && m.cfg.Chaos.CollectorCrash(round) {
-		// Latch the outage: the collector stays down until the session
-		// restarts it via ResumeCollector (Monitor.Resume).
-		m.collectorDown = true
-		m.cfg.collectorDown = true
-		if m.cfg.Trace != nil {
-			m.cfg.Trace.Record(trace.Event{Round: round, Kind: trace.CollectorDead, Node: model.Central})
-		}
-	}
+	m.stepShardChaos(round)
 
 	m.eng.forEach(m.states, func(st *nodeState) { st.receivePhase(m.cfg, m.tr, round) })
 	m.eng.forEach(m.states, func(st *nodeState) { st.sendPhase(m.cfg, m.tr, round) })
@@ -194,8 +175,19 @@ func (m *Machine) Step() error {
 	}
 	msgs := m.tr.Drain(model.Central)
 	var t tally
-	switch {
-	case m.tier != nil:
+	if m.collectorDown {
+		// The dead collector hears nothing: whatever reached its mailbox
+		// (delayed injections, unbuffered root sends) is lost, and the
+		// failure detector and the dispatcher — hosted beside it — are
+		// frozen with it. Scoring still runs: ground truth keeps moving
+		// while the views stand still, which is exactly the error a
+		// crashed collector accrues.
+		m.extraDrops += len(msgs)
+		for _, msg := range msgs {
+			m.extraMarkersLost += len(msg.Suppressed)
+		}
+		m.shardScore(round, &t)
+	} else {
 		// Root aggregation tier: node-level failure detection is hosted
 		// here (it never dies with a shard), frames route to their owning
 		// shard's collector, and the dispatcher closes the round.
@@ -208,27 +200,6 @@ func (m *Machine) Step() error {
 			m.advanceDetector(round)
 		}
 		m.shardDispatch(round)
-	case m.collectorDown:
-		// The dead collector hears nothing: whatever reached its mailbox
-		// (delayed injections, unbuffered root sends) is lost, and the
-		// failure detector — a collector-side component — is frozen with
-		// it. Scoring still runs: ground truth keeps moving while the
-		// views stand still, which is exactly the error a crashed
-		// collector accrues.
-		m.extraDrops += len(msgs)
-		for _, msg := range msgs {
-			m.extraMarkersLost += len(msg.Suppressed)
-		}
-		m.coll.score(round, &t)
-	default:
-		if m.det != nil {
-			msgs = m.feedDetector(msgs)
-		}
-		m.coll.absorb(msgs, round)
-		m.coll.score(round, &t)
-		if m.det != nil {
-			m.advanceDetector(round)
-		}
 	}
 	m.errSum += float64(t.err) / errUnit
 	m.pairs += t.pairs
@@ -382,23 +353,18 @@ func (m *Machine) InstallDiff(forest *plan.Forest, d *task.Demand) plan.Diff {
 	for _, k := range diff.Dropped {
 		delete(m.cfg.keyEpochs, k)
 	}
-	// Kept trees fence too. A session installs only once the replan that
-	// ordered the swap is done, and no round runs meanwhile, so a kept
-	// tree's frames on the wire would reach the collector a whole replan
-	// late, and sparing them would add that wait to the age of every
-	// value they carry.
+	// Kept trees fence too. Sparing them is ROADMAP 3(d), which stays
+	// open until freshness is measured: spared frames deliver more deep
+	// values, which raises delivered age, so only freshness can judge
+	// the rule.
 	m.openEpoch(0, func(string) bool { return true })
-	if m.tier != nil {
-		// Re-place the new forest: persisting trees stick to their live
-		// owners, fresh trees spread onto the least-loaded shards, retired
-		// trees leave the map.
-		m.tier.disp.Retarget(shardLoads(m.cfg), m.round)
-		m.tier.owner = m.tier.ownerMap()
-		m.recomputeDownKeys()
-		m.rebuildShardDemands()
-	} else {
-		m.coll.retarget(m.cfg)
-	}
+	// Re-place the new forest: persisting trees stick to their live
+	// owners, fresh trees spread onto the least-loaded shards, retired
+	// trees leave the map.
+	m.tier.disp.Retarget(shardLoads(m.cfg), m.round)
+	m.tier.owner = m.tier.ownerMap()
+	m.recomputeDownKeys()
+	m.rebuildShardDemands()
 	if m.det != nil {
 		m.det.Watch(m.watchSet(), m.round)
 	}
@@ -494,12 +460,7 @@ func (m *Machine) rebuildStates() {
 
 // Result summarizes everything observed so far.
 func (m *Machine) Result() Result {
-	var res Result
-	if m.tier != nil {
-		res = m.tier.merged()
-	} else {
-		res = fold(m.coll)
-	}
+	res := m.tier.merged()
 	res.Rounds = m.round
 	if m.pairs > 0 {
 		res.AvgPercentError = 100 * m.errSum / float64(m.pairs)
@@ -532,20 +493,14 @@ func (m *Machine) Result() Result {
 
 // PredictSnapshots captures every materialized collector-side model
 // replica for journal checkpoints (nil when prediction is off or no
-// replica exists yet). Sharded tiers merge across all shard collectors
-// — pair ownership is disjoint, so the union is well-defined.
+// replica exists yet), merged across every shard collector — pair
+// ownership is disjoint, so the union is well-defined.
 func (m *Machine) PredictSnapshots() map[model.Pair]predict.Snapshot {
-	if m.tier != nil {
-		var out map[model.Pair]predict.Snapshot
-		for _, c := range m.tier.colls {
-			out = c.predSnapshots(out)
-		}
-		return m.tier.resid.predSnapshots(out)
+	var out map[model.Pair]predict.Snapshot
+	for _, c := range m.tier.colls {
+		out = c.predSnapshots(out)
 	}
-	if m.coll == nil {
-		return nil
-	}
-	return m.coll.predSnapshots(nil)
+	return m.tier.resid.predSnapshots(out)
 }
 
 // Epoch returns the newest plan epoch issued (1 at session start).
@@ -601,43 +556,33 @@ type ResumeState struct {
 	Models map[model.Pair]predict.Snapshot
 }
 
-// ResumeCollector restarts a crashed central collector from journaled
-// state: the in-memory views are wiped and re-seeded from the recovered
-// repository (a restarted process knows only what it persisted), the
-// plan epoch advances past everything the dead collector could have
-// been sent, and the failure detector restarts with the recovered
+// ResumeCollector restarts the crashed central collector — a 1-shard
+// tier's one shard — from journaled state: ResumeShard(0), plus the
+// failure detector that died with it, which restarts with the recovered
 // dead set and a fresh grace window. Node-side state — relay buffers,
 // outgoing buffers, traffic counters — is untouched: the leaves never
-// died.
-func (m *Machine) ResumeCollector(rs ResumeState) {
-	if m.tier != nil {
-		// Sharded sessions resume shard by shard (ResumeShard); the root
-		// aggregation tier never dies.
-		return
+// died. A sharded tier's root never dies, so it has no collector to
+// resume.
+func (m *Machine) ResumeCollector(rs ResumeState) error {
+	if m.tier.n > 1 {
+		return fmt.Errorf("cluster: ResumeCollector on a %d-shard tier, whose root never dies", m.tier.n)
 	}
-	m.openEpoch(rs.Epoch, func(string) bool { return true })
+	if err := m.resumeShard(0, rs); err != nil {
+		return err
+	}
 	m.collectorDown = false
-	m.cfg.collectorDown = false
-	m.coll.recover(m.cfg, rs.Repo, m.round)
-	if m.round == 0 && len(m.cfg.SeedModels) > 0 {
-		// Cold resume: recover wiped the replicas newCollector seeded;
-		// re-arm them live — the leaves restart from the same snapshots.
-		m.coll.seedModels(m.cfg.SeedModels)
-	} else {
-		m.coll.restoreModels(rs.Models)
-	}
 	if m.cfg.Detect != nil {
 		m.det = detect.New(*m.cfg.Detect)
 		for n, at := range rs.Dead {
 			m.det.MarkDead(n, at)
 		}
-		m.beatNodes = m.cfg.Sys.NodeIDs()
 		m.det.Watch(m.watchSet(), m.round)
 		m.verdicts = nil
 	}
 	if m.cfg.Trace != nil {
 		m.cfg.Trace.Record(trace.Event{Round: m.round, Kind: trace.CollectorResume, Node: model.Central})
 	}
+	return nil
 }
 
 // Close releases the machine's transport (when it owns it).

@@ -99,8 +99,12 @@ func TestMachineInstallRewiresAndPreservesCounters(t *testing.T) {
 
 // findView peeks into the machine's collector views for tests.
 func findView(m *Machine, p model.Pair) (float64, bool) {
-	v, ok := m.coll.lookupView(p)
-	return v.Value, ok
+	for _, c := range collectors(m) {
+		if v, ok := c.lookupView(p); ok {
+			return v.Value, true
+		}
+	}
+	return 0, false
 }
 
 func TestMachineInstallShrinkingDemand(t *testing.T) {

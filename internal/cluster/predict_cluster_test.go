@@ -252,7 +252,9 @@ func TestSuppressionCollectorCrashResume(t *testing.T) {
 		t.Fatal("collector should be down")
 	}
 	preResume := m.Result()
-	m.ResumeCollector(ResumeState{Models: m.PredictSnapshots()})
+	if err := m.ResumeCollector(ResumeState{Models: m.PredictSnapshots()}); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.StepN(2 * predict.DefaultSyncEvery); err != nil {
 		t.Fatal(err)
 	}

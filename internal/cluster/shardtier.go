@@ -11,14 +11,14 @@ import (
 	"remo/internal/transport"
 )
 
-// shardTier is the sharded collection tier: cfg.Shards collector shards
+// shardTier is the collection tier: max(cfg.Shards, 1) collector shards
 // each own a disjoint subset of the forest's trees (placed and re-homed
 // by the shard dispatcher), plus one residual collector — root-owned,
 // never crashed — for demanded pairs whose attribute no tree collects.
-// The tier merges the per-shard partial results into the single Result
-// the store and triggers consume, with a per-shard staleness watermark
-// so a dead shard degrades coverage accounting instead of blocking the
-// round.
+// A lone collector is the 1-shard tier. The tier merges the per-shard
+// partial results into the single Result the store and triggers
+// consume, with a per-shard staleness watermark so a dead shard
+// degrades coverage accounting instead of blocking the round.
 type shardTier struct {
 	n    int
 	disp *shard.Dispatcher
@@ -47,12 +47,12 @@ type shardTier struct {
 	redispatched int
 }
 
-// initShardTier builds the sharded collection tier during NewMachine.
+// initShardTier builds the collection tier during NewMachine.
 // Must run after cfg defaults are resolved and before any collector is
 // created: the scoped configs share the machine's per-tree epoch and
 // down-key maps by reference.
 func (m *Machine) initShardTier() {
-	n := m.cfg.Shards
+	n := max(m.cfg.Shards, 1)
 	suspicion := 0
 	if m.cfg.Detect != nil {
 		suspicion = m.cfg.Detect.SuspicionRounds
@@ -103,7 +103,7 @@ func (t *shardTier) ownerMap() map[string]int {
 // collectors. Each alias-folded pair is demanded by exactly one
 // collector (first-owner-wins across alias replicas; aggregated
 // attributes pin all their participants to one shard), which keeps the
-// merged DemandedPairs equal to the single-collector count.
+// merged DemandedPairs equal to the whole demand's count.
 func (m *Machine) rebuildShardDemands() {
 	t := m.tier
 	demands := make([]*task.Demand, t.n)
@@ -189,10 +189,20 @@ func (m *Machine) recomputeDownKeys() {
 	}
 }
 
-// stepShardChaos applies the ShardCrashAt schedule at the start of a
-// round: a crash latches until an explicit ResumeShard clears it.
+// stepShardChaos applies the crash schedules at the start of a round: a
+// shard crash latches until an explicit ResumeShard clears it, and a
+// collector crash — a 1-shard tier's only — downs the shard and the
+// root beside it until ResumeCollector.
 func (m *Machine) stepShardChaos(round int) {
 	t := m.tier
+	if t.n == 1 && !m.collectorDown && m.cfg.Chaos.CollectorCrash(round) {
+		m.collectorDown = true
+		t.down[0] = true
+		m.recomputeDownKeys()
+		if m.cfg.Trace != nil {
+			m.cfg.Trace.Record(trace.Event{Round: round, Kind: trace.CollectorDead, Node: model.Central})
+		}
+	}
 	for s := 0; s < t.n; s++ {
 		if t.down[s] || !m.cfg.Chaos.ShardCrash(s, round) {
 			continue
@@ -310,19 +320,30 @@ func (m *Machine) shardDispatch(round int) {
 	m.rebuildShardDemands()
 }
 
-// ResumeShard restarts a crashed collector shard from journaled state,
-// the per-shard analogue of ResumeCollector: views are wiped and
-// re-seeded from the recovered repository, and the shard's trees open
-// an epoch past everything the dead shard could have been sent. The
-// dispatcher notices the shard's heartbeat next round and rebalances
-// trees back onto it. Before the first round has run the shard need not
-// be down — a cold process restart seeds every shard's views from its
-// journal this way.
+// ResumeShard restarts a crashed collector shard from journaled state:
+// views are wiped and re-seeded from the recovered repository, and the
+// shard's trees open an epoch past everything the dead shard could have
+// been sent. The dispatcher notices the shard's heartbeat next round and
+// rebalances trees back onto it. Before the first round has run the
+// shard need not be down — a cold process restart seeds every shard's
+// views from its journal this way.
 func (m *Machine) ResumeShard(s int, rs ResumeState) error {
-	t := m.tier
-	if t == nil {
-		return fmt.Errorf("cluster: ResumeShard on a single-collector session")
+	if err := m.resumeShard(s, rs); err != nil {
+		return err
 	}
+	if m.cfg.Trace != nil {
+		m.cfg.Trace.Record(trace.Event{Round: m.round, Kind: trace.ShardResume, Node: model.NodeID(s)})
+	}
+	return nil
+}
+
+// resumeShard is ResumeShard without the trace, shared with
+// ResumeCollector. Model replicas follow one rule on every shard: a
+// cold resume re-arms the replicas newCollector seeded (recover wiped
+// them, and the leaves restart from the same snapshots); otherwise the
+// checkpointed ones come back gated.
+func (m *Machine) resumeShard(s int, rs ResumeState) error {
+	t := m.tier
 	if s < 0 || s >= t.n {
 		return fmt.Errorf("cluster: ResumeShard: shard %d out of [0,%d)", s, t.n)
 	}
@@ -337,9 +358,10 @@ func (m *Machine) ResumeShard(s int, rs ResumeState) error {
 	m.recomputeDownKeys()
 	t.cfgs[s].epoch = m.cfg.epoch
 	t.colls[s].recover(t.cfgs[s], rs.Repo, m.round)
-	t.colls[s].restoreModels(rs.Models)
-	if m.cfg.Trace != nil {
-		m.cfg.Trace.Record(trace.Event{Round: m.round, Kind: trace.ShardResume, Node: model.NodeID(s)})
+	if m.round == 0 && len(m.cfg.SeedModels) > 0 {
+		t.colls[s].seedModels(m.cfg.SeedModels)
+	} else {
+		t.colls[s].restoreModels(rs.Models)
 	}
 	return nil
 }
@@ -361,22 +383,13 @@ func (t *shardTier) merged() Result {
 	return res
 }
 
-// ShardCount returns the number of collector shards (0 for a
-// single-collector session).
-func (m *Machine) ShardCount() int {
-	if m.tier == nil {
-		return 0
-	}
-	return m.tier.n
-}
+// ShardCount returns the number of collector shards (1 for a lone
+// collector).
+func (m *Machine) ShardCount() int { return m.tier.n }
 
 // ShardAssignment snapshots the tree→shard accountability map (orphans
-// included, booked to the dead shard they came from). Nil for
-// single-collector sessions.
+// included, booked to the dead shard they came from).
 func (m *Machine) ShardAssignment() map[string]int {
-	if m.tier == nil {
-		return nil
-	}
 	out := make(map[string]int, len(m.tier.owner))
 	for k, s := range m.tier.owner {
 		out[k] = s
@@ -386,17 +399,17 @@ func (m *Machine) ShardAssignment() map[string]int {
 
 // ShardDown reports whether shard s is currently down.
 func (m *Machine) ShardDown(s int) bool {
-	return m.tier != nil && s >= 0 && s < m.tier.n && m.tier.down[s]
+	return s >= 0 && s < m.tier.n && m.tier.down[s]
 }
 
-// ShardsDownList lists the currently down shards, ascending.
-func (m *Machine) ShardsDownList() []int {
-	if m.tier == nil {
-		return nil
-	}
+// ShardsDead lists the shards the dispatcher has declared dead,
+// ascending: the liveness its orphan queue follows. A crashed shard
+// joins once the suspicion window declares it; a lone collector's crash
+// never does, because the dispatcher is down with it.
+func (m *Machine) ShardsDead() []int {
 	var out []int
-	for s, d := range m.tier.down {
-		if d {
+	for s := 0; s < m.tier.n; s++ {
+		if !m.tier.disp.Alive(s) {
 			out = append(out, s)
 		}
 	}
@@ -404,36 +417,17 @@ func (m *Machine) ShardsDownList() []int {
 }
 
 // PendingOrphans lists tree keys awaiting re-dispatch, sorted.
-func (m *Machine) PendingOrphans() []string {
-	if m.tier == nil {
-		return nil
-	}
-	return m.tier.disp.Pending()
-}
+func (m *Machine) PendingOrphans() []string { return m.tier.disp.Pending() }
 
 // ShardMoves returns every re-homing the dispatcher decided so far.
-func (m *Machine) ShardMoves() []shard.Move {
-	if m.tier == nil {
-		return nil
-	}
-	return m.tier.disp.Moves()
-}
+func (m *Machine) ShardMoves() []shard.Move { return m.tier.disp.Moves() }
 
-// ShardLeader returns the dispatcher's current leaseholder (-1 for
-// single-collector sessions).
-func (m *Machine) ShardLeader() int {
-	if m.tier == nil {
-		return -1
-	}
-	return m.tier.disp.Leader()
-}
+// ShardLeader returns the dispatcher's current leaseholder.
+func (m *Machine) ShardLeader() int { return m.tier.disp.Leader() }
 
 // ShardOf returns the shard collecting the given alias-folded pair
-// (-1 = the residual collector, or a single-collector session).
+// (-1 = the residual collector).
 func (m *Machine) ShardOf(p model.Pair) int {
-	if m.tier == nil {
-		return -1
-	}
 	if s, ok := m.tier.pairOwner[p]; ok {
 		return s
 	}
@@ -443,16 +437,11 @@ func (m *Machine) ShardOf(p model.Pair) int {
 // ShardResults returns the per-shard partial results, one per shard
 // plus the residual collector's partial last — the union verify checks
 // against the merged Result. Error and staleness are session-wide (the
-// machine totals them) and stay zero in a partial. Nil for
-// single-collector sessions.
+// machine totals them) and stay zero in a partial.
 func (m *Machine) ShardResults() []Result {
-	if m.tier == nil {
-		return nil
-	}
 	out := make([]Result, 0, m.tier.n+1)
 	for _, c := range m.tier.colls {
 		out = append(out, fold(c))
 	}
-	out = append(out, fold(m.tier.resid))
-	return out
+	return append(out, fold(m.tier.resid))
 }

@@ -106,8 +106,9 @@ type State struct {
 	Store *store.Store
 	// Cooldowns is the trigger re-arm state (checkpoint-granular).
 	Cooldowns map[string]map[model.Pair]int
-	// Assignment is the dispatcher's tree→shard map for sharded
-	// sessions (nil for single-collector sessions). Encoded as an
+	// Assignment is the dispatcher's tree→shard map for sessions above
+	// one shard (nil for a lone collector, whose 1-shard map is
+	// implied). Encoded as an
 	// optional trailing checkpoint field so pre-sharding journals stay
 	// readable.
 	Assignment map[string]int

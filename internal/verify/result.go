@@ -99,22 +99,13 @@ func Result(ctx Context, res cluster.Result) error {
 	return ResultShardCounters(res)
 }
 
-// ResultShardCounters checks the sharded-tier fields of a result (also
-// run by Result): all zero on a single-collector result, internally
-// consistent on a sharded one (shards down within bounds, no more
-// re-dispatches than orphanings, exactly one watermark per shard, each
-// a round the session ran or the never-live sentinel -1).
+// ResultShardCounters checks the collection tier's fields of a result
+// (also run by Result) for internal consistency: at least one shard,
+// shards down within bounds, no more re-dispatches than orphanings,
+// exactly one watermark per shard, each a round the session ran or the
+// never-live sentinel -1.
 func ResultShardCounters(res cluster.Result) error {
-	if res.Shards == 0 {
-		if res.ShardsDown != 0 || res.OrphanedTrees != 0 || res.TreesRedispatched != 0 ||
-			res.LeaderElections != 0 || len(res.ShardWatermarks) != 0 {
-			return fmt.Errorf("%w: single-collector result carries shard counters (down %d, orphaned %d, redispatched %d, elections %d, %d watermarks)",
-				ErrResult, res.ShardsDown, res.OrphanedTrees, res.TreesRedispatched,
-				res.LeaderElections, len(res.ShardWatermarks))
-		}
-		return nil
-	}
-	if res.Shards < 0 {
+	if res.Shards < 1 {
 		return fmt.Errorf("%w: %d shards", ErrResult, res.Shards)
 	}
 	if res.ShardsDown < 0 || res.ShardsDown > res.Shards {

@@ -16,12 +16,13 @@ var ErrSharding = errors.New("verify: shard conservation violated")
 
 // ShardState is the dispatcher-side snapshot Sharding checks: the
 // tree→shard accountability map (orphans included, booked to the dead
-// shard they came from), the shards currently down, and the orphans
-// awaiting re-dispatch.
+// shard they came from), the shards the dispatcher has declared dead
+// (not those merely crashed: a crash is not a death until the
+// suspicion window says so), and the orphans awaiting re-dispatch.
 type ShardState struct {
 	Shards     int
 	Assignment map[string]int
-	Down       []int
+	Dead       []int
 	Pending    []string
 }
 
@@ -31,16 +32,16 @@ type ShardState struct {
 //   - every installed tree is owned by exactly one shard, in range;
 //   - the accountability map carries no retired (un-installed) trees;
 //   - a tree booked to a live shard is being collected, so it must not
-//     sit in the orphan queue; a tree booked to a down shard must —
+//     sit in the orphan queue; a tree booked to a dead shard must —
 //     orphanhood and dead ownership are the same fact seen from the
 //     queue and from the map.
 func Sharding(st ShardState, forest *plan.Forest) error {
 	if st.Shards < 1 {
 		return fmt.Errorf("%w: %d shards", ErrSharding, st.Shards)
 	}
-	down := make(map[int]bool, len(st.Down))
-	for _, s := range st.Down {
-		down[s] = true
+	dead := make(map[int]bool, len(st.Dead))
+	for _, s := range st.Dead {
+		dead[s] = true
 	}
 	pending := make(map[string]bool, len(st.Pending))
 	for _, k := range st.Pending {
@@ -59,11 +60,11 @@ func Sharding(st ShardState, forest *plan.Forest) error {
 			return fmt.Errorf("%w: tree %q owned by out-of-range shard %d of %d",
 				ErrSharding, k, s, st.Shards)
 		}
-		if down[s] && !pending[k] {
-			return fmt.Errorf("%w: tree %q booked to down shard %d but not queued as an orphan",
+		if dead[s] && !pending[k] {
+			return fmt.Errorf("%w: tree %q booked to dead shard %d but not queued as an orphan",
 				ErrSharding, k, s)
 		}
-		if !down[s] && pending[k] {
+		if !dead[s] && pending[k] {
 			return fmt.Errorf("%w: tree %q owned by live shard %d yet queued as an orphan",
 				ErrSharding, k, s)
 		}

@@ -36,8 +36,8 @@ func TestShardingHolds(t *testing.T) {
 	if err := verify.Sharding(st, f); err != nil {
 		t.Fatalf("healthy sharding flagged: %v", err)
 	}
-	// An orphan booked to a down shard is conserved state, not an error.
-	st.Down = []int{2}
+	// An orphan booked to a dead shard is conserved state, not an error.
+	st.Dead = []int{2}
 	st.Pending = []string{k2}
 	if err := verify.Sharding(st, f); err != nil {
 		t.Fatalf("orphan window flagged: %v", err)
@@ -59,7 +59,7 @@ func TestShardingViolations(t *testing.T) {
 			Shards: 2, Assignment: map[string]int{k1: 0, k2: 5},
 		}},
 		{"dead owner without orphan entry", verify.ShardState{
-			Shards: 2, Assignment: map[string]int{k1: 0, k2: 1}, Down: []int{1},
+			Shards: 2, Assignment: map[string]int{k1: 0, k2: 1}, Dead: []int{1},
 		}},
 		{"orphan owned by live shard", verify.ShardState{
 			Shards: 2, Assignment: map[string]int{k1: 0, k2: 1}, Pending: []string{k2},
@@ -119,6 +119,7 @@ func TestResultShardCounters(t *testing.T) {
 		func(r *cluster.Result) { r.ShardWatermarks = []int{5, 9, 9} },     // wrong length
 		func(r *cluster.Result) { r.ShardWatermarks = []int{5, 9, 9, 10} }, // >= rounds
 		func(r *cluster.Result) { r.ShardWatermarks = []int{5, 9, 9, -2} },
+		func(r *cluster.Result) { r.Shards, r.ShardsDown, r.ShardWatermarks = 0, 0, nil },
 	}
 	for i, mutate := range mutations {
 		bad := base
@@ -128,11 +129,13 @@ func TestResultShardCounters(t *testing.T) {
 			t.Errorf("mutation %d not flagged", i)
 		}
 	}
-	// A single-collector result must carry no shard counters at all.
-	if err := verify.ResultShardCounters(cluster.Result{}); err != nil {
-		t.Fatalf("zero result flagged: %v", err)
+	// A lone collector is one live shard; a result without a shard is
+	// not one the tier can produce.
+	lone := cluster.Result{Shards: 1, ShardWatermarks: []int{9}, Rounds: 10}
+	if err := verify.ResultShardCounters(lone); err != nil {
+		t.Fatalf("lone collector's result flagged: %v", err)
 	}
-	if err := verify.ResultShardCounters(cluster.Result{OrphanedTrees: 1}); err == nil {
-		t.Error("shard counters on a single-collector result not flagged")
+	if err := verify.ResultShardCounters(cluster.Result{}); err == nil {
+		t.Error("a result without shards not flagged")
 	}
 }

@@ -91,9 +91,8 @@ type MonitorView struct {
 	CollectorDown bool
 	// Failed lists the nodes declared dead, in ID order.
 	Failed []NodeID
-	// ShardCount is the number of collector shards (0 for a
-	// single-collector session) and ShardLeader the dispatcher's
-	// leaseholder (-1 likewise).
+	// ShardCount is the number of collector shards (1 for a lone
+	// collector) and ShardLeader the dispatcher's leaseholder.
 	ShardCount, ShardLeader int
 }
 
@@ -139,12 +138,13 @@ type MonitorConfig struct {
 	// value and has its trigger re-arm state checkpointed, so triggers
 	// resume with their cooldowns intact.
 	Processor *Processor
-	// Shards > 1 runs the collection tier as that many collector shards
-	// behind a leader-elected dispatcher: the forest is spread across
-	// them by placement cost, a shard death orphans only its trees (the
-	// dispatcher re-homes them onto survivors), and with Journal set
-	// each shard checkpoints its own state under Journal/shard-<i> (see
-	// Monitor.ResumeShard).
+	// Shards is the number of collector shards behind a leader-elected
+	// dispatcher; 0 or 1 runs one, the lone central collector. Above
+	// one, the forest is spread across them by placement cost, a shard
+	// death orphans only its trees (the dispatcher re-homes them onto
+	// survivors), and with Journal set each shard checkpoints its own
+	// state under Journal/shard-<i> (see Monitor.ResumeShard). A lone
+	// collector journals only into Journal itself.
 	Shards int
 }
 
@@ -294,7 +294,9 @@ type ResumeReport struct {
 // the next round. Journaling re-arms into the same directory.
 //
 // The session must have been started with journaling
-// (MonitorConfig.Journal).
+// (MonitorConfig.Journal), and its collector must be down: a lone
+// collector's crash (ChaosConfig.CollectorCrashAt). A sharded tier's
+// root never dies; its shards resume with ResumeShard.
 func (m *Monitor) Resume(journalDir string) (rr ResumeReport, err error) {
 	_, err = m.locked(func(s *session) (err error) {
 		if rr, err = s.resumeCollector(journalDir); err != nil {
@@ -358,13 +360,13 @@ func (m *Monitor) Report() DeployReport {
 	return m.s.report()
 }
 
-// ShardCount is View().ShardCount: the number of collector shards (0
-// for a single-collector session).
+// ShardCount is View().ShardCount: the number of collector shards (1
+// for a lone collector).
 func (m *Monitor) ShardCount() int { return m.v.Load().ShardCount }
 
-// ShardAssignment snapshots the dispatcher's tree→shard map (nil for
-// single-collector sessions). Orphans awaiting re-dispatch are included,
-// booked to the dead shard they came from.
+// ShardAssignment snapshots the dispatcher's tree→shard map (every tree
+// on shard 0 for a lone collector). Orphans awaiting re-dispatch are
+// included, booked to the dead shard they came from.
 func (m *Monitor) ShardAssignment() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -372,7 +374,7 @@ func (m *Monitor) ShardAssignment() map[string]int {
 }
 
 // ShardLeader is View().ShardLeader: the dispatcher's current
-// leaseholder (-1 for single-collector sessions).
+// leaseholder (0 for a lone collector).
 func (m *Monitor) ShardLeader() int { return m.v.Load().ShardLeader }
 
 // CollectorDown is View().CollectorDown: whether the central collector

@@ -109,7 +109,7 @@ func TestMonitorClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := mon.View()
-	if last.Round != 3 || last.Plan == nil || last.Store == nil || last.JournalDir != dir || last.ShardLeader != -1 {
+	if last.Round != 3 || last.Plan == nil || last.Store == nil || last.JournalDir != dir || last.ShardCount != 1 || last.ShardLeader != 0 {
 		t.Fatalf("view before Close = %+v", last)
 	}
 	if err := mon.Close(); err != nil {
@@ -134,7 +134,7 @@ func TestMonitorClosed(t *testing.T) {
 	}
 	if mon.Round() != last.Round || mon.Fingerprint() != last.Fingerprint || mon.Plan() != last.Plan ||
 		mon.Store() != last.Store || mon.JournalDir() != dir || mon.CollectorDown() ||
-		len(mon.Failed()) != 0 || mon.ShardCount() != 0 || mon.ShardLeader() != -1 {
+		len(mon.Failed()) != 0 || mon.ShardCount() != 1 || mon.ShardLeader() != 0 {
 		t.Fatal("an accessor disagrees with the view it is a field of")
 	}
 }

@@ -2,6 +2,7 @@ package remo_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"remo"
@@ -75,40 +76,52 @@ func TestDeployPredictionCountersFlow(t *testing.T) {
 	checkSuppConserved(t, rep)
 }
 
+// TestPredictionColdResumeSeedsModels cold-resumes a suppressing
+// session, lone and sharded: every collector re-arms the replicas the
+// journal seeded, so no marker the leaves send is refused for want of a
+// model.
 func TestPredictionColdResumeSeedsModels(t *testing.T) {
-	dir := t.TempDir()
-	p := predictPlanner(t, 0.01)
-	mon, err := p.StartMonitor(remo.MonitorConfig{Source: remo.UtilWalk{Seed: 5}, Journal: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.Run(60); err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			p := predictPlanner(t, 0.01)
+			mon, err := p.StartMonitor(remo.MonitorConfig{Source: remo.UtilWalk{Seed: 5}, Journal: dir, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mon.Run(60); err != nil {
+				t.Fatal(err)
+			}
+			if err := mon.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	mon2, rr, err := p.ResumeMonitor(dir, remo.MonitorConfig{Source: remo.UtilWalk{Seed: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon2.Close()
-	if !rr.PlanMatched {
-		t.Fatal("cold resume did not rebuild the pre-crash plan")
-	}
-	// Both ends were seeded from the journaled snapshots, so imputation
-	// resumes well before the first periodic sync cycle completes.
-	if err := mon2.Run(8); err != nil {
-		t.Fatal(err)
-	}
-	rep := mon2.Report()
-	if rep.ValuesImputed == 0 {
-		t.Fatalf("no imputation within 8 rounds of cold resume: %+v", rep)
-	}
-	checkSuppConserved(t, rep)
-	if err := mon2.Verify(); err != nil {
-		t.Fatalf("verify after resume: %v", err)
+			mon2, rr, err := p.ResumeMonitor(dir, remo.MonitorConfig{Source: remo.UtilWalk{Seed: 5}, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mon2.Close()
+			if !rr.PlanMatched {
+				t.Fatal("cold resume did not rebuild the pre-crash plan")
+			}
+			// Both ends were seeded from the journaled snapshots, so
+			// imputation resumes well before the first periodic sync cycle
+			// completes, and no marker is lost meanwhile.
+			if err := mon2.Run(8); err != nil {
+				t.Fatal(err)
+			}
+			rep := mon2.Report()
+			if rep.ValuesImputed == 0 {
+				t.Fatalf("no imputation within 8 rounds of cold resume: %+v", rep)
+			}
+			if rep.MarkersLost != 0 {
+				t.Fatalf("%d markers lost within 8 rounds of cold resume", rep.MarkersLost)
+			}
+			checkSuppConserved(t, rep)
+			if err := mon2.Verify(); err != nil {
+				t.Fatalf("verify after resume: %v", err)
+			}
+		})
 	}
 }
 

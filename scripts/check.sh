@@ -66,12 +66,14 @@ go test -race -count=10 -run 'Stream|Broker|Gap|Flush' ./internal/serve ./intern
 echo "==> planner beside the round loop, replan-sequence golden, plan determinism and lone-vs-sharded scoring under -race, repeated"
 go test -race -count=10 -run 'Replan|Parked|Drain|Readers' ./internal/serve .
 # The tier routes pairs through maps: a map-order leak into a shard's
-# score would show as a flaky lone-vs-sharded mismatch. The two largest
+# score would show as a flaky lone-vs-sharded mismatch, and — the
+# dispatcher runs every round of a lone collector too — as a flaky
+# shard counter across a lone collector's crash. The two largest
 # fault-free cases (larger, fig6a-small: about 27 s and 7 s a run under
 # -race on two cores) run once in the full -race pass above, not here.
 go test -race -count=10 \
-    -run 'LocalWeightDeterministic|PlanDeterministicUnderFrequencies|ShardedMatchesSingleCollector/^(ample|tight|very-tight|aggregated|one-node-trees)$' \
-    ./internal/task ./internal/core ./internal/cluster
+    -run 'LocalWeightDeterministic|PlanDeterministicUnderFrequencies|LoneCollectorCrashCounters|ShardedMatchesSingleCollector/^(ample|tight|very-tight|aggregated|one-node-trees)$' \
+    ./internal/task ./internal/core ./internal/cluster .
 
 echo "==> verification harness (plan + repairs + results cross-checked)"
 go run ./cmd/remo-sim -nodes 40 -tasks 20 -rounds 12 -chaos 0.15 -suspicion 2 -verify > /dev/null

@@ -653,20 +653,17 @@ func (s *session) verify() error {
 	if err := verify.Result(ctx, res); err != nil {
 		return fmt.Errorf("remo: live result failed verification: %w", err)
 	}
-	if s.machine.ShardCount() <= 1 {
-		return nil
-	}
 	err := verify.Sharding(verify.ShardState{
 		Shards:     s.machine.ShardCount(),
 		Assignment: s.machine.ShardAssignment(),
-		Down:       s.machine.ShardsDownList(),
+		Dead:       s.machine.ShardsDead(),
 		Pending:    s.machine.PendingOrphans(),
 	}, forest)
 	if err == nil {
 		err = verify.ShardUnion(res, s.machine.ShardResults())
 	}
 	if err != nil {
-		return fmt.Errorf("remo: sharded tier failed verification: %w", err)
+		return fmt.Errorf("remo: collection tier failed verification: %w", err)
 	}
 	return nil
 }
@@ -720,12 +717,19 @@ func (s *session) restore(st journal.State) {
 // the dead collector's memory), which becomes the log's repository, and
 // its trees open an epoch past the given one, fencing every frame the
 // dead collector could have been sent. dead restores the failure
-// detector (central collector only).
+// detector (central collector only). Log 0 of a sharded session has no
+// collector behind it — the tier's root never dies — and only adopts
+// the repository.
 func (s *session) resume(i int, st journal.State, epoch uint32, dead map[model.NodeID]int) error {
 	rs := cluster.ResumeState{Epoch: epoch, Repo: st.Store, Dead: dead, Models: st.Models}
-	if i == 0 {
-		s.machine.ResumeCollector(rs) // a no-op on a sharded tier, whose root never dies
-	} else if err := s.machine.ResumeShard(i-1, rs); err != nil {
+	var err error
+	switch {
+	case i > 0:
+		err = s.machine.ResumeShard(i-1, rs)
+	case s.machine.ShardCount() == 1:
+		err = s.machine.ResumeCollector(rs)
+	}
+	if err != nil {
 		return err
 	}
 	s.logs[i].repo = st.Store
@@ -762,6 +766,9 @@ func (s *session) resumeFrom(i int, dir string) (ResumeReport, error) {
 func (s *session) resumeCollector(dir string) (ResumeReport, error) {
 	if len(s.logs) == 0 {
 		return ResumeReport{}, errors.New("session was started without journaling")
+	}
+	if !s.machine.CollectorDown() {
+		return ResumeReport{}, errors.New("the collector is not down")
 	}
 	return s.resumeFrom(0, dir)
 }

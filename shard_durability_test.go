@@ -123,6 +123,46 @@ func TestShardCrashResumeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestShardOutageVerifiesEveryRound verifies a 4-shard session after
+// every round of a shard's crash: the suspicion window, when the crashed
+// shard still owns its trees and none is an orphan yet, the orphan
+// window, the re-dispatch, and the resume. Orphanhood follows the
+// dispatcher's death verdict, not the crash.
+func TestShardOutageVerifiesEveryRound(t *testing.T) {
+	const crashRnd = 5
+	dir := t.TempDir()
+	sys := bigSystem(t, 16)
+	p := remo.NewPlanner(sys, remo.WithVerification())
+	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+	p.MustAddTask(remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: sys.NodeIDs()})
+	mon, err := p.StartMonitor(remo.MonitorConfig{
+		Seed: 1, Shards: 4, Journal: dir,
+		Chaos:   &remo.ChaosConfig{ShardCrashAt: map[int]int{0: crashRnd}},
+		Failure: &remo.FailurePolicy{SuspicionRounds: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	step := func(rounds int) {
+		t.Helper()
+		for i := 0; i < rounds; i++ {
+			run(t, mon, 1)
+			if err := mon.Verify(); err != nil {
+				t.Fatalf("round %d: %v", mon.Round()-1, err)
+			}
+		}
+	}
+	step(crashRnd + 10)
+	if rep := mon.Report(); rep.ShardsDown != 1 || rep.TreesRedispatched == 0 {
+		t.Fatalf("the crash was not ridden out: %d down, %d redispatched", rep.ShardsDown, rep.TreesRedispatched)
+	}
+	if _, err := mon.ResumeShard(0); err != nil {
+		t.Fatal(err)
+	}
+	step(5)
+}
+
 // TestShardColdResumeIdenticalAssignment pins the cold-resume contract
 // of the sharded tier: a process restart rebuilds the identical
 // tree→shard map from the journaled assignment, and each shard's views
