@@ -24,10 +24,10 @@
 // and finishes the run on the recovered state.
 //
 // With -shards N the collection tier runs as N collector shards behind
-// a leader-elected dispatcher; each shard journals its own state under
-// -journal/shard-<i>. -chaos-shard S crashes shard S a third of the way
-// in: its orphaned trees are re-dispatched onto the survivors within
-// the suspicion window, and the shard later resumes from its own
+// a leader-elected dispatcher, all journaled into the one -journal
+// directory. -chaos-shard S crashes shard S a third of the way in: its
+// orphaned trees are re-dispatched onto the survivors within the
+// suspicion window, and the shard later resumes from the session
 // journal:
 //
 //	remo-sim -rounds 40 -shards 4 -journal /tmp/j -chaos-shard 1 -verify
@@ -110,7 +110,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		journalDir = fs.String("journal", "", "journal directory: checkpoint and WAL the session for crash recovery")
 		collCrash  = fs.Int("chaos-collector", 0, "crash the central collector at this round and resume it from -journal (0 = off)")
 		shards     = fs.Int("shards", 1, "run the collection tier as this many collector shards behind a leader-elected dispatcher")
-		shardCrash = fs.Int("chaos-shard", -1, "crash this collector shard a third of the way in and resume it from its journal (-1 = off)")
+		shardCrash = fs.Int("chaos-shard", -1, "crash this collector shard a third of the way in and resume it from the session journal (-1 = off)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -478,8 +478,8 @@ func runChaos(planner *remo.Planner, o chaosOpts, stdout io.Writer) (remo.Deploy
 	if o.shardCrash >= 0 {
 		// Ride out the shard outage past the suspicion window, so the
 		// death is declared and the orphaned trees re-dispatched onto the
-		// survivors, then resume the shard from its own journal and finish
-		// the run.
+		// survivors, then resume the shard from the session journal and
+		// finish the run.
 		rideOut := crashRound + o.suspicion + 3
 		if rideOut > o.rounds {
 			rideOut = o.rounds
@@ -491,7 +491,7 @@ func runChaos(planner *remo.Planner, o chaosOpts, stdout io.Writer) (remo.Deploy
 		if err != nil {
 			return remo.DeployReport{}, nil, err
 		}
-		fmt.Fprintf(stdout, "shard %d crashed at round %d; resumed from its journal: epoch %d, %d samples through round %d, plan matched: %v\n",
+		fmt.Fprintf(stdout, "shard %d crashed at round %d; resumed from the session journal: epoch %d, %d samples through round %d, plan matched: %v\n",
 			o.shardCrash, crashRound, rr.Epoch, rr.RecoveredSamples, rr.RecoveredRound, rr.PlanMatched)
 		if err := mon.Run(o.rounds - rideOut); err != nil {
 			return remo.DeployReport{}, nil, err
@@ -507,7 +507,7 @@ func runChaos(planner *remo.Planner, o chaosOpts, stdout io.Writer) (remo.Deploy
 		if err := mon.Run(outage); err != nil {
 			return remo.DeployReport{}, nil, err
 		}
-		rr, err := mon.Resume(o.journal)
+		rr, err := mon.Resume()
 		if err != nil {
 			return remo.DeployReport{}, nil, err
 		}

@@ -214,7 +214,7 @@ func TestShardCrashResumeRun(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"shard 0 crashed at round 10",
-		"resumed from its journal",
+		"resumed from the session journal",
 		"sharding: 4 shards (0 down)",
 		"re-home:",
 		"verification:",

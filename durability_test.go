@@ -1,12 +1,17 @@
 package remo_test
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"remo"
+	"remo/internal/journal"
 )
 
 // TestCollectorCrashRecoveryEndToEnd is the durability acceptance run:
@@ -49,7 +54,7 @@ func TestCollectorCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatalf("restarts = %d before resume", pre.CollectorRestarts)
 	}
 
-	rr, err := mon.Resume(dir)
+	rr, err := mon.Resume()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +233,72 @@ func TestColdResumeAfterChurn(t *testing.T) {
 	_ = mon.Close()
 }
 
+// TestColdResumeRestoresDeadSet: a cold resume restarts the failure
+// detector with the journaled dead set on every tier, lone or sharded.
+// A node declared dead before the restart that comes back is
+// reintegrated, and one still down is not declared dead a second time.
+func TestColdResumeRestoresDeadSet(t *testing.T) {
+	forever := map[remo.NodeID][]remo.ChaosWindow{5: {{From: 0, To: math.MaxInt}}}
+	for _, shards := range []int{1, 4} {
+		for _, tc := range []struct {
+			name      string
+			crash     map[remo.NodeID][]remo.ChaosWindow
+			recovered int
+			failed    []remo.NodeID
+		}{
+			{"back", nil, 1, []remo.NodeID{}},
+			{"still-down", forever, 0, []remo.NodeID{5}},
+		} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
+				dir := t.TempDir()
+				sys := bigSystem(t, 16)
+				p := remo.NewPlanner(sys, remo.WithVerification())
+				p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+				p.MustAddTask(remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: sys.NodeIDs()})
+				failure := &remo.FailurePolicy{SuspicionRounds: 2}
+				mon, err := p.StartMonitor(remo.MonitorConfig{
+					Seed: 7, Journal: dir, Shards: shards, Failure: failure,
+					Chaos: &remo.ChaosConfig{Seed: 7, CrashWindows: map[remo.NodeID][]remo.ChaosWindow{
+						5: {{From: 3, To: math.MaxInt}},
+					}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				run(t, mon, 15)
+				if got := mon.Failed(); !reflect.DeepEqual(got, []remo.NodeID{5}) {
+					t.Fatalf("dead before the restart = %v, want [5]", got)
+				}
+				if err := mon.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				cfg := remo.MonitorConfig{Seed: 7, Shards: shards, Failure: failure}
+				if tc.crash != nil {
+					cfg.Chaos = &remo.ChaosConfig{Seed: 7, CrashWindows: tc.crash}
+				}
+				mon2, _, err := p.ResumeMonitor(dir, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = mon2.Close() }()
+				run(t, mon2, 15)
+				rep := mon2.Report()
+				if rep.FailuresDetected != 1 || rep.NodesRecovered != tc.recovered {
+					t.Fatalf("%d failures, %d recoveries; want 1, %d",
+						rep.FailuresDetected, rep.NodesRecovered, tc.recovered)
+				}
+				if got := mon2.Failed(); !reflect.DeepEqual(got, tc.failed) {
+					t.Fatalf("dead after the restart = %v, want %v", got, tc.failed)
+				}
+				if err := mon2.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // TestResumeRequiresJournal pins the error contract: resuming a session
 // that never journaled is refused with a clear message.
 func TestResumeRequiresJournal(t *testing.T) {
@@ -239,16 +310,18 @@ func TestResumeRequiresJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = mon.Close() }()
-	if _, err := mon.Resume(t.TempDir()); err == nil ||
+	if _, err := mon.Resume(); err == nil ||
 		!strings.Contains(err.Error(), "without journaling") {
 		t.Fatalf("err = %v, want journaling-required error", err)
 	}
-	// And resuming from an empty directory fails even on a journaled
-	// session whose collector is down: no checkpoint, no resume.
+	// And resuming from a journal whose segments are gone fails even on
+	// a journaled session whose collector is down: no checkpoint, no
+	// resume.
+	dir := t.TempDir()
 	p2 := remo.NewPlanner(sys)
 	p2.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
 	mon2, err := p2.StartMonitor(remo.MonitorConfig{
-		Seed: 1, Journal: t.TempDir(), Chaos: &remo.ChaosConfig{CollectorCrashAt: 2},
+		Seed: 1, Journal: dir, Chaos: &remo.ChaosConfig{CollectorCrashAt: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +331,17 @@ func TestResumeRequiresJournal(t *testing.T) {
 	if !mon2.CollectorDown() {
 		t.Fatal("collector not down after its crash round")
 	}
-	if _, err := mon2.Resume(t.TempDir()); err == nil {
-		t.Fatal("resume from an empty journal dir succeeded")
+	segs, err := filepath.Glob(filepath.Join(dir, "*-*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("journal segments %v: %v", segs, err)
+	}
+	for _, f := range segs {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := mon2.Resume(); !errors.Is(err, journal.ErrNoJournal) {
+		t.Fatalf("resume from a journal without segments = %v, want ErrNoJournal", err)
 	}
 }
 
@@ -281,7 +363,7 @@ func TestResumeRefusesLiveCollector(t *testing.T) {
 			defer func() { _ = mon.Close() }()
 			run(t, mon, 5)
 			store := mon.Store()
-			if _, err := mon.Resume(dir); err == nil || !strings.Contains(err.Error(), "not down") {
+			if _, err := mon.Resume(); err == nil || !strings.Contains(err.Error(), "not down") {
 				t.Fatalf("Resume on a live session = %v, want a not-down error", err)
 			}
 			if got := mon.Report().CollectorRestarts; got != 0 {
@@ -349,7 +431,7 @@ func TestLoneCollectorCrashCounters(t *testing.T) {
 			t.Fatalf("outage round %d: %v", crashRnd+r, err)
 		}
 	}
-	if _, err := mon.Resume(dir); err != nil {
+	if _, err := mon.Resume(); err != nil {
 		t.Fatal(err)
 	}
 	check("at resume", 0, crashRnd-1)

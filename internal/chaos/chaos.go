@@ -52,7 +52,8 @@ type Config struct {
 	// ShardCrashAt kills collector shard s at the start of round
 	// ShardCrashAt[s] (sharded sessions only). Like CollectorCrashAt the
 	// crash latches: the shard stays down until the session resumes it
-	// from its journal.
+	// from the session's journal (Monitor.ResumeShard), which the tier's
+	// root keeps writing through the outage.
 	ShardCrashAt map[int]int
 	// RegionPartitions cuts an entire region off from the rest of the
 	// overlay during each listed [From, To) window: every message with
@@ -130,7 +131,7 @@ func (c *Config) Validate(sys *model.System, shards int, durable bool) error {
 			}
 		}
 		if !durable {
-			return errors.New("chaos: ShardCrashAt requires a journal: a crashed shard can only resume from its journal")
+			return errors.New("chaos: ShardCrashAt requires a journal: a crashed shard can only resume from the session's journal")
 		}
 	}
 	var named []string

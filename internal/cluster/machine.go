@@ -556,19 +556,21 @@ type ResumeState struct {
 	Models map[model.Pair]predict.Snapshot
 }
 
-// ResumeCollector restarts the crashed central collector — a 1-shard
-// tier's one shard — from journaled state: ResumeShard(0), plus the
-// failure detector that died with it, which restarts with the recovered
-// dead set and a fresh grace window. Node-side state — relay buffers,
-// outgoing buffers, traffic counters — is untouched: the leaves never
-// died. A sharded tier's root never dies, so it has no collector to
-// resume.
+// ResumeCollector restarts the collection tier from journaled state:
+// every shard is seeded as by ResumeShard, and the failure detector
+// restarts with the recovered dead set and a fresh grace window.
+// Node-side state — relay buffers, outgoing buffers, traffic counters —
+// is untouched: the leaves never died. Before the first round it seeds
+// any tier (a cold process restart); mid-run only a crashed lone
+// collector, because a sharded tier's root never dies.
 func (m *Machine) ResumeCollector(rs ResumeState) error {
-	if m.tier.n > 1 {
-		return fmt.Errorf("cluster: ResumeCollector on a %d-shard tier, whose root never dies", m.tier.n)
+	if m.tier.n > 1 && m.round > 0 {
+		return fmt.Errorf("cluster: ResumeCollector mid-run on a %d-shard tier, whose root never dies", m.tier.n)
 	}
-	if err := m.resumeShard(0, rs); err != nil {
-		return err
+	for s := range m.tier.n {
+		if err := m.resumeShard(s, rs); err != nil {
+			return err
+		}
 	}
 	m.collectorDown = false
 	if m.cfg.Detect != nil {

@@ -325,8 +325,8 @@ func (m *Machine) shardDispatch(round int) {
 // shard's trees open an epoch past everything the dead shard could have
 // been sent. The dispatcher notices the shard's heartbeat next round and
 // rebalances trees back onto it. Before the first round has run the
-// shard need not be down — a cold process restart seeds every shard's
-// views from its journal this way.
+// shard need not be down — ResumeCollector's cold restart seeds every
+// shard from the session's journal this way.
 func (m *Machine) ResumeShard(s int, rs ResumeState) error {
 	if err := m.resumeShard(s, rs); err != nil {
 		return err
@@ -424,15 +424,6 @@ func (m *Machine) ShardMoves() []shard.Move { return m.tier.disp.Moves() }
 
 // ShardLeader returns the dispatcher's current leaseholder.
 func (m *Machine) ShardLeader() int { return m.tier.disp.Leader() }
-
-// ShardOf returns the shard collecting the given alias-folded pair
-// (-1 = the residual collector).
-func (m *Machine) ShardOf(p model.Pair) int {
-	if s, ok := m.tier.pairOwner[p]; ok {
-		return s
-	}
-	return -1
-}
 
 // ShardResults returns the per-shard partial results, one per shard
 // plus the residual collector's partial last — the union verify checks

@@ -422,24 +422,43 @@ func TestShardSeedAssignmentAdopted(t *testing.T) {
 	}
 }
 
-func TestShardOfRoutesPairs(t *testing.T) {
+// TestResumeCollectorSeedsEveryShard: before the first round,
+// ResumeCollector restarts any tier — every shard seeds from the one
+// recovered repository and the detector restarts with the recovered dead
+// set — and mid-run it refuses a sharded tier, whose root never dies.
+func TestResumeCollectorSeedsEveryShard(t *testing.T) {
 	sys, d, forest := shardEnv(t, 8, 4)
-	m, err := NewMachine(shardConfig(sys, d, forest, 2))
+	m, err := NewMachine(shardConfig(sys, d, forest, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = m.Close() }()
-	owner := m.ShardAssignment()
+	repo := store.New(0)
 	for _, tr := range forest.Trees {
-		want := owner[tr.Attrs.Key()]
-		for _, a := range tr.Attrs.Attrs() {
-			p := model.Pair{Node: 1, Attr: a}
-			if got := m.ShardOf(p); got != want {
-				t.Fatalf("pair %v routed to shard %d, tree owned by %d", p, got, want)
-			}
-		}
+		repo.Observe(model.Pair{Node: 1, Attr: tr.Attrs.Attrs()[0]}, 0, 2.5)
 	}
-	if got := m.ShardOf(model.Pair{Node: 99, Attr: 99}); got != -1 {
-		t.Fatalf("unknown pair routed to shard %d, want -1", got)
+	if err := m.ResumeCollector(ResumeState{Epoch: 4, Repo: repo, Dead: map[model.NodeID]int{3: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	owner := m.ShardAssignment()
+	seeded := make(map[int]bool)
+	for _, tr := range forest.Trees {
+		s := owner[tr.Attrs.Key()]
+		if _, ok := m.tier.colls[s].lookupView(model.Pair{Node: 1, Attr: tr.Attrs.Attrs()[0]}); !ok {
+			t.Fatalf("tree %s: shard %d not seeded from the recovered repository", tr.Attrs.Key(), s)
+		}
+		seeded[s] = true
+	}
+	if len(seeded) < 2 {
+		t.Fatalf("trees on %d shard(s); the check needs several", len(seeded))
+	}
+	if at, ok := m.Detector().DeadAt()[3]; !ok || at != -1 {
+		t.Fatalf("detector dead set %v, want node 3 at -1", m.Detector().DeadAt())
+	}
+	if err := m.StepN(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ResumeCollector(ResumeState{Repo: repo}); err == nil {
+		t.Fatal("mid-run ResumeCollector on a sharded tier succeeded")
 	}
 }

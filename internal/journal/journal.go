@@ -77,7 +77,9 @@ const (
 )
 
 // State is the durable session state: everything a restarted collector
-// needs that it cannot re-derive from configuration.
+// needs that it cannot re-derive from configuration. A session keeps
+// one journal whatever its shard count, so one State seeds every shard
+// of a restarted tier.
 type State struct {
 	// Epoch is the last installed plan epoch.
 	Epoch uint32

@@ -402,9 +402,9 @@ func (s *Server) runRound() {
 	if v.CollectorDown {
 		// A chaos (or real) collector outage latches until an explicit
 		// resume; the service owns the session, so it restarts the
-		// collector from its own journal, and tries again next round if
-		// the journal cannot serve it.
-		if _, err := s.mon.Resume(v.JournalDir); err != nil {
+		// collector from the session's journal, and tries again next round
+		// if the journal cannot serve it.
+		if _, err := s.mon.Resume(); err != nil {
 			s.ins.resumeFailures.Inc()
 		} else {
 			s.ins.resumes.Inc()

@@ -140,11 +140,11 @@ type MonitorConfig struct {
 	Processor *Processor
 	// Shards is the number of collector shards behind a leader-elected
 	// dispatcher; 0 or 1 runs one, the lone central collector. Above
-	// one, the forest is spread across them by placement cost, a shard
-	// death orphans only its trees (the dispatcher re-homes them onto
-	// survivors), and with Journal set each shard checkpoints its own
-	// state under Journal/shard-<i> (see Monitor.ResumeShard). A lone
-	// collector journals only into Journal itself.
+	// one, the forest is spread across them by placement cost and a
+	// shard death orphans only its trees (the dispatcher re-homes them
+	// onto survivors). Whatever the count, a journaling session keeps one
+	// journal, in Journal itself: the tier's root writes it, and a
+	// crashed shard resumes from it (see Monitor.ResumeShard).
 	Shards int
 }
 
@@ -286,20 +286,20 @@ type ResumeReport struct {
 }
 
 // Resume restarts this session's crashed central collector from the
-// journal in journalDir: views are rebuilt strictly from recovered
-// state (never from the dead collector's memory), the failure
-// detector restarts with the recovered dead set, the plan epoch
-// advances so stale pre-crash frames are fenced, and the leaves' — who
-// never died — buffered values drain into the recovered collector on
-// the next round. Journaling re-arms into the same directory.
+// session's journal: views are rebuilt strictly from recovered state
+// (never from the dead collector's memory), the failure detector
+// restarts with the recovered dead set, the plan epoch advances so
+// stale pre-crash frames are fenced, and the leaves' — who never died —
+// buffered values drain into the recovered collector on the next round.
+// Journaling re-arms into the same directory.
 //
 // The session must have been started with journaling
 // (MonitorConfig.Journal), and its collector must be down: a lone
 // collector's crash (ChaosConfig.CollectorCrashAt). A sharded tier's
 // root never dies; its shards resume with ResumeShard.
-func (m *Monitor) Resume(journalDir string) (rr ResumeReport, err error) {
+func (m *Monitor) Resume() (rr ResumeReport, err error) {
 	_, err = m.locked(func(s *session) (err error) {
-		if rr, err = s.resumeCollector(journalDir); err != nil {
+		if rr, err = s.resumeCollector(); err != nil {
 			return fmt.Errorf("remo: resume: %w", err)
 		}
 		return nil
@@ -307,12 +307,15 @@ func (m *Monitor) Resume(journalDir string) (rr ResumeReport, err error) {
 	return rr, err
 }
 
-// ResumeShard restarts one crashed collector shard from its own
-// journal (Journal/shard-<s>): the shard's views are rebuilt strictly
-// from its recovered repository, its trees open an epoch past anything
-// the dead shard could have been sent, and the dispatcher rebalances
-// trees back onto it as soon as it heartbeats. The other shards are
-// untouched — that is the point of sharding the collection tier.
+// ResumeShard restarts one crashed collector shard from a read-only
+// recovery of the session's journal, which the tier's root — it never
+// dies — kept writing through the outage: the shard's views are rebuilt
+// strictly from the recovered repository, its trees open an epoch past
+// anything the dead shard could have been sent, its forecasting
+// replicas come back gated until the next sync, and the dispatcher
+// rebalances trees back onto it as soon as it heartbeats. The journal
+// writer is left as it is, and the other shards are untouched — that is
+// the point of sharding the collection tier.
 //
 // The session must have been started with both Shards > 1 and
 // journaling.
@@ -328,10 +331,11 @@ func (m *Monitor) ResumeShard(sh int) (rr ResumeReport, err error) {
 
 // ResumeMonitor cold-starts a monitoring session from a journal: the
 // recovered installed demand is replanned, a fresh machine boots at
-// round zero, and the collector is seeded with the journal's store,
-// dead set and epoch. Use it when the whole process died; the
-// round clock restarts, so recovered dead declarations are anchored at
-// -1 (any fresh evidence of life resurrects) and recovered views are
+// round zero, and every collector shard is seeded with the journal's
+// store and epoch and the failure detector with its dead set, the same
+// path whatever the shard count. Use it when the whole process died;
+// the round clock restarts, so recovered dead declarations are anchored
+// at -1 (any fresh evidence of life resurrects) and recovered views are
 // clamped below round zero.
 func (p *Planner) ResumeMonitor(journalDir string, cfg MonitorConfig) (*Monitor, ResumeReport, error) {
 	cfg.Journal = journalDir
@@ -391,7 +395,7 @@ func (m *Monitor) JournalDir() string { return m.v.Load().JournalDir }
 // while a SetTasks plans, it describes the plan still in force.
 func (m *Monitor) Checkpoint() error {
 	_, err := m.locked(func(s *session) error {
-		if len(s.logs) == 0 {
+		if s.log == nil {
 			return errors.New("remo: checkpoint: session was started without journaling")
 		}
 		if err := s.checkpoint(); err != nil {

@@ -119,7 +119,7 @@ func TestMonitorClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, setErr := mon.SetTasks(nil)
-	_, resumeErr := mon.Resume(dir)
+	_, resumeErr := mon.Resume()
 	_, shardErr := mon.ResumeShard(0)
 	for name, err := range map[string]error{
 		"Run": mon.Run(1), "SetTasks": setErr, "Resume": resumeErr,

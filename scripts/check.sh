@@ -71,8 +71,10 @@ go test -race -count=10 -run 'Replan|Parked|Drain|Readers' ./internal/serve .
 # shard counter across a lone collector's crash. The two largest
 # fault-free cases (larger, fig6a-small: about 27 s and 7 s a run under
 # -race on two cores) run once in the full -race pass above, not here.
+# A cold resume walks the recovered dead set (a map) for every shard
+# count, so a map-order leak there would show as a flaky reintegration.
 go test -race -count=10 \
-    -run 'LocalWeightDeterministic|PlanDeterministicUnderFrequencies|LoneCollectorCrashCounters|ShardedMatchesSingleCollector/^(ample|tight|very-tight|aggregated|one-node-trees)$' \
+    -run 'LocalWeightDeterministic|PlanDeterministicUnderFrequencies|LoneCollectorCrashCounters|ColdResumeRestoresDeadSet|ShardedMatchesSingleCollector/^(ample|tight|very-tight|aggregated|one-node-trees)$' \
     ./internal/task ./internal/core ./internal/cluster .
 
 echo "==> verification harness (plan + repairs + results cross-checked)"
@@ -85,11 +87,17 @@ tmp_paths+=("$journal_dir")
 go run ./cmd/remo-sim -nodes 30 -tasks 15 -rounds 24 \
     -journal "$journal_dir" -chaos-collector 8 -verify > /dev/null
 
-echo "==> sharding chaos smoke (shard crash + orphan re-dispatch, verified)"
+echo "==> sharding chaos smoke (shard crash + orphan re-dispatch, verified, one journal)"
 journal_dir=$(mktemp -d)
 tmp_paths+=("$journal_dir")
 go run ./cmd/remo-sim -nodes 30 -tasks 15 -rounds 24 -seed 7 -shards 4 \
     -journal "$journal_dir" -chaos-shard 0 -verify > /dev/null
+# A session keeps one journal whatever its shard count.
+if compgen -G "$journal_dir/shard-*" > /dev/null; then
+    echo "sharded session wrote per-shard journals:" >&2
+    ls "$journal_dir" >&2
+    exit 1
+fi
 
 echo "==> suppression smoke (forecast suppression under loss, verified, under -race)"
 go run -race ./cmd/remo-sim -nodes 30 -tasks 15 -rounds 24 -seed 5 \

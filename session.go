@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"path/filepath"
 
 	"remo/internal/adapt"
 	"remo/internal/cluster"
@@ -28,7 +27,7 @@ const leafBufferFrames = 64
 
 // session is the one owner of a live session's state: the adaptor's
 // plan, the running machine, the self-healing history and the durable
-// logs. Self-heal, task swaps, shard resume and the region checks all
+// log. Self-heal, task swaps, shard resume and the region checks all
 // read and write this copy. It holds no lock — Monitor serializes every
 // call under its mutex, save a SetTasks' planning, which only reads the
 // adaptor (see planning).
@@ -75,17 +74,15 @@ type session struct {
 	// self-healing loop installed (surfaced by step and verify).
 	verifyErr error
 
-	// logs is empty unless the session journals. logs[0] is session-wide;
-	// a sharded session adds logs[1+s] for shard s, under the session's
-	// directory, so a shard crash loses only that shard's unjournaled
-	// tail.
-	logs []durableLog
+	// log is nil unless the session journals: one journal in
+	// MonitorConfig.Journal, whatever the shard count.
+	log *durableLog
 	// proc, when provided, has its trigger re-arm state checkpointed.
 	proc    *store.Processor
 	onValue func(pair Pair, round int, value float64)
 	// journalErr is the first journal write failure (surfaced by step).
 	journalErr error
-	// movesSeen is how many dispatcher moves logs[0] has captured as
+	// movesSeen is how many dispatcher moves the log has captured as
 	// assignment records.
 	movesSeen int
 }
@@ -174,9 +171,7 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 		// so the recovery path has clean semantics to restore into.
 		ccfg.LeafBuffer = leafBufferFrames
 		ccfg.Observer = s.observe
-		for _, dir := range logDirs(cfg.Journal, cfg.Shards) {
-			s.logs = append(s.logs, durableLog{dir: dir, repo: store.New(0)})
-		}
+		s.log = &durableLog{dir: cfg.Journal, repo: store.New(0)}
 	}
 	if cfg.UseTCP {
 		tr, err := transport.NewTCP(p.sys.NodeIDs())
@@ -190,8 +185,8 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 		_ = s.close()
 		return nil, fmt.Errorf("remo: start monitor: %w", err)
 	}
-	for i := range s.logs {
-		if err := s.reopen(i); err != nil {
+	if s.log != nil {
+		if err := s.reopen(); err != nil {
 			_ = s.close()
 			return nil, fmt.Errorf("remo: start journal: %w", err)
 		}
@@ -199,30 +194,12 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 	return s, nil
 }
 
-// logDirs lists a session's journal directories: its own, then one per
-// shard under it when the collection tier is sharded.
-func logDirs(dir string, shards int) []string {
-	dirs := []string{dir}
-	for sh := 0; shards > 1 && sh < shards; sh++ {
-		dirs = append(dirs, filepath.Join(dir, fmt.Sprintf("shard-%d", sh)))
-	}
-	return dirs
-}
-
 // observe receives every value the collection tier accepts: into the
-// session-wide log, the trigger processor, the owning shard's log
-// (residual, shardless values live only in the session-wide one), and
-// on to the caller's OnValue.
+// log, the trigger processor, and on to the caller's OnValue.
 func (s *session) observe(pair Pair, round int, value float64) {
-	rec := journal.SampleRec{Pair: pair, Round: round, Value: value}
-	s.logs[0].observe(rec)
+	s.log.observe(journal.SampleRec{Pair: pair, Round: round, Value: value})
 	if s.proc != nil {
 		s.proc.Observe(pair, round, value)
-	}
-	if len(s.logs) > 1 {
-		if sh := s.machine.ShardOf(pair); sh >= 0 && sh < len(s.logs)-1 {
-			s.logs[1+sh].observe(rec)
-		}
 	}
 	if s.onValue != nil {
 		s.onValue(pair, round, value)
@@ -243,43 +220,36 @@ func (s *session) step() error {
 	return s.journalErr
 }
 
-// down reports whether the collector behind log i — the central one for
-// 0, shard i-1 otherwise — is in a crash window.
-func (s *session) down(i int) bool {
-	if i == 0 {
-		return s.machine.CollectorDown()
-	}
-	return s.machine.ShardDown(i - 1)
-}
-
-// appendRound appends the executed round's accepted values to every
-// log's WAL and checkpoints at the journal's cadence. A down collector
-// or shard persists nothing — that outage is precisely the window its
-// recovery must cover — and its unjournaled tail is discarded.
+// appendRound appends the executed round's accepted values to the WAL
+// and checkpoints at the journal's cadence. A down lone collector
+// persists nothing — that outage is precisely the window its recovery
+// must cover — and its unjournaled tail is discarded. A sharded tier's
+// root never dies, so its log never stops: a crashed shard's values
+// simply stop arriving.
 func (s *session) appendRound() {
-	round := s.machine.Round() - 1
-	for i := range s.logs {
-		l := &s.logs[i]
-		recs := l.pending
-		l.pending = l.pending[:0]
-		if s.down(i) {
-			continue
-		}
-		// New dispatcher decisions (orphan re-dispatches, rebalances) are
-		// captured as full-assignment records before the samples, so a cold
-		// resume rebuilds the identical tree→shard map.
-		if i == 0 && s.machine.ShardCount() > 1 {
-			if moved := len(s.machine.ShardMoves()); moved > s.movesSeen {
-				s.movesSeen = moved
-				s.noteJournal(l.writer.AppendAssignment(s.machine.ShardAssignment()))
-			}
-		}
-		due, err := l.writer.AppendSamples(round, recs)
-		if err == nil && due {
-			err = l.writer.Checkpoint(s.state(i))
-		}
-		s.noteJournal(err)
+	l := s.log
+	if l == nil {
+		return
 	}
+	recs := l.pending
+	l.pending = l.pending[:0]
+	if s.machine.CollectorDown() {
+		return
+	}
+	// New dispatcher decisions (orphan re-dispatches, rebalances) are
+	// captured as full-assignment records before the samples, so a cold
+	// resume rebuilds the identical tree→shard map.
+	if s.machine.ShardCount() > 1 {
+		if moved := len(s.machine.ShardMoves()); moved > s.movesSeen {
+			s.movesSeen = moved
+			s.noteJournal(l.writer.AppendAssignment(s.machine.ShardAssignment()))
+		}
+	}
+	due, err := l.writer.AppendSamples(s.machine.Round()-1, recs)
+	if err == nil && due {
+		err = l.writer.Checkpoint(s.state())
+	}
+	s.noteJournal(err)
 }
 
 // noteJournal retains the first journal write failure.
@@ -289,19 +259,14 @@ func (s *session) noteJournal(err error) {
 	}
 }
 
-// state snapshots what log i checkpoints: for a shard, the repository of
-// values it collected under the session's current epoch and
-// fingerprint; for the session-wide log, everything a restarted
+// state snapshots what the log checkpoints: everything a restarted
 // collector cannot re-derive from configuration.
-func (s *session) state(i int) journal.State {
+func (s *session) state() journal.State {
 	st := journal.State{
 		Epoch:       s.machine.Epoch(),
 		Fingerprint: s.fp,
 		Round:       s.machine.Round() - 1,
-		Store:       s.logs[i].repo,
-	}
-	if i > 0 {
-		return st
+		Store:       s.log.repo,
 	}
 	st.Failures, st.Recoveries, st.Repairs = s.failures, s.recoveries, len(s.repairs)
 	st.Demand, st.BaseDemand = s.adaptor.Demand(), s.baseDemand
@@ -320,15 +285,15 @@ func (s *session) state(i int) journal.State {
 	return st
 }
 
-// reopen starts a fresh journal for log i in its directory, sealing the
+// reopen starts a fresh journal in the log's directory, sealing the
 // current state as its first checkpoint; an existing journal there is
 // superseded.
-func (s *session) reopen(i int) error {
-	l := &s.logs[i]
+func (s *session) reopen() error {
+	l := s.log
 	if l.writer != nil {
 		_ = l.writer.Close()
 	}
-	w, err := journal.Create(l.dir, journal.Options{}, s.state(i))
+	w, err := journal.Create(l.dir, journal.Options{}, s.state())
 	if err != nil {
 		return err
 	}
@@ -336,21 +301,12 @@ func (s *session) reopen(i int) error {
 	return nil
 }
 
-// checkpoint seals every log's current state now, off the usual
-// cadence, and returns the first failure. Down shards are skipped: their
-// journals must keep describing the moment they died.
+// checkpoint seals the log's current state now, off the usual cadence.
 func (s *session) checkpoint() error {
-	var first error
-	for i := range s.logs {
-		l := &s.logs[i]
-		if l.writer == nil || i > 0 && s.down(i) {
-			continue
-		}
-		if err := l.writer.Checkpoint(s.state(i)); err != nil && first == nil {
-			first = fmt.Errorf("checkpoint %s: %w", l.dir, err)
-		}
+	if err := s.log.writer.Checkpoint(s.state()); err != nil {
+		return fmt.Errorf("checkpoint %s: %w", s.log.dir, err)
 	}
-	return first
+	return nil
 }
 
 // close seals a final checkpoint, so a clean shutdown resumes exactly,
@@ -358,11 +314,9 @@ func (s *session) checkpoint() error {
 func (s *session) close() error {
 	var err error
 	if s.machine != nil {
-		_ = s.checkpoint()
-		for i := range s.logs {
-			if w := s.logs[i].writer; w != nil {
-				_ = w.Close()
-			}
+		if s.log != nil && s.log.writer != nil {
+			_ = s.checkpoint()
+			_ = s.log.writer.Close()
 		}
 		err = s.machine.Close()
 	}
@@ -382,10 +336,10 @@ func (s *session) install(taskSwap bool) plan.Diff {
 	demand := s.adaptor.Demand()
 	diff := s.machine.InstallDiff(s.adaptor.Forest(), demand)
 	s.adopt()
-	if len(s.logs) == 0 {
+	if s.log == nil {
 		return diff
 	}
-	w, fp := s.logs[0].writer, s.fp
+	w, fp := s.log.writer, s.fp
 	if taskSwap {
 		s.noteJournal(w.AppendTasks(s.baseDemand, s.adaptor.Partition(), fp,
 			len(diff.Kept), len(diff.Rebuilt), len(diff.Dropped)))
@@ -427,8 +381,8 @@ func (s *session) view() *MonitorView {
 		ShardCount:    s.machine.ShardCount(),
 		ShardLeader:   s.machine.ShardLeader(),
 	}
-	if len(s.logs) > 0 {
-		v.Store, v.JournalDir = s.logs[0].repo, s.logs[0].dir
+	if s.log != nil {
+		v.Store, v.JournalDir = s.log.repo, s.log.dir
 	}
 	return v
 }
@@ -450,8 +404,8 @@ func (s *session) selfHeal() {
 	var failed, recovered []NodeID
 	detection := 0
 	for _, v := range verdicts {
-		if len(s.logs) > 0 {
-			s.noteJournal(s.logs[0].writer.AppendVerdict(v.Node, v.DeclaredAt, v.Recovered))
+		if s.log != nil {
+			s.noteJournal(s.log.writer.AppendVerdict(v.Node, v.DeclaredAt, v.Recovered))
 		}
 		if v.Recovered {
 			recovered = append(recovered, v.Node)
@@ -541,8 +495,8 @@ func (s *session) installRepair(ev RepairEvent) {
 	ev.Round = s.machine.Round()
 	ev.CoverageAfter = s.plannedCoverage()
 	s.repairs = append(s.repairs, ev)
-	if len(s.logs) > 0 {
-		s.noteJournal(s.logs[0].writer.AppendRepair(ev.Round))
+	if s.log != nil {
+		s.noteJournal(s.log.writer.AppendRepair(ev.Round))
 	}
 	s.record(trace.Repair, len(ev.Failed)+len(ev.Recovered))
 }
@@ -686,16 +640,6 @@ func (s *session) report() DeployReport {
 	return rep
 }
 
-// recoverLog reads a journal directory back, naming it on failure: a
-// sharded session has several.
-func recoverLog(dir string) (*journal.Recovered, error) {
-	rec, err := journal.Recover(dir)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", dir, err)
-	}
-	return rec, nil
-}
-
 // restore adopts the session-wide history a journal recovered.
 func (s *session) restore(st journal.State) {
 	s.failures, s.recoveries = st.Failures, st.Recoveries
@@ -712,76 +656,62 @@ func (s *session) restore(st journal.State) {
 	}
 }
 
-// resume restarts the collector behind log i from recovered state: its
-// views are rebuilt strictly from the recovered repository (never from
-// the dead collector's memory), which becomes the log's repository, and
-// its trees open an epoch past the given one, fencing every frame the
-// dead collector could have been sent. dead restores the failure
-// detector (central collector only). Log 0 of a sharded session has no
-// collector behind it — the tier's root never dies — and only adopts
-// the repository.
-func (s *session) resume(i int, st journal.State, epoch uint32, dead map[model.NodeID]int) error {
-	rs := cluster.ResumeState{Epoch: epoch, Repo: st.Store, Dead: dead, Models: st.Models}
-	var err error
-	switch {
-	case i > 0:
-		err = s.machine.ResumeShard(i-1, rs)
-	case s.machine.ShardCount() == 1:
-		err = s.machine.ResumeCollector(rs)
-	}
-	if err != nil {
-		return err
-	}
-	s.logs[i].repo = st.Store
-	s.logs[i].pending = s.logs[i].pending[:0]
-	return nil
+// resumeState is what a collector restarts from: views rebuilt strictly
+// from the recovered repository (never from the dead collector's
+// memory), and trees opening an epoch past the journaled one, fencing
+// every frame the dead collector could have been sent.
+func resumeState(st journal.State, dead map[model.NodeID]int) cluster.ResumeState {
+	return cluster.ResumeState{Epoch: st.Epoch, Repo: st.Store, Dead: dead, Models: st.Models}
 }
 
-// resumeFrom is the in-process resume of log i from the journal in dir:
-// recover, restart the collector behind it, and re-arm journaling into
-// the same directory.
-func (s *session) resumeFrom(i int, dir string) (ResumeReport, error) {
-	rec, err := recoverLog(dir)
-	if err != nil {
-		return ResumeReport{}, err
-	}
-	if err := s.resume(i, rec.State, rec.State.Epoch, rec.State.Dead); err != nil {
-		return ResumeReport{}, err
-	}
-	if i == 0 {
-		s.restore(rec.State)
-	}
-	s.restarts++
-	s.logs[i].dir = dir
-	if err := s.reopen(i); err != nil {
-		return ResumeReport{}, err
-	}
-	if i == 0 {
-		s.journalErr = nil
-	}
-	return s.resumeReport(rec), nil
-}
-
-// resumeCollector is Monitor.Resume.
-func (s *session) resumeCollector(dir string) (ResumeReport, error) {
-	if len(s.logs) == 0 {
+// resumeCollector is Monitor.Resume: restart the crashed lone collector
+// from the journal, adopt the recovered repository and history, and
+// re-arm journaling into the same directory.
+func (s *session) resumeCollector() (ResumeReport, error) {
+	if s.log == nil {
 		return ResumeReport{}, errors.New("session was started without journaling")
 	}
 	if !s.machine.CollectorDown() {
 		return ResumeReport{}, errors.New("the collector is not down")
 	}
-	return s.resumeFrom(0, dir)
+	rec, err := journal.Recover(s.log.dir)
+	if err != nil {
+		return ResumeReport{}, err
+	}
+	if err := s.machine.ResumeCollector(resumeState(rec.State, rec.State.Dead)); err != nil {
+		return ResumeReport{}, err
+	}
+	s.restore(rec.State)
+	s.restarts++
+	s.log.repo = rec.State.Store
+	s.log.pending = s.log.pending[:0]
+	if err := s.reopen(); err != nil {
+		return ResumeReport{}, err
+	}
+	s.journalErr = nil
+	return s.resumeReport(rec), nil
 }
 
-// resumeShard is Monitor.ResumeShard.
+// resumeShard is Monitor.ResumeShard: seed the shard from a read-only
+// recovery of the session's journal. The writer stays as it is — the
+// tier's root never stopped writing, and every record is synced by the
+// end of a round.
 func (s *session) resumeShard(sh int) (ResumeReport, error) {
-	if len(s.logs) < 2 {
+	if s.log == nil || s.machine.ShardCount() < 2 {
 		return ResumeReport{}, errors.New("session is not sharded or not journaled")
 	}
-	if sh < 0 || sh >= len(s.logs)-1 {
-		return ResumeReport{}, fmt.Errorf("shard out of [0,%d)", len(s.logs)-1)
+	if sh < 0 || sh >= s.machine.ShardCount() {
+		return ResumeReport{}, fmt.Errorf("shard out of [0,%d)", s.machine.ShardCount())
 	}
-	return s.resumeFrom(1+sh, s.logs[1+sh].dir)
+	rec, err := journal.Recover(s.log.dir)
+	if err != nil {
+		return ResumeReport{}, err
+	}
+	if err := s.machine.ResumeShard(sh, resumeState(rec.State, nil)); err != nil {
+		return ResumeReport{}, err
+	}
+	s.restarts++
+	return s.resumeReport(rec), nil
 }
 
 // resumeReport summarizes a finished resume.
@@ -798,22 +728,17 @@ func (s *session) resumeReport(rec *journal.Recovered) ResumeReport {
 
 // resumeSession cold-starts a session from the journal in cfg.Journal:
 // the recovered installed demand is replanned, a fresh machine boots at
-// round zero, and every collector is seeded from its own log. The round
-// clock restarts, so recovered dead declarations are anchored at -1 (any
-// fresh evidence of life resurrects).
+// round zero, and every shard is seeded from the recovered state. The
+// round clock restarts, so recovered dead declarations are anchored at
+// -1 (any fresh evidence of life resurrects).
 func (p *Planner) resumeSession(cfg MonitorConfig) (*session, ResumeReport, error) {
-	// Every log must be read before startSession supersedes it with a
-	// fresh checkpoint. A missing or unreadable shard log degrades to a
-	// cold shard, not a failed resume.
-	var recs []*journal.Recovered
-	for i, dir := range logDirs(cfg.Journal, cfg.Shards) {
-		rec, err := recoverLog(dir)
-		if err != nil && i == 0 {
-			return nil, ResumeReport{}, fmt.Errorf("remo: resume: %w", err)
-		}
-		recs = append(recs, rec)
+	// The journal must be read before startSession supersedes it with a
+	// fresh checkpoint.
+	rec, err := journal.Recover(cfg.Journal)
+	if err != nil {
+		return nil, ResumeReport{}, fmt.Errorf("remo: resume: %w", err)
 	}
-	st := recs[0].State
+	st := rec.State
 	demand := st.Demand
 	if demand == nil || len(demand.Pairs()) == 0 {
 		demand = p.currentDemand()
@@ -828,20 +753,15 @@ func (p *Planner) resumeSession(cfg MonitorConfig) (*session, ResumeReport, erro
 	for n := range st.Dead {
 		coldDead[n] = -1
 	}
-	// The session-wide log's assignment already rebuilt the tree→shard
-	// map; each shard fences past both the session's epoch and its own.
-	for i, r := range recs {
-		if r != nil && err == nil {
-			err = s.resume(i, r.State, max(st.Epoch, r.State.Epoch), coldDead)
-		}
-	}
-	// Re-seal the logs with the recovered (not empty) state.
-	if err == nil {
+	// The recovered assignment already rebuilt the tree→shard map.
+	if err = s.machine.ResumeCollector(resumeState(st, coldDead)); err == nil {
+		s.log.repo = st.Store
+		// Re-seal the log with the recovered (not empty) state.
 		err = s.checkpoint()
 	}
 	if err != nil {
 		_ = s.close()
 		return nil, ResumeReport{}, fmt.Errorf("remo: resume: %w", err)
 	}
-	return s, s.resumeReport(recs[0]), nil
+	return s, s.resumeReport(rec), nil
 }

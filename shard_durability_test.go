@@ -1,6 +1,7 @@
 package remo_test
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // shard, always owns at least one tree — and holds the dispatcher
 // lease), the orphaned trees are re-dispatched onto survivors within
 // the suspicion window, a new leader is elected once the old lease
-// expires, and the shard resumes from its own journal while the other
+// expires, and the shard resumes from the session's one journal — which
+// the tier's root kept writing through the outage — while the other
 // shards never notice.
 func TestShardCrashResumeEndToEnd(t *testing.T) {
 	const (
@@ -96,10 +98,10 @@ func TestShardCrashResumeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rr.RecoveredSamples == 0 {
-		t.Fatal("no samples recovered from the shard journal")
+		t.Fatal("no samples recovered from the session journal")
 	}
-	if rr.RecoveredRound >= crashRnd {
-		t.Fatalf("recovered round %d, want < crash round %d", rr.RecoveredRound, crashRnd)
+	if rr.RecoveredRound != horizon-1 {
+		t.Fatalf("recovered round %d, want the round before the resume, %d", rr.RecoveredRound, horizon-1)
 	}
 	if !rr.PlanMatched {
 		t.Fatal("resumed shard does not match the journaled plan fingerprint")
@@ -120,6 +122,12 @@ func TestShardCrashResumeEndToEnd(t *testing.T) {
 	}
 	if rep.ValuesDelivered <= pre.ValuesDelivered {
 		t.Fatal("no values delivered after the shard resume")
+	}
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if extra, err := filepath.Glob(filepath.Join(dir, "shard-*")); err != nil || len(extra) > 0 {
+		t.Fatalf("journal directory holds %v (%v), want the session journal alone", extra, err)
 	}
 }
 
@@ -165,8 +173,8 @@ func TestShardOutageVerifiesEveryRound(t *testing.T) {
 
 // TestShardColdResumeIdenticalAssignment pins the cold-resume contract
 // of the sharded tier: a process restart rebuilds the identical
-// tree→shard map from the journaled assignment, and each shard's views
-// re-seed from its own journal.
+// tree→shard map from the journaled assignment, and every shard's views
+// re-seed from the session journal.
 func TestShardColdResumeIdenticalAssignment(t *testing.T) {
 	dir := t.TempDir()
 	sys := bigSystem(t, 12)
