@@ -5,6 +5,7 @@ package cluster
 import (
 	"testing"
 
+	"remo/internal/agg"
 	"remo/internal/core"
 	"remo/internal/cost"
 	"remo/internal/workload"
@@ -35,7 +36,8 @@ func fig6aCfg(tb testing.TB, nodes int) Config {
 }
 
 // TestAllocsStepBudget pins the round engine's steady-state allocation
-// behavior: after warm-up (compose buffers, relay maps, mailboxes and
+// behavior with the aggregation spec every session carries: after
+// warm-up (compose buffers, relay maps, mailboxes and
 // the collector's dense arrays are all sized), a full collection round
 // at Fig. 6 shape stays within a small constant allocation budget —
 // independent of node count, message volume, or values in flight.
@@ -43,6 +45,9 @@ func fig6aCfg(tb testing.TB, nodes int) Config {
 // allocations.
 func TestAllocsStepBudget(t *testing.T) {
 	cfg := fig6aCfg(t, 50)
+	// Every session's planner carries a non-nil aggregation spec, so
+	// every real compose goes through aggregate: pin that path.
+	cfg.Spec = agg.NewSpec()
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)

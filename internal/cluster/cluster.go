@@ -749,37 +749,40 @@ func (st *nodeState) composeMessage(cfg Config, m *membership, round int) []tran
 }
 
 // aggregate applies per-attribute runtime aggregation to a message's
-// values. Aggregated attributes collapse to a single value attributed to
-// the aggregating node.
+// values, in place on values: a stable sort groups them by attribute in
+// ascending order, arrival order kept within an attribute, then each run
+// of an aggregated attribute collapses to its Combine output, attributed
+// to the aggregating node at the run's oldest round. Combine never returns
+// more values than it is given, so the write index never passes the read
+// index, and a message of holistic values only allocates nothing.
 func aggregate(cfg Config, at model.NodeID, values []transport.Value, round int) []transport.Value {
-	byAttr := make(map[model.AttrID][]transport.Value)
-	var order []model.AttrID
-	for _, v := range values {
-		if _, seen := byAttr[v.Attr]; !seen {
-			order = append(order, v.Attr)
+	slices.SortStableFunc(values, func(a, b transport.Value) int { return cmp.Compare(a.Attr, b.Attr) })
+	w := 0
+	for i := 0; i < len(values); {
+		a := values[i].Attr
+		j := i + 1
+		for j < len(values) && values[j].Attr == a {
+			j++
 		}
-		byAttr[v.Attr] = append(byAttr[v.Attr], v)
-	}
-	model.SortAttrs(order)
-	out := make([]transport.Value, 0, len(values))
-	for _, a := range order {
-		vs := byAttr[a]
 		kind := cfg.Spec.KindOf(a)
 		if kind == agg.Holistic {
-			out = append(out, vs...)
+			w += copy(values[w:], values[i:j])
+			i = j
 			continue
 		}
-		raw := make([]float64, len(vs))
-		oldest := vs[0].Round
-		for i, v := range vs {
-			raw[i] = v.Value
+		raw := make([]float64, j-i)
+		oldest := values[i].Round
+		for n, v := range values[i:j] {
+			raw[n] = v.Value
 			if v.Round < oldest {
 				oldest = v.Round
 			}
 		}
 		for _, c := range agg.Combine(kind, cfg.Spec.K(a), raw) {
-			out = append(out, transport.Value{Node: at, Attr: a, Round: oldest, Value: c})
+			values[w] = transport.Value{Node: at, Attr: a, Round: oldest, Value: c}
+			w++
 		}
+		i = j
 	}
-	return out
+	return values[:w]
 }

@@ -360,3 +360,36 @@ func TestBurstyWalkDeterministicAndPositive(t *testing.T) {
 		t.Fatal("BurstyWalk values suspiciously uniform")
 	}
 }
+
+// TestAggregateInPlace pins the in-place aggregate pass on a message that
+// interleaves holistic and aggregated attributes: runs come out in
+// ascending attribute order, holistic runs keep arrival order, and each
+// aggregated run collapses to its Combine output at the run's oldest round.
+func TestAggregateInPlace(t *testing.T) {
+	spec := agg.NewSpec()
+	spec.SetKind(2, agg.Sum)
+	spec.SetTopK(4, 2)
+	spec.SetKind(5, agg.Distinct)
+	v := func(node model.NodeID, a model.AttrID, round int, x float64) transport.Value {
+		return transport.Value{Node: node, Attr: a, Round: round, Value: x}
+	}
+	in := []transport.Value{
+		v(7, 4, 9, 1), v(3, 1, 9, 10), v(8, 2, 8, 2), v(7, 5, 9, 6), v(9, 4, 7, 5),
+		v(4, 1, 8, 11), v(9, 2, 9, 3), v(8, 4, 9, 3), v(8, 5, 9, 6), v(9, 5, 8, 2),
+		v(6, 3, 9, 4),
+	}
+	got := aggregate(Config{Spec: spec}, 1, in, 9)
+	want := []transport.Value{
+		v(3, 1, 9, 10), v(4, 1, 8, 11),
+		v(1, 2, 8, 5),
+		v(6, 3, 9, 4),
+		v(1, 4, 7, 5), v(1, 4, 7, 3),
+		v(1, 5, 8, 6), v(1, 5, 8, 2),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("aggregate =\n%+v\nwant\n%+v", got, want)
+	}
+	if &got[0] != &in[0] {
+		t.Fatal("aggregate did not work in place on the compose buffer")
+	}
+}

@@ -137,12 +137,15 @@ var (
 
 var crcTable = crc32.IEEETable
 
-// appendRecord frames kind+payload into dst.
-func appendRecord(dst []byte, kind uint8, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(recKindSize+len(payload)))
+// appendRecord frames kind and the payload encode appends into dst,
+// encoding the payload in place: the length is patched in once the
+// payload is written, then the CRC is appended.
+func appendRecord(dst []byte, kind uint8, encode func([]byte) []byte) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, 0)
 	body := len(dst)
-	dst = append(dst, kind)
-	dst = append(dst, payload...)
+	dst = encode(append(dst, kind))
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-body))
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[body:], crcTable))
 }
 
@@ -397,23 +400,28 @@ func appendCheckpoint(dst []byte, s State) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(s.Dead[n])))
 	}
 
+	// The series section walks the rings in place: a count placeholder,
+	// patched once the walk has counted the non-empty series.
 	capacity := 0
-	var dump []store.SeriesDump
 	if s.Store != nil {
 		capacity = s.Store.Capacity()
-		dump = s.Store.Dump()
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(capacity))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(dump)))
-	for _, sd := range dump {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(sd.Pair.Node)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(sd.Pair.Attr)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(sd.Samples)))
-		for _, smp := range sd.Samples {
-			dst = binary.BigEndian.AppendUint32(dst, uint32(int32(smp.Round)))
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(smp.Value))
-		}
+	countAt, nSeries := len(dst), 0
+	dst = binary.BigEndian.AppendUint32(dst, 0)
+	if s.Store != nil {
+		s.Store.EachSeries(func(p model.Pair, samples []store.Sample) {
+			nSeries++
+			dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Node)))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(int32(p.Attr)))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(samples)))
+			for _, smp := range samples {
+				dst = binary.BigEndian.AppendUint32(dst, uint32(int32(smp.Round)))
+				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(smp.Value))
+			}
+		})
 	}
+	binary.BigEndian.PutUint32(dst[countAt:], uint32(nSeries))
 
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Cooldowns)))
 	for _, name := range sortedKeys(s.Cooldowns) {

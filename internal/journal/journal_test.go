@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -59,43 +61,138 @@ func sameDemand(t *testing.T, what string, got, want *task.Demand) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want := testState()
-	w, err := Create(dir, Options{NoSync: true}, want)
-	if err != nil {
-		t.Fatal(err)
+// wrappedState is testState with a capacity-4 store whose rings have
+// wrapped: one series pushed in order past capacity twice over, one
+// with out-of-order inserts across the wrap, and one full series given
+// a sample older than every retained one (evicted on arrival) and an
+// equal-round sample — plus a shard assignment and a model snapshot, so
+// every checkpoint section is populated.
+func wrappedState() State {
+	s := testState()
+	st := store.New(4)
+	a, b, c := model.Pair{Node: 1, Attr: 1}, model.Pair{Node: 2, Attr: 3}, model.Pair{Node: 3, Attr: 2}
+	for r := 0; r < 10; r++ {
+		st.Observe(a, r, float64(r)*1.25)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	for _, r := range []int{10, 12, 11, 13, 15, 14} {
+		st.Observe(b, r, float64(-r))
 	}
+	for r := 20; r < 24; r++ {
+		st.Observe(c, r, float64(r)/3)
+	}
+	st.Observe(c, 5, 99)
+	st.Observe(c, 22, 22.5)
+	s.Store = st
+	s.Assignment = map[string]int{"a1": 0, "a2": 2}
+	s.Models = map[model.Pair]predict.Snapshot{
+		{Node: 4, Attr: 2}: {Kind: predict.Holt, Level: 9.75, Trend: 0.125, Seen: 8},
+	}
+	return s
+}
 
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
+// series is one pair's retained samples as Store.EachSeries walks them.
+type series struct {
+	Pair    model.Pair
+	Samples []store.Sample
+}
+
+// storeSeries copies every retained series of st, in walk order.
+func storeSeries(st *store.Store) []series {
+	var out []series
+	st.EachSeries(func(p model.Pair, samples []store.Sample) {
+		out = append(out, series{Pair: p, Samples: append([]store.Sample(nil), samples...)})
+	})
+	return out
+}
+
+func TestCheckpointRoundTrip(t *testing.T) {
+	for name, want := range map[string]State{"plain": testState(), "wrapped": wrappedState()} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Create(dir, Options{NoSync: true}, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rec.State
+			if got.Epoch != want.Epoch || got.Fingerprint != want.Fingerprint ||
+				got.Round != want.Round || got.Failures != want.Failures ||
+				got.Recoveries != want.Recoveries || got.Repairs != want.Repairs {
+				t.Fatalf("scalars = %+v, want %+v", got, want)
+			}
+			sameDemand(t, "demand", got.Demand, want.Demand)
+			sameDemand(t, "base demand", got.BaseDemand, want.BaseDemand)
+			if !reflect.DeepEqual(got.Dead, want.Dead) {
+				t.Fatalf("dead = %v, want %v", got.Dead, want.Dead)
+			}
+			if g, w := storeSeries(got.Store), storeSeries(want.Store); !reflect.DeepEqual(g, w) {
+				t.Fatalf("store = %v, want %v", g, w)
+			}
+			if got.Store.Capacity() != want.Store.Capacity() {
+				t.Fatalf("capacity = %d, want %d", got.Store.Capacity(), want.Store.Capacity())
+			}
+			if !reflect.DeepEqual(got.Cooldowns, want.Cooldowns) {
+				t.Fatalf("cooldowns = %v, want %v", got.Cooldowns, want.Cooldowns)
+			}
+			if !reflect.DeepEqual(got.Assignment, want.Assignment) || !reflect.DeepEqual(got.Models, want.Models) {
+				t.Fatalf("assignment/models = %v/%v, want %v/%v",
+					got.Assignment, got.Models, want.Assignment, want.Models)
+			}
+			if rec.Torn || rec.Replayed != 0 {
+				t.Fatalf("clean journal recovered torn=%v replayed=%d", rec.Torn, rec.Replayed)
+			}
+		})
 	}
-	got := rec.State
-	if got.Epoch != want.Epoch || got.Fingerprint != want.Fingerprint ||
-		got.Round != want.Round || got.Failures != want.Failures ||
-		got.Recoveries != want.Recoveries || got.Repairs != want.Repairs {
-		t.Fatalf("scalars = %+v, want %+v", got, want)
-	}
-	sameDemand(t, "demand", got.Demand, want.Demand)
-	sameDemand(t, "base demand", got.BaseDemand, want.BaseDemand)
-	if !reflect.DeepEqual(got.Dead, want.Dead) {
-		t.Fatalf("dead = %v, want %v", got.Dead, want.Dead)
-	}
-	if !reflect.DeepEqual(got.Store.Dump(), want.Store.Dump()) {
-		t.Fatalf("store = %v, want %v", got.Store.Dump(), want.Store.Dump())
-	}
-	if got.Store.Capacity() != want.Store.Capacity() {
-		t.Fatalf("capacity = %d, want %d", got.Store.Capacity(), want.Store.Capacity())
-	}
-	if !reflect.DeepEqual(got.Cooldowns, want.Cooldowns) {
-		t.Fatalf("cooldowns = %v, want %v", got.Cooldowns, want.Cooldowns)
-	}
-	if rec.Torn || rec.Replayed != 0 {
-		t.Fatalf("clean journal recovered torn=%v replayed=%d", rec.Torn, rec.Replayed)
+}
+
+// TestCheckpointBytesPinned pins the checkpoint file's bytes to hashes
+// of the format as first written, so an encoder rewrite is proven
+// byte-identical — wrapped rings and out-of-order inserts included —
+// not just round-trip compatible.
+func TestCheckpointBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		state State
+		size  int
+		hash  string
+	}{
+		{"plain", testState(), 276, "3b3a71d5e66e2bcd48b2d82f1472185492d665c79d9a1dabf59eb0ada275ee8f"},
+		{"wrapped", wrappedState(), 453, "650a5d9d33d41266849abd3a739bea91b0924630977cc645ce51ed8e340a7f31"},
+	} {
+		// Segment 0 is encoded into a fresh buffer; segment 1 into the
+		// writer's reused one, after a WAL record has been framed in it.
+		dir := t.TempDir()
+		w, err := Create(dir, Options{NoSync: true}, tc.state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := []SampleRec{{Pair: model.Pair{Node: 9, Attr: 9}, Round: 30, Value: 1}}
+		if _, err := w.AppendSamples(30, recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Checkpoint(tc.state); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for seg := 0; seg <= 1; seg++ {
+			b, err := os.ReadFile(ckptName(dir, seg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.size || got != tc.hash {
+				t.Fatalf("%s ckpt-%d: %d bytes, sha256 %s; want %d bytes, %s",
+					tc.name, seg, len(b), got, tc.size, tc.hash)
+			}
+		}
 	}
 }
 

@@ -51,9 +51,8 @@ type Writer struct {
 	walSize int
 	// rounds counts AppendSamples calls since the last checkpoint.
 	rounds int
-	// latest mirrors the last checkpointed state so rotation can
-	// re-snapshot without asking the caller (the caller refreshes it via
-	// Checkpoint).
+	// buf is the reused encode buffer: every WAL record and checkpoint
+	// is encoded and framed in it in place.
 	buf []byte
 }
 
@@ -80,24 +79,39 @@ func Create(dir string, opts Options, initial State) (*Writer, error) {
 	return w, nil
 }
 
-// writeCheckpoint writes ckpt-seg atomically (temp file + rename).
+// writeCheckpoint writes ckpt-seg atomically (temp file + rename). The
+// state is encoded straight into the writer's reused buffer and the
+// temp file is written, synced and closed through one handle; any
+// failure is returned before the rename, so a checkpoint that may not be
+// durable never replaces the segment recovery would read.
 func (w *Writer) writeCheckpoint(seg int, s State) error {
 	w.buf = append(w.buf[:0], ckptMagic...)
-	w.buf = appendRecord(w.buf, recCheckpoint, appendCheckpoint(nil, s))
+	w.buf = appendRecord(w.buf, recCheckpoint, func(dst []byte) []byte { return appendCheckpoint(dst, s) })
 	tmp := ckptName(w.dir, seg) + ".tmp"
-	if err := os.WriteFile(tmp, w.buf, 0o644); err != nil {
+	if err := writeFile(tmp, w.buf, !w.opts.NoSync); err != nil {
 		return fmt.Errorf("journal: checkpoint: %w", err)
-	}
-	if !w.opts.NoSync {
-		if f, err := os.Open(tmp); err == nil {
-			_ = f.Sync()
-			_ = f.Close()
-		}
 	}
 	if err := os.Rename(tmp, ckptName(w.dir, seg)); err != nil {
 		return fmt.Errorf("journal: checkpoint: %w", err)
 	}
 	return nil
+}
+
+// writeFile creates (or truncates) path, writes data, syncs it when
+// sync is set, and closes it, returning the first error.
+func writeFile(path string, data []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // rotate seals a new segment: checkpoint, fresh WAL, pruned history.
@@ -132,12 +146,13 @@ func (w *Writer) rotate(s State) error {
 	return nil
 }
 
-// append frames and writes one WAL record.
-func (w *Writer) append(kind uint8, payload []byte) error {
+// append frames and writes one WAL record, its payload encoded in
+// place into the writer's reused buffer.
+func (w *Writer) append(kind uint8, encode func([]byte) []byte) error {
 	if w.wal == nil {
 		return fmt.Errorf("journal: writer closed")
 	}
-	w.buf = appendRecord(w.buf[:0], kind, payload)
+	w.buf = appendRecord(w.buf[:0], kind, encode)
 	n, err := w.wal.Write(w.buf)
 	w.walSize += n
 	if err != nil {
@@ -154,7 +169,7 @@ func (w *Writer) append(kind uint8, payload []byte) error {
 // AppendEpoch logs a plan install: the new epoch, the installed
 // forest's fingerprint, and the installed demand.
 func (w *Writer) AppendEpoch(epoch uint32, fingerprint uint64, installed *task.Demand) error {
-	return w.append(recEpoch, appendEpoch(nil, epoch, fingerprint, installed))
+	return w.append(recEpoch, func(dst []byte) []byte { return appendEpoch(dst, epoch, fingerprint, installed) })
 }
 
 // AppendTasks logs a task mutation: the new base (user-submitted)
@@ -163,12 +178,14 @@ func (w *Writer) AppendEpoch(epoch uint32, fingerprint uint64, installed *task.D
 // partition is what lets a cold resume rebuild the exact pre-crash
 // forest; the fingerprint and diff document the swap for audits.
 func (w *Writer) AppendTasks(base *task.Demand, sets []model.AttrSet, fingerprint uint64, kept, rebuilt, dropped int) error {
-	return w.append(recTasks, appendTasks(nil, base, sets, fingerprint, kept, rebuilt, dropped))
+	return w.append(recTasks, func(dst []byte) []byte {
+		return appendTasks(dst, base, sets, fingerprint, kept, rebuilt, dropped)
+	})
 }
 
 // AppendVerdict logs a failure-detector verdict.
 func (w *Writer) AppendVerdict(node model.NodeID, declaredAt int, recovered bool) error {
-	return w.append(recVerdict, appendVerdict(nil, node, declaredAt, recovered))
+	return w.append(recVerdict, func(dst []byte) []byte { return appendVerdict(dst, node, declaredAt, recovered) })
 }
 
 // AppendAssignment logs the dispatcher's tree→shard map after a
@@ -176,12 +193,12 @@ func (w *Writer) AppendVerdict(node model.NodeID, declaredAt int, recovered bool
 // decisions are rare (installs, shard deaths, recoveries) and a
 // self-contained record lets recovery adopt the last one wholesale.
 func (w *Writer) AppendAssignment(assign map[string]int) error {
-	return w.append(recAssign, appendAssignment(nil, assign))
+	return w.append(recAssign, func(dst []byte) []byte { return appendAssignment(dst, assign) })
 }
 
 // AppendRepair logs one topology repair at the given round.
 func (w *Writer) AppendRepair(round int) error {
-	return w.append(recRepair, binary.BigEndian.AppendUint32(nil, uint32(int32(round))))
+	return w.append(recRepair, func(dst []byte) []byte { return binary.BigEndian.AppendUint32(dst, uint32(int32(round))) })
 }
 
 // AppendSamples logs the values the collector accepted in one round
@@ -189,7 +206,7 @@ func (w *Writer) AppendRepair(round int) error {
 // the caller drives checkpoints via Checkpoint, which this method
 // signals by returning true.
 func (w *Writer) AppendSamples(round int, recs []SampleRec) (checkpointDue bool, err error) {
-	if err := w.append(recSamples, appendSamples(nil, round, recs)); err != nil {
+	if err := w.append(recSamples, func(dst []byte) []byte { return appendSamples(dst, round, recs) }); err != nil {
 		return false, err
 	}
 	w.rounds++

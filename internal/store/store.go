@@ -79,7 +79,7 @@ func (s *Store) Window(p model.Pair, from, to int) []Sample {
 		return nil
 	}
 	var out []Sample
-	for _, smp := range r.ascending() {
+	for _, smp := range r.buf {
 		if smp.Round >= from && smp.Round <= to {
 			out = append(out, smp)
 		}
@@ -139,18 +139,14 @@ func (s *Store) Len() int {
 // Capacity returns the per-series retention bound.
 func (s *Store) Capacity() int { return s.capacity }
 
-// SeriesDump is one pair's retained samples, oldest first — the unit of
-// the store's durable snapshot.
-type SeriesDump struct {
-	Pair    model.Pair
-	Samples []Sample
-}
-
-// Dump snapshots every retained series in canonical pair order, oldest
-// sample first. Replaying a dump through Observe on a store of the same
-// capacity reproduces the retained state bit-identically (in-order
-// appends land on the ring's fast path and eviction order matches).
-func (s *Store) Dump() []SeriesDump {
+// EachSeries calls fn with every retained series in canonical pair
+// order, oldest sample first, under the store's read lock — the walk a
+// durable snapshot encodes. samples aliases the ring: fn must not retain
+// or modify it, and must not call back into the store. Replaying the
+// walk through Observe on a store of the same capacity reproduces the
+// retained state bit-identically (in-order appends land on the ring's
+// fast path and eviction order matches).
+func (s *Store) EachSeries(fn func(p model.Pair, samples []Sample)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	pairs := make([]model.Pair, 0, len(s.series))
@@ -160,11 +156,9 @@ func (s *Store) Dump() []SeriesDump {
 		}
 	}
 	model.SortPairs(pairs)
-	out := make([]SeriesDump, 0, len(pairs))
 	for _, p := range pairs {
-		out = append(out, SeriesDump{Pair: p, Samples: s.series[p].ascending()})
+		fn(p, s.series[p].buf)
 	}
-	return out
 }
 
 // Summary aggregates a pair's retained samples.
@@ -184,7 +178,7 @@ func (s *Store) Summarize(p model.Pair) (Summary, bool) {
 	if !ok || r.len() == 0 {
 		return Summary{}, false
 	}
-	samples := r.ascending()
+	samples := r.buf
 	sum := Summary{
 		Count: len(samples),
 		Min:   samples[0].Value,
@@ -206,19 +200,35 @@ func (s *Store) Summarize(p model.Pair) (Summary, bool) {
 	return sum, true
 }
 
-// ring is a fixed-capacity sample buffer kept sorted by round.
+// ring is a fixed-capacity sample buffer kept sorted by round. The
+// retained samples are a window (buf) sliding over a backing array
+// (back): evicting the oldest advances the window's start, and only
+// when the window reaches the end of the backing array are the samples
+// copied back to its front — one cap-sized copy per cap pushes, so a
+// push costs O(1) amortized and allocates nothing once the ring is
+// full. The backing array starts at cap and doubles to 2×cap the first
+// time the ring overflows, so a series that never fills never pays for
+// the slack.
 type ring struct {
-	buf []Sample
-	cap int
+	buf  []Sample
+	back []Sample
+	cap  int
 }
 
 func newRing(capacity int) *ring {
-	return &ring{buf: make([]Sample, 0, capacity), cap: capacity}
+	back := make([]Sample, capacity)
+	return &ring{buf: back[:0], back: back, cap: capacity}
 }
 
 func (r *ring) len() int { return len(r.buf) }
 
 func (r *ring) push(s Sample) {
+	if len(r.buf) == r.cap && s.Round < r.buf[0].Round {
+		return // older than every retained sample: evicted on arrival
+	}
+	if len(r.buf) == cap(r.buf) {
+		r.compact()
+	}
 	// Common case: in-order append.
 	if len(r.buf) == 0 || s.Round >= r.buf[len(r.buf)-1].Round {
 		r.buf = append(r.buf, s)
@@ -232,17 +242,19 @@ func (r *ring) push(s Sample) {
 		r.buf[i] = s
 	}
 	if len(r.buf) > r.cap {
-		// Drop the oldest; shift in place to respect the backing
-		// array's capacity bound.
-		copy(r.buf, r.buf[len(r.buf)-r.cap:])
-		r.buf = r.buf[:r.cap]
+		r.buf = r.buf[1:] // drop the oldest
 	}
 }
 
-func (r *ring) newest() Sample { return r.buf[len(r.buf)-1] }
-
-func (r *ring) ascending() []Sample {
-	out := make([]Sample, len(r.buf))
-	copy(out, r.buf)
-	return out
+// compact makes room for one more sample at the window's end: it grows
+// the backing array to 2×cap on the first overflow, and afterwards
+// copies the window back to the array's front.
+func (r *ring) compact() {
+	if len(r.back) < 2*r.cap {
+		r.back = make([]Sample, 2*r.cap)
+	}
+	n := copy(r.back, r.buf)
+	r.buf = r.back[:n]
 }
+
+func (r *ring) newest() Sample { return r.buf[len(r.buf)-1] }

@@ -116,9 +116,11 @@ type TCP struct {
 	listeners map[model.NodeID]net.Listener
 	conns     map[model.NodeID]net.Conn
 	queues    map[model.NodeID]*destQueue
-	boxes     map[model.NodeID][]Message
-	closed    bool
-	closedCh  chan struct{}
+	// boxes are the per-node mailboxes, fixed at construction: reader
+	// goroutines append to them and Drain ping-pongs their two buffers.
+	boxes    map[model.NodeID]*mailbox
+	closed   bool
+	closedCh chan struct{}
 	// delivered holds a token after any frame reaches a mailbox: Flush
 	// waits on it instead of polling the delivery count.
 	delivered chan struct{}
@@ -148,7 +150,7 @@ func NewTCPWithOptions(nodes []model.NodeID, opts TCPOptions) (*TCP, error) {
 		listeners: make(map[model.NodeID]net.Listener, len(nodes)+1),
 		conns:     make(map[model.NodeID]net.Conn, len(nodes)+1),
 		queues:    make(map[model.NodeID]*destQueue, len(nodes)+1),
-		boxes:     make(map[model.NodeID][]Message, len(nodes)+1),
+		boxes:     make(map[model.NodeID]*mailbox, len(nodes)+1),
 		closedCh:  make(chan struct{}),
 		delivered: make(chan struct{}, 1),
 		opts:      opts.withDefaults(),
@@ -162,17 +164,17 @@ func NewTCPWithOptions(nodes []model.NodeID, opts TCPOptions) (*TCP, error) {
 		}
 		t.listeners[n] = ln
 		t.addrs[n] = ln.Addr().String()
-		t.boxes[n] = nil
+		t.boxes[n] = &mailbox{}
 		t.queues[n] = &destQueue{}
 		t.wg.Add(1)
-		go t.accept(n, ln)
+		go t.accept(t.boxes[n], ln)
 	}
 	return t, nil
 }
 
 // accept owns one node's listener, spawning a reader per inbound
 // connection.
-func (t *TCP) accept(n model.NodeID, ln net.Listener) {
+func (t *TCP) accept(box *mailbox, ln net.Listener) {
 	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -180,7 +182,7 @@ func (t *TCP) accept(n model.NodeID, ln net.Listener) {
 			return // listener closed
 		}
 		t.wg.Add(1)
-		go t.read(n, conn)
+		go t.read(box, conn)
 	}
 }
 
@@ -189,7 +191,7 @@ func (t *TCP) accept(n model.NodeID, ln net.Listener) {
 // keys, so steady-state decoding allocates only the messages' value
 // slices; it reads through a buffer, so the batch Send wrote in one
 // syscall is read in about one rather than two per frame.
-func (t *TCP) read(n model.NodeID, conn net.Conn) {
+func (t *TCP) read(box *mailbox, conn net.Conn) {
 	defer t.wg.Done()
 	defer func() { _ = conn.Close() }()
 	dec := NewDecoder(bufio.NewReader(conn))
@@ -203,11 +205,11 @@ func (t *TCP) read(n model.NodeID, conn net.Conn) {
 			}
 			return
 		}
-		t.mu.Lock()
-		if !t.closed {
-			t.boxes[n] = append(t.boxes[n], msg)
+		if !t.isClosed() {
+			box.mu.Lock()
+			box.msgs = append(box.msgs, msg)
+			box.mu.Unlock()
 		}
-		t.mu.Unlock()
 		t.deliveredCount.Add(1)
 		t.wakeFlush()
 	}
@@ -455,12 +457,15 @@ func (t *TCP) Flush() error {
 	return nil
 }
 
-// Drain implements Transport.
+// Drain implements Transport. Like Memory's, the returned slice is
+// reused by the next-but-one Drain of the same node; callers own it only
+// until their next Drain call.
 func (t *TCP) Drain(n model.NodeID) []Message {
-	t.mu.Lock()
-	msgs := t.boxes[n]
-	t.boxes[n] = nil
-	t.mu.Unlock()
+	box, ok := t.boxes[n]
+	if !ok {
+		return nil
+	}
+	msgs := box.drain()
 	sortMessages(msgs)
 	return msgs
 }
@@ -468,9 +473,13 @@ func (t *TCP) Drain(n model.NodeID) []Message {
 // Pending reports whether any mailbox still has undelivered frames —
 // used by tests to wait for in-flight messages.
 func (t *TCP) Pending(n model.NodeID) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.boxes[n])
+	box, ok := t.boxes[n]
+	if !ok {
+		return 0
+	}
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	return len(box.msgs)
 }
 
 // LostFrames counts frames accepted by Send but dropped because their

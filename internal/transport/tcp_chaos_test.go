@@ -177,7 +177,7 @@ func TestChaosTCPPeerClosesMidStream(t *testing.T) {
 	tr.listeners[2] = ln2
 	tr.mu.Unlock()
 	tr.wg.Add(1)
-	go tr.accept(2, ln2)
+	go tr.accept(tr.boxes[2], ln2)
 
 	if err := tr.Send(msg); err != nil {
 		t.Fatalf("send after listener restart: %v", err)

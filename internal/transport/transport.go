@@ -143,6 +143,20 @@ type mailbox struct {
 	spare []Message
 }
 
+// drain hands out the queued messages and arms the spare buffer — the
+// one the previous drain handed out, whose caller's ownership ends now —
+// with its references cleared, so a drained round's payloads are not
+// kept alive by the mailbox.
+func (b *mailbox) drain() []Message {
+	b.mu.Lock()
+	msgs := b.msgs
+	clear(b.spare)
+	b.msgs = b.spare[:0]
+	b.spare = msgs
+	b.mu.Unlock()
+	return msgs
+}
+
 // Memory is an in-process transport backed by per-destination
 // mailboxes. The destination map is immutable after construction, so
 // Send and Drain touch only the destination's own lock.
@@ -193,11 +207,7 @@ func (m *Memory) Drain(n model.NodeID) []Message {
 	if !ok {
 		return nil
 	}
-	box.mu.Lock()
-	msgs := box.msgs
-	box.msgs = box.spare[:0]
-	box.spare = msgs
-	box.mu.Unlock()
+	msgs := box.drain()
 	sortMessages(msgs)
 	return msgs
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -437,5 +438,89 @@ func TestTCPFlushBesideConcurrentSenders(t *testing.T) {
 	}
 	if total != senders*each {
 		t.Fatalf("mailboxes hold %d frames after Flush, want %d", total, senders*each)
+	}
+}
+
+// TestTCPMailboxReuse pins the TCP mailboxes' ping-pong at steady
+// state: each Drain hands out the buffer the next-but-one Drain hands
+// out again, so a round does not regrow its mailboxes, and a buffer
+// whose ownership has ended holds no references to drained payloads.
+// A second phase drains while reader goroutines deliver, the one
+// concurrent hand-off the swap adds.
+func TestTCPMailboxReuse(t *testing.T) {
+	tr, err := NewTCP([]model.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	const perRound = 8
+	msg := Message{TreeKey: "k", From: 2, To: 1, Values: []Value{{Node: 2, Attr: 1, Value: 1}}}
+	var drained [][]Message
+	for round := 0; round < 6; round++ {
+		for j := 0; j < perRound; j++ {
+			if err := tr.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := tr.Drain(1)
+		if len(got) != perRound || got[0].TreeKey != "k" || len(got[0].Values) != 1 {
+			t.Fatalf("round %d drained %+v, want %d frames", round, got, perRound)
+		}
+		if round > 0 {
+			prev := drained[round-1]
+			if prev[0].TreeKey != "" || prev[0].Values != nil {
+				t.Fatalf("round %d: the buffer handed out last round still holds %+v", round, prev[0])
+			}
+		}
+		if round >= 2 {
+			same := &got[0] == &drained[round-2][0]
+			other := &got[0] == &drained[round-1][0]
+			if !same || other {
+				t.Fatalf("round %d: Drain did not ping-pong its two buffers", round)
+			}
+		}
+		drained = append(drained, got)
+	}
+
+	const frames = 400
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			if err := tr.Send(msg); err != nil {
+				done <- err
+				return
+			}
+			if i%7 == 0 {
+				if err := tr.Flush(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- tr.Flush()
+	}()
+	total := 0
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+			runtime.Gosched()
+		}
+		for _, m := range tr.Drain(1) {
+			if m.TreeKey != "k" || len(m.Values) != 1 {
+				t.Fatalf("drained a corrupted frame %+v", m)
+			}
+			total++
+		}
+	}
+	if total != frames {
+		t.Fatalf("drained %d frames, want %d", total, frames)
 	}
 }

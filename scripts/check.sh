@@ -60,8 +60,8 @@ go test -run '^$' -bench 'BenchmarkPlan|BenchmarkReplanChurn' -benchtime 1x .
 # one), run once so they cannot rot.
 go test -run '^$' -bench 'BenchmarkLatestBesideRounds|BenchmarkStreamRound' -benchtime 1x ./internal/serve
 
-echo "==> stream and round barrier under -race, repeated"
-go test -race -count=10 -run 'Stream|Broker|Gap|Flush' ./internal/serve ./internal/transport
+echo "==> stream, round barrier and TCP mailbox hand-off under -race, repeated"
+go test -race -count=10 -run 'Stream|Broker|Gap|Flush|Mailbox' ./internal/serve ./internal/transport
 
 echo "==> planner beside the round loop, replan-sequence golden, plan determinism and lone-vs-sharded scoring under -race, repeated"
 go test -race -count=10 -run 'Replan|Parked|Drain|Readers' ./internal/serve .
