@@ -118,7 +118,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs, *rounds, *suspicion, *collCrash, *shards, *shardCrash, *predictOn, *predictEps, *predictSync); err != nil {
+	if err := validateFlags(fs, *nodes, *attrs, *tasks, *traceN, *rounds, *suspicion, *collCrash, *shards, *shardCrash, *predictOn, *predictEps, *predictSync); err != nil {
 		return err
 	}
 	if err := validateRegionFlags(fs, *specPath, *regions, *chaosRegion, *chaosLink, *regionFloor); err != nil {
@@ -276,15 +276,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 // validateFlags rejects flag values that would silently do nothing
-// (explicitly-zero chaos rates, a negative shard to crash), cannot work
-// (a suspicion window shorter than one round) or fall outside the run.
+// (explicitly-zero chaos rates, a negative shard to crash or trace
+// size), cannot work (a system without nodes or attributes, a negative
+// task count, a suspicion window shorter than one round) or fall
+// outside the run.
 // Whether a fault schedule suits the session — a journal to resume a
 // crash from, a shard or region the system has — is StartMonitor's to
 // refuse.
-func validateFlags(fs *flag.FlagSet, rounds, suspicion int, collCrash, shards, shardCrash int, predictOn bool, predictEps float64, predictSync int) error {
+func validateFlags(fs *flag.FlagSet, nodes, attrs, tasks, traceN, rounds, suspicion int, collCrash, shards, shardCrash int, predictOn bool, predictEps float64, predictSync int) error {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
+	if nodes < 1 {
+		return fmt.Errorf("-nodes must be at least 1 (got %d)", nodes)
+	}
+	if attrs < 1 {
+		return fmt.Errorf("-attrs must be at least 1 (got %d)", attrs)
+	}
+	if tasks < 0 {
+		return fmt.Errorf("-tasks must be non-negative (got %d)", tasks)
+	}
+	if traceN < 0 {
+		return fmt.Errorf("-trace must be non-negative (got %d): 0 turns tracing off", traceN)
+	}
 	if rounds < 1 {
 		return fmt.Errorf("-rounds must be at least 1 (got %d)", rounds)
 	}

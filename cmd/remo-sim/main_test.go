@@ -147,6 +147,12 @@ func TestFlagValidation(t *testing.T) {
 		{"collector crash without journal", []string{"-chaos-collector", "5"}, "requires a journal"},
 		{"collector crash past the run", []string{"-rounds", "10", "-journal", t.TempDir(), "-chaos-collector", "10"}, "must fall inside"},
 		{"zero collector crash round", []string{"-journal", t.TempDir(), "-chaos-collector", "0"}, "at least 1"},
+		{"zero nodes", []string{"-nodes", "0"}, "-nodes must be at least 1"},
+		{"negative nodes", []string{"-nodes", "-2"}, "-nodes must be at least 1"},
+		{"zero attrs", []string{"-attrs", "0"}, "-attrs must be at least 1"},
+		{"negative attrs", []string{"-attrs", "-1"}, "-attrs must be at least 1"},
+		{"negative tasks", []string{"-tasks", "-1"}, "-tasks must be non-negative"},
+		{"negative trace", []string{"-trace", "-1"}, "-trace must be non-negative"},
 	}
 	for _, tc := range cases {
 		var out strings.Builder

@@ -105,36 +105,6 @@ type Config struct {
 	// checkpointed snapshot, so they are in lockstep from round zero and
 	// suppression resumes without waiting for the first periodic sync.
 	SeedModels map[model.Pair]predict.Snapshot
-
-	// delaySink receives chaos-delayed messages with their due round; set
-	// by the machine so sendPhase can hand messages back for later
-	// injection.
-	delaySink func(due int, msg transport.Message)
-	// epoch is the newest plan epoch issued: 1 at start, advanced by
-	// every install and by every collector resume, shard resume and shard
-	// move (Machine.openEpoch).
-	epoch uint32
-	// keyEpochs is each tree's plan epoch, stamped on its frames and
-	// checked by every receiver, which rejects (fences) a frame composed
-	// under an older epoch than its tree's. Every install moves every
-	// tree to a new epoch; a collector resume moves the trees it
-	// collects, a shard move the moved tree, so a shard's outage fences
-	// only its own trees.
-	keyEpochs map[string]uint32
-	// downKeys marks the trees whose owning shard is currently down (or
-	// which await re-dispatch), so their root nodes buffer instead of
-	// feeding a dead shard.
-	downKeys map[string]bool
-}
-
-// epochFor returns the plan epoch frames of the given tree must carry.
-// A tree without an epoch — retired by an install — fences at the newest
-// epoch, so its frames still in flight are all rejected.
-func (c *Config) epochFor(key string) uint32 {
-	if e, ok := c.keyEpochs[key]; ok {
-		return e
-	}
-	return c.epoch
 }
 
 // Result aggregates what the collector observed.
@@ -233,20 +203,33 @@ var (
 type membership struct {
 	key    string
 	tree   *plan.Tree
+	rec    *treeRec // the tree's runtime record (epoch, accountable shard)
 	parent model.NodeID
 	local  []model.AttrID // attrs this node contributes to the tree
 	period map[model.AttrID]int
-	// compose is the reused backing array for this membership's outgoing
-	// message. The round barrier makes reuse safe: a message composed in
-	// round r is consumed (relayed or absorbed) before round r+1's send
-	// phase rewrites the buffer. Chaos-delayed messages outlive the
-	// round, so the machine's delay sink clones them.
-	compose []transport.Value
-	// composeSupp/composeSync are the reused suppression-marker sections
-	// of the outgoing message (relayed markers plus this node's own),
-	// under the same reuse discipline as compose.
-	composeSupp []transport.Supp
-	composeSync []transport.Supp
+	// relay buffers what the node's children sent for this tree until
+	// the next send phase.
+	relay payload
+	// compose is the reused body of this membership's outgoing message:
+	// the relayed payload plus this node's own values and markers. The
+	// round barrier makes reuse safe: a message composed in round r is
+	// consumed (relayed or absorbed) before round r+1's send phase
+	// rewrites the buffer. Chaos-delayed messages outlive the round, so
+	// the sender clones them (nodeState.delayed).
+	compose payload
+}
+
+// payload is a reusable message body: values, suppression markers and
+// sync markers.
+type payload struct {
+	values []transport.Value
+	supps  []transport.Supp
+	syncs  []transport.Supp
+}
+
+// reset empties p, keeping its backing arrays.
+func (p *payload) reset() {
+	p.values, p.supps, p.syncs = p.values[:0], p.supps[:0], p.syncs[:0]
 }
 
 // leafPred is one leaf-side model replica. needSync forces the next
@@ -268,39 +251,61 @@ type pendingFrame struct {
 	values []transport.Value
 }
 
+// counters are a node's traffic, fencing, outbox and suppression
+// counts, each feeding the Result field it names.
+type counters struct {
+	sent        int // MessagesSent
+	drops       int // MessagesDropped
+	stale       int // StaleEpochFrames: inbound frames fenced by epoch
+	buffered    int // FramesBuffered
+	shed        int // FramesShed
+	redelivered int // FramesRedelivered
+	observed    int // ValuesObserved
+	suppressed  int // ValuesSuppressed
+	markersLost int // MarkersLost
+}
+
+// add sums o into c.
+func (c *counters) add(o counters) {
+	c.sent += o.sent
+	c.drops += o.drops
+	c.stale += o.stale
+	c.buffered += o.buffered
+	c.shed += o.shed
+	c.redelivered += o.redelivered
+	c.observed += o.observed
+	c.suppressed += o.suppressed
+	c.markersLost += o.markersLost
+}
+
 // nodeState is the per-node runtime state, owned by its goroutine.
 type nodeState struct {
 	id          model.NodeID
 	capacity    float64
 	memberships []membership
-	// relay buffers child values per tree between rounds; relaySupp and
-	// relaySync buffer the matching suppression/sync markers (nil maps
-	// until the first marker arrives — suppression off costs nothing).
-	relay     map[string][]transport.Value
-	relaySupp map[string][]transport.Supp
-	relaySync map[string][]transport.Supp
 	// budget is the round's remaining capacity, shared by the receive
 	// and send phases.
 	budget float64
-	sent   int
-	drops  int
 	// outbox holds frames awaiting redelivery, oldest first (see
 	// Config.LeafBuffer).
 	outbox []pendingFrame
-	// stale counts inbound frames rejected by epoch fencing; buffered,
-	// shed and redelivered account the outbox (see Result).
-	stale       int
-	buffered    int
-	shed        int
-	redelivered int
+	// delayed holds the frames chaos delayed this send phase, cloned off
+	// the compose buffers; the machine gathers them after the phase.
+	delayed []delayedMsg
 	// pred holds this node's model replicas by attribute (an attribute
-	// lives in exactly one tree, so the map is membership-agnostic);
-	// observed/suppressed/markersLost feed the Result suppression
-	// counters.
-	pred        map[model.AttrID]*leafPred
-	observed    int
-	suppressed  int
-	markersLost int
+	// lives in exactly one tree, so the map is membership-agnostic).
+	pred map[model.AttrID]*leafPred
+	counters
+}
+
+// member returns the node's membership in the tree of record r, or nil.
+func (st *nodeState) member(r *treeRec) *membership {
+	for i := range st.memberships {
+		if st.memberships[i].rec == r {
+			return &st.memberships[i]
+		}
+	}
+	return nil
 }
 
 // leafModel returns (creating on first use) the node's replica for
@@ -366,23 +371,21 @@ func Run(cfg Config) (Result, error) {
 	return m.Result(), nil
 }
 
-// buildStates prepares per-node runtime state from the plan.
-func buildStates(cfg Config) []*nodeState {
+// buildStates prepares per-node runtime state from the plan, pointing
+// every membership at its tree's record in trees.
+func buildStates(cfg Config, trees *treeTable) []*nodeState {
 	byID := make(map[model.NodeID]*nodeState)
 	state := func(n model.NodeID) *nodeState {
 		st, ok := byID[n]
 		if !ok {
-			st = &nodeState{
-				id:       n,
-				capacity: cfg.Sys.Capacity(n),
-				relay:    make(map[string][]transport.Value),
-			}
+			st = &nodeState{id: n, capacity: cfg.Sys.Capacity(n)}
 			byID[n] = st
 		}
 		return st
 	}
 	for _, t := range cfg.Forest.Trees {
 		key := t.Attrs.Key()
+		rec := trees.byKey[key]
 		for _, n := range t.Members() {
 			parent, _ := t.Parent(n)
 			local := cfg.Demand.LocalAttrs(n, t.Attrs)
@@ -394,6 +397,7 @@ func buildStates(cfg Config) []*nodeState {
 			st.memberships = append(st.memberships, membership{
 				key:    key,
 				tree:   t,
+				rec:    rec,
 				parent: parent,
 				local:  local,
 				period: period,
@@ -433,7 +437,7 @@ func (st *nodeState) dead(cfg Config, round int) bool {
 // receivePhase drains the node's inbox (messages sent last round),
 // charging receive costs against this round's budget; over-budget
 // messages are dropped with their payload.
-func (st *nodeState) receivePhase(cfg Config, tr transport.Transport, round int) {
+func (st *nodeState) receivePhase(cfg Config, trees *treeTable, tr transport.Transport, round int) {
 	st.budget = st.capacity
 	if st.dead(cfg, round) {
 		// Dead nodes silently discard input and lose their buffered relay
@@ -443,15 +447,10 @@ func (st *nodeState) receivePhase(cfg Config, tr transport.Transport, round int)
 		for _, msg := range tr.Drain(st.id) {
 			st.markersLost += len(msg.Suppressed)
 		}
-		for k := range st.relay {
-			st.relay[k] = nil
-		}
-		for k := range st.relaySupp {
-			st.markersLost += len(st.relaySupp[k])
-			st.relaySupp[k] = nil
-		}
-		for k := range st.relaySync {
-			st.relaySync[k] = nil
+		for i := range st.memberships {
+			mb := &st.memberships[i]
+			st.markersLost += len(mb.relay.supps)
+			mb.relay.reset()
 		}
 		for _, lp := range st.pred {
 			lp.needSync = true
@@ -466,7 +465,8 @@ func (st *nodeState) receivePhase(cfg Config, tr transport.Transport, round int)
 		return
 	}
 	for _, msg := range tr.Drain(st.id) {
-		if msg.Epoch < cfg.epochFor(msg.TreeKey) {
+		rec, epoch := trees.lookup(msg.TreeKey)
+		if msg.Epoch < epoch {
 			// Frame composed under an older plan epoch than its tree's:
 			// reject it so values routed for a rebuilt (or pre-crash) tree
 			// cannot leak into the current one.
@@ -487,18 +487,13 @@ func (st *nodeState) receivePhase(cfg Config, tr transport.Transport, round int)
 			continue
 		}
 		st.budget -= c
-		st.relay[msg.TreeKey] = append(st.relay[msg.TreeKey], msg.Values...)
-		if len(msg.Suppressed) > 0 {
-			if st.relaySupp == nil {
-				st.relaySupp = make(map[string][]transport.Supp)
-			}
-			st.relaySupp[msg.TreeKey] = append(st.relaySupp[msg.TreeKey], msg.Suppressed...)
-		}
-		if len(msg.Syncs) > 0 {
-			if st.relaySync == nil {
-				st.relaySync = make(map[string][]transport.Supp)
-			}
-			st.relaySync[msg.TreeKey] = append(st.relaySync[msg.TreeKey], msg.Syncs...)
+		// A frame for a tree this node does not relay — a parked frame
+		// redelivered, after an install, to the parent it was parked for —
+		// has nowhere to go; parked frames carry no markers.
+		if mb := st.member(rec); mb != nil {
+			mb.relay.values = append(mb.relay.values, msg.Values...)
+			mb.relay.supps = append(mb.relay.supps, msg.Suppressed...)
+			mb.relay.syncs = append(mb.relay.syncs, msg.Syncs...)
 		}
 	}
 }
@@ -507,25 +502,16 @@ func (st *nodeState) receivePhase(cfg Config, tr transport.Transport, round int)
 // values plus last round's relayed values, within the remaining budget.
 // Buffered frames from earlier rounds are redelivered first, so an
 // outage's backlog drains in order ahead of fresh data.
-func (st *nodeState) sendPhase(cfg Config, tr transport.Transport, round int) {
+func (st *nodeState) sendPhase(cfg Config, trees *treeTable, tr transport.Transport, round int) {
 	if st.dead(cfg, round) {
 		return
 	}
-	st.drainOutbox(cfg, tr)
+	st.drainOutbox(cfg, trees, tr)
 	for i := range st.memberships {
 		m := &st.memberships[i]
 		values := st.composeMessage(cfg, m, round)
-		supps, syncs := m.composeSupp, m.composeSync
-		if buf, ok := st.relay[m.key]; ok {
-			st.relay[m.key] = buf[:0]
-		}
-		if buf, ok := st.relaySupp[m.key]; ok {
-			st.relaySupp[m.key] = buf[:0]
-		}
-		if buf, ok := st.relaySync[m.key]; ok {
-			st.relaySync[m.key] = buf[:0]
-		}
-		if cfg.LeafBuffer > 0 && cfg.downKeys[m.key] && m.parent == model.Central {
+		supps, syncs := m.compose.supps, m.compose.syncs
+		if cfg.LeafBuffer > 0 && m.parent == model.Central && trees.isDown(m.rec) {
 			// This tree's collector (the central one, or its owning shard)
 			// is down: park the frame instead of feeding the void. Empty
 			// frames carry nothing worth preserving. Markers are stripped —
@@ -556,13 +542,22 @@ func (st *nodeState) sendPhase(cfg Config, tr transport.Transport, round int) {
 			TreeKey:    m.key,
 			From:       st.id,
 			To:         m.parent,
-			Epoch:      cfg.epochFor(m.key),
+			Epoch:      m.rec.epoch,
 			Values:     values,
 			Suppressed: supps,
 			Syncs:      syncs,
 		}
-		if d := cfg.Chaos.Delay(st.id, m.parent, round, st.sent); d > 0 && cfg.delaySink != nil {
-			cfg.delaySink(round+d, msg)
+		if d := cfg.Chaos.Delay(st.id, m.parent, round, st.sent); d > 0 {
+			// A delayed frame outlives the round barrier, so it cannot
+			// borrow the reused compose buffers: clone the payload.
+			msg.Values = append([]transport.Value(nil), msg.Values...)
+			if len(msg.Suppressed) > 0 {
+				msg.Suppressed = append([]transport.Supp(nil), msg.Suppressed...)
+			}
+			if len(msg.Syncs) > 0 {
+				msg.Syncs = append([]transport.Supp(nil), msg.Syncs...)
+			}
+			st.delayed = append(st.delayed, delayedMsg{due: round + d, msg: msg})
 			if cfg.Trace != nil {
 				cfg.Trace.Record(trace.Event{
 					Round: round, Kind: trace.Delayed, Node: st.id,
@@ -629,14 +624,15 @@ func (st *nodeState) bufferFrame(cfg Config, to model.NodeID, key string, round 
 // in-flight traffic. Delivery stops at the first frame that cannot go
 // out (destination down, budget exhausted, or send failure); order is
 // preserved.
-func (st *nodeState) drainOutbox(cfg Config, tr transport.Transport) {
+func (st *nodeState) drainOutbox(cfg Config, trees *treeTable, tr transport.Transport) {
 	if len(st.outbox) == 0 {
 		return
 	}
 	n := 0
 	for i := range st.outbox {
 		f := &st.outbox[i]
-		if f.to == model.Central && cfg.downKeys[f.key] {
+		rec, epoch := trees.lookup(f.key)
+		if f.to == model.Central && trees.isDown(rec) {
 			break
 		}
 		c := cfg.Sys.Cost.Message(len(f.values))
@@ -647,7 +643,7 @@ func (st *nodeState) drainOutbox(cfg Config, tr transport.Transport) {
 			TreeKey: f.key,
 			From:    st.id,
 			To:      f.to,
-			Epoch:   cfg.epochFor(f.key),
+			Epoch:   epoch,
 			Values:  f.values,
 		})
 		if err != nil {
@@ -684,8 +680,8 @@ func (st *nodeState) traceDrop(cfg Config, m *membership, round, values int) {
 // round, applying the suppression protocol and in-network aggregation
 // funnels. The returned slice is the membership's reused compose buffer
 // (see membership.compose); it stays valid until this node's next send
-// phase. As a side effect m.composeSupp/m.composeSync are rebuilt with
-// the relayed markers plus this node's own.
+// phase. As a side effect m.compose's markers are rebuilt with the
+// relayed markers plus this node's own, and the relay is emptied.
 //
 // The replica-lockstep rule (predict package doc): on a sync the model
 // resets and re-seeds from the observation, which also rides the wire
@@ -696,9 +692,11 @@ func (st *nodeState) traceDrop(cfg Config, m *membership, round, values int) {
 // under a different id) and aggregated attributes (values collapse
 // in-network) are exempt.
 func (st *nodeState) composeMessage(cfg Config, m *membership, round int) []transport.Value {
-	values := append(m.compose[:0], st.relay[m.key]...)
-	m.composeSupp = append(m.composeSupp[:0], st.relaySupp[m.key]...)
-	m.composeSync = append(m.composeSync[:0], st.relaySync[m.key]...)
+	out := &m.compose
+	values := append(out.values[:0], m.relay.values...)
+	out.supps = append(out.supps[:0], m.relay.supps...)
+	out.syncs = append(out.syncs[:0], m.relay.syncs...)
+	m.relay.reset()
 	for _, a := range m.local {
 		if round%m.period[a] != 0 {
 			continue // piggybacked metric not due this round
@@ -712,12 +710,12 @@ func (st *nodeState) composeMessage(cfg Config, m *membership, round int) []tran
 				lp.m.Reset()
 				lp.m.Observe(v)
 				lp.needSync = false
-				m.composeSync = append(m.composeSync,
+				out.syncs = append(out.syncs,
 					transport.Supp{Node: st.id, Attr: a, Round: round})
 			case lp.m.Ready() && cfg.Predict.Within(a, lp.m.Predict(), v):
 				lp.m.Observe(lp.m.Predict())
 				st.suppressed++
-				m.composeSupp = append(m.composeSupp,
+				out.supps = append(out.supps,
 					transport.Supp{Node: st.id, Attr: a, Round: round})
 				continue // value withheld; only the marker rides
 			case lp.m.Ready():
@@ -728,7 +726,7 @@ func (st *nodeState) composeMessage(cfg Config, m *membership, round int) []tran
 				// plain rounds per shift.
 				lp.m.Reset()
 				lp.m.Observe(v)
-				m.composeSync = append(m.composeSync,
+				out.syncs = append(out.syncs,
 					transport.Supp{Node: st.id, Attr: a, Round: round})
 			default:
 				lp.m.Observe(v) // warm-up: advance in lockstep, value rides plainly
@@ -741,7 +739,7 @@ func (st *nodeState) composeMessage(cfg Config, m *membership, round int) []tran
 			Value: v,
 		})
 	}
-	m.compose = values
+	out.values = values
 	if cfg.Spec == nil {
 		return values
 	}

@@ -23,6 +23,8 @@ import (
 // into overflow maps so adaptation semantics are unchanged.
 type collector struct {
 	cfg Config
+	// trees is the machine's tree table, which fences frames by epoch.
+	trees *treeTable
 
 	// holisticPairs are the demanded pairs collected holistically, in
 	// canonical order; periods, views, viewSet and seen are parallel to
@@ -74,8 +76,9 @@ type collector struct {
 	imputeBandMax float64
 }
 
-func newCollector(cfg Config) *collector {
+func newCollector(cfg Config, trees *treeTable) *collector {
 	c := &collector{
+		trees:     trees,
 		aggView:   make(map[model.AttrID]transport.Value),
 		extraView: make(map[model.Pair]transport.Value),
 		extraSeen: make(map[model.Pair]roundWindow),
@@ -224,14 +227,14 @@ func (c *collector) retarget(cfg Config) {
 // newest samples. Aggregate views are not re-seeded (the repository
 // stores them under the aggregating node's identity); they refresh on
 // the next delivery.
-func (c *collector) recover(cfg Config, repo *store.Store, round int) {
+func (c *collector) recover(repo *store.Store, round int) {
 	c.holisticPairs = nil
 	c.periods, c.views, c.viewSet, c.seen = nil, nil, nil, nil
 	c.slotOf = nil
 	c.extraView = make(map[model.Pair]transport.Value)
 	c.extraSeen = make(map[model.Pair]roundWindow)
 	c.aggView = make(map[model.AttrID]transport.Value)
-	c.retarget(cfg)
+	c.retarget(c.cfg)
 	if repo == nil {
 		return
 	}
@@ -266,7 +269,7 @@ func (c *collector) lookupView(p model.Pair) (transport.Value, bool) {
 func (c *collector) absorb(msgs []transport.Message, round int) {
 	budget := c.cfg.Sys.CentralCapacity
 	for _, msg := range msgs {
-		if msg.Epoch < c.cfg.epochFor(msg.TreeKey) {
+		if _, epoch := c.trees.lookup(msg.TreeKey); msg.Epoch < epoch {
 			c.staleFrames++
 			c.markersLost += len(msg.Suppressed)
 			continue

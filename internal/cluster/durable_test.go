@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"remo/internal/model"
 	"remo/internal/plan"
 	"remo/internal/store"
+	"remo/internal/task"
 	"remo/internal/transport"
 )
 
@@ -276,3 +278,122 @@ func verifyResultSane(res Result) error {
 type errNegative string
 
 func (e errNegative) Error() string { return "invariant violated: " + string(e) }
+
+// TestInstallPruneConservesParkedFrames pins what an install does to
+// the leaf buffers and counters of the nodes it rewires. While the
+// collector is down and two roots hold parked frames, an install prunes
+// one of them and keeps the other: the pruned node's parked frames book
+// as shed, the kept node's drain after the resume, and at every round
+// every buffered frame is redelivered, shed or still parked. No
+// counter of the Result moves backwards across the install.
+func TestInstallPruneConservesParkedFrames(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// Tree 1 is rooted at node 1 and tree 2 at node 2, each over
+			// all four nodes.
+			sys, d, forest := shardEnv(t, 4, 2)
+			m, err := NewMachine(Config{
+				Sys: sys, Forest: forest, Demand: d,
+				Workers:    workers,
+				LeafBuffer: 3,
+				Chaos:      &chaos.Config{CollectorCrashAt: 2},
+				Source:     UtilWalk{Seed: 6},
+				Predict:    predictSpec(t, 0.05),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = m.Close() }()
+			conserved := func(when string) {
+				t.Helper()
+				res := m.Result()
+				if parked := m.BufferedFrames(); res.FramesBuffered != res.FramesRedelivered+res.FramesShed+parked {
+					t.Fatalf("%s: %d buffered != %d redelivered + %d shed + %d parked",
+						when, res.FramesBuffered, res.FramesRedelivered, res.FramesShed, parked)
+				}
+			}
+			step := func(n int) {
+				t.Helper()
+				for range n {
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
+					}
+					conserved(fmt.Sprintf("round %d", m.Round()-1))
+				}
+			}
+			step(6) // the collector is down from round 2
+			parked := map[model.NodeID]int{}
+			for _, st := range m.states {
+				parked[st.id] = len(st.outbox)
+			}
+			if parked[1] == 0 || parked[2] == 0 {
+				t.Fatalf("roots hold %v parked frames, want both non-zero", parked)
+			}
+
+			// Node 2 leaves the plan; node 1 roots both trees of the rest.
+			nd := task.NewDemand()
+			next := plan.NewForest()
+			for _, a := range []model.AttrID{1, 2} {
+				tr := plan.NewTree(model.NewAttrSet(a))
+				if err := tr.AddNode(1, model.Central); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range []model.NodeID{3, 4} {
+					if err := tr.AddNode(n, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				next.Add(tr)
+				for _, n := range []model.NodeID{1, 3, 4} {
+					nd.Set(n, a, 1)
+				}
+			}
+			before := m.Result()
+			m.InstallDiff(next, nd)
+			conserved("after the install")
+			after := m.Result()
+			if after.FramesShed < before.FramesShed+parked[2] {
+				t.Fatalf("FramesShed %d -> %d, want the pruned node's %d parked frames booked as shed",
+					before.FramesShed, after.FramesShed, parked[2])
+			}
+			if m.BufferedFrames() != parked[1]+parked[3]+parked[4] {
+				t.Fatalf("%d frames parked after the install, want the kept nodes' %d",
+					m.BufferedFrames(), parked[1]+parked[3]+parked[4])
+			}
+			for _, c := range []struct {
+				name          string
+				before, after int
+			}{
+				{"Rounds", before.Rounds, after.Rounds},
+				{"MessagesSent", before.MessagesSent, after.MessagesSent},
+				{"MessagesDropped", before.MessagesDropped, after.MessagesDropped},
+				{"ValuesDelivered", before.ValuesDelivered, after.ValuesDelivered},
+				{"ValuesObserved", before.ValuesObserved, after.ValuesObserved},
+				{"ValuesSuppressed", before.ValuesSuppressed, after.ValuesSuppressed},
+				{"ValuesImputed", before.ValuesImputed, after.ValuesImputed},
+				{"ModelSyncs", before.ModelSyncs, after.ModelSyncs},
+				{"MarkersLost", before.MarkersLost, after.MarkersLost},
+				{"StaleEpochFrames", before.StaleEpochFrames, after.StaleEpochFrames},
+				{"FramesBuffered", before.FramesBuffered, after.FramesBuffered},
+				{"FramesShed", before.FramesShed, after.FramesShed},
+				{"FramesRedelivered", before.FramesRedelivered, after.FramesRedelivered},
+				{"OrphanedTrees", before.OrphanedTrees, after.OrphanedTrees},
+				{"TreesRedispatched", before.TreesRedispatched, after.TreesRedispatched},
+				{"LeaderElections", before.LeaderElections, after.LeaderElections},
+			} {
+				if c.after < c.before {
+					t.Errorf("%s fell across the install: %d -> %d", c.name, c.before, c.after)
+				}
+			}
+
+			step(2) // still down: the kept root parks under the new plan
+			if err := m.ResumeCollector(ResumeState{Epoch: m.Epoch(), Repo: store.New(0)}); err != nil {
+				t.Fatal(err)
+			}
+			step(6)
+			if res := m.Result(); res.FramesRedelivered == before.FramesRedelivered {
+				t.Fatal("the kept root never redelivered its parked frames")
+			}
+		})
+	}
+}

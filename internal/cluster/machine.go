@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"remo/internal/detect"
 	"remo/internal/model"
@@ -18,6 +17,77 @@ import (
 type delayedMsg struct {
 	due int
 	msg transport.Message
+}
+
+// treeRec is the one runtime record of an installed tree: the plan
+// epoch its frames carry and the collector shard accountable for it
+// (-1 when none is, and the residual collector takes its frames).
+// Memberships and collectors reach it by pointer; the machine writes
+// it only between rounds.
+type treeRec struct {
+	epoch uint32
+	shard int
+}
+
+// treeTable holds the record of every tree of the installed forest.
+// Receivers fence a frame composed under an older epoch than its
+// tree's: every install moves every tree to a new epoch, a shard resume
+// the shard's trees and a dispatcher move the moved tree, so a shard's
+// outage fences only its own trees.
+type treeTable struct {
+	// epoch is the newest plan epoch issued: 1 at start, advanced by
+	// every open.
+	epoch uint32
+	byKey map[string]*treeRec
+	// down is the collection tier's shard liveness (shardTier.down).
+	down []bool
+}
+
+// retarget re-keys the table to forest: a retired tree loses its
+// record, a new tree gets one at the newest epoch and with no shard,
+// and a kept tree keeps its record and every pointer to it.
+func (t *treeTable) retarget(forest *plan.Forest) {
+	keep := make(map[string]*treeRec, len(forest.Trees))
+	for _, tr := range forest.Trees {
+		k := tr.Attrs.Key()
+		if r, ok := t.byKey[k]; ok {
+			keep[k] = r
+		} else {
+			keep[k] = &treeRec{epoch: t.epoch, shard: -1}
+		}
+	}
+	t.byKey = keep
+}
+
+// lookup returns key's record and the epoch its frames must carry. A
+// tree without a record — retired by an install — fences at the newest
+// epoch, so its frames still in flight are all rejected.
+func (t *treeTable) lookup(key string) (*treeRec, uint32) {
+	if r, ok := t.byKey[key]; ok {
+		return r, r.epoch
+	}
+	return nil, t.epoch
+}
+
+// isDown reports whether r's accountable shard is down (an orphan stays
+// booked to the dead shard it came from until re-homed), so the tree's
+// root nodes buffer instead of feeding a dead shard.
+func (t *treeTable) isDown(r *treeRec) bool {
+	return r != nil && r.shard >= 0 && t.down[r.shard]
+}
+
+// open issues the next plan epoch, past floor (the newest epoch a
+// recovered journal saw), and moves every tree fresh selects onto it:
+// frames composed for those trees under an older epoch are fenced from
+// then on. Every other tree keeps its epoch, and its frames on the wire
+// survive.
+func (t *treeTable) open(floor uint32, fresh func(key string, r *treeRec) bool) {
+	t.epoch = max(t.epoch, floor) + 1
+	for k, r := range t.byKey {
+		if fresh(k, r) {
+			r.epoch = t.epoch
+		}
+	}
 }
 
 // Machine is a steppable emulated deployment: the paper's system in
@@ -37,6 +107,8 @@ type Machine struct {
 	tr     transport.Transport
 	ownTr  bool
 	states []*nodeState
+	// trees is the installed forest's runtime records.
+	trees *treeTable
 	// tier is the collection tier: max(cfg.Shards, 1) collector shards.
 	// A lone collector is a 1-shard tier.
 	tier *shardTier
@@ -44,15 +116,10 @@ type Machine struct {
 	eng    *engine
 	round  int
 	closed bool
-	// extraSent/extraDrops preserve traffic counters of nodes dropped by
-	// a topology swap (and count delayed messages lost at injection);
-	// the remaining extras preserve the fencing and buffering counters
-	// of such nodes the same way.
-	extraSent, extraDrops                            int
-	extraStale, extraBuffered, extraShed, extraRedel int
-	// Suppression counters of pruned nodes, plus markers lost outside
-	// any node (collector-down discards, failed delayed injections).
-	extraObserved, extraSuppressed, extraMarkersLost int
+	// outside keeps the counters of nodes an install pruned, plus the
+	// drops and lost markers booked outside any node (collector-down
+	// discards, frames for a down shard, failed injections and beats).
+	outside counters
 
 	// errSum, pairs, staleSum and fresh total every round's tally (see
 	// tally): errSum in whole relative errors, one float add a round.
@@ -77,9 +144,7 @@ type Machine struct {
 	// verdicts accumulates detector output between TakeVerdicts calls.
 	verdicts []detect.Verdict
 
-	// delayMu guards delayed, which node goroutines append to via the
-	// config's delaySink during the send phase.
-	delayMu sync.Mutex
+	// delayed holds chaos-delayed messages until their due round.
 	delayed []delayedMsg
 }
 
@@ -100,32 +165,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 	cfg.Chaos = cfg.Chaos.ForSystem(cfg.Sys)
 	// The session starts at epoch 1 so a zero-valued frame (or one from
 	// a pre-epoch wire peer) is always older than any installed plan.
-	cfg.epoch = 1
-	cfg.keyEpochs = make(map[string]uint32, len(cfg.Forest.Trees))
-	for _, t := range cfg.Forest.Trees {
-		cfg.keyEpochs[t.Attrs.Key()] = cfg.epoch
-	}
-	m := &Machine{cfg: cfg, tr: cfg.Transport}
-	m.cfg.delaySink = func(due int, msg transport.Message) {
-		// Delayed messages outlive the round barrier, so they cannot
-		// borrow the sender's reused compose buffer — clone the payload.
-		msg.Values = append([]transport.Value(nil), msg.Values...)
-		if len(msg.Suppressed) > 0 {
-			msg.Suppressed = append([]transport.Supp(nil), msg.Suppressed...)
-		}
-		if len(msg.Syncs) > 0 {
-			msg.Syncs = append([]transport.Supp(nil), msg.Syncs...)
-		}
-		m.delayMu.Lock()
-		m.delayed = append(m.delayed, delayedMsg{due: due, msg: msg})
-		m.delayMu.Unlock()
-	}
+	m := &Machine{cfg: cfg, tr: cfg.Transport, trees: &treeTable{epoch: 1}}
+	m.trees.retarget(cfg.Forest)
 	m.eng = newEngine(resolveWorkers(cfg.Workers))
 	if m.tr == nil {
 		m.tr = transport.NewMemory(cfg.Sys.NodeIDs())
 		m.ownTr = true
 	}
-	m.states = buildStates(m.cfg)
+	m.states = buildStates(m.cfg, m.trees)
 	m.initShardTier()
 	if cfg.Detect != nil {
 		m.det = detect.New(*cfg.Detect)
@@ -166,8 +213,8 @@ func (m *Machine) Step() error {
 	m.round++
 	m.stepShardChaos(round)
 
-	m.eng.forEach(m.states, func(st *nodeState) { st.receivePhase(m.cfg, m.tr, round) })
-	m.eng.forEach(m.states, func(st *nodeState) { st.sendPhase(m.cfg, m.tr, round) })
+	m.eng.forEach(m.states, func(st *nodeState) { st.receivePhase(m.cfg, m.trees, m.tr, round) })
+	m.eng.forEach(m.states, func(st *nodeState) { st.sendPhase(m.cfg, m.trees, m.tr, round) })
 	m.injectDelayed(round)
 	m.emitBeats(round)
 	if err := m.tr.Flush(); err != nil {
@@ -182,9 +229,9 @@ func (m *Machine) Step() error {
 		// frozen with it. Scoring still runs: ground truth keeps moving
 		// while the views stand still, which is exactly the error a
 		// crashed collector accrues.
-		m.extraDrops += len(msgs)
+		m.outside.drops += len(msgs)
 		for _, msg := range msgs {
-			m.extraMarkersLost += len(msg.Suppressed)
+			m.outside.markersLost += len(msg.Suppressed)
 		}
 		m.shardScore(round, &t)
 	} else {
@@ -208,13 +255,17 @@ func (m *Machine) Step() error {
 	return nil
 }
 
-// injectDelayed releases chaos-delayed messages whose due round arrived.
-// Injection happens after the send phase and before Flush, so a message
-// delayed d rounds arrives exactly d rounds late on both node-to-node
-// links (drained next round) and root-to-central links (drained this
-// round).
+// injectDelayed gathers the send phase's chaos-delayed messages, node by
+// node, and releases those whose due round arrived. Injection happens
+// after the send phase and before Flush, so a message delayed d rounds
+// arrives exactly d rounds late on both node-to-node links (drained
+// next round) and root-to-central links (drained this round).
 func (m *Machine) injectDelayed(round int) {
-	m.delayMu.Lock()
+	for _, st := range m.states {
+		m.delayed = append(m.delayed, st.delayed...)
+		clear(st.delayed)
+		st.delayed = st.delayed[:0]
+	}
 	var due []transport.Message
 	keep := m.delayed[:0]
 	for _, d := range m.delayed {
@@ -225,11 +276,10 @@ func (m *Machine) injectDelayed(round int) {
 		}
 	}
 	m.delayed = keep
-	m.delayMu.Unlock()
 	for _, msg := range due {
 		if err := m.tr.Send(msg); err != nil {
-			m.extraDrops++
-			m.extraMarkersLost += len(msg.Suppressed)
+			m.outside.drops++
+			m.outside.markersLost += len(msg.Suppressed)
 		}
 	}
 }
@@ -258,11 +308,11 @@ func (m *Machine) emitBeats(round int) {
 		err := m.tr.Send(transport.Message{
 			From:  n,
 			To:    model.Central,
-			Epoch: m.cfg.epoch,
+			Epoch: m.trees.epoch,
 			Beats: m.beatBuf[i : i+1 : i+1],
 		})
 		if err != nil {
-			m.extraDrops++
+			m.outside.drops++
 		}
 	}
 }
@@ -349,21 +399,18 @@ func (m *Machine) InstallDiff(forest *plan.Forest, d *task.Demand) plan.Diff {
 	diff := plan.DiffForests(m.cfg.Forest, forest)
 	m.cfg.Forest = forest
 	m.cfg.Demand = d
+	m.trees.retarget(forest)
 	m.rebuildStates()
-	for _, k := range diff.Dropped {
-		delete(m.cfg.keyEpochs, k)
-	}
 	// Kept trees fence too. Sparing them is ROADMAP 3(d), which stays
 	// open until freshness is measured: spared frames deliver more deep
 	// values, which raises delivered age, so only freshness can judge
 	// the rule.
-	m.openEpoch(0, func(string) bool { return true })
+	m.trees.open(0, func(string, *treeRec) bool { return true })
 	// Re-place the new forest: persisting trees stick to their live
 	// owners, fresh trees spread onto the least-loaded shards, retired
 	// trees leave the map.
 	m.tier.disp.Retarget(shardLoads(m.cfg), m.round)
-	m.tier.owner = m.tier.ownerMap()
-	m.recomputeDownKeys()
+	m.tier.place(m.trees)
 	m.rebuildShardDemands()
 	if m.det != nil {
 		m.det.Watch(m.watchSet(), m.round)
@@ -390,24 +437,15 @@ func (m *Machine) rebuildStates() {
 	for _, st := range m.states {
 		old[st.id] = st
 	}
-	m.states = buildStates(m.cfg)
+	m.states = buildStates(m.cfg, m.trees)
 
-	// Preserve traffic counters and surviving relay buffers.
 	for _, st := range m.states {
 		prev, ok := old[st.id]
 		if !ok {
 			continue
 		}
-		st.sent = prev.sent
-		st.drops = prev.drops
-		st.stale = prev.stale
-		st.buffered = prev.buffered
-		st.shed = prev.shed
-		st.redelivered = prev.redelivered
+		st.counters = prev.counters
 		st.outbox = prev.outbox
-		st.observed = prev.observed
-		st.suppressed = prev.suppressed
-		st.markersLost = prev.markersLost
 		// Model replicas survive the swap, but every plan install opens a
 		// new epoch at the collector — force a sync so both ends re-lock
 		// under the new plan before any further imputation.
@@ -415,46 +453,28 @@ func (m *Machine) rebuildStates() {
 		for _, lp := range st.pred {
 			lp.needSync = true
 		}
-		for _, mb := range st.memberships {
-			if buf, has := prev.relay[mb.key]; has {
-				st.relay[mb.key] = buf
-			}
-			if buf, has := prev.relaySupp[mb.key]; has {
-				if st.relaySupp == nil {
-					st.relaySupp = make(map[string][]transport.Supp)
-				}
-				st.relaySupp[mb.key] = buf
-			}
-			if buf, has := prev.relaySync[mb.key]; has {
-				if st.relaySync == nil {
-					st.relaySync = make(map[string][]transport.Supp)
-				}
-				st.relaySync[mb.key] = buf
-			}
-		}
-		// Markers buffered for trees this node no longer relays die with
-		// the swap, like the relay values themselves.
-		for k, buf := range prev.relaySupp {
-			if _, kept := st.relaySupp[k]; !kept {
-				st.markersLost += len(buf)
+		// A kept tree's record survives the swap, so it finds the
+		// membership whose relay buffers carry over.
+		for i := range prev.memberships {
+			pm := &prev.memberships[i]
+			if mb := st.member(pm.rec); mb != nil {
+				mb.relay = pm.relay
+			} else {
+				// Markers buffered for a tree this node no longer relays
+				// die with the swap, like the relay values themselves.
+				st.markersLost += len(pm.relay.supps)
 			}
 		}
 		delete(old, st.id)
 	}
 	for _, gone := range old {
-		m.extraSent += gone.sent
-		m.extraDrops += gone.drops
-		m.extraStale += gone.stale
-		m.extraBuffered += gone.buffered
-		m.extraRedel += gone.redelivered
-		// A node pruned from the plan takes its parked frames with it.
-		m.extraShed += gone.shed + len(gone.outbox)
-		m.extraObserved += gone.observed
-		m.extraSuppressed += gone.suppressed
-		m.extraMarkersLost += gone.markersLost
-		for _, buf := range gone.relaySupp {
-			m.extraMarkersLost += len(buf)
+		// A node pruned from the plan takes its parked frames and relayed
+		// markers with it.
+		gone.shed += len(gone.outbox)
+		for _, pm := range gone.memberships {
+			gone.markersLost += len(pm.relay.supps)
 		}
+		m.outside.add(gone.counters)
 	}
 }
 
@@ -468,26 +488,19 @@ func (m *Machine) Result() Result {
 	if m.fresh > 0 {
 		res.AvgStaleness = float64(m.staleSum) / float64(m.fresh)
 	}
-	res.MessagesSent += m.extraSent
-	res.MessagesDropped += m.extraDrops
-	res.StaleEpochFrames += m.extraStale
-	res.FramesBuffered = m.extraBuffered
-	res.FramesShed = m.extraShed
-	res.FramesRedelivered = m.extraRedel
-	res.ValuesObserved += m.extraObserved
-	res.ValuesSuppressed += m.extraSuppressed
-	res.MarkersLost += m.extraMarkersLost
+	c := m.outside
 	for _, st := range m.states {
-		res.MessagesSent += st.sent
-		res.MessagesDropped += st.drops
-		res.StaleEpochFrames += st.stale
-		res.FramesBuffered += st.buffered
-		res.FramesShed += st.shed
-		res.FramesRedelivered += st.redelivered
-		res.ValuesObserved += st.observed
-		res.ValuesSuppressed += st.suppressed
-		res.MarkersLost += st.markersLost
+		c.add(st.counters)
 	}
+	res.MessagesSent += c.sent
+	res.MessagesDropped += c.drops
+	res.StaleEpochFrames += c.stale
+	res.FramesBuffered += c.buffered
+	res.FramesShed += c.shed
+	res.FramesRedelivered += c.redelivered
+	res.ValuesObserved += c.observed
+	res.ValuesSuppressed += c.suppressed
+	res.MarkersLost += c.markersLost
 	return res
 }
 
@@ -504,21 +517,7 @@ func (m *Machine) PredictSnapshots() map[model.Pair]predict.Snapshot {
 }
 
 // Epoch returns the newest plan epoch issued (1 at session start).
-func (m *Machine) Epoch() uint32 { return m.cfg.epoch }
-
-// openEpoch issues the next plan epoch, past floor (the newest epoch a
-// recovered journal saw), and moves every tree fresh selects onto it:
-// frames composed for those trees under an older epoch are fenced from
-// then on. Every other tree keeps its epoch, and its frames on the wire
-// survive.
-func (m *Machine) openEpoch(floor uint32, fresh func(key string) bool) {
-	m.cfg.epoch = max(m.cfg.epoch, floor) + 1
-	for _, t := range m.cfg.Forest.Trees {
-		if k := t.Attrs.Key(); fresh(k) {
-			m.cfg.keyEpochs[k] = m.cfg.epoch
-		}
-	}
-}
+func (m *Machine) Epoch() uint32 { return m.trees.epoch }
 
 // CollectorDown reports whether the central collector is currently
 // crashed per the chaos schedule.

@@ -23,21 +23,17 @@ type shardTier struct {
 	n    int
 	disp *shard.Dispatcher
 
-	// colls[s] is shard s's collector; cfgs[s] its scoped config (the
-	// machine config with Demand narrowed to the shard's trees).
+	// colls[s] is shard s's collector, over the machine config with
+	// Demand narrowed to the shard's trees.
 	colls []*collector
-	cfgs  []Config
 	resid *collector
 
-	// owner maps every forest tree to the shard accountable for it:
-	// the dispatcher's assignment, plus orphans still booked to the dead
-	// shard they came from until a leaseholder re-homes them.
-	owner map[string]int
 	// pairOwner routes alias-folded demanded pairs to their collector
 	// (-1 = residual); it is how the machine and monitor decide which
 	// shard a delivered value (and its journal entry) belongs to.
 	pairOwner map[model.Pair]int
 
+	// down is each shard's liveness, shared with the tree table.
 	down      []bool
 	watermark []int
 
@@ -47,10 +43,8 @@ type shardTier struct {
 	redispatched int
 }
 
-// initShardTier builds the collection tier during NewMachine.
-// Must run after cfg defaults are resolved and before any collector is
-// created: the scoped configs share the machine's per-tree epoch and
-// down-key maps by reference.
+// initShardTier builds the collection tier during NewMachine, after
+// cfg defaults are resolved and the tree table is built.
 func (m *Machine) initShardTier() {
 	n := max(m.cfg.Shards, 1)
 	suspicion := 0
@@ -67,12 +61,11 @@ func (m *Machine) initShardTier() {
 	for s := range t.watermark {
 		t.watermark[s] = -1
 	}
-	m.cfg.downKeys = make(map[string]bool)
 	m.tier = t
+	m.trees.down = t.down
 
 	t.disp.Init(shardLoads(m.cfg), m.cfg.SeedAssignment)
-	t.owner = t.ownerMap()
-	m.recomputeDownKeys()
+	t.place(m.trees)
 	m.rebuildShardDemands()
 }
 
@@ -88,14 +81,19 @@ func shardLoads(cfg Config) []shard.Load {
 	return out
 }
 
-// ownerMap folds the dispatcher's assignment and its orphan queue into
-// one total tree→shard accountability map.
-func (t *shardTier) ownerMap() map[string]int {
-	out := t.disp.Assignment()
-	for k, s := range t.disp.Orphans() {
-		out[k] = s
+// place books every tree to the shard accountable for it: the
+// dispatcher's assignment, plus orphans still booked to the dead shard
+// they came from until a leaseholder re-homes them.
+func (t *shardTier) place(trees *treeTable) {
+	for _, r := range trees.byKey {
+		r.shard = -1
 	}
-	return out
+	for k, s := range t.disp.Assignment() {
+		trees.byKey[k].shard = s
+	}
+	for k, s := range t.disp.Orphans() {
+		trees.byKey[k].shard = s
+	}
 }
 
 // rebuildShardDemands re-derives every shard's scoped demand from the
@@ -129,9 +127,7 @@ func (m *Machine) rebuildShardDemands() {
 				if !decided {
 					owner = -1
 					if tr := m.cfg.Forest.TreeFor(p.Attr); tr != nil {
-						if s, ok := t.owner[tr.Attrs.Key()]; ok {
-							owner = s
-						}
+						owner = m.trees.byKey[tr.Attrs.Key()].shard
 					}
 					treeShard[p.Attr] = owner
 				}
@@ -152,40 +148,21 @@ func (m *Machine) rebuildShardDemands() {
 		}
 	}
 
-	if t.cfgs == nil {
-		t.cfgs = make([]Config, t.n)
-	}
 	for s := 0; s < t.n; s++ {
 		cfg := m.cfg
 		cfg.Demand = demands[s]
-		t.cfgs[s] = cfg
 		if s < len(t.colls) {
 			t.colls[s].retarget(cfg)
 		} else {
-			t.colls = append(t.colls, newCollector(cfg))
+			t.colls = append(t.colls, newCollector(cfg, m.trees))
 		}
 	}
 	residCfg := m.cfg
 	residCfg.Demand = resid
 	if t.resid == nil {
-		t.resid = newCollector(residCfg)
+		t.resid = newCollector(residCfg, m.trees)
 	} else {
 		t.resid.retarget(residCfg)
-	}
-}
-
-// recomputeDownKeys refreshes the tree→down map leaves consult when
-// deciding to buffer: a tree is down while its accountable shard is
-// down (including orphans still booked to a dead shard).
-func (m *Machine) recomputeDownKeys() {
-	t := m.tier
-	for k := range m.cfg.downKeys {
-		if _, ok := t.owner[k]; !ok {
-			delete(m.cfg.downKeys, k)
-		}
-	}
-	for k, s := range t.owner {
-		m.cfg.downKeys[k] = t.down[s]
 	}
 }
 
@@ -198,7 +175,6 @@ func (m *Machine) stepShardChaos(round int) {
 	if t.n == 1 && !m.collectorDown && m.cfg.Chaos.CollectorCrash(round) {
 		m.collectorDown = true
 		t.down[0] = true
-		m.recomputeDownKeys()
 		if m.cfg.Trace != nil {
 			m.cfg.Trace.Record(trace.Event{Round: round, Kind: trace.CollectorDead, Node: model.Central})
 		}
@@ -208,7 +184,6 @@ func (m *Machine) stepShardChaos(round int) {
 			continue
 		}
 		t.down[s] = true
-		m.recomputeDownKeys()
 		if m.cfg.Trace != nil {
 			m.cfg.Trace.Record(trace.Event{Round: round, Kind: trace.ShardDead, Node: model.NodeID(s)})
 		}
@@ -226,13 +201,13 @@ func (m *Machine) shardAbsorb(msgs []transport.Message, round int) {
 	}
 	var residBatch []transport.Message
 	for _, msg := range msgs {
-		if s, ok := t.owner[msg.TreeKey]; ok {
-			if t.down[s] {
-				m.extraDrops++
-				m.extraMarkersLost += len(msg.Suppressed)
+		if r := m.trees.byKey[msg.TreeKey]; r != nil && r.shard >= 0 {
+			if t.down[r.shard] {
+				m.outside.drops++
+				m.outside.markersLost += len(msg.Suppressed)
 				continue
 			}
-			t.batches[s] = append(t.batches[s], msg)
+			t.batches[r.shard] = append(t.batches[r.shard], msg)
 			continue
 		}
 		residBatch = append(residBatch, msg)
@@ -305,7 +280,7 @@ func (m *Machine) shardDispatch(round int) {
 			})
 		}
 	}
-	t.owner = t.ownerMap()
+	t.place(m.trees)
 	if len(acts.Moves) > 0 {
 		// Every moved tree opens a new epoch: frames composed for the old
 		// owner (or buffered during the outage and not yet re-stamped)
@@ -314,9 +289,8 @@ func (m *Machine) shardDispatch(round int) {
 		for _, mv := range acts.Moves {
 			moved[mv.Key] = true
 		}
-		m.openEpoch(0, func(k string) bool { return moved[k] })
+		m.trees.open(0, func(k string, _ *treeRec) bool { return moved[k] })
 	}
-	m.recomputeDownKeys()
 	m.rebuildShardDemands()
 }
 
@@ -350,14 +324,9 @@ func (m *Machine) resumeShard(s int, rs ResumeState) error {
 	if !t.down[s] && m.round > 0 {
 		return fmt.Errorf("cluster: ResumeShard: shard %d is not down", s)
 	}
-	m.openEpoch(rs.Epoch, func(k string) bool {
-		o, ok := t.owner[k]
-		return ok && o == s
-	})
+	m.trees.open(rs.Epoch, func(_ string, r *treeRec) bool { return r.shard == s })
 	t.down[s] = false
-	m.recomputeDownKeys()
-	t.cfgs[s].epoch = m.cfg.epoch
-	t.colls[s].recover(t.cfgs[s], rs.Repo, m.round)
+	t.colls[s].recover(rs.Repo, m.round)
 	if m.round == 0 && len(m.cfg.SeedModels) > 0 {
 		t.colls[s].seedModels(m.cfg.SeedModels)
 	} else {
@@ -390,9 +359,11 @@ func (m *Machine) ShardCount() int { return m.tier.n }
 // ShardAssignment snapshots the tree→shard accountability map (orphans
 // included, booked to the dead shard they came from).
 func (m *Machine) ShardAssignment() map[string]int {
-	out := make(map[string]int, len(m.tier.owner))
-	for k, s := range m.tier.owner {
-		out[k] = s
+	out := make(map[string]int, len(m.trees.byKey))
+	for k, r := range m.trees.byKey {
+		if r.shard >= 0 {
+			out[k] = r.shard
+		}
 	}
 	return out
 }

@@ -77,6 +77,16 @@ go test -race -count=10 \
     -run 'LocalWeightDeterministic|PlanDeterministicUnderFrequencies|LoneCollectorCrashCounters|ColdResumeRestoresDeadSet|ShardedMatchesSingleCollector/^(ample|tight|very-tight|aggregated|one-node-trees)$' \
     ./internal/task ./internal/core ./internal/cluster .
 
+echo "==> installs, fences and parked-frame conservation under -race, repeated"
+# Each tree's runtime record (epoch, accountable shard) is written
+# between rounds — by installs, dispatcher moves and resumes — and read
+# by every pool worker inside the round phases; a write that leaked
+# into a phase would show here as a race or a flaky fence count. About
+# 15 s on two cores once the -race build above is cached.
+go test -race -count=10 \
+    -run 'EngineEquivalenceAcrossInstall|InstallFencesEveryTreeInFlight|ShardSwapFencesStaleFrames|SuppressionSurvivesInstall|InstallPruneConservesParkedFrames' \
+    ./internal/cluster
+
 echo "==> verification harness (plan + repairs + results cross-checked)"
 go run ./cmd/remo-sim -nodes 40 -tasks 20 -rounds 12 -chaos 0.15 -suspicion 2 -verify > /dev/null
 go run ./cmd/remo-sim -nodes 30 -tasks 15 -rounds 10 -verify > /dev/null

@@ -88,7 +88,9 @@ func (s Spec) Build(opts ...PlannerOption) (*Planner, error) {
 	}
 
 	nodes := make([]Node, 0, len(s.Nodes))
+	declared := make(map[int]bool, len(s.Nodes))
 	for _, ns := range s.Nodes {
+		declared[ns.ID] = true
 		n := Node{ID: NodeID(ns.ID), Capacity: ns.Capacity, Region: ns.Region}
 		if len(ns.Attrs) > 0 {
 			for _, a := range ns.Attrs {
@@ -124,6 +126,9 @@ func (s Spec) Build(opts ...PlannerOption) (*Planner, error) {
 			t.Attrs = append(t.Attrs, AttrID(a))
 		}
 		for _, n := range ts.Nodes {
+			if !declared[n] {
+				return nil, fmt.Errorf("remo: spec task %q names node %d, which the spec does not declare", ts.Name, n)
+			}
 			t.Nodes = append(t.Nodes, NodeID(n))
 		}
 		if ts.Replicas > 1 {

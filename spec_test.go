@@ -109,6 +109,7 @@ func TestSpecBuildErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		doc  string
+		want string // a substring the error must carry; empty checks nothing
 	}{
 		{
 			name: "duplicate node",
@@ -128,6 +129,13 @@ func TestSpecBuildErrors(t *testing.T) {
 				"nodes": [{"id": 1, "capacity": 5}],
 				"tasks": [{"attrs": [1], "nodes": [1]}]}`,
 		},
+		{
+			name: "undeclared task node",
+			doc: `{"centralCapacity": 10, "perMessage": 1, "perValue": 1,
+				"nodes": [{"id": 1, "capacity": 5}],
+				"tasks": [{"name": "t", "attrs": [1], "nodes": [7]}]}`,
+			want: `task "t" names node 7`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,8 +143,12 @@ func TestSpecBuildErrors(t *testing.T) {
 			if err != nil {
 				return // rejected at decode: also fine
 			}
-			if _, err := spec.Build(); err == nil {
+			_, err = spec.Build()
+			if err == nil {
 				t.Fatalf("bad spec accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to carry %q", err, tc.want)
 			}
 		})
 	}
