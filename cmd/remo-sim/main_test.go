@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -437,5 +439,46 @@ func TestRunInterrupted(t *testing.T) {
 	err := run(ctx, []string{"-nodes", "10", "-attrs", "3", "-tasks", "4", "-rounds", "5"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "interrupted before the emulation") {
 		t.Fatalf("err = %v, want interruption notice", err)
+	}
+}
+
+// TestUsageLinesRun runs every usage line of the package comment as
+// written, with its journal directory and spec file under a temp dir.
+func TestUsageLinesRun(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := filepath.Join(t.TempDir(), "problem.json")
+	if err := os.WriteFile(spec, []byte(`{
+		"centralCapacity": 500, "perMessage": 10, "perValue": 1,
+		"nodes": [{"id": 1, "capacity": 120}, {"id": 2, "capacity": 120}, {"id": 3, "capacity": 120}],
+		"tasks": [{"name": "cpu", "attrs": [1], "nodes": [1, 2, 3]}, {"name": "mem", "attrs": [2], "nodes": [1, 2]}]
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, line := range strings.Split(string(src), "\n") {
+		cmd, ok := strings.CutPrefix(line, "//\tremo-sim ")
+		if !ok {
+			continue
+		}
+		lines++
+		args := strings.Fields(cmd)
+		for i, a := range args {
+			switch a {
+			case "/tmp/j":
+				args[i] = filepath.Join(t.TempDir(), "j")
+			case "problem.json":
+				args[i] = spec
+			}
+		}
+		var out strings.Builder
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Errorf("remo-sim %s: %v", cmd, err)
+		}
+	}
+	if lines == 0 {
+		t.Fatal("found no usage lines in the package comment")
 	}
 }

@@ -52,6 +52,13 @@ const ReliabilityAliasBase AttrID = 1 << 20
 // counts total copies and must be >= 2.
 func (p *Planner) AddReliableTask(t Task, replicas int) error {
 	rw, err := reliability.SSDP(t, replicas, p.nextAliasBase(t, replicas))
+	return p.addRewrite(rw, err, t.Attrs)
+}
+
+// addRewrite registers a replica rewrite of the original attributes:
+// each rewritten task, each replica alias of origs, and the rewrite's
+// partition constraints.
+func (p *Planner) addRewrite(rw reliability.Rewrite, err error, origs []AttrID) error {
 	if err != nil {
 		return fmt.Errorf("remo: %w", err)
 	}
@@ -63,7 +70,7 @@ func (p *Planner) AddReliableTask(t Task, replicas int) error {
 	if p.aliases == nil {
 		p.aliases = reliability.NewAliasMap()
 	}
-	for _, orig := range t.Attrs {
+	for _, orig := range origs {
 		for _, alias := range rw.Aliases.Aliases(orig) {
 			p.aliases.Add(alias, orig)
 		}
@@ -97,25 +104,7 @@ func (p *Planner) AddSharedValueTask(name string, attr AttrID, observerGroups []
 	}
 	rw, err := reliability.DSDP(name, attr, groups, replicas,
 		p.nextAliasBase(Task{Attrs: []AttrID{attr}}, replicas))
-	if err != nil {
-		return fmt.Errorf("remo: %w", err)
-	}
-	for _, rt := range rw.Tasks {
-		if err := p.mgr.Add(rt); err != nil {
-			return fmt.Errorf("remo: %w", err)
-		}
-	}
-	if p.aliases == nil {
-		p.aliases = reliability.NewAliasMap()
-	}
-	for _, alias := range rw.Aliases.Aliases(attr) {
-		p.aliases.Add(alias, attr)
-	}
-	if p.cons == nil {
-		p.cons = partition.NewConstraints()
-	}
-	p.cons.Merge(rw.Constraints)
-	return nil
+	return p.addRewrite(rw, err, []AttrID{attr})
 }
 
 // AddRegionSpreadTask registers a DSDP task whose replicas additionally
@@ -131,25 +120,7 @@ func (p *Planner) AddRegionSpreadTask(name string, attr AttrID, observerGroups [
 	}
 	rw, err := reliability.RegionDSDP(name, attr, groups, replicas,
 		p.nextAliasBase(Task{Attrs: []AttrID{attr}}, replicas), p.sys.RegionOf)
-	if err != nil {
-		return fmt.Errorf("remo: %w", err)
-	}
-	for _, rt := range rw.Tasks {
-		if err := p.mgr.Add(rt); err != nil {
-			return fmt.Errorf("remo: %w", err)
-		}
-	}
-	if p.aliases == nil {
-		p.aliases = reliability.NewAliasMap()
-	}
-	for _, alias := range rw.Aliases.Aliases(attr) {
-		p.aliases.Add(alias, attr)
-	}
-	if p.cons == nil {
-		p.cons = partition.NewConstraints()
-	}
-	p.cons.Merge(rw.Constraints)
-	return nil
+	return p.addRewrite(rw, err, []AttrID{attr})
 }
 
 // SetFrequency declares attribute a's update frequency (updates per

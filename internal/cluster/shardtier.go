@@ -28,11 +28,6 @@ type shardTier struct {
 	colls []*collector
 	resid *collector
 
-	// pairOwner routes alias-folded demanded pairs to their collector
-	// (-1 = residual); it is how the machine and monitor decide which
-	// shard a delivered value (and its journal entry) belongs to.
-	pairOwner map[model.Pair]int
-
 	// down is each shard's liveness, shared with the tree table.
 	down      []bool
 	watermark []int
@@ -109,7 +104,7 @@ func (m *Machine) rebuildShardDemands() {
 		demands[s] = task.NewDemand()
 	}
 	resid := task.NewDemand()
-	t.pairOwner = make(map[model.Pair]int)
+	pairOwner := make(map[model.Pair]int)
 	attrOwner := make(map[model.AttrID]int)
 	// treeShard caches the raw attribute → owning-shard resolution:
 	// TreeFor scans the forest, and every node demanding the same
@@ -118,7 +113,7 @@ func (m *Machine) rebuildShardDemands() {
 	for _, p := range m.cfg.Demand.Pairs() {
 		orig := m.cfg.Resolve(p.Attr)
 		fold := model.Pair{Node: p.Node, Attr: orig}
-		owner, decided := t.pairOwner[fold]
+		owner, decided := pairOwner[fold]
 		if !decided {
 			if ao, pinned := attrOwner[orig]; pinned {
 				owner = ao
@@ -138,7 +133,7 @@ func (m *Machine) rebuildShardDemands() {
 					attrOwner[orig] = owner
 				}
 			}
-			t.pairOwner[fold] = owner
+			pairOwner[fold] = owner
 		}
 		w := m.cfg.Demand.Weight(p.Node, p.Attr)
 		if owner < 0 {

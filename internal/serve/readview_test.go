@@ -499,17 +499,25 @@ func TestRoundEventFingerprintMatchesPlan(t *testing.T) {
 		if plan.Fingerprint == before {
 			t.Fatalf("fixture: the forest did not change (fingerprint %#x)", before)
 		}
-		// Subscribed after the change: every event from here on ran
-		// under the changed forest.
+		// Every round from plan.Round on ran under the changed forest. A
+		// round that ran before it may still be in flight to the broker
+		// when we subscribe, so skip to the first event at or after it.
 		sub := s.broker.subscribe(kindRound)
 		defer s.broker.unsubscribe(sub)
-		evs, _ := nextEvents(t, s.broker, sub)
-		if len(evs) == 0 {
-			t.Fatal("no round event")
-		}
-		var rw roundWire
-		if err := json.Unmarshal([]byte(evs[0].Data), &rw); err != nil {
-			t.Fatal(err)
+		rw := roundWire{Round: -1}
+		for rw.Round < plan.Round {
+			evs, open := nextEvents(t, s.broker, sub)
+			if !open {
+				t.Fatal("stream closed before a round event at or after the change")
+			}
+			for _, ev := range evs {
+				if err := json.Unmarshal([]byte(ev.Data), &rw); err != nil {
+					t.Fatal(err)
+				}
+				if rw.Round >= plan.Round {
+					break
+				}
+			}
 		}
 		if rw.Fingerprint != plan.Fingerprint {
 			t.Fatalf("round %d event carries %#x, /v1/plan at round %d says %#x", rw.Round, rw.Fingerprint, plan.Round, plan.Fingerprint)

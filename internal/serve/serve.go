@@ -176,6 +176,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Planner == nil {
 		return nil, errors.New("serve: Config.Planner is required")
 	}
+	if cfg.Monitor.Journal == "" {
+		return nil, errors.New("serve: a journal directory is required (MonitorConfig.Journal)")
+	}
 	if cfg.RoundEvery <= 0 {
 		cfg.RoundEvery = 50 * time.Millisecond
 	}
@@ -247,10 +250,6 @@ func New(cfg Config) (*Server, error) {
 	mon, err := cfg.Planner.StartMonitor(mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: start monitor: %w", err)
-	}
-	if mon.JournalDir() == "" {
-		_ = mon.Close()
-		return nil, errors.New("serve: a journal directory is required (MonitorConfig.Journal)")
 	}
 	s.mon = mon
 

@@ -127,6 +127,15 @@ func admitTask(t *testing.T, base, name string, attrs, nodes []int) string {
 	return out.Operation.ID
 }
 
+// TestNewRequiresJournal: a service without a journal is refused
+// before it boots a session.
+func TestNewRequiresJournal(t *testing.T) {
+	p := remo.NewPlanner(testSystem(t, 4, 600))
+	if _, err := New(Config{Planner: p}); err == nil || !strings.Contains(err.Error(), "journal directory is required") {
+		t.Fatalf("err = %v, want the journal refusal", err)
+	}
+}
+
 // TestAdmissionLifecycle drives add → applied → visible in plan →
 // modify (replan diff) → remove through the HTTP front door.
 func TestAdmissionLifecycle(t *testing.T) {

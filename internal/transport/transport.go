@@ -121,9 +121,13 @@ var ErrUnreachable = errors.New("transport: destination unreachable")
 func IsUnreachable(err error) bool { return errors.Is(err, ErrUnreachable) }
 
 // sortMessages puts drained messages into canonical order so runs are
-// deterministic regardless of goroutine scheduling.
+// deterministic regardless of goroutine scheduling. The sort is stable
+// because frames with equal keys (a parked outbox backlog, a delayed
+// frame beside a fresh one) come from one sender, which queued them in
+// its own order; an unstable sort would order them by how the senders'
+// frames happened to interleave.
 func sortMessages(msgs []Message) {
-	slices.SortFunc(msgs, func(a, b Message) int {
+	slices.SortStableFunc(msgs, func(a, b Message) int {
 		if c := strings.Compare(a.TreeKey, b.TreeKey); c != 0 {
 			return c
 		}

@@ -134,9 +134,10 @@ type MonitorConfig struct {
 	// leaves buffer outgoing values across collector outages (see
 	// Monitor.Resume).
 	Journal string
-	// Processor, when set alongside Journal, is fed every collected
-	// value and has its trigger re-arm state checkpointed, so triggers
-	// resume with their cooldowns intact.
+	// Processor, when set, is fed every collected value, so its
+	// triggers fire on the live stream. Alongside Journal, its trigger
+	// re-arm state is also checkpointed, so triggers resume with their
+	// cooldowns intact.
 	Processor *Processor
 	// Shards is the number of collector shards behind a leader-elected
 	// dispatcher; 0 or 1 runs one, the lone central collector. Above

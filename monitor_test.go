@@ -215,3 +215,40 @@ func TestMonitorCountsPastRound65536(t *testing.T) {
 		t.Fatalf("after %d rounds: %.3f%% collected, %d values delivered", rep.Rounds, rep.PercentCollected, rep.ValuesDelivered)
 	}
 }
+
+// TestMonitorProcessorWithoutJournal: a session's values leave the
+// collector one way whether or not it journals, so a Processor on a
+// non-durable session is fed and its trigger fires, once per pair
+// inside the cooldown, alongside the caller's OnValue.
+func TestMonitorProcessorWithoutJournal(t *testing.T) {
+	sys := bigSystem(t, 8)
+	p := remo.NewPlanner(sys)
+	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
+	proc := remo.NewProcessor(0)
+	if err := proc.AddTrigger(remo.Trigger{
+		Name: "any", Attr: 1, Cond: remo.TriggerAbove, Threshold: -1e18, Cooldown: 1000,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	mon, err := p.StartMonitor(remo.MonitorConfig{
+		Seed: 5, Processor: proc,
+		OnValue: func(remo.Pair, int, float64) { seen++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	if err := mon.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if mon.Store() != nil {
+		t.Fatal("a session without a journal keeps a store")
+	}
+	if seen == 0 {
+		t.Fatal("OnValue saw no values")
+	}
+	if got, want := proc.AlertCount(), len(sys.NodeIDs()); got != want {
+		t.Fatalf("trigger fired %d times, want once per pair (%d)", got, want)
+	}
+}

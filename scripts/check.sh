@@ -77,14 +77,17 @@ go test -race -count=10 \
     -run 'LocalWeightDeterministic|PlanDeterministicUnderFrequencies|LoneCollectorCrashCounters|ColdResumeRestoresDeadSet|ShardedMatchesSingleCollector/^(ample|tight|very-tight|aggregated|one-node-trees)$' \
     ./internal/task ./internal/core ./internal/cluster .
 
-echo "==> installs, fences and parked-frame conservation under -race, repeated"
+echo "==> installs, fences, parked-frame conservation and mailbox order under -race, repeated"
 # Each tree's runtime record (epoch, accountable shard) is written
 # between rounds — by installs, dispatcher moves and resumes — and read
 # by every pool worker inside the round phases; a write that leaked
-# into a phase would show here as a race or a flaky fence count. About
-# 15 s on two cores once the -race build above is cached.
+# into a phase would show here as a race or a flaky fence count. A
+# drained mailbox's order of equal-key frames (a parked backlog, a
+# delayed frame beside a fresh one) must not follow the send phase's
+# schedule, which would show as a flaky MailboxOrderDeterministic. About
+# 40 s on two cores once the -race build above is cached.
 go test -race -count=10 \
-    -run 'EngineEquivalenceAcrossInstall|InstallFencesEveryTreeInFlight|ShardSwapFencesStaleFrames|SuppressionSurvivesInstall|InstallPruneConservesParkedFrames' \
+    -run 'EngineEquivalenceAcrossInstall|InstallFencesEveryTreeInFlight|ShardSwapFencesStaleFrames|SuppressionSurvivesInstall|InstallPruneConservesParkedFrames|MailboxOrderDeterministic' \
     ./internal/cluster
 
 echo "==> verification harness (plan + repairs + results cross-checked)"

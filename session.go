@@ -77,7 +77,8 @@ type session struct {
 	// log is nil unless the session journals: one journal in
 	// MonitorConfig.Journal, whatever the shard count.
 	log *durableLog
-	// proc, when provided, has its trigger re-arm state checkpointed.
+	// proc, when provided, is fed every collected value and, in a
+	// journaling session, has its trigger re-arm state checkpointed.
 	proc    *store.Processor
 	onValue func(pair Pair, round int, value float64)
 	// journalErr is the first journal write failure (surfaced by step).
@@ -159,7 +160,7 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 		EnforceCapacity: true,
 		Chaos:           cfg.Chaos,
 		Detect:          det,
-		Observer:        cfg.OnValue,
+		Observer:        s.observe,
 		Trace:           cfg.Trace,
 		Shards:          cfg.Shards,
 		SeedAssignment:  seed.Assignment,
@@ -170,7 +171,6 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 		// A durable session buffers leaf output across collector outages,
 		// so the recovery path has clean semantics to restore into.
 		ccfg.LeafBuffer = leafBufferFrames
-		ccfg.Observer = s.observe
 		s.log = &durableLog{dir: cfg.Journal, repo: store.New(0)}
 	}
 	if cfg.UseTCP {
@@ -194,10 +194,13 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 	return s, nil
 }
 
-// observe receives every value the collection tier accepts: into the
-// log, the trigger processor, and on to the caller's OnValue.
+// observe receives every value the collection tier accepts, whether or
+// not the session journals: into the log, the trigger processor, and on
+// to the caller's OnValue.
 func (s *session) observe(pair Pair, round int, value float64) {
-	s.log.observe(journal.SampleRec{Pair: pair, Round: round, Value: value})
+	if s.log != nil {
+		s.log.observe(journal.SampleRec{Pair: pair, Round: round, Value: value})
+	}
 	if s.proc != nil {
 		s.proc.Observe(pair, round, value)
 	}
