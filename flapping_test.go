@@ -102,3 +102,94 @@ func TestRepeatedFlappingRecovery(t *testing.T) {
 			lastSeen, windows[flaps-1].To)
 	}
 }
+
+// TestFlapRestoresAsidePlanAcrossSetTasks: a node fails after a task
+// swap (so the plan in force came out of the incremental replanner),
+// another swap plans beside running rounds during its outage, and the
+// node recovers. The recovery must not search: it restores the plan the
+// repair set aside, carried forward through the outage's swap — the very
+// plan a session that never saw the failure holds after the same two
+// swaps.
+func TestFlapRestoresAsidePlanAcrossSetTasks(t *testing.T) {
+	const suspicion = 2
+	flappy := remo.NodeID(5)
+	sys := bigSystem(t, 16)
+	all := sys.NodeIDs()
+	t0 := []remo.Task{{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: all}}
+	t1 := append(t0[:1:1], remo.Task{Name: "mem", Attrs: []remo.AttrID{2}, Nodes: all[:10]})
+	t2 := append(t1[:2:2], remo.Task{Name: "disk", Attrs: []remo.AttrID{3}, Nodes: all[3:12]})
+
+	start := func(chaos *remo.ChaosConfig) *remo.Monitor {
+		p := remo.NewPlanner(sys, remo.WithVerification())
+		for _, task := range t0 {
+			p.MustAddTask(task)
+		}
+		mon, err := p.StartMonitor(remo.MonitorConfig{
+			Seed:    11,
+			Chaos:   chaos,
+			Failure: &remo.FailurePolicy{SuspicionRounds: suspicion},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = mon.Close() })
+		return mon
+	}
+	setTasks := func(mon *remo.Monitor, tasks []remo.Task) {
+		if _, err := mon.SetTasks(tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(mon *remo.Monitor, n int) {
+		if err := mon.Run(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The reference never fails: its plan after the two swaps is what
+	// the flapping session's recovery must restore.
+	ref := start(nil)
+	setTasks(ref, t1)
+	setTasks(ref, t2)
+	want := ref.Fingerprint()
+
+	mon := start(&remo.ChaosConfig{
+		CrashWindows: map[remo.NodeID][]remo.ChaosWindow{flappy: {{From: 8, To: 50}}},
+	})
+	setTasks(mon, t1)
+	run(mon, 14)
+	if failed := mon.Failed(); len(failed) != 1 || failed[0] != flappy {
+		t.Fatalf("dead set %v before the outage's swap, want [%v]", failed, flappy)
+	}
+	// The outage's swap plans (and carries the set-aside plan forward)
+	// while rounds run; all of them end before the node comes back.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := mon.Run(20); err != nil {
+			t.Error(err)
+		}
+	}()
+	setTasks(mon, t2)
+	wg.Wait()
+	if mon.Fingerprint() == want {
+		t.Fatal("the outage plan already equals the carried-forward plan: the test cannot tell a restore")
+	}
+	run(mon, 26)
+	if failed := mon.Failed(); len(failed) != 0 {
+		t.Fatalf("dead set %v after the outage, want empty", failed)
+	}
+	if rep := mon.Report(); rep.NodesRecovered != 1 {
+		t.Fatalf("recoveries = %d, want 1: %+v", rep.NodesRecovered, rep.Repairs)
+	}
+	if evals := remo.LastPlanEvaluations(mon); evals != 0 {
+		t.Fatalf("the recovery searched (%d evaluations), want the set-aside plan restored", evals)
+	}
+	if got := mon.Fingerprint(); got != want {
+		t.Fatalf("recovered forest %#x, carried-forward plan %#x", got, want)
+	}
+	if err := mon.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -95,8 +95,16 @@ type Adaptor struct {
 	maxOps int
 
 	// replan is the INCREMENTAL scheme's stateful replanner, created on
-	// Init.
+	// Init and reseeded from the forest in force by the first Propose
+	// after a Rewire.
 	replan *core.Replanner
+	// aside is the INCREMENTAL replanner a repair set aside (Rewire),
+	// holding the plan in force before the failure: a Propose back to
+	// its exact demand restores that plan instead of searching. nil when
+	// nothing is aside.
+	aside *core.Replanner
+	// last is the most recent Init, InitPartition or Commit's report.
+	last Report
 }
 
 // New returns an adaptor using the given policy. The planner supplies
@@ -127,6 +135,10 @@ func (a *Adaptor) Partition() []model.AttrSet {
 
 // Demand returns the demand currently planned for.
 func (a *Adaptor) Demand() *task.Demand { return a.demand }
+
+// Last returns the report of the most recent Init, InitPartition or
+// Commit.
+func (a *Adaptor) Last() Report { return a.last }
 
 // Init plans the initial topology with the full REMO algorithm;
 // subsequent changes go through Apply.
@@ -163,16 +175,18 @@ func (a *Adaptor) initWith(d *task.Demand, build func() core.Result) Report {
 	a.demand = d.Clone()
 	a.forest = res.Forest
 	a.partition = res.Partition
+	a.aside = nil
 	a.epoch++
 	for _, t := range a.forest.Trees {
 		a.lastAdjusted[t.Attrs.Key()] = a.epoch
 	}
-	return Report{
+	a.last = Report{
 		AdaptMessages: msgs,
 		PlanTime:      time.Since(start),
 		Stats:         res.Stats,
 		Diff:          plan.DiffForests(base, res.Forest),
 	}
+	return a.last
 }
 
 // Proposal is an adaptation planned but not yet in force: Propose
@@ -184,32 +198,37 @@ type Proposal struct {
 	// touched lists the tree keys whose adjustment timestamps advance on
 	// commit; nil advances every tree (full replans).
 	touched map[string]struct{}
-	rep     Report
+	// replan and aside are the INCREMENTAL replanners Commit adopts: the
+	// one holding the proposed plan, and the one kept aside (nil drops
+	// it).
+	replan, aside *core.Replanner
+	rep           Report
 }
 
 // Apply adapts the topology to a new demand according to the policy.
 func (a *Adaptor) Apply(newDemand *task.Demand) Report {
-	return a.Commit(a.Propose(newDemand))
+	return a.Commit(a.Propose(newDemand, nil))
 }
 
 // Propose plans the adaptation to a new demand without changing the
 // topology in force: it only reads the adaptor's plan, partition and
 // adjustment history, and advances nothing but the incremental
-// replanner's own state. So readers of Forest, Demand and Partition may
+// replanners' own state. So readers of Forest, Demand and Partition may
 // run beside it; another Propose, Commit, Rewire or Init may not.
-func (a *Adaptor) Propose(newDemand *task.Demand) Proposal {
+//
+// When a repair set a plan aside (INCREMENTAL only), a newDemand
+// identical to the set-aside plan's demand — a recovery back to where
+// the failure struck — proposes that plan with zero evaluations. Any
+// other proposal drops it on commit, unless carry is non-nil: then the
+// set-aside plan is first carried forward to carry (the task set's
+// demand with no node pruned, which is what a full recovery returns
+// to) by a scoped update, and stays aside.
+func (a *Adaptor) Propose(newDemand, carry *task.Demand) Proposal {
 	start := time.Now()
 	p := Proposal{demand: newDemand}
 	switch a.scheme {
 	case Incremental:
-		if a.replan == nil {
-			a.replan = core.NewReplannerFrom(a.planner, a.sys, a.demand, core.Result{
-				Forest:    a.forest,
-				Stats:     a.forest.ComputeStats(a.demand, a.sys, a.planner.Spec()),
-				Partition: a.Partition(),
-			})
-		}
-		res, rstats := a.replan.Update(newDemand)
+		res, rstats := a.proposeIncremental(&p, carry)
 		p.forest, p.partition = res.Forest, res.Partition
 		p.rep.Replan = rstats
 		p.rep.Stats = res.Stats
@@ -235,6 +254,38 @@ func (a *Adaptor) Propose(newDemand *task.Demand) Proposal {
 	return p
 }
 
+// proposeIncremental plans p.demand with the INCREMENTAL replanners.
+func (a *Adaptor) proposeIncremental(p *Proposal, carry *task.Demand) (core.Result, core.ReplanStats) {
+	if a.aside != nil && task.Diff(a.aside.Demand(), p.demand).AffectedAttrs.Empty() {
+		// Back to the set-aside plan's demand: that plan is this
+		// demand's, searched and memoized before the repair.
+		p.replan = a.aside
+		res := a.aside.Current()
+		return res, core.ReplanStats{
+			Incremental: true,
+			TotalSets:   len(res.Partition),
+			Diff:        plan.DiffForests(a.forest, res.Forest),
+		}
+	}
+	p.replan = a.replan
+	if p.replan == nil {
+		// The first proposal since a repair plans from the repaired
+		// forest; the memo of the replanner set aside describes trees
+		// the repair may have rewired.
+		p.replan = core.NewReplannerFrom(a.planner, a.sys, a.demand, core.Result{
+			Forest:    a.forest,
+			Stats:     a.forest.ComputeStats(a.demand, a.sys, a.planner.Spec()),
+			Partition: a.Partition(),
+		})
+	}
+	res, rstats := p.replan.Update(p.demand)
+	if a.aside != nil && carry != nil {
+		a.aside.Update(carry)
+		p.aside = a.aside
+	}
+	return res, rstats
+}
+
 // Commit installs a proposal as a new adaptation epoch and reports the
 // round. The proposal must be the last one Propose returned, with
 // nothing committed or rewired since.
@@ -242,23 +293,26 @@ func (a *Adaptor) Commit(p Proposal) Report {
 	a.epoch++
 	base := a.forest
 	a.install(p.demand, p.forest, p.partition, p.touched)
-	rep := p.rep
-	rep.Diff = plan.DiffForests(base, a.forest)
-	return rep
+	a.replan, a.aside = p.replan, p.aside
+	a.last = p.rep
+	a.last.Diff = plan.DiffForests(base, a.forest)
+	return a.last
 }
 
 // Rewire commits an externally built topology (e.g. a failure repair)
 // as a new adaptation epoch. Unlike Apply it does not replan: the given
 // forest is installed as-is, so the adaptor's incremental bookkeeping
 // stays consistent with what the runtime actually deployed. The
-// incremental replanner is reseeded from the installed forest — its
-// memo describes trees the repair may have rewired.
+// incremental replanner and the plan it holds are set aside, unless a
+// plan already is (a second failure keeps the older one), so a recovery
+// can restore it; the next Propose replans from the installed forest.
 func (a *Adaptor) Rewire(d *task.Demand, forest *plan.Forest) {
 	a.epoch++
 	a.install(d, forest, forest.Partition(), nil)
-	if a.replan != nil {
-		a.replan.Reset(a.demand, forest)
+	if a.aside == nil {
+		a.aside = a.replan
 	}
+	a.replan = nil
 }
 
 // install commits a new topology. touched lists tree keys whose

@@ -302,7 +302,7 @@ func TestProposeLeavesPlanInForce(t *testing.T) {
 		a.Init(d)
 		for i, nd := range seq {
 			before, sets, demand := a.Forest().Fingerprint(), a.Partition(), a.Demand()
-			p := a.Propose(nd)
+			p := a.Propose(nd, nil)
 			if a.Forest().Fingerprint() != before || a.Demand() != demand || !sameSets(a.Partition(), sets) {
 				t.Fatalf("%s step %d: Propose changed the plan in force", scheme, i)
 			}

@@ -506,33 +506,42 @@ type tally struct {
 	stale, fresh int
 }
 
-// add scores one target against its truth; a target without a view
-// counts as full error.
-func (t *tally) add(v transport.Value, ok bool, truth float64, round int) {
+// add scores one target's view against its truth.
+func (t *tally) add(v transport.Value, truth float64, round int) {
 	t.pairs++
-	if !ok {
-		t.err += errUnit
-		return
-	}
 	t.err += uint64(math.Round(relErr(v.Value, truth) * errUnit))
 	t.stale += round - v.Round
 	t.fresh++
 }
 
+// miss scores a target without a view: full error, and no truth needed.
+func (t *tally) miss() {
+	t.pairs++
+	t.err += errUnit
+}
+
 // score adds round's error and staleness over every demanded target to
-// t, after round's messages were absorbed.
+// t, after round's messages were absorbed. Ground truth is read only
+// for targets that hold a view.
 func (c *collector) score(round int, t *tally) {
 	for i, p := range c.holisticPairs {
 		if round%c.periods[i] == 0 {
 			c.expected++
 		}
-		t.add(c.views[i], c.viewSet[i], c.cfg.Source.Value(p.Node, p.Attr, round), round)
+		if !c.viewSet[i] {
+			t.miss()
+			continue
+		}
+		t.add(c.views[i], c.cfg.Source.Value(p.Node, p.Attr, round), round)
 	}
 	for _, a := range c.aggAttrs {
 		c.expected++
-		truth := c.aggTruth(a, round)
 		v, ok := c.aggView[a]
-		t.add(v, ok, truth, round)
+		if !ok {
+			t.miss()
+			continue
+		}
+		t.add(v, c.aggTruth(a, round), round)
 	}
 }
 

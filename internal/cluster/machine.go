@@ -214,8 +214,9 @@ func (m *Machine) Step() error {
 	m.stepShardChaos(round)
 
 	m.eng.forEach(m.states, func(st *nodeState) { st.receivePhase(m.cfg, m.trees, m.tr, round) })
+	m.releaseDelayed(round)
 	m.eng.forEach(m.states, func(st *nodeState) { st.sendPhase(m.cfg, m.trees, m.tr, round) })
-	m.injectDelayed(round)
+	m.gatherDelayed()
 	m.emitBeats(round)
 	if err := m.tr.Flush(); err != nil {
 		return fmt.Errorf("cluster: round %d: %w", round, err)
@@ -255,17 +256,23 @@ func (m *Machine) Step() error {
 	return nil
 }
 
-// injectDelayed gathers the send phase's chaos-delayed messages, node by
-// node, and releases those whose due round arrived. Injection happens
-// after the send phase and before Flush, so a message delayed d rounds
-// arrives exactly d rounds late on both node-to-node links (drained
-// next round) and root-to-central links (drained this round).
-func (m *Machine) injectDelayed(round int) {
+// gatherDelayed collects the send phase's chaos-delayed messages, node
+// by node, until their due round.
+func (m *Machine) gatherDelayed() {
 	for _, st := range m.states {
 		m.delayed = append(m.delayed, st.delayed...)
 		clear(st.delayed)
 		st.delayed = st.delayed[:0]
 	}
+}
+
+// releaseDelayed sends the delayed messages whose due round arrived.
+// Release happens after the receive phase and before the send phase, so
+// a message delayed d rounds arrives exactly d rounds late on both
+// node-to-node links (drained next round) and root-to-central links
+// (drained this round), and reaches its mailbox ahead of its sender's
+// fresh frame of this round: the stable drain keeps it first.
+func (m *Machine) releaseDelayed(round int) {
 	var due []transport.Message
 	keep := m.delayed[:0]
 	for _, d := range m.delayed {

@@ -132,19 +132,11 @@ func (r *Replanner) seed(d *task.Demand, res Result) {
 // Current returns the maintained plan.
 func (r *Replanner) Current() Result { return r.cur }
 
+// Demand returns the demand the maintained plan serves.
+func (r *Replanner) Demand() *task.Demand { return r.d }
+
 // LastStats returns the most recent update's telemetry.
 func (r *Replanner) LastStats() ReplanStats { return r.last }
-
-// Reset replaces the maintained plan with an externally produced one
-// (e.g. after failure repair rewired trees behind the replanner's back)
-// and drops the memo, whose entries no longer describe the live forest.
-func (r *Replanner) Reset(d *task.Demand, forest *plan.Forest) {
-	r.seed(d, Result{
-		Forest:    forest,
-		Stats:     forest.ComputeStats(d, r.sys, r.p.cfg.Spec),
-		Partition: forest.Partition(),
-	})
-}
 
 // Update replans for the mutated demand and returns the adopted plan
 // plus the update's telemetry. The returned Result's telemetry counters

@@ -185,20 +185,26 @@ func TestReplannerIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-func TestReplannerResetAdoptsExternalForest(t *testing.T) {
+// TestReplannerFromExternalForest seeds a replanner the way the
+// adaptor does after a repair: from an externally built forest, with a
+// fresh memo.
+func TestReplannerFromExternalForest(t *testing.T) {
 	sys, tasks := richPlanEnv(t, 24)
 	d, err := workload.Demand(sys, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPlanner()
-	r := NewReplanner(p, sys, d)
 	ext := p.Plan(sys, d)
-	r.Reset(d, ext.Forest)
+	r := NewReplannerFrom(p, sys, d, Result{
+		Forest:    ext.Forest,
+		Stats:     ext.Forest.ComputeStats(d, sys, nil),
+		Partition: ext.Forest.Partition(),
+	})
 	if r.Current().Forest.Fingerprint() != ext.Forest.Fingerprint() {
-		t.Fatal("Reset did not adopt the external forest")
+		t.Fatal("NewReplannerFrom did not adopt the external forest")
 	}
-	// Updates keep working from the reset state.
+	// Updates keep working from the adopted state.
 	nd, err := workload.Demand(sys, tasks[1:])
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +212,7 @@ func TestReplannerResetAdoptsExternalForest(t *testing.T) {
 	res, _ := r.Update(nd)
 	want := NewPlanner().Plan(sys, nd)
 	if res.Stats.Collected != want.Stats.Collected {
-		t.Fatalf("post-Reset update collected %d, full plan %d", res.Stats.Collected, want.Stats.Collected)
+		t.Fatalf("post-seed update collected %d, full plan %d", res.Stats.Collected, want.Stats.Collected)
 	}
 }
 

@@ -158,8 +158,12 @@ var ErrMonitorClosed = errors.New("remo: monitor closed")
 var ErrUnreachable = transport.ErrUnreachable
 
 // StartMonitor plans the current task set and boots the live session.
+// When the task set's demand is exactly the one the planner's last Plan
+// searched, the session boots on that plan's partition (one evaluation,
+// the same forest) instead of searching again.
 func (p *Planner) StartMonitor(cfg MonitorConfig) (*Monitor, error) {
-	s, err := p.startSession(cfg, p.currentDemand(), journal.State{})
+	d := p.currentDemand()
+	s, err := p.startSession(cfg, d, journal.State{Partition: p.seedFor(d)})
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +254,7 @@ func (m *Monitor) SetTasks(tasks []Task) (AdaptReport, error) {
 	}); err != nil {
 		return AdaptReport{}, err
 	}
-	p := m.s.adaptor.Propose(snap.demand)
+	p := m.s.adaptor.Propose(snap.demand, snap.base)
 	var rep AdaptReport
 	v, err := m.locked(func(s *session) error {
 		rep = s.commitReplan(snap, p)

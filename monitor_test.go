@@ -2,6 +2,7 @@ package remo_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -250,5 +251,56 @@ func TestMonitorProcessorWithoutJournal(t *testing.T) {
 	}
 	if got, want := proc.AlertCount(), len(sys.NodeIDs()); got != want {
 		t.Fatalf("trigger fired %d times, want once per pair (%d)", got, want)
+	}
+}
+
+// TestStartMonitorAfterPlanBootsTheSameForest: a session started right
+// after Plan may boot on the printed plan's partition instead of
+// searching again, but it must boot the very forest a session of a
+// planner that never planned boots — also when a prediction discount
+// made Plan pack a demand other than the runtime one.
+func TestStartMonitorAfterPlanBootsTheSameForest(t *testing.T) {
+	for _, discount := range []bool{false, true} {
+		boot := func(plan bool) uint64 {
+			// Six attributes on tight nodes: discounting three of them
+			// makes Plan pick another partition.
+			nodes := make([]remo.Node, 30)
+			for i := range nodes {
+				nodes[i] = remo.Node{ID: remo.NodeID(i + 1), Capacity: 90, Attrs: []remo.AttrID{1, 2, 3, 4, 5, 6}}
+			}
+			sys, err := remo.NewSystem(remo.SystemSpec{
+				CentralCapacity: 600,
+				Cost:            remo.CostModel{PerMessage: 10, PerValue: 1},
+				Nodes:           nodes,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := remo.NewPlanner(sys, remo.WithPrediction(0.01))
+			for a := remo.AttrID(1); a <= 6; a++ {
+				p.MustAddTask(remo.Task{Name: fmt.Sprint(a), Attrs: []remo.AttrID{a}, Nodes: sys.NodeIDs()})
+			}
+			if discount {
+				for _, a := range []remo.AttrID{1, 2, 3} {
+					if err := p.SetPredictionRate(a, 0.2); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if plan {
+				if _, err := p.Plan(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mon, err := p.StartMonitor(remo.MonitorConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = mon.Close() }()
+			return mon.Fingerprint()
+		}
+		if got, want := boot(true), boot(false); got != want {
+			t.Fatalf("discount=%v: booted %#x after Plan, %#x without", discount, got, want)
+		}
 	}
 }

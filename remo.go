@@ -31,6 +31,7 @@ package remo
 
 import (
 	"fmt"
+	"slices"
 
 	"remo/internal/agg"
 	"remo/internal/alloc"
@@ -126,6 +127,11 @@ type Planner struct {
 
 	// baseline, when set, bypasses the search with a fixed partition.
 	baseline Baseline
+
+	// planned is the last searched Plan's demand and partition:
+	// StartMonitor boots on that partition instead of searching again
+	// while the runtime demand is identical to it (see StartMonitor).
+	planned *plannedPartition
 
 	// verifyOn arms the verification harness: planned topologies are
 	// cross-checked by the independent invariant checker, and plans,
@@ -328,7 +334,27 @@ func (p *Planner) Plan() (*Plan, error) {
 			return nil, fmt.Errorf("remo: planned topology failed verification: %w", err)
 		}
 	}
+	if p.baseline == BaselineNone {
+		p.planned = &plannedPartition{demand: dPlan, sets: res.Partition}
+	}
 	return pl, nil
+}
+
+// plannedPartition is a searched plan's partition and the demand it was
+// searched for.
+type plannedPartition struct {
+	demand *task.Demand
+	sets   []model.AttrSet
+}
+
+// seedFor returns the last searched plan's partition when d is exactly
+// the demand it was searched for (no task changed since, and no
+// prediction discount), nil otherwise.
+func (p *Planner) seedFor(d *task.Demand) []model.AttrSet {
+	if p.planned == nil || !task.Diff(p.planned.demand, d).AffectedAttrs.Empty() {
+		return nil
+	}
+	return slices.Clone(p.planned.sets)
 }
 
 // demandFor is the one tasks → demand path: pairs deduplicated across

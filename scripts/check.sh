@@ -63,8 +63,10 @@ go test -run '^$' -bench 'BenchmarkLatestBesideRounds|BenchmarkStreamRound' -ben
 echo "==> stream, round barrier and TCP mailbox hand-off under -race, repeated"
 go test -race -count=10 -run 'Stream|Broker|Gap|Flush|Mailbox' ./internal/serve ./internal/transport
 
-echo "==> planner beside the round loop, replan-sequence golden, plan determinism and lone-vs-sharded scoring under -race, repeated"
-go test -race -count=10 -run 'Replan|Parked|Drain|Readers' ./internal/serve .
+echo "==> planner beside the round loop, replan-sequence golden, set-aside plans, plan determinism and lone-vs-sharded scoring under -race, repeated"
+# A SetTasks during an outage carries the set-aside plan forward in
+# Propose, unlocked, beside the rounds (the Aside tests).
+go test -race -count=10 -run 'Replan|Parked|Drain|Readers|Aside' ./internal/serve ./internal/adapt .
 # The tier routes pairs through maps: a map-order leak into a shard's
 # score would show as a flaky lone-vs-sharded mismatch, and — the
 # dispatcher runs every round of a lone collector too — as a flaky

@@ -105,12 +105,13 @@ func (l *durableLog) observe(rec journal.SampleRec) {
 }
 
 // startSession boots a session over the given demand (the planner's
-// current demand normally, a journal-recovered one on cold resume). A
-// cold resume also passes the recovered state as seed: its partition,
-// when valid for the demand's universe, rebuilds the exact pre-crash
-// forest instead of searching; its assignment seeds the dispatcher's
-// tree→shard map; its model snapshots seed both ends of the forecasting
-// replicas, so lockstep holds from round zero.
+// current demand normally, a journal-recovered one on cold resume). The
+// seed's partition, when valid for the demand's universe, rebuilds a
+// known forest instead of searching: the last searched Plan's on a
+// fresh start, the exact pre-crash forest on a cold resume. A cold
+// resume also passes the rest of the recovered state: its assignment
+// seeds the dispatcher's tree→shard map; its model snapshots seed both
+// ends of the forecasting replicas, so lockstep holds from round zero.
 func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed journal.State) (*session, error) {
 	if err := cfg.Chaos.Validate(p.sys, cfg.Shards, cfg.Journal != ""); err != nil {
 		return nil, fmt.Errorf("remo: start monitor: %w", err)
@@ -484,7 +485,10 @@ func (s *session) repairFailed(failed []NodeID, detection int) {
 }
 
 // reintegrate restores recovered nodes' demanded pairs (from the task
-// set's base demand) and replans through the adaptor.
+// set's base demand) and replans through the adaptor. When that demand
+// is the one in force before the failure's repair — a single-node flap,
+// task swaps during the outage included — the adaptor restores the
+// plan the repair set aside instead of searching inside the round.
 func (s *session) reintegrate(recovered []NodeID) {
 	restored, _ := repair.Prune(s.baseDemand, s.dead)
 	rep := s.adaptor.Apply(restored)
