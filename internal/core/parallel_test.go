@@ -7,6 +7,7 @@ import (
 
 	"remo/internal/cost"
 	"remo/internal/model"
+	"remo/internal/partition"
 	"remo/internal/task"
 	"remo/internal/tree"
 	"remo/internal/workload"
@@ -68,20 +69,22 @@ func samePlan(t *testing.T, label string, a, b Result) {
 	}
 }
 
-// TestParallelPlannerDeterministic proves the tentpole claim: the
-// parallel planner (8 workers, batch evaluation, parallel multi-start)
-// returns the exact plan of the sequential planner on 20 seeded random
-// workloads from both workload generators.
+// TestParallelPlannerDeterministic proves the parallel planner (2 and
+// 8 workers, windowed evaluation, parallel multi-start) returns the
+// exact plan of the sequential planner on 20 seeded random workloads
+// from both workload generators.
 func TestParallelPlannerDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		for _, large := range []bool{false, true} {
-			label := fmt.Sprintf("seed=%d large=%v", seed, large)
 			sys, d := planEnv(t, seed, large)
 			seq := NewPlanner(WithWorkers(1)).Plan(sys, d)
-			par := NewPlanner(WithWorkers(8)).Plan(sys, d)
-			samePlan(t, label, seq, par)
-			if err := par.Forest.Validate(d, sys, nil); err != nil {
-				t.Fatalf("%s: parallel plan invalid: %v", label, err)
+			for _, w := range []int{2, 8} {
+				label := fmt.Sprintf("seed=%d large=%v workers=%d", seed, large, w)
+				par := NewPlanner(WithWorkers(w)).Plan(sys, d)
+				samePlan(t, label, seq, par)
+				if err := par.Forest.Validate(d, sys, nil); err != nil {
+					t.Fatalf("%s: parallel plan invalid: %v", label, err)
+				}
 			}
 		}
 	}
@@ -108,8 +111,10 @@ func TestTreeCacheTransparent(t *testing.T) {
 }
 
 // TestParallelEvaluationsCountBatches documents the telemetry contract:
-// a parallel iteration launches its whole candidate batch, so the
+// a parallel iteration launches the whole rank-ordered window that
+// holds its adopted candidate (and every window before it), so the
 // parallel Evaluations count is >= the sequential count, never smaller.
+// TestParallelSpeculationBounded bounds it from above.
 func TestParallelEvaluationsCountBatches(t *testing.T) {
 	sys, d := planEnv(t, 5, false)
 	seq := NewPlanner(WithWorkers(1)).Plan(sys, d)
@@ -117,6 +122,117 @@ func TestParallelEvaluationsCountBatches(t *testing.T) {
 	if par.Evaluations < seq.Evaluations {
 		t.Fatalf("parallel launched fewer evaluations (%d) than sequential (%d)",
 			par.Evaluations, seq.Evaluations)
+	}
+}
+
+// TestParallelSpeculationBounded pins the window's speculation bound:
+// every search iteration of a w-worker plan launches at least the
+// sequential scan's evaluations and at most w-1 more. Worker counts
+// never change the moves, so iteration k's launches are the difference
+// between a search capped at k iterations and one capped at k-1.
+func TestParallelSpeculationBounded(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, large := range []bool{false, true} {
+			sys, d := planEnv(t, seed, large)
+			universe := d.Universe()
+			starts := map[string][]model.AttrSet{
+				"SP": partition.Singleton(universe),
+				"OP": partition.FirstFitAllowed(universe, nil),
+			}
+			for name, start := range starts {
+				// total[w] holds a w-worker search's launches capped at
+				// 0, 1, ... iterations; evals(w, k) is iteration k's share.
+				total := map[int][]int{1: {1}, 2: {1}, 8: {1}} // iteration 0: the start's evaluation
+				evals := func(w, k int) int {
+					if len(total[w]) == k {
+						res := NewPlanner(WithWorkers(w), WithMaxIters(k)).PlanFrom(sys, d, start)
+						total[w] = append(total[w], res.Evaluations)
+					}
+					return total[w][k] - total[w][k-1]
+				}
+				for k := 1; ; k++ {
+					seq := evals(1, k)
+					for _, w := range []int{2, 8} {
+						par := evals(w, k)
+						if par < seq || par > seq+w-1 {
+							t.Fatalf("seed=%d large=%v start=%s workers=%d iteration %d: launched %d evaluations, sequential %d (allowed %d..%d)",
+								seed, large, name, w, k, par, seq, seq, seq+w-1)
+						}
+					}
+					if seq == 0 {
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelReplanChurnDeterministic replays a task churn through
+// the incremental replanner at 1, 2 and 8 workers and requires the same
+// forest after every op: the scoped search and its full-search
+// escalations run the same windowed scan as a boot plan, over one
+// persistent evaluation cache.
+func TestParallelReplanChurnDeterministic(t *testing.T) {
+	sys, err := workload.System(workload.SystemConfig{
+		Nodes: 20, Attrs: 8, CapacityLo: 100, CapacityHi: 250,
+		CentralCapacity: 800,
+		Cost:            cost.Model{PerMessage: 10, PerValue: 1},
+		Seed:            31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 5 // create, modify, remove each: 15 ops
+	base := workload.Tasks(sys, workload.TaskConfig{Count: 8, AttrsPerTask: 3, NodesPerTask: 6, Seed: 32})
+	created := workload.Tasks(sys, workload.TaskConfig{Count: cycles, AttrsPerTask: 2, NodesPerTask: 4, Seed: 33, Prefix: "churn"})
+	redrawn := workload.Tasks(sys, workload.TaskConfig{Count: cycles, AttrsPerTask: 2, NodesPerTask: 4, Seed: 34, Prefix: "churn"})
+	var ops []*task.Demand
+	for i := range created {
+		modified := created[i]
+		modified.Attrs = redrawn[i].Attrs
+		for _, tasks := range [][]model.Task{
+			append(append([]model.Task(nil), base...), created[i]),
+			append(append([]model.Task(nil), base...), modified),
+			base,
+		} {
+			op, err := workload.Demand(sys, tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops = append(ops, op)
+		}
+	}
+	d0, err := workload.Demand(sys, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replay := func(w int) (fps []uint64, scoped, full int) {
+		r := NewReplanner(NewPlanner(WithWorkers(w)), sys, d0)
+		fps = append(fps, r.Current().Forest.Fingerprint())
+		for _, op := range ops {
+			res, st := r.Update(op)
+			fps = append(fps, res.Forest.Fingerprint())
+			if st.Incremental {
+				scoped++
+			} else {
+				full++
+			}
+		}
+		return fps, scoped, full
+	}
+	want, scoped, full := replay(1)
+	if scoped == 0 || full == 0 {
+		t.Fatalf("churn took %d scoped and %d full updates; it must exercise both", scoped, full)
+	}
+	for _, w := range []int{2, 8} {
+		got, _, _ := replay(w)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: forest after op %d is %#x, sequential %#x", w, i, got[i], want[i])
+			}
+		}
 	}
 }
 

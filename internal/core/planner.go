@@ -12,12 +12,16 @@
 // improves the plan is adopted; the search stops when no evaluated
 // candidate improves it.
 //
-// Evaluations are independent, so each iteration's ranked candidates
-// are evaluated concurrently on a bounded worker pool and the two
-// search starts (singleton-seeded and one-set-seeded) run in parallel.
-// The adopted move is still the best-ranked acceptable candidate —
-// exactly the move the sequential first-improvement scan would take —
-// so plans are identical at any worker count.
+// Evaluations are independent, so each iteration evaluates its ranked
+// candidates in rank-ordered windows of one candidate per worker, each
+// window concurrently on a bounded worker pool, and the two search
+// starts (singleton-seeded and one-set-seeded) run in parallel. A
+// window is scanned in rank order and the next one opens only if
+// nothing was adopted, so the adopted move is still the best-ranked
+// acceptable candidate — exactly the move the sequential
+// first-improvement scan would take — and plans are identical at any
+// worker count. An iteration launches at most workers-1 evaluations
+// beyond the sequential scan's.
 package core
 
 import (
@@ -47,15 +51,16 @@ type Config struct {
 	Constraints *partition.Constraints
 	// EvalBudget bounds how many ranked candidates are evaluated per
 	// search iteration; 0 evaluates the entire neighborhood (the
-	// unguided ablation). Default 8.
+	// unguided ablation). Default 16.
 	EvalBudget int
 	// MaxIters bounds search iterations. Default 128.
 	MaxIters int
-	// Workers bounds the concurrent candidate evaluators and enables
-	// the parallel multi-start: 0 (the default) uses GOMAXPROCS, 1
-	// forces the fully sequential search. Any value yields the same
-	// plan; only wall-clock and the Evaluations count (a parallel
-	// iteration launches its whole candidate batch) differ.
+	// Workers bounds the concurrent candidate evaluators — the width of
+	// each rank-ordered evaluation window — and enables the parallel
+	// multi-start: 0 (the default) uses GOMAXPROCS, 1 forces the fully
+	// sequential search. Any value yields the same plan; only
+	// wall-clock and the Evaluations count (the window holding the
+	// adopted move is launched whole) differ.
 	Workers int
 	// NoTreeCache disables the cross-evaluation tree-build memo
 	// (ablation knob; also the pre-memo baseline for benchmarks).
@@ -161,9 +166,10 @@ type Result struct {
 	// Iterations is the number of accepted search moves.
 	Iterations int
 	// Evaluations counts resource-aware evaluations launched. A
-	// parallel iteration evaluates its whole candidate batch, so this
-	// may exceed the sequential count (which stops at the adopted
-	// candidate); the chosen moves — and hence the plan — are the same.
+	// parallel iteration evaluates the whole window that holds its
+	// adopted candidate, so this may exceed the sequential count (which
+	// stops at the adopted candidate) by at most workers-1 per
+	// iteration; the chosen moves — and hence the plan — are the same.
 	Evaluations int
 	// TreeBuilds and TreeReuses count collection-tree constructions
 	// performed vs avoided by the cross-evaluation tree-build memo.
@@ -241,11 +247,12 @@ type candEval struct {
 // before capacity freed at the collector pays off. The best plan seen is
 // always returned.
 //
-// With more than one worker each iteration evaluates its whole ranked
-// candidate batch concurrently, then scans the results in rank order
-// with the exact acceptance logic of the sequential loop — so the
-// adopted move, and therefore the final plan, is identical to the
-// sequential search's.
+// With more than one worker each iteration evaluates its ranked
+// candidates in windows of one candidate per worker, each window
+// concurrently, and scans every window in rank order with the exact
+// acceptance logic of the sequential loop, opening the next window only
+// when nothing was adopted — so the adopted move, and therefore the
+// final plan, is identical to the sequential search's.
 func (p *Planner) PlanFrom(sys *model.System, d *task.Demand, sets []model.AttrSet) Result {
 	return p.search(sys, d, sets, p.newCache(d), nil)
 }
@@ -359,30 +366,26 @@ func (p *Planner) search(sys *model.System, d *task.Demand, sets []model.AttrSet
 			return false
 		}
 
-		if workers > 1 && len(cands) > 1 {
-			// Evaluate the whole batch concurrently, then scan results in
-			// rank order: the first acceptable candidate is the same one
-			// the lazy sequential scan would have stopped at.
-			outs := make([]candEval, len(cands))
-			base := cur.Partition
-			runIndexed(workers, len(cands), func(i int) {
-				sets := partition.Apply(base, cands[i].Op)
+		// Evaluate the ranked candidates one window of `workers` at a
+		// time, concurrently, and scan each window in rank order: the
+		// first acceptable candidate is the one the lazy sequential scan
+		// stops at, and no window opens past it, so an iteration launches
+		// at most workers-1 evaluations the sequential scan would not.
+		// One worker makes every window a single inline evaluation.
+		base := cur.Partition
+		outs := make([]candEval, min(workers, len(cands)))
+	scan:
+		for lo := 0; lo < len(cands); lo += len(outs) {
+			win := cands[lo:min(lo+len(outs), len(cands))]
+			runIndexed(workers, len(win), func(i int) {
+				sets := partition.Apply(base, win[i].Op)
 				forest, stats := p.evaluate(sys, d, sets, cache)
 				outs[i] = candEval{sets: sets, forest: forest, stats: stats}
 			})
-			res.Evaluations += len(cands)
-			for i, c := range cands {
+			res.Evaluations += len(win)
+			for i, c := range win {
 				if adopt(c, outs[i]) {
-					break
-				}
-			}
-		} else {
-			for _, c := range cands {
-				sets := partition.Apply(cur.Partition, c.Op)
-				forest, stats := p.evaluate(sys, d, sets, cache)
-				res.Evaluations++
-				if adopt(c, candEval{sets: sets, forest: forest, stats: stats}) {
-					break
+					break scan
 				}
 			}
 		}

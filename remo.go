@@ -175,8 +175,12 @@ func WithEvalBudget(k int) PlannerOption {
 
 // WithPlannerWorkers pins the planner's evaluation worker count: 0 (the
 // default) sizes the pool to GOMAXPROCS, 1 forces the fully sequential
-// search. The planned topology is identical at any setting — workers
-// change wall-clock only — so this knob exists for benchmarking and for
+// search. Each search iteration evaluates its ranked candidates in
+// rank-ordered windows of one candidate per worker and stops at the
+// window holding the adopted move, so n workers launch at most n-1
+// evaluations per iteration that the sequential scan would skip. The
+// planned topology is identical at any setting — workers change
+// wall-clock only — so this knob exists for benchmarking and for
 // capping planner CPU next to latency-sensitive workloads.
 func WithPlannerWorkers(n int) PlannerOption {
 	return func(p *Planner) { p.opts = append(p.opts, core.WithWorkers(n)) }

@@ -67,6 +67,14 @@ echo "==> planner beside the round loop, replan-sequence golden, set-aside plans
 # A SetTasks during an outage carries the set-aside plan forward in
 # Propose, unlocked, beside the rounds (the Aside tests).
 go test -race -count=10 -run 'Replan|Parked|Drain|Readers|Aside' ./internal/serve ./internal/adapt .
+# The guided search evaluates its ranked candidates in windows of one
+# per worker, and successive windows share one evaluation cache: a
+# window that adopted out of rank order, or a cache race between
+# windows, would show as a flaky plan or replan sequence across worker
+# counts. About 80 s on two cores.
+go test -race -count=10 \
+    -run 'ParallelPlanner|ParallelEvaluations|EvalCacheConcurrentHammer|ParallelReplanChurn' \
+    ./internal/core
 # The tier routes pairs through maps: a map-order leak into a shard's
 # score would show as a flaky lone-vs-sharded mismatch, and — the
 # dispatcher runs every round of a lone collector too — as a flaky
