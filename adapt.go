@@ -31,7 +31,7 @@ const (
 	AdaptIncremental = adapt.Incremental
 )
 
-// AdaptReport summarizes one adaptation round.
+// AdaptReport summarizes one Monitor.SetTasks adaptation.
 type AdaptReport struct {
 	// AdaptMessages counts overlay reconfiguration messages.
 	AdaptMessages int
@@ -63,44 +63,8 @@ type AdaptReport struct {
 	Fingerprint uint64
 }
 
-// Adaptor maintains a monitoring topology across task-set changes.
-// Create one with NewAdaptor, seed it with SetTasks, then call SetTasks
-// again whenever the task set changes.
-type Adaptor struct {
-	planner *Planner
-	inner   *adapt.Adaptor
-	started bool
-}
-
-// NewAdaptor wraps the planner's configuration in a runtime adaptor
-// using the given scheme.
-func NewAdaptor(p *Planner, scheme adapt.Scheme) *Adaptor {
-	return &Adaptor{
-		planner: p,
-		inner:   adapt.New(scheme, p.corePlanner(), p.sys),
-	}
-}
-
-// SetTasks replaces the task set and adapts the topology. The first call
-// plans from scratch; later calls follow the adaptor's scheme.
-func (a *Adaptor) SetTasks(tasks []Task) (AdaptReport, error) {
-	d, err := a.planner.demandFor(tasks)
-	if err != nil {
-		return AdaptReport{}, err
-	}
-	var rep adapt.Report
-	if !a.started {
-		rep = a.inner.Init(d)
-		a.started = true
-	} else {
-		rep = a.inner.Apply(d)
-	}
-	return adaptReportFrom(rep, rep.Diff), nil
-}
-
 // adaptReportFrom maps an adaptation round onto the public report; diff
-// is the tree-level diff of the swap it caused (the adaptor's own, or
-// the running machine's for a live session).
+// is the tree-level diff the running machine applied for it.
 func adaptReportFrom(rep adapt.Report, diff plan.Diff) AdaptReport {
 	return AdaptReport{
 		AdaptMessages:  rep.AdaptMessages,
@@ -114,11 +78,4 @@ func adaptReportFrom(rep adapt.Report, diff plan.Diff) AdaptReport {
 		Incremental:    rep.Replan.Incremental,
 		FellBack:       rep.Replan.FellBack,
 	}
-}
-
-// Plan exposes the topology currently in force as a Plan.
-func (a *Adaptor) Plan() *Plan {
-	forest := a.inner.Forest()
-	d := a.inner.Demand()
-	return planFromForest(a.planner, forest, d)
 }

@@ -150,19 +150,11 @@ func BenchmarkPlannerPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkDeployRound measures emulated collection rounds per second.
+// BenchmarkDeployRound measures emulated collection rounds per second:
+// ten rounds of one booted session per iteration.
 func BenchmarkDeployRound(b *testing.B) {
 	_, _, mk := benchEnv(b, 40, 15, 20)
-	plan, err := mk().Plan()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Deploy(remo.DeployConfig{Rounds: 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRounds(b, mk(), remo.MonitorConfig{}, 10)
 }
 
 // BenchmarkPlanFull measures one full plan of runtimeBenchCfg's
@@ -211,44 +203,39 @@ func runtimeBenchPlanner(b *testing.B, nodes int) *remo.Planner {
 	return p
 }
 
-// runtimeBenchCfg plans a Fig. 6a-shaped deployment (200 nodes, 150
-// small tasks) for the runtime data-path benchmarks.
-func runtimeBenchCfg(b *testing.B, nodes, rounds int) (*remo.Plan, remo.DeployConfig) {
+// benchRounds boots one session of p outside the timer and times
+// rounds rounds of it per iteration, reporting values delivered per
+// round.
+func benchRounds(b *testing.B, p *remo.Planner, cfg remo.MonitorConfig, rounds int) {
 	b.Helper()
-	plan, err := runtimeBenchPlanner(b, nodes).Plan()
+	mon, err := p.StartMonitor(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return plan, remo.DeployConfig{Rounds: rounds}
+	defer func() { _ = mon.Close() }()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mon.Run(rounds); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	rep := mon.Report()
+	b.ReportMetric(float64(rep.ValuesDelivered)/float64(rep.Rounds), "values/round")
 }
 
 // BenchmarkRuntimeMemory measures the worker-pool round engine over the
-// memory transport at the Fig. 6a anchor scale (200 nodes).
+// memory transport at the Fig. 6a anchor scale (200 nodes, 150 small
+// tasks): 50 rounds per iteration.
 func BenchmarkRuntimeMemory(b *testing.B) {
-	plan, dcfg := runtimeBenchCfg(b, 200, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := plan.Deploy(dcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(rep.ValuesDelivered)/float64(dcfg.Rounds), "values/round")
-		}
-	}
+	benchRounds(b, runtimeBenchPlanner(b, 200), remo.MonitorConfig{}, 50)
 }
 
 // BenchmarkRuntimeTCP is BenchmarkRuntimeMemory over loopback TCP with
-// the batched write path (the transport default).
+// the batched write path (the transport default), at 50 nodes and 30
+// rounds per iteration.
 func BenchmarkRuntimeTCP(b *testing.B) {
-	plan, dcfg := runtimeBenchCfg(b, 50, 30)
-	dcfg.UseTCP = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Deploy(dcfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRounds(b, runtimeBenchPlanner(b, 50), remo.MonitorConfig{UseTCP: true}, 30)
 }
 
 // BenchmarkCodecEncode measures wire-format encoding.

@@ -312,8 +312,8 @@ func TestChaosMonitorConcurrency(t *testing.T) {
 	}
 }
 
-// TestChaosScheduleRefused pins the rules StartMonitor and Deploy refuse
-// a fault schedule by: one they would silently drop, or whose crash
+// TestChaosScheduleRefused pins the rules StartMonitor refuses a fault
+// schedule by: one they would silently drop, or whose crash
 // nothing could ever resume.
 func TestChaosScheduleRefused(t *testing.T) {
 	sys := regionSystem(t, 2, 4)
@@ -356,22 +356,10 @@ func TestChaosScheduleRefused(t *testing.T) {
 			}
 		})
 	}
-
-	// A deployment has no journal and no shards: a collector or shard
-	// crash could never resume.
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cc := range []remo.ChaosConfig{{CollectorCrashAt: 5}, {ShardCrashAt: map[int]int{0: 5}}, {DropProb: 2}} {
-		if _, err := plan.Deploy(remo.DeployConfig{Rounds: 8, Chaos: &cc}); err == nil {
-			t.Fatalf("Deploy accepted %+v", cc)
-		}
-	}
 }
 
 // TestChaosConfigLeftUntouched checks a session reads the caller's fault
-// schedule and never writes it: after StartMonitor and Deploy it still
+// schedule and never writes it: after a session ran it, it still
 // deep-equals what was passed in.
 func TestChaosConfigLeftUntouched(t *testing.T) {
 	sys := regionSystem(t, 2, 4)
@@ -394,13 +382,6 @@ func TestChaosConfigLeftUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := mon.Close(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Deploy(remo.DeployConfig{Rounds: 10, Chaos: cc}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cc, schedule()) {

@@ -52,12 +52,17 @@ func run() error {
 		{"ADAPTIVE", remo.AdaptAdaptive},
 	} {
 		planner := remo.NewPlanner(sys)
-		ad := remo.NewAdaptor(planner, scheme.mode)
-
-		tasks := initial
-		if _, err := ad.SetTasks(tasks); err != nil {
+		for _, t := range initial {
+			if err := planner.AddTask(t); err != nil {
+				return err
+			}
+		}
+		mon, err := planner.StartMonitor(remo.MonitorConfig{Scheme: scheme.mode})
+		if err != nil {
 			return err
 		}
+
+		tasks := initial
 		var (
 			planTime  time.Duration
 			adaptMsgs int
@@ -70,14 +75,18 @@ func run() error {
 				AttrFraction: 0.5,
 				Seed:         int64(batch) + 100,
 			})
-			rep, err := ad.SetTasks(tasks)
+			rep, err := mon.SetTasks(tasks)
 			if err != nil {
+				_ = mon.Close()
 				return err
 			}
 			planTime += rep.PlanTime
 			adaptMsgs += rep.AdaptMessages
 			ops += rep.Operations
 			collected = rep.CollectedPairs
+		}
+		if err := mon.Close(); err != nil {
+			return err
 		}
 		fmt.Printf("%-12s %12v %14d %9d %8d\n",
 			scheme.name, planTime.Round(time.Millisecond), adaptMsgs, collected, ops)

@@ -84,27 +84,42 @@ func run() error {
 	}
 
 	// Normal operation.
-	clean, err := plan.Deploy(remo.DeployConfig{Rounds: 40, Seed: 3})
+	clean, err := runSession(p, remo.MonitorConfig{Seed: 3}, 40)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("healthy run:   %d/%d pairs covered, %.2f%% avg error\n",
 		clean.CoveredPairs, clean.DemandedPairs, clean.AvgPercentError)
 
-	// Kill one replica path's root mid-run, for good: the SLA metric
-	// must stay covered through the surviving tree.
+	// Kill one replica path's root mid-run, for good, and leave the
+	// topology unrepaired: the SLA metric must stay covered through the
+	// surviving tree.
 	victim := plan.Trees()[0].Root
-	faulty, err := plan.Deploy(remo.DeployConfig{
-		Rounds: 40,
-		Seed:   3,
+	faulty, err := runSession(p, remo.MonitorConfig{
+		Seed: 3,
 		Chaos: &remo.ChaosConfig{CrashWindows: map[remo.NodeID][]remo.ChaosWindow{
 			victim: {{From: 10, To: 40}},
 		}},
-	})
+		Failure: &remo.FailurePolicy{DisableRepair: true},
+	}, 40)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("with %v down:  %d/%d pairs covered, %.2f%% avg error\n",
 		victim, faulty.CoveredPairs, faulty.DemandedPairs, faulty.AvgPercentError)
 	return nil
+}
+
+// runSession runs the planner's plan as a session for the given rounds
+// and returns what its collector observed.
+func runSession(p *remo.Planner, cfg remo.MonitorConfig, rounds int) (remo.DeployReport, error) {
+	mon, err := p.StartMonitor(cfg)
+	if err != nil {
+		return remo.DeployReport{}, err
+	}
+	defer func() { _ = mon.Close() }()
+	if err := mon.Run(rounds); err != nil {
+		return remo.DeployReport{}, err
+	}
+	return mon.Report(), nil
 }

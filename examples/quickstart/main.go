@@ -1,5 +1,5 @@
 // Quickstart: plan a monitoring topology for a small cluster, inspect
-// it, and run the emulated deployment.
+// it, and run it as an emulated monitoring session.
 package main
 
 import (
@@ -62,12 +62,17 @@ func run() error {
 		return err
 	}
 
-	// Deploy: update messages flowing up the planned trees, a central
-	// collector measuring freshness.
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 60, Seed: 42})
+	// Run the plan: update messages flowing up the planned trees, a
+	// central collector measuring freshness.
+	mon, err := p.StartMonitor(remo.MonitorConfig{Seed: 42})
 	if err != nil {
 		return err
 	}
+	defer func() { _ = mon.Close() }()
+	if err := mon.Run(60); err != nil {
+		return err
+	}
+	rep := mon.Report()
 	fmt.Printf("deployed %d rounds: %d/%d pairs covered, %.2f%% avg error, %.2f rounds avg staleness\n",
 		rep.Rounds, rep.CoveredPairs, rep.DemandedPairs, rep.AvgPercentError, rep.AvgStaleness)
 	fmt.Printf("traffic: %d messages, %d values delivered, %d dropped\n",

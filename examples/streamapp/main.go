@@ -80,10 +80,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rep, err := plan.Deploy(remo.DeployConfig{
-			Rounds: rounds,
-			Source: app, // ground truth comes from the stream simulation
-		})
+		// Ground truth comes from the stream simulation.
+		mon, err := p.StartMonitor(remo.MonitorConfig{Source: app})
+		if err != nil {
+			return err
+		}
+		err = mon.Run(rounds)
+		rep := mon.Report()
+		_ = mon.Close()
 		if err != nil {
 			return err
 		}

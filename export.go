@@ -80,11 +80,7 @@ func (p *Planner) ImportPlan(r io.Reader) (*Plan, error) {
 		forest.Add(t)
 	}
 
-	d := p.mgr.Demand()
-	if p.freqSpec != nil {
-		d = p.freqSpec.Apply(d)
-	}
-	imported := planFromForest(p, forest, d)
+	imported := planFromForest(p, p.corePlanner().Builder(), forest, p.currentDemand())
 	if err := imported.Validate(); err != nil {
 		return nil, fmt.Errorf("remo: imported plan invalid: %w", err)
 	}

@@ -8,16 +8,12 @@ import (
 )
 
 // TestStoreProcessorIntegration wires the data repository and result
-// processor into a deployment via OnValue and checks both observe the
+// processor into a session via OnValue and checks both observe the
 // collected stream.
 func TestStoreProcessorIntegration(t *testing.T) {
 	sys := testSystem(t)
 	p := remo.NewPlanner(sys)
 	p.MustAddTask(remo.Task{Name: "all", Attrs: []remo.AttrID{1, 2}, Nodes: allNodes(sys)})
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	st := remo.NewStore(32)
 	pr := remo.NewProcessor(64)
@@ -27,17 +23,13 @@ func TestStoreProcessorIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := plan.Deploy(remo.DeployConfig{
-		Rounds: 20,
-		Seed:   9,
+	rep := runSession(t, p, remo.MonitorConfig{
+		Seed: 9,
 		OnValue: func(pair remo.Pair, round int, v float64) {
 			st.Observe(pair, round, v)
 			pr.Observe(pair, round, v)
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 20)
 
 	// Every covered pair is in the repository.
 	if got := len(st.Pairs()); got != rep.CoveredPairs {
@@ -88,14 +80,6 @@ func TestPlanRepairFlow(t *testing.T) {
 	if repaired.PercentCollected() < 99 {
 		t.Fatalf("repaired coverage = %.1f%%", repaired.PercentCollected())
 	}
-	// The repaired plan deploys cleanly.
-	drep, err := repaired.Deploy(remo.DeployConfig{Rounds: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drep.CoveredPairs != drep.DemandedPairs {
-		t.Fatalf("post-repair coverage %d/%d", drep.CoveredPairs, drep.DemandedPairs)
-	}
 }
 
 // TestSharedValueTask exercises the DSDP extension end to end.
@@ -115,10 +99,7 @@ func TestSharedValueTask(t *testing.T) {
 	if len(plan.Trees()) < 2 {
 		t.Fatalf("trees = %d, want >= 2 (disjoint paths)", len(plan.Trees()))
 	}
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, p, remo.MonitorConfig{}, 10)
 	if rep.CoveredPairs == 0 {
 		t.Fatal("nothing covered")
 	}
@@ -134,18 +115,8 @@ func TestDeployOverTCPMatchesCoverage(t *testing.T) {
 	sys := testSystem(t)
 	p := remo.NewPlanner(sys)
 	p.MustAddTask(remo.Task{Name: "all", Attrs: []remo.AttrID{1, 2}, Nodes: allNodes(sys)})
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := plan.Deploy(remo.DeployConfig{Rounds: 12, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp, err := plan.Deploy(remo.DeployConfig{Rounds: 12, Seed: 1, UseTCP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := runSession(t, p, remo.MonitorConfig{Seed: 1}, 12)
+	tcp := runSession(t, p, remo.MonitorConfig{Seed: 1, UseTCP: true}, 12)
 	if tcp.CoveredPairs != mem.CoveredPairs {
 		t.Fatalf("TCP covered %d, memory covered %d", tcp.CoveredPairs, mem.CoveredPairs)
 	}
@@ -224,10 +195,7 @@ func TestDistanceAwarePlanning(t *testing.T) {
 	if plan.TotalCost() < uplan.TotalCost()-1e-6 {
 		t.Fatalf("distance-aware cost %.1f < uniform %.1f", plan.TotalCost(), uplan.TotalCost())
 	}
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, p, remo.MonitorConfig{}, 10)
 	if rep.CoveredPairs == 0 {
 		t.Fatal("nothing covered under distance-aware plan")
 	}

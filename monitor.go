@@ -118,7 +118,15 @@ type MonitorConfig struct {
 	UseTCP bool
 	// Seed decorrelates the default value generator.
 	Seed uint64
-	// OnValue receives every collected value (see DeployConfig.OnValue).
+	// OnValue, when set, receives every value the collector accepts
+	// (alias-resolved). Feed it a Store and/or Processor to retain and
+	// act on collected data:
+	//
+	//	st, pr := remo.NewStore(0), remo.NewProcessor(0)
+	//	cfg.OnValue = func(p remo.Pair, round int, v float64) {
+	//	    st.Observe(p, round, v)
+	//	    pr.Observe(p, round, v)
+	//	}
 	OnValue func(pair Pair, round int, value float64)
 	// Trace records structured emulation events.
 	Trace *TraceRecorder

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -302,5 +303,86 @@ func TestStartMonitorAfterPlanBootsTheSameForest(t *testing.T) {
 		if got, want := boot(true), boot(false); got != want {
 			t.Fatalf("discount=%v: booted %#x after Plan, %#x without", discount, got, want)
 		}
+	}
+}
+
+// exported is the plan's topology as Export writes it: every tree's
+// attributes and edges.
+func exported(t *testing.T, pl *remo.Plan) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := pl.Export(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestStartMonitorHonorsBaseline: a baseline planner's session boots the
+// forest Plan evaluates for its fixed partition, not REMO's searched one.
+func TestStartMonitorHonorsBaseline(t *testing.T) {
+	for _, b := range []remo.Baseline{remo.BaselineSingletonSet, remo.BaselineOneSet} {
+		sys := testSystem(t)
+		p := remo.NewPlanner(sys, remo.WithBaseline(b))
+		p.MustAddTask(remo.Task{Name: "wide", Attrs: []remo.AttrID{1, 2, 3, 4}, Nodes: allNodes(sys)})
+		mon, err := p.StartMonitor(remo.MonitorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = mon.Close() }()
+		plan, err := p.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := exported(t, mon.Plan()), exported(t, plan); got != want {
+			t.Errorf("baseline %d: session booted\n%s\nPlan evaluates\n%s", b, got, want)
+		}
+	}
+}
+
+// TestPlanRepairPreviewsLiveRepair: Plan.Repair rebuilds trees with the
+// planner's tree builder, so whatever the tree scheme its preview is the
+// forest a session installs once it detects the same failure.
+func TestPlanRepairPreviewsLiveRepair(t *testing.T) {
+	for _, scheme := range []struct {
+		name string
+		opt  remo.PlannerOption
+	}{
+		{"adaptive", remo.WithTreeScheme(remo.TreeAdaptive)},
+		{"star", remo.WithTreeScheme(remo.TreeStar)},
+		{"chain", remo.WithTreeScheme(remo.TreeChain)},
+	} {
+		t.Run(scheme.name, func(t *testing.T) {
+			sys := testSystem(t)
+			p := remo.NewPlanner(sys, scheme.opt)
+			p.MustAddTask(remo.Task{Name: "all", Attrs: []remo.AttrID{1, 2, 3}, Nodes: allNodes(sys)})
+			plan, err := p.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := plan.Trees()[0].Root
+			preview, _, err := plan.Repair([]remo.NodeID{victim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon, err := p.StartMonitor(remo.MonitorConfig{
+				Chaos:   &remo.ChaosConfig{CrashWindows: downFrom(map[remo.NodeID]int{victim: 2})},
+				Failure: &remo.FailurePolicy{SuspicionRounds: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = mon.Close() }()
+			for mon.Round() < 20 && len(mon.Failed()) == 0 {
+				if _, err := mon.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reps := mon.Report().Repairs; len(reps) != 1 || !reflect.DeepEqual(reps[0].Failed, []remo.NodeID{victim}) {
+				t.Fatalf("repairs = %+v, want one around %v", reps, victim)
+			}
+			if got, want := exported(t, mon.Plan()), exported(t, preview); got != want {
+				t.Fatalf("live repair installed %+v, Plan.Repair previewed %+v", mon.Plan().Trees(), preview.Trees())
+			}
+		})
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"remo/internal/agg"
 	"remo/internal/core"
 	"remo/internal/plan"
-	"remo/internal/predict"
 	"remo/internal/task"
+	"remo/internal/tree"
 	"remo/internal/verify"
 )
 
@@ -23,25 +23,23 @@ type Plan struct {
 	// and verification run against it (it justified the packing); the
 	// runtime installs demand, whose weights drive piggyback periods.
 	planDemand *task.Demand
-	// predSpec arms dead-band suppression in Deploy (nil = off).
-	predSpec *predict.Spec
-	aggSpec  *agg.Spec
-	resolve  func(AttrID) AttrID
-	res      core.Result
-	// verifyOn carries the planner's WithVerification setting into
-	// Deploy, which then cross-checks emulation results.
-	verifyOn bool
+	aggSpec    *agg.Spec
+	resolve    func(AttrID) AttrID
+	// builder is the planner's tree builder, so Repair rebuilds trees the
+	// way a live session's self-healing does.
+	builder tree.Builder
+	res     core.Result
 }
 
-// planFromForest wraps an externally maintained forest (the adaptor's)
-// in a Plan.
-func planFromForest(p *Planner, forest *plan.Forest, d *task.Demand) *Plan {
+// planFromForest wraps a forest built outside Plan (a session's, an
+// imported one) in a Plan; b is the planner's tree builder.
+func planFromForest(p *Planner, b tree.Builder, forest *plan.Forest, d *task.Demand) *Plan {
 	return &Plan{
-		sys:      p.sys,
-		demand:   d,
-		predSpec: p.predSpec,
-		aggSpec:  p.aggSpec,
-		resolve:  p.resolveAttr,
+		sys:     p.sys,
+		demand:  d,
+		aggSpec: p.aggSpec,
+		resolve: p.resolveAttr,
+		builder: b,
 		res: core.Result{
 			Forest:    forest,
 			Stats:     forest.ComputeStats(d, p.sys, p.aggSpec),
@@ -187,9 +185,3 @@ func attrsPreview(attrs []AttrID) string {
 	}
 	return fmt.Sprintf("%v… (%d attrs)", attrs[:maxShown], len(attrs))
 }
-
-// forest exposes the internal forest to the deploy wrapper.
-func (p *Plan) forest() *plan.Forest { return p.res.Forest }
-
-// internalDemand exposes the demand to the deploy wrapper.
-func (p *Plan) internalDemand() *task.Demand { return p.demand }

@@ -60,22 +60,6 @@ func TestMonitorPredictionSuppressesAndImputes(t *testing.T) {
 	}
 }
 
-func TestDeployPredictionCountersFlow(t *testing.T) {
-	p := predictPlanner(t, 0.01)
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 60, Source: remo.UtilWalk{Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ValuesSuppressed == 0 || rep.ValuesImputed == 0 {
-		t.Fatalf("suppression idle in Deploy: %+v", rep)
-	}
-	checkSuppConserved(t, rep)
-}
-
 // TestPredictionColdResumeSeedsModels cold-resumes a suppressing
 // session, lone and sharded: every collector re-arms the replicas the
 // journal seeded, so no marker the leaves send is refused for want of a

@@ -243,7 +243,7 @@ func TestMonitorVerifyRegionFloorTrips(t *testing.T) {
 
 // TestRegionPartitionFollowsEachSystem reuses one partition schedule for
 // two plans whose systems label the same nodes the other way round: each
-// deployment must cut off the nodes its own system puts in the
+// session must cut off the nodes its own system puts in the
 // partitioned region.
 func TestRegionPartitionFollowsEachSystem(t *testing.T) {
 	cc := &remo.ChaosConfig{RegionPartitions: map[string][]remo.ChaosWindow{
@@ -256,17 +256,12 @@ func TestRegionPartitionFollowsEachSystem(t *testing.T) {
 	for _, sys := range []*remo.System{regionSystem(t, 2, 4), flipped} {
 		p := remo.NewPlanner(sys)
 		p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: sys.NodeIDs()})
-		plan, err := p.Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
 		heard := make(map[remo.NodeID]bool)
-		if _, err := plan.Deploy(remo.DeployConfig{
-			Rounds: 8, Chaos: cc,
+		runSession(t, p, remo.MonitorConfig{
+			Chaos:   cc,
+			Failure: &remo.FailurePolicy{DisableRepair: true},
 			OnValue: func(pair remo.Pair, _ int, _ float64) { heard[pair.Node] = true },
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}, 8)
 		if len(heard) == 0 {
 			t.Fatal("the collector's own region delivered nothing")
 		}

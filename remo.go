@@ -17,13 +17,17 @@
 //	p.MustAddTask(remo.Task{Name: "cpu", Attrs: []remo.AttrID{1}, Nodes: nodes})
 //	plan, _ := p.Plan()
 //	fmt.Println(plan.PercentCollected())
-//	report, _ := plan.Deploy(remo.DeployConfig{Rounds: 60})
+//	mon, _ := p.StartMonitor(remo.MonitorConfig{})
+//	defer mon.Close()
+//	_ = mon.Run(60)
+//	report := mon.Report()
 //
-// Live sessions started with Planner.StartMonitor are self-healing:
-// under fault injection (MonitorConfig.Chaos) or an explicit
-// FailurePolicy, a collector-side failure detector declares silent nodes
-// dead, the topology is automatically repaired around them, and
-// recovered nodes are reintegrated — see Monitor and RepairEvent.
+// A plan runs as a Monitor session: StartMonitor boots on the forest the
+// last Plan returned while the task set is unchanged. Sessions are
+// self-healing: under fault injection (MonitorConfig.Chaos) or an
+// explicit FailurePolicy, a collector-side failure detector declares
+// silent nodes dead, the topology is automatically repaired around them,
+// and recovered nodes are reintegrated — see Monitor and RepairEvent.
 //
 // The package is a facade over the internal packages; the experiment
 // harness reproducing the paper's figures lives in cmd/remo-bench.
@@ -189,11 +193,10 @@ func WithPlannerWorkers(n int) PlannerOption {
 // WithVerification arms the verification harness for everything the
 // planner produces: Plan cross-checks each planned topology against an
 // independent invariant checker (structure, ownership, capacity, and a
-// from-scratch recount of the claimed statistics), Plan.Deploy
-// cross-checks the emulation's reported results, and live Monitors
+// from-scratch recount of the claimed statistics), and live Monitors
 // verify every repaired topology they hot-swap in. Verification
 // failures surface as errors rather than silently wrong numbers; the
-// cost is one extra forest traversal per plan or deploy.
+// cost is one extra forest traversal per plan or repair.
 func WithVerification() PlannerOption {
 	return func(p *Planner) { p.verifyOn = true }
 }
@@ -244,7 +247,7 @@ const (
 )
 
 // WithBaseline makes Plan evaluate the given fixed partition scheme
-// instead of searching.
+// instead of searching, and StartMonitor boot on that partition.
 func WithBaseline(b Baseline) PlannerOption {
 	return func(p *Planner) { p.baseline = b }
 }
@@ -312,23 +315,19 @@ func (p *Planner) Plan() (*Plan, error) {
 	}
 	planner := p.corePlanner()
 	var res core.Result
-	switch p.baseline {
-	case BaselineSingletonSet:
-		res = planner.PlanPartition(p.sys, dPlan, partition.Singleton(dPlan.Universe()))
-	case BaselineOneSet:
-		res = planner.PlanPartition(p.sys, dPlan, partition.OneSet(dPlan.Universe()))
-	default:
+	if p.baseline != BaselineNone {
+		res = planner.PlanPartition(p.sys, dPlan, p.seedFor(dPlan))
+	} else {
 		res = planner.Plan(p.sys, dPlan)
 	}
 	pl := &Plan{
 		sys:        p.sys,
 		demand:     d,
 		planDemand: dPlan,
-		predSpec:   p.predSpec,
 		aggSpec:    p.aggSpec,
 		resolve:    p.resolveAttr,
+		builder:    planner.Builder(),
 		res:        res,
-		verifyOn:   p.verifyOn,
 	}
 	if err := pl.Validate(); err != nil {
 		return nil, fmt.Errorf("remo: planned topology failed validation: %w", err)
@@ -351,10 +350,18 @@ type plannedPartition struct {
 	sets   []model.AttrSet
 }
 
-// seedFor returns the last searched plan's partition when d is exactly
+// seedFor is the partition a session boots on for demand d: a
+// baseline's fixed partition over d's attributes (the one Plan
+// evaluates), or the last searched plan's partition when d is exactly
 // the demand it was searched for (no task changed since, and no
-// prediction discount), nil otherwise.
+// prediction discount); nil means search.
 func (p *Planner) seedFor(d *task.Demand) []model.AttrSet {
+	switch p.baseline {
+	case BaselineSingletonSet:
+		return partition.Singleton(d.Universe())
+	case BaselineOneSet:
+		return partition.OneSet(d.Universe())
+	}
 	if p.planned == nil || !task.Diff(p.planned.demand, d).AffectedAttrs.Empty() {
 		return nil
 	}
@@ -385,8 +392,7 @@ func (p *Planner) weighted(d *task.Demand) *task.Demand {
 	return d
 }
 
-// corePlanner builds the internal planner with this facade's options
-// (shared with the adaptation wrapper).
+// corePlanner builds the internal planner with this facade's options.
 func (p *Planner) corePlanner() *core.Planner {
 	opts := append([]core.Option{core.WithSpec(p.aggSpec)}, p.opts...)
 	cons := p.cons

@@ -34,6 +34,21 @@ func testSystem(t *testing.T) *remo.System {
 
 func allNodes(sys *remo.System) []remo.NodeID { return sys.NodeIDs() }
 
+// runSession runs the planner's task set as a session of the given
+// rounds and returns what it observed.
+func runSession(t testing.TB, p *remo.Planner, cfg remo.MonitorConfig, rounds int) remo.DeployReport {
+	t.Helper()
+	mon, err := p.StartMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	if err := mon.Run(rounds); err != nil {
+		t.Fatal(err)
+	}
+	return mon.Report()
+}
+
 func TestPlanAndDescribe(t *testing.T) {
 	sys := testSystem(t)
 	p := remo.NewPlanner(sys)
@@ -103,14 +118,7 @@ func TestDeploy(t *testing.T) {
 	sys := testSystem(t)
 	p := remo.NewPlanner(sys)
 	p.MustAddTask(remo.Task{Name: "all", Attrs: []remo.AttrID{1, 2, 3}, Nodes: allNodes(sys)})
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 20, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, p, remo.MonitorConfig{Seed: 5}, 20)
 	if rep.CoveredPairs != rep.DemandedPairs {
 		t.Fatalf("covered %d of %d", rep.CoveredPairs, rep.DemandedPairs)
 	}
@@ -122,24 +130,16 @@ func TestDeploy(t *testing.T) {
 	}
 }
 
-// TestDeployRuntimeWorkersEquivalent: Deploy sizes the round engine's
-// pool to GOMAXPROCS, and the report must not depend on it. One CPU
-// resolves to the inline single-worker engine — the reference.
+// TestDeployRuntimeWorkersEquivalent: a session sizes the round
+// engine's pool to GOMAXPROCS, and the report must not depend on it. One
+// CPU resolves to the inline single-worker engine — the reference.
 func TestDeployRuntimeWorkersEquivalent(t *testing.T) {
 	deploy := func(procs int) remo.DeployReport {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		sys := testSystem(t)
 		p := remo.NewPlanner(sys)
 		p.MustAddTask(remo.Task{Name: "all", Attrs: []remo.AttrID{1, 2, 3}, Nodes: allNodes(sys)})
-		plan, err := p.Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := plan.Deploy(remo.DeployConfig{Rounds: 20, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return runSession(t, p, remo.MonitorConfig{Seed: 5}, 20)
 	}
 	want := deploy(1)
 	for _, procs := range []int{2, 4} {
@@ -160,21 +160,16 @@ func TestDeployCustomSourceAndFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	constant := remo.ValueFunc(func(remo.NodeID, remo.AttrID, int) float64 { return 42 })
-	clean, err := plan.Deploy(remo.DeployConfig{Rounds: 15, Source: constant})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := runSession(t, p, remo.MonitorConfig{Source: constant}, 15)
 	// A constant signal has zero staleness error once delivered.
 	if clean.AvgPercentError > 20 {
 		t.Fatalf("constant-source error = %.2f%%", clean.AvgPercentError)
 	}
-	failed, err := plan.Deploy(remo.DeployConfig{
-		Rounds: 15, Source: constant,
-		Chaos: &remo.ChaosConfig{CrashWindows: downFrom(map[remo.NodeID]int{plan.Trees()[0].Root: 2})},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	failed := runSession(t, p, remo.MonitorConfig{
+		Source:  constant,
+		Chaos:   &remo.ChaosConfig{CrashWindows: downFrom(map[remo.NodeID]int{plan.Trees()[0].Root: 2})},
+		Failure: &remo.FailurePolicy{DisableRepair: true},
+	}, 15)
 	if failed.ValuesDelivered >= clean.ValuesDelivered {
 		t.Fatal("root failure did not reduce deliveries")
 	}
@@ -184,14 +179,7 @@ func TestAggregationOption(t *testing.T) {
 	sys := testSystem(t)
 	p := remo.NewPlanner(sys, remo.WithAggregation(1, remo.AggMax, 0))
 	p.MustAddTask(remo.Task{Name: "max", Attrs: []remo.AttrID{1}, Nodes: allNodes(sys)})
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, p, remo.MonitorConfig{}, 10)
 	// MAX aggregation collapses the whole tree to one logical target.
 	if rep.DemandedPairs != 1 {
 		t.Fatalf("aggregated demanded = %d, want 1", rep.DemandedPairs)
@@ -215,10 +203,7 @@ func TestReliableTask(t *testing.T) {
 	if len(trees) < 2 {
 		t.Fatalf("trees = %d, want >= 2 for replication", len(trees))
 	}
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, p, remo.MonitorConfig{}, 10)
 	// Aliases fold: 6 demanded pairs despite 12 planned deliveries.
 	if rep.DemandedPairs != 6 {
 		t.Fatalf("demanded = %d, want 6", rep.DemandedPairs)
@@ -238,42 +223,9 @@ func TestFrequencyOption(t *testing.T) {
 	if err := p.SetFrequency(2, -1); err == nil {
 		t.Fatal("negative frequency accepted")
 	}
-	plan, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := plan.Deploy(remo.DeployConfig{Rounds: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, p, remo.MonitorConfig{}, 20)
 	if rep.CoveredPairs != rep.DemandedPairs {
 		t.Fatalf("covered %d of %d", rep.CoveredPairs, rep.DemandedPairs)
-	}
-}
-
-func TestAdaptorFlow(t *testing.T) {
-	sys := testSystem(t)
-	p := remo.NewPlanner(sys)
-	ad := remo.NewAdaptor(p, remo.AdaptAdaptive)
-
-	tasks := []remo.Task{{Name: "t1", Attrs: []remo.AttrID{1}, Nodes: allNodes(sys)}}
-	rep, err := ad.SetTasks(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CollectedPairs == 0 {
-		t.Fatal("initial plan collected nothing")
-	}
-	tasks = append(tasks, remo.Task{Name: "t2", Attrs: []remo.AttrID{2}, Nodes: allNodes(sys)[:6]})
-	rep2, err := ad.SetTasks(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.CollectedPairs <= rep.CollectedPairs {
-		t.Fatalf("adapted coverage %d <= initial %d", rep2.CollectedPairs, rep.CollectedPairs)
-	}
-	if err := ad.Plan().Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"remo/internal/model"
 	"remo/internal/repair"
-	"remo/internal/tree"
 )
 
 // RepairReport summarizes a topology repair after node failures.
@@ -21,7 +20,8 @@ type RepairReport struct {
 }
 
 // Repair reconstructs the plan after the given nodes fail: affected
-// trees are rebuilt over the survivors, unaffected trees stay in place.
+// trees are rebuilt over the survivors with the planner's tree builder,
+// as a live session repairs them, and unaffected trees stay in place.
 // The receiver is unchanged; the repaired topology is returned as a new
 // Plan (pairs observed only at failed nodes are gone for good).
 func (p *Plan) Repair(failed []NodeID) (*Plan, RepairReport, error) {
@@ -33,7 +33,7 @@ func (p *Plan) Repair(failed []NodeID) (*Plan, RepairReport, error) {
 		Sys:     p.sys,
 		Demand:  p.demand,
 		Spec:    p.aggSpec,
-		Builder: tree.New(tree.Adaptive),
+		Builder: p.builder,
 	}, p.res.Forest, dead)
 
 	// The repaired plan's demand excludes the failed nodes' pairs.
@@ -47,6 +47,7 @@ func (p *Plan) Repair(failed []NodeID) (*Plan, RepairReport, error) {
 		demand:  d,
 		aggSpec: p.aggSpec,
 		resolve: p.resolve,
+		builder: p.builder,
 		res:     p.res,
 	}
 	repaired.res.Forest = newForest

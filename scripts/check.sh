@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1+ gate for the repo: formatting, vet, build, reachability,
-# race-enabled tests, the durability/shard/suppression/region/service
-# CLI smokes, the service soak, the benchmark module's own tests and a
-# short run of the performance ledger (benchmark/run.sh) with its
-# correctness checks armed. Numbers are not compared here: the ledger
-# run on parent and change is what judges performance
-# (benchmark/README.md).
+# race-enabled tests, one run of each example, the
+# durability/shard/suppression/region/service CLI smokes, the service
+# soak, the benchmark module's own tests and a short run of the
+# performance ledger (benchmark/run.sh) with its correctness checks
+# armed. Numbers are not compared here: the ledger run on parent and
+# change is what judges performance (benchmark/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,6 +99,11 @@ echo "==> installs, fences, parked-frame conservation and mailbox order under -r
 go test -race -count=10 \
     -run 'EngineEquivalenceAcrossInstall|InstallFencesEveryTreeInFlight|ShardSwapFencesStaleFrames|SuppressionSurvivesInstall|InstallPruneConservesParkedFrames|MailboxOrderDeterministic' \
     ./internal/cluster
+
+echo "==> examples (each runs to completion)"
+for example in examples/*/; do
+    go run "./$example" > /dev/null
+done
 
 echo "==> verification harness (plan + repairs + results cross-checked)"
 go run ./cmd/remo-sim -nodes 40 -tasks 20 -rounds 12 -chaos 0.15 -suspicion 2 -verify > /dev/null

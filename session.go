@@ -359,7 +359,7 @@ func (s *session) install(taskSwap bool) plan.Diff {
 // adopt recomputes what depends on the adaptor's forest alone.
 func (s *session) adopt() {
 	s.fp = s.adaptor.Forest().Fingerprint()
-	s.cur = planFromForest(s.planner, s.adaptor.Forest(), s.adaptor.Demand())
+	s.cur = planFromForest(s.planner, s.builder, s.adaptor.Forest(), s.adaptor.Demand())
 }
 
 // deadChanged re-lists the dead set for readers.
@@ -605,7 +605,7 @@ func (s *session) verify() error {
 		return s.verifyErr
 	}
 	ctx, forest, res := s.verifyContext(s.adaptor.Demand()), s.adaptor.Forest(), s.machine.Result()
-	if fp := forest.Fingerprint(); fp != s.fp || s.cur.forest() != forest {
+	if fp := forest.Fingerprint(); fp != s.fp || s.cur.res.Forest != forest {
 		return fmt.Errorf("remo: published plan (fingerprint %#x) is not the installed forest (%#x)", s.fp, fp)
 	}
 	if err := verify.Plan(ctx, forest); err != nil {

@@ -6,7 +6,7 @@ import (
 
 // Monitoring data repository and result processor (the data collector
 // components of the paper's §2.2 system model), re-exported for use with
-// DeployConfig.OnValue.
+// MonitorConfig.OnValue.
 type (
 	// Store retains collected values as bounded per-pair time series.
 	Store = store.Store

@@ -123,21 +123,29 @@ func TestVerifiedChaosMonitorSessions(t *testing.T) {
 	}
 }
 
-// TestVerifiedDeploy checks the Deploy-side result verification with
-// the harness armed, with and without chaos.
+// TestVerifiedDeploy checks a session's result verification with the
+// harness armed, with and without chaos, the topology left unrepaired.
 func TestVerifiedDeploy(t *testing.T) {
 	p, _ := genPlanner(t, 7777)
-	pl, err := p.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.Deploy(remo.DeployConfig{Rounds: 10, Seed: 1}); err != nil {
-		t.Fatalf("clean deploy failed verification: %v", err)
-	}
-	if _, err := pl.Deploy(remo.DeployConfig{
-		Rounds: 10, Seed: 2,
-		Chaos: &remo.ChaosConfig{DropProb: 0.2, DelayProb: 0.1, Seed: 3},
-	}); err != nil {
-		t.Fatalf("chaos deploy failed verification: %v", err)
+	for _, cfg := range []remo.MonitorConfig{
+		{Seed: 1},
+		{
+			Seed:    2,
+			Chaos:   &remo.ChaosConfig{DropProb: 0.2, DelayProb: 0.1, Seed: 3},
+			Failure: &remo.FailurePolicy{DisableRepair: true},
+		},
+	} {
+		mon, err := p.StartMonitor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = mon.Run(10)
+		if err == nil {
+			err = mon.Verify()
+		}
+		_ = mon.Close()
+		if err != nil {
+			t.Fatalf("seed %d: %v", cfg.Seed, err)
+		}
 	}
 }
