@@ -105,6 +105,9 @@ type Adaptor struct {
 	aside *core.Replanner
 	// last is the most recent Init, InitPartition or Commit's report.
 	last Report
+	// fixed, when set, names the partition every proposal evaluates for
+	// its demand instead of adapting (a baseline scheme's; see Fix).
+	fixed func(*task.Demand) []model.AttrSet
 }
 
 // New returns an adaptor using the given policy. The planner supplies
@@ -124,6 +127,14 @@ func New(scheme Scheme, planner *core.Planner, sys *model.System) *Adaptor {
 
 // Scheme returns the adaptor's policy.
 func (a *Adaptor) Scheme() Scheme { return a.scheme }
+
+// Fix makes every later proposal, whatever the scheme, evaluate the
+// partition partitionFor gives its demand — a baseline such as one tree
+// per attribute stays that baseline across task changes — instead of
+// adapting the partition in force.
+func (a *Adaptor) Fix(partitionFor func(*task.Demand) []model.AttrSet) {
+	a.fixed = partitionFor
+}
 
 // Forest returns the topology currently in force.
 func (a *Adaptor) Forest() *plan.Forest { return a.forest }
@@ -226,8 +237,12 @@ func (a *Adaptor) Apply(newDemand *task.Demand) Report {
 func (a *Adaptor) Propose(newDemand, carry *task.Demand) Proposal {
 	start := time.Now()
 	p := Proposal{demand: newDemand}
-	switch a.scheme {
-	case Incremental:
+	switch {
+	case a.fixed != nil:
+		res := a.planner.PlanPartition(a.sys, newDemand, a.fixed(newDemand))
+		p.forest, p.partition = res.Forest, res.Partition
+		p.rep.Stats = res.Stats
+	case a.scheme == Incremental:
 		res, rstats := a.proposeIncremental(&p, carry)
 		p.forest, p.partition = res.Forest, res.Partition
 		p.rep.Replan = rstats
@@ -236,10 +251,10 @@ func (a *Adaptor) Propose(newDemand, carry *task.Demand) Proposal {
 		for _, k := range rstats.Diff.Rebuilt {
 			p.touched[k] = struct{}{}
 		}
-	case DirectApply:
+	case a.scheme == DirectApply:
 		p.forest, p.partition, _ = a.directApply(newDemand)
 		p.rep.Stats = p.forest.ComputeStats(newDemand, a.sys, a.planner.Spec())
-	case NoThrottle, Adaptive:
+	case a.scheme == NoThrottle || a.scheme == Adaptive:
 		forest, sets, rebuilt := a.directApply(newDemand)
 		p.forest, p.partition, p.rep.Operations = a.optimize(newDemand, forest, sets, rebuilt, a.scheme == Adaptive)
 		p.rep.Stats = p.forest.ComputeStats(newDemand, a.sys, a.planner.Spec())

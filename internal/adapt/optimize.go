@@ -94,13 +94,9 @@ func (a *Adaptor) rebuildSubset(d *task.Demand, sets []model.AttrSet, existing m
 	built := make(map[int]*plan.Tree, len(order))
 	for _, i := range order {
 		participants := d.Participants(sets[i])
-		avail := make(map[model.NodeID]float64, len(participants))
-		for _, n := range participants {
-			rem := a.sys.Capacity(n) - used[n]
-			if rem < 0 {
-				rem = 0
-			}
-			avail[n] = rem
+		avail := make([]float64, len(participants))
+		for j, n := range participants {
+			avail[j] = max(a.sys.Capacity(n)-used[n], 0)
 		}
 		centralAvail := a.sys.CentralCapacity - centralUsed
 		if centralAvail < 0 {
@@ -116,8 +112,8 @@ func (a *Adaptor) rebuildSubset(d *task.Demand, sets []model.AttrSet, existing m
 			CentralAvail: centralAvail,
 		})
 		built[i] = r.Tree
-		for n, u := range r.Used {
-			used[n] += u
+		for j, u := range r.Used {
+			used[r.Nodes[j]] += u
 		}
 		centralUsed += r.CentralUsed
 	}

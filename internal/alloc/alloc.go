@@ -39,18 +39,11 @@ type Request struct {
 	Sys    *model.System
 	Demand *task.Demand
 	Sets   []model.AttrSet
-	// Parts optionally overrides participant lookup (a planner-level
-	// cache); nil falls back to Demand.Participants.
-	Parts func(model.AttrSet) []model.NodeID
-}
-
-// participants resolves a set's participant nodes through the cache
-// when present.
-func (r Request) participants(set model.AttrSet) []model.NodeID {
-	if r.Parts != nil {
-		return r.Parts(set)
-	}
-	return r.Demand.Participants(set)
+	// Parts[k] are the participants of Sets[k] (Demand.Participants) and
+	// Caps[k] their capacities, index-aligned: the planner keeps both
+	// in its evaluation cache.
+	Parts [][]model.NodeID
+	Caps  [][]float64
 }
 
 // Sequencer plans construction order and per-tree capacity budgets.
@@ -60,9 +53,12 @@ type Sequencer interface {
 	// Order returns indices into req.Sets in construction order.
 	Order(req Request) []int
 	// Avail returns the capacity each participant of req.Sets[k] may
-	// spend on tree k, given the usage already consumed by previously
-	// constructed trees. usedSoFar may be nil for the first tree.
-	Avail(req Request, k int, usedSoFar map[model.NodeID]float64) map[model.NodeID]float64
+	// spend on tree k, index-aligned with the set's participants (in
+	// req's participant order), given usedSoFar, aligned the same way:
+	// what previously constructed trees already charged each
+	// participant. usedSoFar may be nil for the first tree. The result
+	// is written into dst's storage when it is large enough.
+	Avail(req Request, k int, usedSoFar, dst []float64) []float64
 	// CentralAvail returns the central collector's budget for tree k
 	// given its usage so far.
 	CentralAvail(req Request, k int, usedSoFar float64) float64
@@ -94,12 +90,22 @@ func Schemes() []Scheme {
 // participates in.
 func treeCountOf(req Request) map[model.NodeID]int {
 	counts := make(map[model.NodeID]int)
-	for _, set := range req.Sets {
-		for _, n := range req.participants(set) {
+	for k := range req.Sets {
+		for _, n := range req.Parts[k] {
 			counts[n]++
 		}
 	}
 	return counts
+}
+
+// resize returns dst's storage holding n zeros, or a new slice.
+func resize(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	return dst
 }
 
 // identityOrder returns 0..len(sets)-1.
@@ -116,15 +122,16 @@ type uniform struct{}
 func (uniform) Scheme() Scheme          { return Uniform }
 func (uniform) Order(req Request) []int { return identityOrder(req) }
 
-func (uniform) Avail(req Request, k int, _ map[model.NodeID]float64) map[model.NodeID]float64 {
+func (uniform) Avail(req Request, k int, _, dst []float64) []float64 {
 	counts := treeCountOf(req)
-	avail := make(map[model.NodeID]float64)
-	for _, n := range req.participants(req.Sets[k]) {
+	parts := req.Parts[k]
+	avail := resize(dst, len(parts))
+	for i, n := range parts {
 		c := counts[n]
 		if c == 0 {
 			c = 1
 		}
-		avail[n] = req.Sys.Capacity(n) / float64(c)
+		avail[i] = req.Caps[k][i] / float64(c)
 	}
 	return avail
 }
@@ -141,19 +148,19 @@ type proportional struct{}
 func (proportional) Scheme() Scheme          { return Proportional }
 func (proportional) Order(req Request) []int { return identityOrder(req) }
 
-func (proportional) Avail(req Request, k int, _ map[model.NodeID]float64) map[model.NodeID]float64 {
-	avail := make(map[model.NodeID]float64)
-	for _, n := range req.participants(req.Sets[k]) {
+func (proportional) Avail(req Request, k int, _, dst []float64) []float64 {
+	parts := req.Parts[k]
+	avail := resize(dst, len(parts))
+	for i, n := range parts {
 		var total float64
 		for _, set := range req.Sets {
 			total += req.Demand.LocalWeight(n, set)
 		}
 		w := req.Demand.LocalWeight(n, req.Sets[k])
 		if total <= 0 {
-			avail[n] = 0
 			continue
 		}
-		avail[n] = req.Sys.Capacity(n) * w / total
+		avail[i] = req.Caps[k][i] * w / total
 	}
 	return avail
 }
@@ -192,8 +199,8 @@ func (o onDemand) Order(req Request) []int {
 		return order
 	}
 	sizes := make([]int, len(req.Sets))
-	for i, set := range req.Sets {
-		sizes[i] = len(req.participants(set))
+	for i := range req.Sets {
+		sizes[i] = len(req.Parts[i])
 	}
 	sort.SliceStable(order, func(i, j int) bool {
 		return sizes[order[i]] < sizes[order[j]]
@@ -201,13 +208,16 @@ func (o onDemand) Order(req Request) []int {
 	return order
 }
 
-func (onDemand) Avail(req Request, k int, usedSoFar map[model.NodeID]float64) map[model.NodeID]float64 {
-	parts := req.participants(req.Sets[k])
-	avail := make(map[model.NodeID]float64, len(parts))
-	for _, n := range parts {
-		avail[n] = req.Sys.Capacity(n) - usedSoFar[n]
-		if avail[n] < 0 {
-			avail[n] = 0
+func (onDemand) Avail(req Request, k int, usedSoFar, dst []float64) []float64 {
+	parts := req.Parts[k]
+	avail := resize(dst, len(parts))
+	for i := range parts {
+		avail[i] = req.Caps[k][i]
+		if usedSoFar != nil {
+			avail[i] -= usedSoFar[i]
+		}
+		if avail[i] < 0 {
+			avail[i] = 0
 		}
 	}
 	return avail

@@ -73,20 +73,23 @@ func fig10Context(o Options, n int) tree.Context {
 		panic(err)
 	}
 	d := task.NewDemand()
-	avail := make(map[model.NodeID]float64, n)
 	attrs := []model.AttrID{1, 2, 3, 4, 5}
 	for _, id := range sys.NodeIDs() {
 		for _, a := range attrs {
 			d.Set(id, a, 1)
 		}
-		avail[id] = sys.Capacity(id)
 	}
 	set := model.NewAttrSet(attrs...)
+	nodes := d.Participants(set)
+	avail := make([]float64, len(nodes))
+	for i, id := range nodes {
+		avail[i] = sys.Capacity(id)
+	}
 	return tree.Context{
 		Sys:          sys,
 		Demand:       d,
 		Attrs:        set,
-		Nodes:        d.Participants(set),
+		Nodes:        nodes,
 		Avail:        avail,
 		CentralAvail: sys.CentralCapacity,
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -14,21 +15,24 @@ import (
 
 // evalCache memoizes work shared across the many candidate evaluations
 // of one search. The guided search changes only one or two sets per
-// move, so three kinds of state recur verbatim between evaluations:
+// move, so four kinds of state recur verbatim between evaluations:
 //
-//   - participant lists of unchanged attribute sets,
-//   - local-weight maps of unchanged attribute sets,
+//   - per attribute set: its participants, their global node indices
+//     and local weights, and its demanded pair count,
+//   - per attribute: the nodes demanding it, as a bitset over the same
+//     global node indices (what the neighborhood ranking counts),
 //   - whole constructed trees, whenever a set's participants AND its
 //     capacity budget are unchanged (the common case under ORDERED
 //     allocation: trees built before the first changed set see the
-//     exact same avail map and are bit-identical rebuilds).
+//     exact same budgets and are bit-identical rebuilds).
 //
 // The cache is shared by the concurrent candidate evaluators of one
-// search, so every map is guarded: participants/weights by mu, the
-// tree memo by treeMu. Cached trees are never aliased by callers — a
-// clone is stored on insert and a clone is handed out on every hit —
-// so a forest returned to (and possibly mutated by) adaptation or
-// repair code cannot corrupt the memo.
+// search, so every map is guarded: sets and bitsets by mu, the tree memo
+// by treeMu. A memoized tree is shared by every forest the search
+// builds from it; nothing inside the search modifies a tree, and a
+// forest is cloned once when it leaves the search (Plan, PlanFrom,
+// Evaluate, Replanner.Update), so adaptation or repair code that
+// mutates a returned forest cannot corrupt the memo.
 //
 // The tree memo is bounded: long-lived churn sessions replan against
 // the same cache, so it uses clock (second-chance) eviction once it
@@ -38,12 +42,14 @@ import (
 type evalCache struct {
 	d *task.Demand
 
-	mu           sync.RWMutex
-	participants map[string][]model.NodeID
-	weights      map[string]map[model.NodeID]float64
-	// keySets maps a participants/weights key back to its attribute set
-	// so invalidate can match entries against a dirty neighborhood.
-	keySets map[string]model.AttrSet
+	mu   sync.RWMutex
+	sets map[string]*setEntry
+	// nodeIdx is the global dense node order, first seen first; it only
+	// grows, so indices stay valid across invalidate and rebind.
+	nodeIdx map[model.NodeID]int
+	// attrBits are the per-attribute node bitsets, nil until first use
+	// and after invalidate.
+	attrBits map[model.AttrID][]uint64
 
 	treeMu sync.RWMutex
 	trees  map[treeKey]*cachedBuild
@@ -62,6 +68,22 @@ type evalCache struct {
 	builds, reuses atomic.Int64
 }
 
+// setEntry is what the cache knows about one attribute set; it is
+// immutable once published.
+type setEntry struct {
+	set model.AttrSet
+	key string
+	// parts are the participants, ascending; idx their global node
+	// indices, caps their capacities and weights their local demand
+	// weights, index-aligned.
+	parts   []model.NodeID
+	idx     []int
+	caps    []float64
+	weights []float64
+	// pairs is the set's demanded pair count.
+	pairs int
+}
+
 // defaultTreeMemoCap bounds the tree memo when the planner does not
 // set an explicit cap. At ~1-2 KiB per cached build this keeps a
 // long-lived replanner under a few MiB.
@@ -75,56 +97,77 @@ func newEvalCache(d *task.Demand, memoCap int) *evalCache {
 		memoCap = 0 // unbounded
 	}
 	return &evalCache{
-		d:            d,
-		participants: make(map[string][]model.NodeID),
-		weights:      make(map[string]map[model.NodeID]float64),
-		keySets:      make(map[string]model.AttrSet),
-		trees:        make(map[treeKey]*cachedBuild),
-		memoCap:      memoCap,
+		d:       d,
+		sets:    make(map[string]*setEntry),
+		nodeIdx: make(map[model.NodeID]int),
+		trees:   make(map[treeKey]*cachedBuild),
+		memoCap: memoCap,
 	}
 }
 
-func (c *evalCache) participantsOf(set model.AttrSet) []model.NodeID {
+// entry returns the set's cached entry, building it on first use. sys
+// supplies the capacities; it is fixed for the cache's lifetime.
+func (c *evalCache) entry(sys *model.System, set model.AttrSet) *setEntry {
 	key := set.Key()
 	c.mu.RLock()
-	parts, ok := c.participants[key]
+	e, ok := c.sets[key]
 	c.mu.RUnlock()
 	if ok {
-		return parts
+		return e
 	}
-	parts = c.d.Participants(set)
+	e = &setEntry{set: set, key: key, parts: c.d.Participants(set)}
+	e.weights = make([]float64, len(e.parts))
+	e.caps = make([]float64, len(e.parts))
+	for i, n := range e.parts {
+		e.caps[i] = sys.Capacity(n)
+		// One pass for both: the weight sums in attribute order, as
+		// Demand.LocalWeight does.
+		c.d.VisitLocal(n, set, func(_ int, w float64) {
+			e.weights[i] += w
+			e.pairs++
+		})
+	}
 	c.mu.Lock()
-	if prev, ok := c.participants[key]; ok {
-		parts = prev // keep the first insert so callers share one slice
-	} else {
-		c.participants[key] = parts
-		c.keySets[key] = set
+	defer c.mu.Unlock()
+	if prev, ok := c.sets[key]; ok {
+		return prev // keep the first insert so callers share one entry
 	}
-	c.mu.Unlock()
-	return parts
+	e.idx = make([]int, len(e.parts))
+	for i, n := range e.parts {
+		e.idx[i] = c.indexLocked(n)
+	}
+	c.sets[key] = e
+	return e
 }
 
-func (c *evalCache) weightsOf(set model.AttrSet) map[model.NodeID]float64 {
-	key := set.Key()
+// indexLocked returns n's global node index, assigning the next one on
+// first sight. Caller holds mu for writing.
+func (c *evalCache) indexLocked(n model.NodeID) int {
+	i, ok := c.nodeIdx[n]
+	if !ok {
+		i = len(c.nodeIdx)
+		c.nodeIdx[n] = i
+	}
+	return i
+}
+
+// nodeCount is the number of global node indices assigned so far.
+func (c *evalCache) nodeCount() int {
 	c.mu.RLock()
-	w, ok := c.weights[key]
-	c.mu.RUnlock()
-	if ok {
-		return w
-	}
-	parts := c.participantsOf(set)
-	w = make(map[model.NodeID]float64, len(parts))
-	for _, n := range parts {
-		w[n] = c.d.LocalWeight(n, set)
-	}
+	defer c.mu.RUnlock()
+	return len(c.nodeIdx)
+}
+
+// bits returns, per attribute, the nodes demanding it as a bitset over
+// the global node indices, built for every attribute at once on first
+// use after an invalidation. The map is never written once returned.
+func (c *evalCache) bits() map[model.AttrID][]uint64 {
 	c.mu.Lock()
-	if prev, ok := c.weights[key]; ok {
-		w = prev
-	} else {
-		c.weights[key] = w
+	defer c.mu.Unlock()
+	if c.attrBits == nil {
+		c.attrBits = c.d.AttrNodeBits(c.indexLocked)
 	}
-	c.mu.Unlock()
-	return w
+	return c.attrBits
 }
 
 // treeKey identifies one tree-construction problem: the attribute set
@@ -136,15 +179,16 @@ type treeKey struct {
 	hash  uint64
 }
 
-// cachedBuild is one memoized construction result. tree is a private
-// clone; used and centralUsed are the build's capacity charges, read
-// (never written) by evaluate. stats is the tree's profile, computed
+// cachedBuild is one memoized construction result. tree is shared with
+// the forests of the search that built or reused it; used (index-aligned
+// with the set's participants) and centralUsed are the build's capacity
+// charges. Nothing writes any of them after storeTree. stats is the tree's profile, computed
 // once by the first evaluation that needs it. attrs is the delivered
 // attribute set (for neighborhood invalidation); ref is the clock
 // sweep's second-chance reference bit, set on every hit.
 type cachedBuild struct {
 	tree        *plan.Tree
-	used        map[model.NodeID]float64
+	used        []float64
 	centralUsed float64
 	statsOnce   sync.Once
 	stats       plan.TreeStats
@@ -152,19 +196,13 @@ type cachedBuild struct {
 	ref         atomic.Bool
 }
 
-// FNV-1a constants for the budget fingerprint.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
+// keyMix folds one 64-bit word into the budget fingerprint: a
+// multiply-rotate round (xxHash64's), one step per word rather than one
+// per byte.
+func keyMix(h, v uint64) uint64 {
+	const prime1, prime2 = 11400714785074694791, 14029467366897019727
+	h ^= bits.RotateLeft64(v*prime2, 31) * prime1
+	return bits.RotateLeft64(h, 27)*prime1 + 0x85ebca77c2b2ae63
 }
 
 // quantBudget quantizes a capacity budget to 1e-9 cost units, folding
@@ -175,18 +213,17 @@ func quantBudget(v float64) uint64 {
 	return uint64(int64(math.Round(v * 1e9)))
 }
 
-// buildTreeKey fingerprints a construction problem. nodes must be the
-// set's participants in their canonical (ascending) order so the hash
-// is deterministic.
-func buildTreeKey(attrs model.AttrSet, nodes []model.NodeID, avail map[model.NodeID]float64, centralAvail float64) treeKey {
-	h := uint64(fnvOffset64)
-	h = fnvMix(h, uint64(len(nodes)))
-	for _, n := range nodes {
-		h = fnvMix(h, uint64(n))
-		h = fnvMix(h, quantBudget(avail[n]))
+// buildTreeKey fingerprints a construction problem: the set's key, its
+// participants in their canonical (ascending) order and their budgets,
+// index-aligned, plus the collector's.
+func buildTreeKey(attrs string, nodes []model.NodeID, avail []float64, centralAvail float64) treeKey {
+	h := uint64(len(nodes))
+	for i, n := range nodes {
+		h = keyMix(h, uint64(n))
+		h = keyMix(h, quantBudget(avail[i]))
 	}
-	h = fnvMix(h, quantBudget(centralAvail))
-	return treeKey{attrs: attrs.Key(), hash: h}
+	h = keyMix(h, quantBudget(centralAvail))
+	return treeKey{attrs: attrs, hash: h}
 }
 
 // lookupTree returns the memoized build for key, if any, marking the
@@ -203,16 +240,12 @@ func (c *evalCache) lookupTree(key treeKey) (*cachedBuild, bool) {
 }
 
 // storeTree memoizes a build result under key and returns the entry
-// now memoized there. The tree is cloned on insert (copy-on-insert) so
-// the caller's tree — which joins a forest the planner hands to callers
-// — never aliases cache state. At memoCap the insert reclaims a slot via
-// the clock sweep instead of growing.
+// now memoized there: the first one stored under key, whose tree the
+// caller should use so that equal builds share one tree. At memoCap the
+// insert reclaims a slot via the clock sweep instead of growing.
 func (c *evalCache) storeTree(key treeKey, attrs model.AttrSet, r tree.Result) *cachedBuild {
 	c.builds.Add(1)
-	cb := &cachedBuild{used: r.Used, centralUsed: r.CentralUsed, attrs: attrs}
-	if r.Tree != nil {
-		cb.tree = r.Tree.Clone()
-	}
+	cb := &cachedBuild{tree: r.Tree, used: r.Used, centralUsed: r.CentralUsed, attrs: attrs}
 	c.treeMu.Lock()
 	defer c.treeMu.Unlock()
 	if prev, dup := c.trees[key]; dup {
@@ -265,8 +298,8 @@ func (c *evalCache) reclaimSlot() int {
 }
 
 // invalidate drops every cached artifact whose attribute set intersects
-// the dirty neighborhood: memoized tree builds plus the participant and
-// weight entries of intersecting sets. Incremental replanning calls
+// the dirty neighborhood: memoized tree builds, the entries of
+// intersecting sets, and the attribute bitsets (rebuilt on next use). Incremental replanning calls
 // this between updates (no evaluators run concurrently), after which
 // the surviving entries are exactly the ones the mutated demand leaves
 // unchanged.
@@ -282,13 +315,12 @@ func (c *evalCache) invalidate(dirty model.AttrSet) {
 	}
 	c.treeMu.Unlock()
 	c.mu.Lock()
-	for key, set := range c.keySets {
-		if set.IntersectsAny(dirty) {
-			delete(c.participants, key)
-			delete(c.weights, key)
-			delete(c.keySets, key)
+	for key, e := range c.sets {
+		if e.set.IntersectsAny(dirty) {
+			delete(c.sets, key)
 		}
 	}
+	c.attrBits = nil
 	c.mu.Unlock()
 }
 

@@ -191,7 +191,7 @@ func (r *Replanner) Update(newD *task.Demand) (Result, ReplanStats) {
 			stats.Evaluations += res.Evaluations
 		} else {
 			stats.Incremental = true
-			res = inc
+			res = inc.leave()
 		}
 	}
 	// The persistent memo's counters cover scoped work; full replans

@@ -74,8 +74,8 @@ func TestCacheInvalidateByNeighborhood(t *testing.T) {
 	c := newEvalCache(d, 0)
 	c.storeTree(treeKey{attrs: "1", hash: 1}, model.NewAttrSet(1), tree.Result{})
 	c.storeTree(treeKey{attrs: "2", hash: 2}, model.NewAttrSet(2), tree.Result{})
-	_ = c.participantsOf(model.NewAttrSet(1))
-	_ = c.participantsOf(model.NewAttrSet(2))
+	_ = c.entry(&model.System{}, model.NewAttrSet(1))
+	_ = c.entry(&model.System{}, model.NewAttrSet(2))
 
 	c.invalidate(model.NewAttrSet(1))
 	if _, ok := c.lookupTree(treeKey{attrs: "1", hash: 1}); ok {
@@ -85,8 +85,8 @@ func TestCacheInvalidateByNeighborhood(t *testing.T) {
 		t.Fatal("disjoint tree was invalidated")
 	}
 	c.mu.RLock()
-	_, gone := c.participants[model.NewAttrSet(1).Key()]
-	_, kept := c.participants[model.NewAttrSet(2).Key()]
+	_, gone := c.sets[model.NewAttrSet(1).Key()]
+	_, kept := c.sets[model.NewAttrSet(2).Key()]
 	c.mu.RUnlock()
 	if gone || !kept {
 		t.Fatalf("participants after invalidate: dirty present=%v clean present=%v", gone, kept)

@@ -258,18 +258,15 @@ func TestEvalCacheConcurrentHammer(t *testing.T) {
 				a := universe[(g+i)%len(universe)]
 				b := universe[(g+i+1)%len(universe)]
 				set := model.NewAttrSet(a, b)
-				parts := cache.participantsOf(set)
-				weights := cache.weightsOf(set)
-				if len(weights) != len(parts) {
-					t.Errorf("weights/participants out of sync: %d vs %d",
-						len(weights), len(parts))
+				e := cache.entry(sys, set)
+				parts, weights := e.parts, e.weights
+				if len(weights) != len(parts) || len(e.caps) != len(parts) {
+					t.Errorf("weights/capacities/participants out of sync: %d, %d vs %d",
+						len(weights), len(e.caps), len(parts))
 					return
 				}
-				avail := make(map[model.NodeID]float64, len(parts))
-				for _, n := range parts {
-					avail[n] = sys.Capacity(n)
-				}
-				key := buildTreeKey(set, parts, avail, sys.CentralCapacity)
+				avail := append([]float64(nil), e.caps...)
+				key := buildTreeKey(set.Key(), parts, avail, sys.CentralCapacity)
 				if cb, ok := cache.lookupTree(key); ok {
 					if cb.tree == nil {
 						t.Error("cached build lost its tree")

@@ -176,6 +176,11 @@ type Result struct {
 	TreeBuilds int
 	// TreeReuses counts memo hits (see TreeBuilds).
 	TreeReuses int
+
+	// missed counts, per set of Partition, the demanded pairs its tree
+	// does not collect: what the ranking's split gains read. Set by
+	// every evaluation inside the search.
+	missed []int
 }
 
 // Plan runs the full REMO planning algorithm for demand d on system sys.
@@ -196,22 +201,23 @@ func (p *Planner) Plan(sys *model.System, d *task.Demand) Result {
 	if p.cfg.SingleStart {
 		return p.PlanFrom(sys, d, partition.Singleton(universe))
 	}
+	from := func(sets []model.AttrSet) Result { return p.search(sys, d, sets, p.newCache(d), nil) }
 	var fromSP, fromOP Result
 	if p.workers() > 1 {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			fromSP = p.PlanFrom(sys, d, partition.Singleton(universe))
+			fromSP = from(partition.Singleton(universe))
 		}()
 		go func() {
 			defer wg.Done()
-			fromOP = p.PlanFrom(sys, d, partition.FirstFitAllowed(universe, p.cfg.Constraints))
+			fromOP = from(partition.FirstFitAllowed(universe, p.cfg.Constraints))
 		}()
 		wg.Wait()
 	} else {
-		fromSP = p.PlanFrom(sys, d, partition.Singleton(universe))
-		fromOP = p.PlanFrom(sys, d, partition.FirstFitAllowed(universe, p.cfg.Constraints))
+		fromSP = from(partition.Singleton(universe))
+		fromOP = from(partition.FirstFitAllowed(universe, p.cfg.Constraints))
 	}
 	fromOP.Evaluations += fromSP.Evaluations
 	fromOP.Iterations += fromSP.Iterations
@@ -222,9 +228,16 @@ func (p *Planner) Plan(sys *model.System, d *task.Demand) Result {
 		fromSP.Iterations = fromOP.Iterations
 		fromSP.TreeBuilds = fromOP.TreeBuilds
 		fromSP.TreeReuses = fromOP.TreeReuses
-		return fromSP
+		return fromSP.leave()
 	}
-	return fromOP
+	return fromOP.leave()
+}
+
+// leave clones the result's forest as it leaves the search: inside it,
+// forests share their trees with the evaluation cache's memo.
+func (r Result) leave() Result {
+	r.Forest = r.Forest.Clone()
+	return r
 }
 
 // candEval is one candidate's evaluation outcome, filled by the worker
@@ -233,6 +246,7 @@ type candEval struct {
 	sets   []model.AttrSet
 	forest *plan.Forest
 	stats  plan.Stats
+	missed []int
 }
 
 // PlanFrom runs the guided local search starting from the given
@@ -254,7 +268,7 @@ type candEval struct {
 // when nothing was adopted — so the adopted move, and therefore the
 // final plan, is identical to the sequential search's.
 func (p *Planner) PlanFrom(sys *model.System, d *task.Demand, sets []model.AttrSet) Result {
-	return p.search(sys, d, sets, p.newCache(d), nil)
+	return p.search(sys, d, sets, p.newCache(d), nil).leave()
 }
 
 // newCache builds an evaluation cache honoring the configured memo cap.
@@ -270,7 +284,7 @@ type searchScope struct {
 	dirty map[string]struct{}
 }
 
-// dirtyAt adapts the scope to RankScoped's index-based predicate.
+// dirtyAt adapts the scope to partition.Top's index-based predicate.
 func (s *searchScope) dirtyAt(sets []model.AttrSet) func(int) bool {
 	return func(i int) bool {
 		_, ok := s.dirty[sets[i].Key()]
@@ -297,7 +311,7 @@ func (s *searchScope) absorb(before, after []model.AttrSet) {
 // generation to the dirty sets (incremental replanning).
 func (p *Planner) search(sys *model.System, d *task.Demand, sets []model.AttrSet, cache *evalCache, scope *searchScope) Result {
 	res := Result{Partition: sets}
-	res.Forest, res.Stats = p.evaluate(sys, d, sets, cache)
+	res.Forest, res.Stats, res.missed = p.evaluate(sys, d, sets, cache)
 	res.Evaluations = 1
 
 	cur := res
@@ -312,31 +326,24 @@ func (p *Planner) search(sys *model.System, d *task.Demand, sets []model.AttrSet
 	workers := p.workers()
 
 	for iter := 0; iter < p.cfg.MaxIters; iter++ {
-		var gctx partition.GainContext
+		gctx := partition.GainContext{
+			Demand:     d,
+			PerMessage: sys.Cost.PerMessage,
+			PerValue:   sys.Cost.PerValue,
+			Missed:     cur.missed,
+			AttrBits:   cache.bits(),
+		}
+		var dirty func(int) bool
 		if scope != nil {
-			gctx = p.lazyGainContext(sys, d, cur)
-		} else {
-			gctx = p.gainContext(sys, d, cur)
+			dirty = scope.dirtyAt(cur.Partition)
 		}
-		gctx.Parts = cache.participantsOf
-		var cands []partition.Candidate
-		if scope != nil {
-			cands = partition.RankScoped(cur.Partition, gctx, scope.dirtyAt(cur.Partition))
-		} else {
-			cands = partition.Rank(cur.Partition, gctx)
+		var allow func(partition.Op) bool
+		if cons := p.cfg.Constraints; cons != nil {
+			sets := cur.Partition
+			allow = func(op partition.Op) bool { return cons.AllowOp(sets, op) }
 		}
-		if p.cfg.Constraints != nil {
-			allowed := cands[:0]
-			for _, c := range cands {
-				if p.cfg.Constraints.AllowOp(cur.Partition, c.Op) {
-					allowed = append(allowed, c)
-				}
-			}
-			cands = allowed
-		}
-		if p.cfg.EvalBudget > 0 && len(cands) > p.cfg.EvalBudget {
-			cands = cands[:p.cfg.EvalBudget]
-		}
+		// The EvalBudget best-ranked allowed moves, in rank order.
+		cands := partition.Top(cur.Partition, gctx, dirty, allow, p.cfg.EvalBudget)
 
 		improved := false
 		sidewaysTaken := false
@@ -348,7 +355,7 @@ func (p *Planner) search(sys *model.System, d *task.Demand, sets []model.AttrSet
 				if scope != nil {
 					scope.absorb(cur.Partition, e.sets)
 				}
-				cur = Result{Partition: e.sets, Forest: e.forest, Stats: e.stats}
+				cur = Result{Partition: e.sets, Forest: e.forest, Stats: e.stats, missed: e.missed}
 				res.Iterations++
 				improved = true
 				return true
@@ -358,7 +365,7 @@ func (p *Planner) search(sys *model.System, d *task.Demand, sets []model.AttrSet
 				if scope != nil {
 					scope.absorb(cur.Partition, e.sets)
 				}
-				cur = Result{Partition: e.sets, Forest: e.forest, Stats: e.stats}
+				cur = Result{Partition: e.sets, Forest: e.forest, Stats: e.stats, missed: e.missed}
 				sidewaysTaken = true
 				sidewaysLeft--
 				return true
@@ -379,8 +386,8 @@ func (p *Planner) search(sys *model.System, d *task.Demand, sets []model.AttrSet
 			win := cands[lo:min(lo+len(outs), len(cands))]
 			runIndexed(workers, len(win), func(i int) {
 				sets := partition.Apply(base, win[i].Op)
-				forest, stats := p.evaluate(sys, d, sets, cache)
-				outs[i] = candEval{sets: sets, forest: forest, stats: stats}
+				forest, stats, missed := p.evaluate(sys, d, sets, cache)
+				outs[i] = candEval{sets: sets, forest: forest, stats: stats, missed: missed}
 			})
 			res.Evaluations += len(win)
 			for i, c := range win {
@@ -418,33 +425,52 @@ func (p *Planner) PlanPartition(sys *model.System, d *task.Demand, sets []model.
 // the trees per the allocation policy, construct each under its capacity
 // budget, and compute the resulting forest's profile.
 func (p *Planner) Evaluate(sys *model.System, d *task.Demand, sets []model.AttrSet) (*plan.Forest, plan.Stats) {
-	return p.evaluate(sys, d, sets, p.newCache(d))
+	forest, stats, _ := p.evaluate(sys, d, sets, p.newCache(d))
+	return forest.Clone(), stats
 }
 
-func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrSet, cache *evalCache) (*plan.Forest, plan.Stats) {
-	req := alloc.Request{Sys: sys, Demand: d, Sets: sets, Parts: cache.participantsOf}
+// evaluate is Evaluate over a search's cache, whose memo trees the
+// returned forest shares. It also returns, per set, the demanded pairs
+// its tree leaves uncollected: the set's cached pair count minus its
+// tree's LocalPairs.
+func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrSet, cache *evalCache) (*plan.Forest, plan.Stats, []int) {
+	entries := make([]*setEntry, len(sets))
+	req := alloc.Request{
+		Sys: sys, Demand: d, Sets: sets,
+		Parts: make([][]model.NodeID, len(sets)),
+		Caps:  make([][]float64, len(sets)),
+	}
+	for k, set := range sets {
+		entries[k] = cache.entry(sys, set)
+		req.Parts[k], req.Caps[k] = entries[k].parts, entries[k].caps
+	}
 	order := p.cfg.Alloc.Order(req)
 
 	built := make([]*plan.Tree, len(sets))
 	stats := make([]plan.TreeStats, len(sets))
-	used := make(map[model.NodeID]float64)
+	// used is the charge so far per global node index; usedK and avail
+	// are the tree under construction's slices of it, participant-aligned.
+	used := make([]float64, cache.nodeCount())
+	var usedK, avail []float64
 	var centralUsed float64
 	for _, k := range order {
-		avail := p.cfg.Alloc.Avail(req, k, used)
+		e := entries[k]
+		usedK = usedK[:0]
+		for _, g := range e.idx {
+			usedK = append(usedK, used[g])
+		}
+		avail = p.cfg.Alloc.Avail(req, k, usedK, avail)
 		centralAvail := p.cfg.Alloc.CentralAvail(req, k, centralUsed)
-		nodes := cache.participantsOf(sets[k])
 
 		var key treeKey
 		memo := !p.cfg.NoTreeCache
 		if memo {
-			key = buildTreeKey(sets[k], nodes, avail, centralAvail)
+			key = buildTreeKey(e.key, e.parts, avail, centralAvail)
 			if cb, ok := cache.lookupTree(key); ok {
-				if cb.tree != nil {
-					built[k] = cb.tree.Clone()
-				}
+				built[k] = cb.tree
 				stats[k] = cb.treeStats(d, sys, p.cfg.Spec)
-				for n, u := range cb.used {
-					used[n] += u
+				for i, g := range e.idx {
+					used[g] += cb.used[i]
 				}
 				centralUsed += cb.centralUsed
 				continue
@@ -455,20 +481,22 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 			Demand:       d,
 			Spec:         p.cfg.Spec,
 			Attrs:        sets[k],
-			Nodes:        nodes,
+			Nodes:        e.parts,
 			Avail:        avail,
 			CentralAvail: centralAvail,
-			LocalWeights: cache.weightsOf(sets[k]),
+			LocalWeights: e.weights,
 		})
-		built[k] = r.Tree
-		for n, u := range r.Used {
-			used[n] += u
+		for i, g := range e.idx {
+			used[g] += r.Used[i]
 		}
 		centralUsed += r.CentralUsed
 		if memo {
-			stats[k] = cache.storeTree(key, sets[k], r).treeStats(d, sys, p.cfg.Spec)
+			cb := cache.storeTree(key, sets[k], r)
+			built[k] = cb.tree
+			stats[k] = cb.treeStats(d, sys, p.cfg.Spec)
 		} else {
 			cache.builds.Add(1)
+			built[k] = r.Tree
 			stats[k] = plan.ComputeTreeStats(r.Tree, d, sys, p.cfg.Spec)
 		}
 	}
@@ -477,73 +505,15 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 	// order: a memo hit reuses the stats computed when its tree was built.
 	forest := plan.NewForest()
 	perTree := make([]plan.TreeStats, 0, len(sets))
+	missed := make([]int, len(sets))
 	for k, t := range built {
+		missed[k] = entries[k].pairs - stats[k].LocalPairs
 		if t != nil && !t.Empty() {
 			forest.Add(t)
 			perTree = append(perTree, stats[k])
 		}
 	}
-	return forest, plan.SumStats(perTree)
-}
-
-// gainContext assembles the estimator inputs from the last evaluation.
-// Trees are indexed by attribute-set key once, so the scan is
-// O(sets + trees·members) rather than the quadratic
-// O(sets·trees·members) of a per-set linear search.
-func (p *Planner) gainContext(sys *model.System, d *task.Demand, res Result) partition.GainContext {
-	byKey := make(map[string]*plan.Tree, len(res.Forest.Trees))
-	for _, t := range res.Forest.Trees {
-		byKey[t.Attrs.Key()] = t
-	}
-	missed := make([]int, len(res.Partition))
-	for i, set := range res.Partition {
-		demanded := d.PairCountIn(set)
-		collected := 0
-		if t := byKey[set.Key()]; t != nil {
-			for _, n := range t.Members() {
-				collected += d.LocalCount(n, set)
-			}
-		}
-		missed[i] = demanded - collected
-	}
-	return partition.GainContext{
-		Demand:     d,
-		PerMessage: sys.Cost.PerMessage,
-		PerValue:   sys.Cost.PerValue,
-		Missed:     missed,
-	}
-}
-
-// lazyGainContext defers the per-set miss counts to first use. The
-// scoped search ranks only moves touching the dirty neighborhood, and
-// miss counts feed split gains alone, so under a small neighborhood
-// almost none of the partition's PairCountIn sweeps ever run.
-func (p *Planner) lazyGainContext(sys *model.System, d *task.Demand, res Result) partition.GainContext {
-	byKey := make(map[string]*plan.Tree, len(res.Forest.Trees))
-	for _, t := range res.Forest.Trees {
-		byKey[t.Attrs.Key()] = t
-	}
-	memo := make(map[int]int)
-	return partition.GainContext{
-		Demand:     d,
-		PerMessage: sys.Cost.PerMessage,
-		PerValue:   sys.Cost.PerValue,
-		MissedAt: func(i int) int {
-			if v, ok := memo[i]; ok {
-				return v
-			}
-			set := res.Partition[i]
-			collected := 0
-			if t := byKey[set.Key()]; t != nil {
-				for _, n := range t.Members() {
-					collected += d.LocalCount(n, set)
-				}
-			}
-			v := d.PairCountIn(set) - collected
-			memo[i] = v
-			return v
-		},
-	}
+	return forest, plan.SumStats(perTree), missed
 }
 
 // Spec exposes the planner's aggregation spec (used by deployment).

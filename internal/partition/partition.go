@@ -5,8 +5,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"remo/internal/model"
 	"remo/internal/task"
@@ -137,12 +139,6 @@ type Candidate struct {
 	// Gain estimates the total capacity-usage reduction (in cost units)
 	// of applying the move; larger is more promising.
 	Gain float64
-	// Index is the candidate's stable rank position (0 = most
-	// promising), assigned by Rank after sorting. It survives later
-	// filtering (e.g. constraint checks), so concurrent evaluators can
-	// report results against a stable identity and the planner can
-	// adopt the best-ranked acceptable candidate deterministically.
-	Index int
 }
 
 // GainContext supplies the state the estimator needs: the demand, the
@@ -156,27 +152,29 @@ type GainContext struct {
 	// Missed[i] is the number of demanded pairs tree i could not collect
 	// in the current plan (nil when unknown).
 	Missed []int
-	// MissedAt overrides Missed with a lazy lookup — the scoped search
-	// uses it so only the dirty sets' miss counts are ever computed.
-	MissedAt func(i int) int
-	// Parts optionally overrides participant lookup (a planner-level
-	// cache); nil falls back to Demand.Participants.
-	Parts func(model.AttrSet) []model.NodeID
+	// AttrBits optionally supplies each attribute's demanding nodes as a
+	// bitset over one dense node order (a planner-level cache); nil
+	// derives them from Demand.
+	AttrBits map[model.AttrID][]uint64
 }
 
-// participants resolves a set's participants through the cache when
-// present.
-func (ctx GainContext) participants(set model.AttrSet) []model.NodeID {
-	if ctx.Parts != nil {
-		return ctx.Parts(set)
+// attrBits resolves the per-attribute node bitsets.
+func (ctx GainContext) attrBits() map[model.AttrID][]uint64 {
+	if ctx.AttrBits != nil {
+		return ctx.AttrBits
 	}
-	return ctx.Demand.Participants(set)
+	at := make(map[model.NodeID]int)
+	for i, n := range ctx.Demand.Nodes() {
+		at[n] = i
+	}
+	return ctx.Demand.AttrNodeBits(func(n model.NodeID) int { return at[n] })
 }
 
 // Rank estimates the gain of every neighborhood move and returns the
-// candidates sorted by decreasing gain. This is the guided part of
-// REMO's guided local search: only the most promising candidates are
-// worth the expensive resource-aware evaluation.
+// candidates sorted by decreasing gain, ties in enumeration order. This
+// is the guided part of REMO's guided local search: only the most
+// promising candidates are worth the expensive resource-aware
+// evaluation.
 //
 // The estimator follows the paper's rationale (the appendix with the
 // exact formula is not publicly available): a merge saves one message —
@@ -187,72 +185,108 @@ func (ctx GainContext) participants(set model.AttrSet) []model.NodeID {
 // resource-aware evaluation decides acceptance; the estimate only orders
 // candidates.
 func Rank(sets []model.AttrSet, ctx GainContext) []Candidate {
-	return rankOps(sets, ctx, Neighbors(sets))
+	return Top(sets, ctx, nil, nil, 0)
 }
 
-// RankScoped ranks only the moves touching the dirty neighborhood (see
-// NeighborsScoped), with the same estimator and ordering as Rank.
-func RankScoped(sets []model.AttrSet, ctx GainContext, dirty func(int) bool) []Candidate {
-	return rankOps(sets, ctx, NeighborsScoped(sets, dirty))
-}
-
-// rankOps estimates gains for the given moves and sorts them.
-func rankOps(sets []model.AttrSet, ctx GainContext, ops []Op) []Candidate {
-	parts := make([][]model.NodeID, len(sets))
-	for i, s := range sets {
-		parts[i] = ctx.participants(s)
+// Top ranks the moves of the partition's neighborhood — only those
+// touching a dirty set when dirty is non-nil (see NeighborsScoped) —
+// that allow admits (all when nil), and returns the k best in Rank's
+// order: exactly the first k of Rank's list after dropping the moves
+// allow refuses. k <= 0 returns them all.
+//
+// Overlaps are popcounts: a set's participants are the OR of its
+// attributes' node bitsets, so no participant list is built or merged.
+func Top(sets []model.AttrSet, ctx GainContext, dirty func(int) bool, allow func(Op) bool, k int) []Candidate {
+	var ops []Op
+	if dirty == nil {
+		ops = Neighbors(sets)
+	} else {
+		ops = NeighborsScoped(sets, dirty)
 	}
-	missed := func(i int) float64 {
-		if ctx.MissedAt != nil {
-			return float64(ctx.MissedAt(i))
+	bitsOf := ctx.attrBits()
+	words := 0
+	for _, s := range sets {
+		for _, a := range s.Sorted() {
+			words = max(words, len(bitsOf[a]))
 		}
+	}
+	// One row of words per set: the OR of its attributes' bitsets.
+	parts := make([]uint64, len(sets)*words)
+	part := func(i int) []uint64 { return parts[i*words : (i+1)*words] }
+	for i, s := range sets {
+		for _, a := range s.Sorted() {
+			orInto(part(i), bitsOf[a])
+		}
+	}
+	rest := make([]uint64, words)
+	missed := func(i int) float64 {
 		if ctx.Missed == nil || i >= len(ctx.Missed) {
 			return 0
 		}
 		return float64(ctx.Missed[i])
 	}
 
-	cands := make([]Candidate, 0, len(ops))
+	var best []Candidate
+	if k > 0 {
+		best = make([]Candidate, 0, k)
+	}
 	for _, op := range ops {
+		if allow != nil && !allow(op) {
+			continue
+		}
 		var gain float64
 		switch op.Kind {
 		case MergeOp:
 			// Each node in both trees sends one message instead of two:
 			// the merge reduces capacity usage by C per overlap node.
-			overlap := float64(countOverlap(parts[op.I], parts[op.J]))
-			gain = ctx.PerMessage * overlap
+			gain = ctx.PerMessage * float64(andCount(part(op.I), part(op.J)))
 		case SplitOp:
-			rest := sets[op.I].Remove(op.Attr)
-			attrNodes := ctx.participants(model.NewAttrSet(op.Attr))
-			restNodes := ctx.participants(rest)
-			overlap := float64(countOverlap(attrNodes, restNodes))
+			clear(rest)
+			for _, a := range sets[op.I].Sorted() {
+				if a != op.Attr {
+					orInto(rest, bitsOf[a])
+				}
+			}
+			overlap := float64(andCount(bitsOf[op.Attr], rest))
 			gain = ctx.PerValue*missed(op.I) - ctx.PerMessage*overlap
 		}
-		cands = append(cands, Candidate{Op: op, Gain: gain})
+		c := Candidate{Op: op, Gain: gain}
+		if k <= 0 {
+			best = append(best, c)
+			continue
+		}
+		// Keep best sorted by (gain desc, enumeration order): a later
+		// candidate goes behind every earlier one of equal gain.
+		if len(best) == k && !(gain > best[k-1].Gain) {
+			continue
+		}
+		if len(best) < k {
+			best = append(best, c)
+		}
+		j := len(best) - 1
+		for ; j > 0 && best[j-1].Gain < gain; j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = c
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].Gain > cands[j].Gain
-	})
-	for i := range cands {
-		cands[i].Index = i
+	if k <= 0 {
+		slices.SortStableFunc(best, func(a, b Candidate) int { return cmp.Compare(b.Gain, a.Gain) })
 	}
-	return cands
+	return best
 }
 
-// countOverlap counts common ids between two ascending id slices.
-func countOverlap(a, b []model.NodeID) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
+// orInto ORs src into dst; src may be shorter.
+func orInto(dst, src []uint64) {
+	for i, w := range src {
+		dst[i] |= w
+	}
+}
+
+// andCount is the popcount of a AND b.
+func andCount(a, b []uint64) int {
+	c := 0
+	for i := range min(len(a), len(b)) {
+		c += bits.OnesCount64(a[i] & b[i])
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"remo/internal/model"
@@ -192,41 +193,55 @@ func TestUniverse(t *testing.T) {
 	}
 }
 
-func TestRankAssignsStableIndices(t *testing.T) {
-	d := task.NewDemand()
-	for n := 1; n <= 6; n++ {
-		d.Set(model.NodeID(n), 1, 1)
-		if n%2 == 0 {
-			d.Set(model.NodeID(n), 2, 1)
+// TestTopMatchesStableRank pins partition.Top's selection: for every k,
+// with and without a move filter and a dirty scope, it returns exactly
+// the first k moves of the full ranking (a stable sort by decreasing
+// gain) that survive the filter — the candidates the planner evaluates.
+func TestTopMatchesStableRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 40; trial++ {
+		d := task.NewDemand()
+		for n := model.NodeID(1); n <= 30; n++ {
+			for a := model.AttrID(1); a <= 9; a++ {
+				if rng.Intn(3) == 0 {
+					d.Set(n, a, 1)
+				}
+			}
 		}
-		if n%3 == 0 {
-			d.Set(model.NodeID(n), 3, 1)
+		u := d.Universe()
+		var sets []model.AttrSet
+		for _, a := range u.Attrs() {
+			if len(sets) > 0 && rng.Intn(2) == 0 {
+				sets[len(sets)-1] = sets[len(sets)-1].Union(model.NewAttrSet(a))
+			} else {
+				sets = append(sets, model.NewAttrSet(a))
+			}
 		}
-	}
-	sets := Singleton(d.Universe())
-	cands := Rank(sets, GainContext{Demand: d, PerMessage: 5, PerValue: 1})
-	if len(cands) == 0 {
-		t.Fatal("no candidates")
-	}
-	for i, c := range cands {
-		if c.Index != i {
-			t.Fatalf("candidate %d has Index %d", i, c.Index)
+		missed := make([]int, len(sets))
+		for i := range missed {
+			missed[i] = rng.Intn(20)
 		}
-	}
-	// Indices survive filtering: dropping candidates keeps the
-	// survivors' rank identity intact (the planner filters by
-	// constraints before evaluating).
-	var merges []Candidate
-	for _, c := range cands {
-		if c.Op.Kind == MergeOp {
-			merges = append(merges, c)
+		// Few distinct gains, so ties are common.
+		ctx := GainContext{Demand: d, PerMessage: 1, PerValue: 1, Missed: missed}
+		allow := func(op Op) bool { return op.Kind == SplitOp || (op.I+op.J)%3 != 0 }
+		dirty := func(i int) bool { return i%2 == 0 }
+
+		var filtered, scoped []Candidate
+		for _, c := range Rank(sets, ctx) {
+			if allow(c.Op) {
+				filtered = append(filtered, c)
+			}
+			if dirty(c.Op.I) || (c.Op.Kind == MergeOp && dirty(c.Op.J)) {
+				scoped = append(scoped, c)
+			}
 		}
-	}
-	last := -1
-	for _, c := range merges {
-		if c.Index <= last {
-			t.Fatalf("filtered indices out of order: %d after %d", c.Index, last)
+		for _, k := range []int{1, 3, 16, 1000} {
+			if got, want := Top(sets, ctx, nil, allow, k), filtered[:min(k, len(filtered))]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d k=%d: Top = %v, want %v", trial, k, got, want)
+			}
+			if got, want := Top(sets, ctx, dirty, nil, k), scoped[:min(k, len(scoped))]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d k=%d scoped: Top = %v, want %v", trial, k, got, want)
+			}
 		}
-		last = c.Index
 	}
 }

@@ -85,13 +85,9 @@ func Repair(cfg Config, forest *plan.Forest, failed map[model.NodeID]struct{}) (
 	})
 	for _, t := range affected {
 		participants := d.Participants(t.Attrs)
-		avail := make(map[model.NodeID]float64, len(participants))
-		for _, n := range participants {
-			rem := cfg.Sys.Capacity(n) - used[n]
-			if rem < 0 {
-				rem = 0
-			}
-			avail[n] = rem
+		avail := make([]float64, len(participants))
+		for i, n := range participants {
+			avail[i] = max(cfg.Sys.Capacity(n)-used[n], 0)
 		}
 		centralAvail := cfg.Sys.CentralCapacity - centralUsed
 		if centralAvail < 0 {
@@ -106,8 +102,8 @@ func Repair(cfg Config, forest *plan.Forest, failed map[model.NodeID]struct{}) (
 			Avail:        avail,
 			CentralAvail: centralAvail,
 		})
-		for n, u := range r.Used {
-			used[n] += u
+		for i, u := range r.Used {
+			used[r.Nodes[i]] += u
 		}
 		centralUsed += r.CentralUsed
 		if !r.Tree.Empty() {

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -622,4 +623,43 @@ func BenchmarkStreamRound(b *testing.B) {
 	b.ReportMetric(float64(b.N)/took.Seconds(), "rounds/s")
 	b.ReportMetric(float64(took.Nanoseconds())/float64(max(1, values)), "ns/value")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/round")
+}
+
+// TestWriteLatestMatchesWriteJSON: /v1/latest's hand-built body is
+// byte-identical to writeJSON's indented encoding — status, content type
+// and body — on random values, on the float boundaries encoding/json
+// switches format at, on negative zero and integers, on an empty store,
+// and on the 500 answer a non-finite value gets.
+func TestWriteLatestMatchesWriteJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	random := make([]valueWire, 200)
+	for i := range random {
+		random[i] = valueWire{Node: 1000 + rng.Intn(9000), Attr: rng.Intn(60), Round: rng.Intn(1 << 20),
+			Value: (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(40)-20))}
+	}
+	edges := []float64{1e-7, -1e-7, 1e-6, 1e21, -1e21, 9.99e20, math.Copysign(0, -1), 0, 1, -42, 3e15, 123456789, 0.1, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	var boundary []valueWire
+	for i, f := range edges {
+		boundary = append(boundary, valueWire{Node: i, Attr: i % 3, Round: i * 7, Value: f})
+	}
+	cases := map[string][]valueWire{
+		"random":   random,
+		"boundary": boundary,
+		"empty":    {},
+		"nan":      {{Node: 1, Attr: 1, Round: 1, Value: 2}, {Node: 2, Attr: 1, Round: 1, Value: math.NaN()}},
+		"inf":      {{Node: 3, Attr: 2, Round: 9, Value: math.Inf(-1)}},
+	}
+	for name, values := range cases {
+		round := 77 + len(values)
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, map[string]any{"round": round, "values": values})
+		got := httptest.NewRecorder()
+		writeLatest(got, round, values)
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("%s: status %d %q, want %d %q", name, got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: body differs:\n got: %q\nwant: %q", name, got.Body.String(), want.Body.String())
+		}
+	}
 }

@@ -160,6 +160,25 @@ func (d *Demand) Participants(set model.AttrSet) []model.NodeID {
 	return ids
 }
 
+// AttrNodeBits returns, for every demanded attribute, the nodes that
+// demand it as a bitset over the dense indices index assigns (node i is
+// bit i%64 of word i/64).
+func (d *Demand) AttrNodeBits(index func(model.NodeID) int) map[model.AttrID][]uint64 {
+	bits := make(map[model.AttrID][]uint64)
+	for n, es := range d.perNode {
+		i := index(n)
+		for _, e := range es {
+			b := bits[e.attr]
+			if w := i/64 + 1; len(b) < w {
+				b = append(b, make([]uint64, w-len(b))...)
+			}
+			b[i/64] |= 1 << (i % 64)
+			bits[e.attr] = b
+		}
+	}
+	return bits
+}
+
 // LocalAttrs returns the attributes of set demanded at node n, ascending.
 func (d *Demand) LocalAttrs(n model.NodeID, set model.AttrSet) []model.AttrID {
 	var attrs []model.AttrID

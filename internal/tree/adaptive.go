@@ -74,8 +74,28 @@ func (b adaptiveBuilder) Build(ctx Context) Result {
 // is the node the construction procedure could not attach; its demand
 // decides whether subtree-only searching is safe (Theorem 1). adjust
 // reports whether it changed the tree.
+//
+// On an exact state a sweep that finds no move is remembered: at the
+// same version, a sweep for a failed node of cost U' <= U visits the
+// same congested nodes and branches, with a scope that is a subset of
+// U's at every step (subtree-only applies to at least as many branches)
+// and a smaller move budget, so it finds no move either. It would still
+// detach and restore one branch per congested node, and each restore
+// re-links its branch last among its siblings; that rotation is all the
+// skipped sweep does.
 func (b adaptiveBuilder) adjust(s *state, failed int) bool {
-	failedU := s.msgCost(vecSum(s.funnel(s.lout, s.localVec(failed))))
+	failedU, _ := s.endpoint(failed)
+	memo := b.opts.BranchReattach && s.exact
+	if memo && s.noMoveVer == s.version && failedU <= s.noMoveU {
+		for _, dc := range s.membersByDepth() {
+			if len(s.children[dc]) >= 2 {
+				br, _ := b.lightestBranch(s, dc)
+				s.relinkLast(dc, br)
+			}
+		}
+		return false
+	}
+	ver := s.version
 
 	for _, dc := range s.membersByDepth() {
 		if len(s.children[dc]) < 2 {
@@ -93,6 +113,9 @@ func (b adaptiveBuilder) adjust(s *state, failed int) bool {
 		if b.moveBranch(s, dc, br, subtreeOnly, failedU) {
 			return true
 		}
+	}
+	if memo && s.version == ver {
+		s.noMoveVer, s.noMoveU = ver, failedU
 	}
 	return false
 }
@@ -125,8 +148,15 @@ func (b adaptiveBuilder) lightestBranch(s *state, dc int) (int, bool) {
 // consumption ... if it is possible to accommodate more nodes by doing
 // so").
 func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot int, subtreeOnly bool, moveBudget float64) bool {
-	scope := b.scope(s, dc, brRoot, subtreeOnly)
-	if len(scope) == 0 {
+	scope, any := b.scope(s, dc, brRoot, subtreeOnly)
+	if !any {
+		return false
+	}
+	if len(scope) == 0 && s.exact {
+		// Every candidate was filtered out, so the move fails; on an
+		// exact state the detach and restore it skips would leave only
+		// the branch re-linked last among its siblings.
+		s.relinkLast(dc, brRoot)
 		return false
 	}
 	origTotal := s.totalUsage()
@@ -138,6 +168,7 @@ func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot int, subtreeOnly bool, 
 		maxAdd := origTotal + moveBudget - s.totalUsage()
 		for _, p := range scope {
 			if s.attachBranch(br, p, maxAdd) {
+				s.version++
 				return true
 			}
 		}
@@ -145,13 +176,22 @@ func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot int, subtreeOnly bool, 
 			// Restoration cannot fail: the capacity just refunded covers
 			// exactly the restored charges. Guard anyway.
 			s.dropBranchBookkeeping(br)
+			s.version++
+		}
+		if !s.exact {
+			// The refund and recharge may not cancel bit for bit.
+			s.version++
 		}
 		return false
 	}
 
 	// Node-based reattaching: re-add the branch's nodes one at a time
 	// anywhere in the scope (later nodes may also attach under earlier
-	// reattached ones).
+	// reattached ones). The branch leaves the shared detach buffers,
+	// which the rollback reuses, and every step is a new version.
+	br.nodes, br.parents = slices.Clone(br.nodes), slices.Clone(br.parents)
+	s.version++
+	defer func() { s.version++ }()
 	saved := branchSnapshot(s, br)
 	s.dropBranchBookkeeping(br)
 	var added []int
@@ -179,33 +219,59 @@ func (b adaptiveBuilder) moveBranch(s *state, dc, brRoot int, subtreeOnly bool, 
 	return false
 }
 
-// scope returns candidate parents for the pruned branch ordered by depth
-// (deepest last attachments happen near the top first), excluding the
-// congested node itself and the branch.
-func (b adaptiveBuilder) scope(s *state, dc, brRoot int, subtreeOnly bool) []int {
-	inBranch := s.subtree(brRoot)
+// scope returns candidate parents for the pruned branch ordered by
+// headroom, excluding the congested node itself and the branch, and
+// whether there was any candidate before the headroom filter below. The
+// slice is reused by the next call.
+//
+// For whole-branch moves on a holistic tree, candidates that cannot pay
+// the branch's receive cost from their headroom are dropped before the
+// sort: attachBranch charges a parent at least that much, so each would
+// fail. The detach refunds dc and its ancestors, so those stay in.
+func (b adaptiveBuilder) scope(s *state, dc, brRoot int, subtreeOnly bool) ([]int, bool) {
+	inBranch := s.subtree(s.bufBranch, brRoot)
+	s.bufBranch = inBranch
 	for _, n := range inBranch {
 		s.mark[n] = true
 	}
+	filter := b.opts.BranchReattach && s.scalar && s.ctx.Sys.Cost.PerValue >= 0
+	recv := s.recv[brRoot]
+	if filter {
+		for a := dc; a != central; a = s.parent[a] {
+			s.anc[a] = true
+		}
+	}
 	var candidates []int
 	if subtreeOnly {
-		candidates = s.subtree(dc)
+		candidates = s.subtree(s.bufScope, dc)
 	} else {
-		candidates = s.members()
+		candidates = s.members(s.bufScope)
 	}
+	s.bufScope = candidates
 	out := candidates[:0]
+	any := false
 	for _, n := range candidates {
-		if n != dc && !s.mark[n] {
-			out = append(out, n)
+		if n == dc || s.mark[n] {
+			continue
 		}
+		any = true
+		if filter && !s.anc[n] && recv > capEps && s.usage[n]+recv > s.avail[n]+capEps {
+			continue
+		}
+		out = append(out, n)
 	}
 	for _, n := range inBranch {
 		s.mark[n] = false
 	}
+	if filter {
+		for a := dc; a != central; a = s.parent[a] {
+			s.anc[a] = false
+		}
+	}
 	// Prefer parents with the most headroom; attaching the branch to a
 	// roomy node keeps future attachments possible.
 	s.byHeadroom(out)
-	return out
+	return out, any
 }
 
 // reattachNode re-adds one node of a broken-up branch, preferring

@@ -53,22 +53,27 @@ type Context struct {
 	// Nodes are the participants to place (nodes demanding at least one
 	// attribute of Attrs).
 	Nodes []model.NodeID
-	// Avail is the capacity each participant may spend on this tree.
-	Avail map[model.NodeID]float64
+	// Avail is the capacity each participant may spend on this tree,
+	// index-aligned with Nodes.
+	Avail []float64
 	// CentralAvail is the central collector's remaining capacity.
 	CentralAvail float64
 	// LocalWeights optionally pre-computes each participant's total
-	// local demand weight for Attrs (a planner-level cache; builders
-	// fall back to querying Demand).
-	LocalWeights map[model.NodeID]float64
+	// local demand weight for Attrs, index-aligned with Nodes (a
+	// planner-level cache; builders fall back to querying Demand).
+	LocalWeights []float64
 }
 
 // Result is the outcome of one tree construction.
 type Result struct {
 	// Tree is the constructed collection tree (possibly empty).
 	Tree *plan.Tree
-	// Used is each placed node's capacity consumption in this tree.
-	Used map[model.NodeID]float64
+	// Nodes are the participants (Context.Nodes); Used is index-aligned
+	// with them.
+	Nodes []model.NodeID
+	// Used is each participant's capacity consumption in this tree, 0
+	// for a participant left out.
+	Used []float64
 	// CentralUsed is the receive cost charged to the central collector.
 	CentralUsed float64
 	// Excluded are participants that could not be placed without
@@ -95,15 +100,12 @@ func (r Result) Fingerprint() uint64 {
 	}
 	if r.Tree != nil {
 		mix(r.Tree.Fingerprint())
-	}
-	ids := make([]model.NodeID, 0, len(r.Used))
-	for n := range r.Used {
-		ids = append(ids, n)
-	}
-	model.SortNodes(ids)
-	for _, n := range ids {
-		mix(uint64(n))
-		mix(uint64(int64(math.Round(r.Used[n] * 1e9))))
+		for i, n := range r.Nodes {
+			if r.Tree.Contains(n) {
+				mix(uint64(n))
+				mix(uint64(int64(math.Round(r.Used[i] * 1e9))))
+			}
+		}
 	}
 	mix(uint64(int64(math.Round(r.CentralUsed * 1e9))))
 	for _, n := range r.Excluded {

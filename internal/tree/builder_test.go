@@ -34,10 +34,20 @@ func env(t *testing.T, n int, capacity, centralCap float64) (Context, *model.Sys
 		Demand:       d,
 		Attrs:        model.NewAttrSet(1),
 		Nodes:        sys.NodeIDs(),
-		Avail:        avail,
+		Avail:        availFor(sys.NodeIDs(), avail),
 		CentralAvail: centralCap,
 	}
 	return ctx, sys, d
+}
+
+// availFor lays a per-node budget map out index-aligned with nodes, as
+// Context.Avail wants it.
+func availFor(nodes []model.NodeID, m map[model.NodeID]float64) []float64 {
+	out := make([]float64, len(nodes))
+	for i, n := range nodes {
+		out[i] = m[n]
+	}
+	return out
 }
 
 // checkResult verifies the structural and capacity invariants every
@@ -64,12 +74,17 @@ func checkResult(t *testing.T, ctx Context, r Result) {
 	// Recomputed usage within per-tree budgets.
 	st := plan.ComputeTreeStats(r.Tree, ctx.Demand, ctx.Sys, ctx.Spec)
 	const eps = 1e-6
+	at := make(map[model.NodeID]int, len(ctx.Nodes))
+	for i, n := range ctx.Nodes {
+		at[n] = i
+	}
 	for n, u := range st.Usage {
-		if u > ctx.Avail[n]+eps {
-			t.Fatalf("node %v usage %.3f exceeds avail %.3f", n, u, ctx.Avail[n])
+		i := at[n]
+		if u > ctx.Avail[i]+eps {
+			t.Fatalf("node %v usage %.3f exceeds avail %.3f", n, u, ctx.Avail[i])
 		}
-		if diff := u - r.Used[n]; diff > eps || diff < -eps {
-			t.Fatalf("node %v bookkeeping drift: incremental %.3f, recomputed %.3f", n, r.Used[n], u)
+		if diff := u - r.Used[i]; diff > eps || diff < -eps {
+			t.Fatalf("node %v bookkeeping drift: incremental %.3f, recomputed %.3f", n, r.Used[i], u)
 		}
 	}
 	if st.RootSend > ctx.CentralAvail+eps {
@@ -265,7 +280,7 @@ func TestRandomizedInvariants(t *testing.T) {
 			Demand:       d,
 			Attrs:        set,
 			Nodes:        d.Participants(set),
-			Avail:        avail,
+			Avail:        availFor(d.Participants(set), avail),
 			CentralAvail: sys.CentralCapacity,
 		}
 		for _, s := range Schemes() {

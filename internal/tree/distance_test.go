@@ -35,7 +35,7 @@ func distEnv(t *testing.T, n int, capacity float64, dist func(a, b model.NodeID)
 		Demand:       d,
 		Attrs:        model.NewAttrSet(1),
 		Nodes:        sys.NodeIDs(),
-		Avail:        avail,
+		Avail:        availFor(sys.NodeIDs(), avail),
 		CentralAvail: 1e6,
 	}
 }

@@ -63,7 +63,7 @@ func TestRandomizedInvariantsWithFunnels(t *testing.T) {
 			Spec:         spec,
 			Attrs:        set,
 			Nodes:        d.Participants(set),
-			Avail:        avail,
+			Avail:        availFor(d.Participants(set), avail),
 			CentralAvail: sys.CentralCapacity,
 		}
 		for _, s := range Schemes() {

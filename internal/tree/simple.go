@@ -6,9 +6,10 @@ import (
 )
 
 // pickFunc orders candidate parents for attaching node n; the first
-// feasible candidate wins. Every scheme defers to byEdgeCost first, so
-// on a distance-priced system (racks, WAN regions) cheap edges beat the
-// scheme's shape preference and trees cluster by locality.
+// feasible candidate wins. Every scheme offers every member and defers
+// to byEdgeCost first, so on a distance-priced system (racks, WAN
+// regions) cheap edges beat the scheme's shape preference and trees
+// cluster by locality. The returned slice is read only.
 type pickFunc func(s *state, n int) []int
 
 // pickLowestHeight prefers parents close to the root (STAR: bushy trees).
@@ -18,16 +19,18 @@ func pickLowestHeight(s *state, n int) []int {
 
 // pickHighestHeight prefers the deepest parents (CHAIN: long trees).
 func pickHighestHeight(s *state, n int) []int {
-	members := s.membersByDepth()
+	members := append(s.bufPick[:0], s.membersByDepth()...)
 	slices.Reverse(members)
+	s.bufPick = members
 	return s.byEdgeCost(n, members)
 }
 
 // pickMaxAvailable prefers the parent with the most remaining headroom
 // (the TMON MAX_AVB heuristic).
 func pickMaxAvailable(s *state, n int) []int {
-	members := s.members()
+	members := s.members(s.bufPick)
 	s.byHeadroom(members)
+	s.bufPick = members
 	return s.byEdgeCost(n, members)
 }
 
@@ -92,14 +95,34 @@ func orderByAvail(s *state) []int {
 
 // attachBest attaches n to the first feasible parent in pick's order, or
 // as root if the tree is empty.
+//
+// Two exact shortcuts skip the parent scan when it cannot succeed, and
+// attach never changes anything when it fails. On a distance-free
+// system every edge costs n's endpoint cost, so a node that cannot pay
+// it from its own budget fits nowhere. On a monotone state, once no
+// parent could take a payload x at this version, none can take a larger
+// one: every capacity check along a chain only grows with x.
 func attachBest(s *state, n int, pick pickFunc) bool {
-	if s.size == 0 {
-		return s.attach(n, central)
+	endpoint, x := s.endpoint(n)
+	if s.ctx.Sys.Distance == nil && endpoint > s.avail[n]+capEps {
+		return false
 	}
-	for _, p := range pick(s, n) {
-		if s.attach(n, p) {
+	if s.monotone && s.noAttachVer == s.version && x >= s.noAttachX {
+		return false
+	}
+	if s.size == 0 {
+		if s.attach(n, central) {
 			return true
 		}
+	} else {
+		for _, p := range pick(s, n) {
+			if s.attach(n, p) {
+				return true
+			}
+		}
+	}
+	if s.monotone && (s.noAttachVer != s.version || x < s.noAttachX) {
+		s.noAttachVer, s.noAttachX = s.version, x
 	}
 	return false
 }

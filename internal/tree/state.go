@@ -2,6 +2,7 @@ package tree
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"remo/internal/agg"
@@ -63,10 +64,41 @@ type state struct {
 	centralUsage float64
 
 	// scratch is a reusable chain-change buffer, lout a reusable
-	// out-vector and mark a reusable per-participant flag.
-	scratch []chainChange
-	lout    []float64
-	mark    []bool
+	// out-vector, mark and anc reusable per-participant flags, and the
+	// int slices reusable walk buffers (see subtree).
+	scratch                        []chainChange
+	lout                           []float64
+	mark, anc                      []bool
+	bufBranch, bufScope, bufRemove []int
+	bufNodes, bufParents           []int
+	bufPick                        []int
+
+	// version counts the changes that can move a feasibility check:
+	// every attach, every adopted branch move, and every failed move
+	// whose rollback may not restore each figure bit for bit. A failed
+	// move of an exact state changes only the order of one child list,
+	// which no check, sort or tie-break reads (all break ties on ids);
+	// only the final plan.Tree's child order sees it.
+	version int
+	// exact: holistic, distance-free, with integral C, a and local
+	// weights, so every figure is an integer and a detach followed by
+	// its restore cancels exactly.
+	exact bool
+	// monotone: holistic and distance-free, so whether some parent can
+	// take a participant that fits its own budget is monotone in its
+	// payload: every chain check only grows with it.
+	monotone bool
+	// noAttachX is the smallest payload (of a participant that fit its
+	// own budget) no parent could take at version noAttachVer.
+	noAttachVer int
+	noAttachX   float64
+	// noMoveU is the largest failed-node cost whose adjusting sweep
+	// found no move at version noMoveVer (ADAPTIVE only).
+	noMoveVer int
+	noMoveU   float64
+	// byDepth is membersByDepth's order at version byDepthVer.
+	byDepth    []int
+	byDepthVer int
 }
 
 func newState(ctx Context) *state {
@@ -83,6 +115,11 @@ func newState(ctx Context) *state {
 		u:        make([]float64, n),
 		usage:    make([]float64, n),
 		mark:     make([]bool, n),
+		anc:      make([]bool, n),
+
+		noAttachVer: -1,
+		noMoveVer:   -1,
+		byDepthVer:  -1,
 	}
 	for _, a := range ctx.Attrs.Sorted() {
 		if ctx.Spec.KindOf(a) != agg.Holistic {
@@ -99,21 +136,31 @@ func newState(ctx Context) *state {
 	s.in = make([]float64, n*s.dims)
 	s.out = make([]float64, n*s.dims)
 	s.lout = make([]float64, s.dims)
+	copy(s.avail, ctx.Avail)
 	for i, id := range ctx.Nodes {
-		s.avail[i] = ctx.Avail[id]
 		s.parent[i] = absent
 		switch {
 		case !s.scalar:
 			row := s.row(s.local, i)
 			ctx.Demand.VisitLocal(id, ctx.Attrs, func(k int, w float64) { row[k] = w })
 		case ctx.LocalWeights != nil:
-			s.local[i] = ctx.LocalWeights[id]
+			s.local[i] = ctx.LocalWeights[i]
 		default:
 			s.local[i] = ctx.Demand.LocalWeight(id, ctx.Attrs)
 		}
 	}
+	cm := ctx.Sys.Cost
+	s.monotone = s.scalar && ctx.Sys.Distance == nil && cm.PerValue >= 0
+	s.exact = s.monotone && integral(cm.PerMessage) && integral(cm.PerValue)
+	for _, w := range s.local {
+		s.exact = s.exact && integral(w)
+	}
 	return s
 }
+
+// integral reports whether x is an integer small enough that sums of a
+// tree's worth of them stay exact in float64.
+func integral(x float64) bool { return x == math.Trunc(x) && math.Abs(x) < 1<<32 }
 
 // row returns participant i's dims values in a row-major slice.
 func (s *state) row(v []float64, i int) []float64 {
@@ -130,6 +177,9 @@ func (s *state) id(i int) model.NodeID {
 
 // dist is the distance factor of the edge from i to its parent p.
 func (s *state) dist(i, p int) float64 {
+	if s.ctx.Sys.Distance == nil {
+		return 1
+	}
 	return s.ctx.Sys.Dist(s.ids[i], s.id(p))
 }
 
@@ -146,21 +196,23 @@ func (s *state) addNode(i, p int) {
 	s.children[p] = append(s.children[p], i)
 }
 
-// subtree returns i and its descendants in breadth-first order.
-func (s *state) subtree(i int) []int {
-	out := []int{i}
+// subtree writes i and its descendants in breadth-first order into
+// buf's storage and returns them.
+func (s *state) subtree(buf []int, i int) []int {
+	out := append(buf[:0], i)
 	for k := 0; k < len(out); k++ {
 		out = append(out, s.children[out[k]]...)
 	}
 	return out
 }
 
-// members returns every member in breadth-first order from the root.
-func (s *state) members() []int {
+// members writes every member in breadth-first order from the root
+// into buf's storage and returns them.
+func (s *state) members(buf []int) []int {
 	if s.size == 0 {
-		return nil
+		return buf[:0]
 	}
-	return s.subtree(s.root)
+	return s.subtree(buf, s.root)
 }
 
 // removeSubtree unlinks i and its descendants.
@@ -170,11 +222,22 @@ func (s *state) removeSubtree(i int) {
 	} else {
 		s.children[p] = slices.DeleteFunc(s.children[p], func(c int) bool { return c == i })
 	}
-	for _, m := range s.subtree(i) {
+	s.bufRemove = s.subtree(s.bufRemove, i)
+	for _, m := range s.bufRemove {
 		s.parent[m] = absent
 		s.children[m] = s.children[m][:0]
 		s.size--
 	}
+}
+
+// relinkLast moves child c to the end of p's child list: the one trace a
+// failed branch move leaves on an exact state (the restore re-links the
+// pruned branch after its siblings).
+func (s *state) relinkLast(p, c int) {
+	kids := s.children[p]
+	i := slices.Index(kids, c)
+	copy(kids[i:], kids[i+1:])
+	kids[len(kids)-1] = c
 }
 
 // localVec returns node n's local demand vector for this tree. The
@@ -223,6 +286,13 @@ func vecZero(v []float64) bool {
 // msgCost returns C + a·y for a weighted value total y.
 func (s *state) msgCost(y float64) float64 {
 	return s.ctx.Sys.Cost.PerMessage + s.ctx.Sys.Cost.PerValue*y
+}
+
+// endpoint returns participant n's own message cost C + a·x and its
+// payload x, computed exactly as attach computes them.
+func (s *state) endpoint(n int) (float64, float64) {
+	x := vecSum(s.funnel(s.lout, s.localVec(n)))
+	return s.msgCost(x), x
 }
 
 // headroom is what member n could still spend in this tree.
@@ -416,6 +486,7 @@ func (s *state) attach(n, p int) bool {
 	s.u[n] = un
 	s.usage[n] += un
 	s.applyChain(changes, lout, centralDelta)
+	s.version++
 	return true
 }
 
@@ -431,14 +502,16 @@ type branch struct {
 
 // detachBranch removes the subtree rooted at b, keeping the branch
 // members' internal bookkeeping intact so the branch can be reattached
-// whole. The ancestor chain is refunded.
+// whole. The ancestor chain is refunded. The returned branch lives in
+// reusable buffers, valid until the next detachBranch.
 func (s *state) detachBranch(b int) branch {
 	oldParent := s.parent[b]
-	sub := s.subtree(b)
-	parents := make([]int, len(sub))
-	for i, n := range sub {
-		parents[i] = s.parent[n]
+	sub := s.subtree(s.bufNodes, b)
+	parents := s.bufParents[:0]
+	for _, n := range sub {
+		parents = append(parents, s.parent[n])
 	}
+	s.bufNodes, s.bufParents = sub, parents
 
 	negOut := make([]float64, s.dims)
 	for i, x := range s.row(s.out, b) {
@@ -531,11 +604,18 @@ func (s *state) dropBranchBookkeeping(br branch) {
 
 // membersByDepth returns current members ordered by (depth asc, available
 // headroom desc, id asc) — the attachment preference of the construction
-// procedure. It walks the tree one level at a time and sorts each level.
+// procedure. It walks the tree one level at a time and sorts each level,
+// once per version: the order reads only structure and usage, never a
+// child list's order. Callers must not modify the returned slice.
 func (s *state) membersByDepth() []int {
 	if s.size == 0 {
 		return nil
 	}
+	if s.byDepthVer == s.version {
+		return s.byDepth
+	}
+	// A fresh slice each version: a caller may still be ranging over
+	// the previous one.
 	out := make([]int, 1, s.size)
 	out[0] = s.root
 	for lo := 0; lo < len(out); {
@@ -546,14 +626,16 @@ func (s *state) membersByDepth() []int {
 		}
 		lo = hi
 	}
+	s.byDepth, s.byDepthVer = out, s.version
 	return out
 }
 
-// byEdgeCost reorders candidate parents by the distance factor of the
+// byEdgeCost orders candidate parents by the distance factor of the
 // would-be edge from n, cheapest first, preserving the scheme's own
 // preference order among equal-cost candidates. On a system without a
 // distance function the order is untouched, so uniform-priced builds are
-// bit-identical to the distance-oblivious algorithm.
+// bit-identical to the distance-oblivious algorithm. members is not
+// modified; a reordering is written to a fresh slice.
 func (s *state) byEdgeCost(n int, members []int) []int {
 	if s.ctx.Sys.Distance == nil || len(members) < 2 {
 		return members
@@ -574,20 +656,21 @@ func (s *state) byEdgeCost(n int, members []int) []int {
 		return members
 	}
 	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.d, b.d) })
+	out := make([]int, len(cands))
 	for i, c := range cands {
-		members[i] = c.n
+		out[i] = c.n
 	}
-	return members
+	return out
 }
 
 // result converts the final state into a Result, building the plan.Tree
 // breadth-first so every child list keeps its insertion order.
 func (s *state) result(excluded []int) Result {
 	t := plan.NewTree(s.ctx.Attrs)
-	used := make(map[model.NodeID]float64, s.size)
-	for _, n := range s.members() {
+	used := make([]float64, len(s.ids))
+	for _, n := range s.members(s.bufScope) {
 		_ = t.AddNode(s.ids[n], s.id(s.parent[n]))
-		used[s.ids[n]] = s.usage[n]
+		used[n] = s.usage[n]
 	}
 	var ex []model.NodeID
 	for _, n := range excluded {
@@ -596,6 +679,7 @@ func (s *state) result(excluded []int) Result {
 	model.SortNodes(ex)
 	return Result{
 		Tree:        t,
+		Nodes:       s.ids,
 		Used:        used,
 		CentralUsed: s.centralUsage,
 		Excluded:    ex,

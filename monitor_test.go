@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -335,6 +336,55 @@ func TestStartMonitorHonorsBaseline(t *testing.T) {
 		}
 		if got, want := exported(t, mon.Plan()), exported(t, plan); got != want {
 			t.Errorf("baseline %d: session booted\n%s\nPlan evaluates\n%s", b, got, want)
+		}
+	}
+}
+
+// TestSetTasksKeepsBaseline: a baseline session's SetTasks re-evaluates
+// the baseline's partition of the new task set — one tree per attribute,
+// or one tree for all — under the incremental and the adaptive scheme,
+// across a task change that adds an attribute and one that removes it.
+// The installed forest is exactly what Plan evaluates for that task set.
+func TestSetTasksKeepsBaseline(t *testing.T) {
+	base := []remo.Task{{Name: "narrow", Attrs: []remo.AttrID{1, 2, 3}, Nodes: []remo.NodeID{1, 2, 3, 4, 5, 6, 7, 8}}}
+	grown := append(slices.Clone(base), remo.Task{Name: "more", Attrs: []remo.AttrID{2, 4}, Nodes: []remo.NodeID{5, 6, 7, 8, 9, 10, 11, 12}})
+	for _, b := range []remo.Baseline{remo.BaselineSingletonSet, remo.BaselineOneSet} {
+		for _, scheme := range []remo.AdaptScheme{remo.AdaptIncremental, remo.AdaptAdaptive} {
+			sys := testSystem(t)
+			p := remo.NewPlanner(sys, remo.WithBaseline(b))
+			for _, task := range base {
+				p.MustAddTask(task)
+			}
+			mon, err := p.StartMonitor(remo.MonitorConfig{Scheme: scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step, tasks := range [][]remo.Task{grown, base} {
+				if _, err := mon.SetTasks(tasks); err != nil {
+					t.Fatal(err)
+				}
+				fresh := remo.NewPlanner(sys, remo.WithBaseline(b))
+				for _, task := range tasks {
+					fresh.MustAddTask(task)
+				}
+				want, err := fresh.Plan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mon.Plan()
+				for _, tr := range got.Trees() {
+					if b == remo.BaselineSingletonSet && len(tr.Attrs) != 1 {
+						t.Errorf("baseline %d, %s, step %d: tree delivers %v, want one attribute", b, scheme, step, tr.Attrs)
+					}
+				}
+				if b == remo.BaselineOneSet && len(got.Trees()) != 1 {
+					t.Errorf("baseline %d, %s, step %d: %d trees, want one", b, scheme, step, len(got.Trees()))
+				}
+				if g, w := exported(t, got), exported(t, want); g != w {
+					t.Errorf("baseline %d, %s, step %d: session installed\n%s\nPlan evaluates\n%s", b, scheme, step, g, w)
+				}
+			}
+			_ = mon.Close()
 		}
 	}
 }

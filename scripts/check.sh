@@ -54,7 +54,8 @@ go test -race -timeout 45m ./...
 
 echo "==> runtime and planner benchmarks (1 iteration, with allocation stats)"
 go test -run '^$' -bench 'BenchmarkRuntime' -benchtime 1x -benchmem .
-go test -run '^$' -bench 'BenchmarkPlan|BenchmarkReplanChurn' -benchtime 1x .
+# At -cpu 1 and 2, so both the sequential and the windowed search run.
+go test -run '^$' -bench 'BenchmarkPlan|BenchmarkReplanChurn' -benchtime 1x -cpu 1,2 .
 # The read path's and the stream's sizing benchmarks (delta reads
 # beside an unpaced backend; one SSE subscriber reading every round of
 # one), run once so they cannot rot.
@@ -75,6 +76,11 @@ go test -race -count=10 -run 'Replan|Parked|Drain|Readers|Aside' ./internal/serv
 go test -race -count=10 \
     -run 'ParallelPlanner|ParallelEvaluations|EvalCacheConcurrentHammer|ParallelReplanChurn' \
     ./internal/core
+# The ledger-shape plans golden (boot plan and the first ops of a SetTasks
+# script on the four ledger shapes, at 1 and 2 workers) pins the tree
+# builder's shortcuts and the shared memo trees. About 2 minutes for
+# the six runs under -race on two cores.
+go test -race -short -count=3 -cpu 1,2 -run 'LedgerPlansGolden' ./internal/core
 # The tier routes pairs through maps: a map-order leak into a shard's
 # score would show as a flaky lone-vs-sharded mismatch, and — the
 # dispatcher runs every round of a lone collector too — as a flaky

@@ -122,6 +122,9 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 	}
 	core := p.corePlanner()
 	ad := adapt.New(scheme, core, p.sys)
+	if p.baseline != BaselineNone {
+		ad.Fix(p.seedFor)
+	}
 	if len(seed.Partition) > 0 && partition.Validate(seed.Partition, demand.Universe()) == nil {
 		ad.InitPartition(demand, seed.Partition)
 	} else {
