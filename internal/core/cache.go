@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -45,8 +46,12 @@ type evalCache struct {
 	mu   sync.RWMutex
 	sets map[string]*setEntry
 	// nodeIdx is the global dense node order, first seen first; it only
-	// grows, so indices stay valid across invalidate and rebind.
+	// grows, so indices stay valid across invalidate and rebind. ids
+	// inverts it, and asc lists every index by ascending node ID: it is
+	// replaced, never modified, when a node is first seen.
 	nodeIdx map[model.NodeID]int
+	ids     []model.NodeID
+	asc     []int
 	// attrBits are the per-attribute node bitsets, nil until first use
 	// and after invalidate.
 	attrBits map[model.AttrID][]uint64
@@ -147,15 +152,20 @@ func (c *evalCache) indexLocked(n model.NodeID) int {
 	if !ok {
 		i = len(c.nodeIdx)
 		c.nodeIdx[n] = i
+		c.ids = append(c.ids, n)
+		pos := sort.Search(len(c.asc), func(j int) bool { return c.ids[c.asc[j]] > n })
+		asc := make([]int, 0, len(c.asc)+1)
+		c.asc = append(append(append(asc, c.asc[:pos]...), i), c.asc[pos:]...)
 	}
 	return i
 }
 
-// nodeCount is the number of global node indices assigned so far.
-func (c *evalCache) nodeCount() int {
+// nodeOrder returns every global node index assigned so far, ordered by
+// node ID. The slice is shared: read only.
+func (c *evalCache) nodeOrder() []int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.nodeIdx)
+	return c.asc
 }
 
 // bits returns, per attribute, the nodes demanding it as a bitset over
@@ -182,16 +192,18 @@ type treeKey struct {
 // cachedBuild is one memoized construction result. tree is shared with
 // the forests of the search that built or reused it; used (index-aligned
 // with the set's participants) and centralUsed are the build's capacity
-// charges. Nothing writes any of them after storeTree. stats is the tree's profile, computed
-// once by the first evaluation that needs it. attrs is the delivered
-// attribute set (for neighborhood invalidation); ref is the clock
-// sweep's second-chance reference bit, set on every hit.
+// charges. Nothing writes any of them after storeTree. stats is the
+// tree's profile and usage its Usage on the set's participants, both
+// computed once by the first evaluation that needs them. attrs is the
+// delivered attribute set (for neighborhood invalidation); ref is the
+// clock sweep's second-chance reference bit, set on every hit.
 type cachedBuild struct {
 	tree        *plan.Tree
 	used        []float64
 	centralUsed float64
 	statsOnce   sync.Once
 	stats       plan.TreeStats
+	usage       []float64
 	attrs       model.AttrSet
 	ref         atomic.Bool
 }
@@ -262,16 +274,36 @@ func (c *evalCache) storeTree(key treeKey, attrs model.AttrSet, r tree.Result) *
 	return cb
 }
 
-// treeStats returns the cached tree's profile under demand d, computing
-// it on first use. Every evaluation that hits the entry shares it, so
-// callers must not modify it.
-func (cb *cachedBuild) treeStats(d *task.Demand, sys *model.System, spec *agg.Spec) plan.TreeStats {
+// treeStats returns the cached tree's profile under demand d and its
+// usage aligned with the set's participants parts, computing both on
+// first use. Every evaluation that hits the entry shares them, so
+// callers must not modify them.
+func (cb *cachedBuild) treeStats(d *task.Demand, sys *model.System, spec *agg.Spec, parts []model.NodeID) (plan.TreeStats, []float64) {
 	cb.statsOnce.Do(func() {
 		if cb.tree != nil {
 			cb.stats = plan.ComputeTreeStats(cb.tree, d, sys, spec)
+			cb.usage = alignUsage(cb.stats, parts)
 		}
 	})
-	return cb.stats
+	return cb.stats, cb.usage
+}
+
+// alignUsage returns ts.Usage index-aligned with parts, 0 for a
+// participant outside the tree. A tree's members are participants of
+// its set, so nothing in ts.Usage is left out.
+func alignUsage(ts plan.TreeStats, parts []model.NodeID) []float64 {
+	usage := make([]float64, len(parts))
+	found := 0
+	for i, n := range parts {
+		if u, ok := ts.Usage[n]; ok {
+			usage[i] = u
+			found++
+		}
+	}
+	if found != len(ts.Usage) {
+		panic("core: a tree member is not a participant of its set")
+	}
+	return usage
 }
 
 // reclaimSlot runs the clock (second-chance) sweep and returns a free

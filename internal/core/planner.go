@@ -233,10 +233,12 @@ func (p *Planner) Plan(sys *model.System, d *task.Demand) Result {
 	return fromOP.leave()
 }
 
-// leave clones the result's forest as it leaves the search: inside it,
-// forests share their trees with the evaluation cache's memo.
+// leave clones the result's forest as it leaves the search, where
+// forests share their trees with the evaluation cache's memo, and fills
+// in the per-node usage the search does not need.
 func (r Result) leave() Result {
 	r.Forest = r.Forest.Clone()
+	r.Stats.Usage = plan.SumUsage(r.Stats.PerTree)
 	return r
 }
 
@@ -426,13 +428,14 @@ func (p *Planner) PlanPartition(sys *model.System, d *task.Demand, sets []model.
 // budget, and compute the resulting forest's profile.
 func (p *Planner) Evaluate(sys *model.System, d *task.Demand, sets []model.AttrSet) (*plan.Forest, plan.Stats) {
 	forest, stats, _ := p.evaluate(sys, d, sets, p.newCache(d))
+	stats.Usage = plan.SumUsage(stats.PerTree)
 	return forest.Clone(), stats
 }
 
 // evaluate is Evaluate over a search's cache, whose memo trees the
-// returned forest shares. It also returns, per set, the demanded pairs
-// its tree leaves uncollected: the set's cached pair count minus its
-// tree's LocalPairs.
+// returned forest shares, and whose stats leave Usage nil. It also
+// returns, per set, the demanded pairs its tree leaves uncollected: the
+// set's cached pair count minus its tree's LocalPairs.
 func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrSet, cache *evalCache) (*plan.Forest, plan.Stats, []int) {
 	entries := make([]*setEntry, len(sets))
 	req := alloc.Request{
@@ -448,9 +451,11 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 
 	built := make([]*plan.Tree, len(sets))
 	stats := make([]plan.TreeStats, len(sets))
+	usage := make([][]float64, len(sets))
 	// used is the charge so far per global node index; usedK and avail
 	// are the tree under construction's slices of it, participant-aligned.
-	used := make([]float64, cache.nodeCount())
+	nodes := cache.nodeOrder()
+	used := make([]float64, len(nodes))
 	var usedK, avail []float64
 	var centralUsed float64
 	for _, k := range order {
@@ -468,7 +473,7 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 			key = buildTreeKey(e.key, e.parts, avail, centralAvail)
 			if cb, ok := cache.lookupTree(key); ok {
 				built[k] = cb.tree
-				stats[k] = cb.treeStats(d, sys, p.cfg.Spec)
+				stats[k], usage[k] = cb.treeStats(d, sys, p.cfg.Spec, e.parts)
 				for i, g := range e.idx {
 					used[g] += cb.used[i]
 				}
@@ -493,27 +498,41 @@ func (p *Planner) evaluate(sys *model.System, d *task.Demand, sets []model.AttrS
 		if memo {
 			cb := cache.storeTree(key, sets[k], r)
 			built[k] = cb.tree
-			stats[k] = cb.treeStats(d, sys, p.cfg.Spec)
+			stats[k], usage[k] = cb.treeStats(d, sys, p.cfg.Spec, e.parts)
 		} else {
 			cache.builds.Add(1)
 			built[k] = r.Tree
 			stats[k] = plan.ComputeTreeStats(r.Tree, d, sys, p.cfg.Spec)
+			usage[k] = alignUsage(stats[k], e.parts)
 		}
 	}
 
 	// The forest and its profile, each tree's stats folded in forest
 	// order: a memo hit reuses the stats computed when its tree was built.
+	// The sums are plan.SumStats', in its order — per node in forest
+	// order, then nodes ascending — over a dense slice (used, reused)
+	// instead of a map.
 	forest := plan.NewForest()
-	perTree := make([]plan.TreeStats, 0, len(sets))
+	st := plan.Stats{PerTree: make([]plan.TreeStats, 0, len(sets))}
 	missed := make([]int, len(sets))
+	clear(used)
 	for k, t := range built {
 		missed[k] = entries[k].pairs - stats[k].LocalPairs
 		if t != nil && !t.Empty() {
 			forest.Add(t)
-			perTree = append(perTree, stats[k])
+			st.PerTree = append(st.PerTree, stats[k])
+			for i, g := range entries[k].idx {
+				used[g] += usage[k][i]
+			}
+			st.CentralUsage += stats[k].RootSend
+			st.Collected += stats[k].LocalPairs
 		}
 	}
-	return forest, plan.SumStats(perTree), missed
+	for _, g := range nodes {
+		st.TotalCost += used[g]
+	}
+	st.TotalCost += st.CentralUsage
+	return forest, st, missed
 }
 
 // Spec exposes the planner's aggregation spec (used by deployment).

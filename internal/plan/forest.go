@@ -111,12 +111,9 @@ func (f *Forest) ComputeStats(d *task.Demand, sys *model.System, spec *agg.Spec)
 func SumStats(perTree []TreeStats) Stats {
 	st := Stats{
 		PerTree: perTree,
-		Usage:   make(map[model.NodeID]float64),
+		Usage:   SumUsage(perTree),
 	}
 	for _, ts := range perTree {
-		for n, u := range ts.Usage {
-			st.Usage[n] += u
-		}
 		st.CentralUsage += ts.RootSend
 		st.Collected += ts.LocalPairs
 	}
@@ -130,6 +127,18 @@ func SumStats(perTree []TreeStats) Stats {
 	}
 	st.TotalCost += st.CentralUsage
 	return st
+}
+
+// SumUsage is Stats.Usage: every node's usage summed over the trees, in
+// tree order.
+func SumUsage(perTree []TreeStats) map[model.NodeID]float64 {
+	usage := make(map[model.NodeID]float64)
+	for _, ts := range perTree {
+		for n, u := range ts.Usage {
+			usage[n] += u
+		}
+	}
+	return usage
 }
 
 // Score is the planner's plan-comparison key: more collected pairs wins;

@@ -52,8 +52,9 @@ func TestStreakResetsOnSuccessfulSend(t *testing.T) {
 	}
 }
 
-// TestStreakResetsOnSuccessfulFlush covers the round-barrier flush the
-// round engine uses.
+// TestStreakResetsOnSuccessfulFlush covers the round barrier the round
+// engine uses: Flush for the collector, then the destination's Drain,
+// which finishes its queue.
 func TestStreakResetsOnSuccessfulFlush(t *testing.T) {
 	nodes := []model.NodeID{1, 2}
 	tr, err := NewTCPWithOptions(nodes, TCPOptions{
@@ -70,12 +71,20 @@ func TestStreakResetsOnSuccessfulFlush(t *testing.T) {
 	q.streak = 5
 	q.mu.Unlock()
 
-	if err := tr.Send(Message{From: 1, To: 2, TreeKey: "k",
-		Values: []Value{{Node: 1, Attr: 1, Round: 0, Value: 1}}}); err != nil {
-		t.Fatal(err)
+	for _, to := range []model.NodeID{2, model.Central} {
+		if err := tr.Send(Message{From: 1, To: to, TreeKey: "k",
+			Values: []Value{{Node: 1, Attr: 1, Round: 0, Value: 1}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if got := mailboxLen(tr, model.Central); got != 1 {
+		t.Fatalf("collector mailbox holds %d after Flush, want 1", got)
+	}
+	if got := len(tr.Drain(2)); got != 1 {
+		t.Fatalf("Drain = %d, want 1", got)
 	}
 	if got := streakOf(q); got != 0 {
 		t.Fatalf("streak = %d after successful flush, want 0", got)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,6 +96,29 @@ func (q *destQueue) bumpStreak() {
 	}
 }
 
+// inbox is one node's mailbox and its barrier: written counts the
+// frames written to the node's connection, decoded the frames its
+// readers have put into the mailbox, and arrived holds a token once
+// decoded has caught up with written.
+type inbox struct {
+	mailbox
+	written, decoded atomic.Int64
+	arrived          chan struct{}
+}
+
+// wakeWaiter leaves a token for a wait on the mailbox, if none is there
+// yet.
+func (b *inbox) wakeWaiter() {
+	select {
+	case b.arrived <- struct{}{}:
+	default:
+	}
+}
+
+// deliveryWait bounds each wait for a mailbox to catch up with the
+// frames written to it.
+const deliveryWait = 10 * time.Second
+
 // TCP is a loopback transport: every node (including the central
 // collector) owns a TCP listener, senders keep one connection per
 // destination, and frames use the binary codec. It exists to validate
@@ -103,13 +127,15 @@ func (q *destQueue) bumpStreak() {
 //
 // Writes are batched per destination (see TCPOptions.BatchBytes):
 // frames accepted by Send accumulate in one buffer per peer and go out
-// in a single syscall at the size watermark or on Flush — the round
-// barrier the emulation already runs. Failures are retried with capped
-// jittered backoff; the backoff wait observes Close, so closing the
-// transport unblocks in-flight retries promptly. When every attempt
-// fails the frames are dropped (counted in LostFrames), the error wraps
-// ErrUnreachable, and the destination's failed latch makes the next
-// Send report the dead peer.
+// in a single syscall at the size watermark, at the round barrier, or
+// from the writer goroutine. The barrier is per mailbox: Flush finishes
+// only the collector's, then wakes the writer to write every node's
+// queue while the caller absorbs, and each Drain finishes its own.
+// Failures are retried with capped jittered backoff; the backoff wait
+// observes Close, so closing the transport unblocks in-flight retries
+// promptly. When every attempt fails the frames are dropped (counted in
+// LostFrames), the error wraps ErrUnreachable, and the destination's
+// failed latch makes the next Send report the dead peer.
 type TCP struct {
 	mu        sync.Mutex
 	addrs     map[model.NodeID]string
@@ -118,18 +144,24 @@ type TCP struct {
 	queues    map[model.NodeID]*destQueue
 	// boxes are the per-node mailboxes, fixed at construction: reader
 	// goroutines append to them and Drain ping-pongs their two buffers.
-	boxes    map[model.NodeID]*mailbox
+	boxes map[model.NodeID]*inbox
+	// nodes are the destinations NewTCP was given (the collector aside),
+	// ascending: the writer's order, which is the round engine's state
+	// order.
+	nodes    []model.NodeID
 	closed   bool
 	closedCh chan struct{}
-	// delivered holds a token after any frame reaches a mailbox: Flush
-	// waits on it instead of polling the delivery count.
-	delivered chan struct{}
+	// wake holds a token when Flush has asked the writer for a pass.
+	wake chan struct{}
+	// waitErr is a Drain's delivery wait that gave up, kept for the next
+	// Flush to return. Guarded by mu.
+	waitErr error
+	// waitLimit bounds every delivery wait (deliveryWait).
+	waitLimit time.Duration
 	wg        sync.WaitGroup
 	opts      TCPOptions
 
-	sentCount      atomic.Int64
-	deliveredCount atomic.Int64
-	lostFrames     atomic.Int64
+	lostFrames atomic.Int64
 	// jitterState seeds the deterministic backoff jitter.
 	jitterState atomic.Uint64
 }
@@ -150,9 +182,10 @@ func NewTCPWithOptions(nodes []model.NodeID, opts TCPOptions) (*TCP, error) {
 		listeners: make(map[model.NodeID]net.Listener, len(nodes)+1),
 		conns:     make(map[model.NodeID]net.Conn, len(nodes)+1),
 		queues:    make(map[model.NodeID]*destQueue, len(nodes)+1),
-		boxes:     make(map[model.NodeID]*mailbox, len(nodes)+1),
+		boxes:     make(map[model.NodeID]*inbox, len(nodes)+1),
 		closedCh:  make(chan struct{}),
-		delivered: make(chan struct{}, 1),
+		wake:      make(chan struct{}, 1),
+		waitLimit: deliveryWait,
 		opts:      opts.withDefaults(),
 	}
 	all := append([]model.NodeID{model.Central}, nodes...)
@@ -164,17 +197,21 @@ func NewTCPWithOptions(nodes []model.NodeID, opts TCPOptions) (*TCP, error) {
 		}
 		t.listeners[n] = ln
 		t.addrs[n] = ln.Addr().String()
-		t.boxes[n] = &mailbox{}
+		t.boxes[n] = &inbox{arrived: make(chan struct{}, 1)}
 		t.queues[n] = &destQueue{}
 		t.wg.Add(1)
 		go t.accept(t.boxes[n], ln)
 	}
+	t.nodes = slices.Clone(nodes)
+	slices.Sort(t.nodes)
+	t.wg.Add(1)
+	go t.writeLoop()
 	return t, nil
 }
 
 // accept owns one node's listener, spawning a reader per inbound
 // connection.
-func (t *TCP) accept(box *mailbox, ln net.Listener) {
+func (t *TCP) accept(box *inbox, ln net.Listener) {
 	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -190,8 +227,10 @@ func (t *TCP) accept(box *mailbox, ln net.Listener) {
 // per-connection Decoder reuses its payload buffer and interns tree
 // keys, so steady-state decoding allocates only the messages' value
 // slices; it reads through a buffer, so the batch Send wrote in one
-// syscall is read in about one rather than two per frame.
-func (t *TCP) read(box *mailbox, conn net.Conn) {
+// syscall is read in about one rather than two per frame. Only the
+// frame that brings the mailbox level with what was written to it wakes
+// the mailbox's waiter.
+func (t *TCP) read(box *inbox, conn net.Conn) {
 	defer t.wg.Done()
 	defer func() { _ = conn.Close() }()
 	dec := NewDecoder(bufio.NewReader(conn))
@@ -210,24 +249,17 @@ func (t *TCP) read(box *mailbox, conn net.Conn) {
 			box.msgs = append(box.msgs, msg)
 			box.mu.Unlock()
 		}
-		t.deliveredCount.Add(1)
-		t.wakeFlush()
-	}
-}
-
-// wakeFlush leaves a token for a Flush waiting on deliveries, if none
-// is there yet.
-func (t *TCP) wakeFlush() {
-	select {
-	case t.delivered <- struct{}{}:
-	default:
+		if box.decoded.Add(1) >= box.written.Load() {
+			box.wakeWaiter()
+		}
 	}
 }
 
 // Send implements Transport. The frame is appended to the destination's
-// coalescing buffer and written out at the size watermark or on Flush;
-// a destination whose last batch was lost reports ErrUnreachable once
-// before accepting new frames.
+// coalescing buffer and written out at the size watermark, by Flush or
+// the writer, or by the destination's Drain; a destination whose last
+// batch was lost reports ErrUnreachable once before accepting new
+// frames.
 func (t *TCP) Send(msg Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -298,7 +330,7 @@ func (t *TCP) flushQueueLocked(to model.NodeID, addr string, q *destQueue) error
 			continue
 		}
 		q.streak = 0
-		t.sentCount.Add(int64(q.frames))
+		t.boxes[to].written.Add(int64(q.frames))
 		q.buf, q.frames = q.buf[:0], 0
 		return nil
 	}
@@ -405,93 +437,135 @@ func (t *TCP) backoff(attempt int) time.Duration {
 	return d + jitter
 }
 
-// Flush implements Transport: it writes out every destination's
-// coalesced buffer, then waits until every written frame has been
-// decoded into a mailbox, woken by each delivery rather than polling,
-// for at most 10 s. A destination that stays unreachable loses
-// its buffered frames (LostFrames) and latches an error for the next
-// Send, but does not fail the barrier — the emulation degrades
-// gracefully around dead peers instead of aborting the round.
+// Flush implements Transport. It returns a delivery wait that a Drain
+// gave up on since the last Flush; otherwise it finishes the collector's
+// mailbox (see finish) and then wakes the writer, which writes every
+// other queue while the caller absorbs what the collector received.
 func (t *TCP) Flush() error {
-	if t.isClosed() {
+	t.mu.Lock()
+	closed, err := t.closed, t.waitErr
+	t.waitErr = nil
+	t.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	t.mu.Lock()
-	dests := make([]model.NodeID, 0, len(t.queues))
-	for n := range t.queues {
-		dests = append(dests, n)
+	if err != nil {
+		return err
 	}
-	t.mu.Unlock()
-	for _, n := range dests {
-		t.mu.Lock()
-		addr, q := t.addrs[n], t.queues[n]
-		t.mu.Unlock()
-		q.mu.Lock()
-		err := t.flushQueueLocked(n, addr, q)
-		if err != nil && IsUnreachable(err) {
-			q.failed = true
-			err = nil
-		}
-		q.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	err = t.finish(model.Central)
+	select {
+	case t.wake <- struct{}{}:
+	default:
 	}
-	if t.deliveredCount.Load() < t.sentCount.Load() {
-		timer := time.NewTimer(10 * time.Second)
-		defer timer.Stop()
-		for t.deliveredCount.Load() < t.sentCount.Load() {
-			select {
-			case <-t.delivered:
-			case <-t.closedCh:
-				return ErrClosed
-			case <-timer.C:
-				return fmt.Errorf("transport: flush timed out (%d of %d delivered)",
-					t.deliveredCount.Load(), t.sentCount.Load())
-			}
-		}
-		// A token this call took may have been a concurrent Flush's last
-		// wake-up: pass one on.
-		t.wakeFlush()
-	}
-	return nil
+	return err
 }
 
-// Drain implements Transport. Like Memory's, the returned slice is
-// reused by the next-but-one Drain of the same node; callers own it only
-// until their next Drain call.
+// Drain implements Transport. It first finishes n's mailbox, so it
+// returns every frame sent to n before the call whether or not a Flush
+// ran; a wait that gives up is latched for the next Flush to return.
+// Like Memory's, the returned slice is reused by the next-but-one Drain
+// of the same node; callers own it only until their next Drain call.
 func (t *TCP) Drain(n model.NodeID) []Message {
 	box, ok := t.boxes[n]
 	if !ok {
 		return nil
+	}
+	if err := t.finish(n); err != nil && !errors.Is(err, ErrClosed) {
+		t.mu.Lock()
+		if t.waitErr == nil {
+			t.waitErr = err
+		}
+		t.mu.Unlock()
 	}
 	msgs := box.drain()
 	sortMessages(msgs)
 	return msgs
 }
 
-// Pending reports whether any mailbox still has undelivered frames —
-// used by tests to wait for in-flight messages.
-func (t *TCP) Pending(n model.NodeID) int {
-	box, ok := t.boxes[n]
-	if !ok {
-		return 0
+// finish writes n's queue if the writer has not, then waits until n's
+// mailbox holds every frame written to n, woken by the reader that
+// decodes the last one, for at most waitLimit or until Close.
+func (t *TCP) finish(n model.NodeID) error {
+	if err := t.writeOut(n); err != nil {
+		return err
 	}
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	return len(box.msgs)
+	box := t.boxes[n]
+	if box.decoded.Load() >= box.written.Load() {
+		return nil
+	}
+	timer := time.NewTimer(t.waitLimit)
+	defer timer.Stop()
+	for box.decoded.Load() < box.written.Load() {
+		select {
+		case <-box.arrived:
+		case <-t.closedCh:
+			return ErrClosed
+		case <-timer.C:
+			return fmt.Errorf("transport: delivery to %v timed out (%d of %d decoded)",
+				n, box.decoded.Load(), box.written.Load())
+		}
+	}
+	// A token this call took may have been a concurrent waiter's last
+	// wake-up: pass one on.
+	box.wakeWaiter()
+	return nil
+}
+
+// writeOut writes n's coalesced queue. A destination that stays
+// unreachable loses its frames (LostFrames) and latches an error for
+// its next Send, but does not fail the caller: the emulation degrades
+// gracefully around dead peers instead of aborting the round. The only
+// error returned is ErrClosed.
+func (t *TCP) writeOut(n model.NodeID) error {
+	q := t.queues[n]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	err := t.flushQueueLocked(n, t.addrs[n], q)
+	if IsUnreachable(err) {
+		q.failed = true
+		return nil
+	}
+	return err
+}
+
+// writeLoop is the writer: each Flush's wake-up is one writeNodes
+// pass, until Close. A Drain that gets to its queue first writes it
+// itself, so no Drain waits on the writer.
+func (t *TCP) writeLoop() {
+	defer t.wg.Done()
+	for {
+		select {
+		case <-t.wake:
+		case <-t.closedCh:
+			return
+		}
+		t.writeNodes()
+	}
+}
+
+// writeNodes writes every node's queue in ascending node order, and
+// stops at Close.
+func (t *TCP) writeNodes() {
+	for _, n := range t.nodes {
+		if t.writeOut(n) != nil {
+			return
+		}
+	}
 }
 
 // LostFrames counts frames accepted by Send but dropped because their
-// destination stayed unreachable through a batched flush. The emulation
-// folds them into its dropped-message accounting.
+// destination stayed unreachable through a batched write. It first
+// finishes the writer's pass in flight with a writeNodes pass of its
+// own, which waits on each queue the writer holds, so a frame that
+// pass would lose is counted.
 func (t *TCP) LostFrames() int {
+	t.writeNodes()
 	return int(t.lostFrames.Load())
 }
 
 // Close implements Transport: it stops listeners, closes connections,
-// unblocks in-flight retry backoffs and waits for reader goroutines to
-// exit.
+// unblocks in-flight retry backoffs and delivery waits, and waits for
+// the reader and writer goroutines to exit.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {

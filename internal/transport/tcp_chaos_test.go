@@ -75,12 +75,21 @@ func TestChaosTCPUnreachableDestinationBatched(t *testing.T) {
 	msg := sampleMessage()
 	msg.To = 2
 	// Batched: the frame is accepted, the loss is discovered at the
-	// round barrier, and the next Send reports the dead peer.
+	// dead peer's barrier — its Drain — and the next Send reports it.
 	if err := tr.Send(msg); err != nil {
 		t.Fatalf("batched Send buffered frame: %v", err)
 	}
+	if err := tr.Send(sampleMessage()); err != nil {
+		t.Fatalf("batched Send to the collector: %v", err)
+	}
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush must degrade gracefully around a dead peer, got %v", err)
+	}
+	if got := mailboxLen(tr, model.Central); got != 1 {
+		t.Fatalf("collector mailbox holds %d after Flush, want 1", got)
+	}
+	if got := tr.Drain(2); len(got) != 0 {
+		t.Fatalf("dead peer's Drain = %+v, want nothing", got)
 	}
 	if lost := tr.LostFrames(); lost != 1 {
 		t.Fatalf("LostFrames = %d, want 1", lost)
@@ -96,6 +105,41 @@ func TestChaosTCPUnreachableDestinationBatched(t *testing.T) {
 	if err := tr.Send(msg); err != nil {
 		t.Fatalf("Send after latched error: %v", err)
 	}
+}
+
+// TestChaosTCPBackgroundLostFrameLatched: a frame the writer loses after
+// Flush, with no Drain of its destination, is counted by LostFrames and
+// latched for the destination's next Send; the live nodes' frames
+// arrive.
+func TestChaosTCPBackgroundLostFrameLatched(t *testing.T) {
+	tr, err := NewTCPWithOptions([]model.NodeID{1, 2, 3}, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	killListener(t, tr, 2)
+
+	for _, to := range []model.NodeID{model.Central, 1, 2, 3} {
+		msg := sampleMessage()
+		msg.To = to
+		if err := tr.Send(msg); err != nil {
+			t.Fatalf("batched Send to %v: %v", to, err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("Flush must degrade gracefully around a dead peer, got %v", err)
+	}
+	if lost := tr.LostFrames(); lost != 1 {
+		t.Fatalf("LostFrames = %d, want 1", lost)
+	}
+	msg := sampleMessage()
+	msg.To = 2
+	if err := tr.Send(msg); !IsUnreachable(err) {
+		t.Fatalf("Send after a background loss: want ErrUnreachable, got %v", err)
+	}
+	waitDrain(t, tr, 1, 1)
+	waitDrain(t, tr, 3, 1)
+	waitDrain(t, tr, model.Central, 1)
 }
 
 func TestChaosTCPEvictAndReconnect(t *testing.T) {

@@ -90,13 +90,18 @@ type Transport interface {
 	// Send enqueues the message for its destination. See Message for the
 	// buffer-ownership rules.
 	Send(msg Message) error
-	// Drain atomically removes and returns everything queued for node n,
-	// in canonical order (tree key, then sender). The returned slice is
-	// valid until the next Drain call for the same node.
+	// Drain atomically removes and returns everything sent to node n
+	// before the call, in canonical order (tree key, then sender). An
+	// asynchronous transport first waits for n's own frames in flight:
+	// its barrier is per mailbox. The returned slice is valid until the
+	// next Drain call for the same node.
 	Drain(n model.NodeID) []Message
-	// Flush blocks until every accepted Send has reached its mailbox —
-	// the round barrier for asynchronous transports. Synchronous
-	// transports return immediately.
+	// Flush is the round barrier for the collector: it blocks until
+	// every accepted Send to model.Central has reached its mailbox, and
+	// may start delivering the frames bound for other nodes without
+	// waiting for them; each node's Drain waits for its own. It also
+	// reports a delivery failure a Drain met since the last Flush.
+	// Synchronous transports return immediately.
 	Flush() error
 	// Close releases transport resources. No Send or Drain may follow.
 	Close() error

@@ -250,21 +250,24 @@ func TestTCPCloseIdempotent(t *testing.T) {
 	}
 }
 
-// waitDrain polls until n messages are available or the deadline passes.
+// waitDrain drains node's mailbox once, which waits for the node's
+// frames in flight, and wants exactly n messages.
 func waitDrain(t *testing.T, tr *TCP, node model.NodeID, n int) []Message {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	var got []Message
-	for time.Now().Before(deadline) {
-		got = append(got, tr.Drain(node)...)
-		if len(got) >= n {
-			sortMessages(got)
-			return got
-		}
-		time.Sleep(2 * time.Millisecond)
+	got := tr.Drain(node)
+	if len(got) != n {
+		t.Fatalf("Drain(%v) returned %d messages, want %d", node, len(got), n)
 	}
-	t.Fatalf("timed out with %d of %d messages", len(got), n)
-	return nil
+	return got
+}
+
+// mailboxLen reads how many frames sit in n's mailbox without draining
+// it.
+func mailboxLen(tr *TCP, n model.NodeID) int {
+	box := tr.boxes[n]
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	return len(box.msgs)
 }
 
 func TestMemoryFlushNoOp(t *testing.T) {
@@ -275,6 +278,10 @@ func TestMemoryFlushNoOp(t *testing.T) {
 	}
 }
 
+// TestTCPFlushWaitsForDelivery: Flush is the collector's barrier and
+// Drain a node's own. After Flush every frame sent to the collector is
+// in its mailbox, and a node's Drain returns every frame sent to it —
+// no polling needed for either.
 func TestTCPFlushWaitsForDelivery(t *testing.T) {
 	tr, err := NewTCP([]model.NodeID{1})
 	if err != nil {
@@ -282,19 +289,117 @@ func TestTCPFlushWaitsForDelivery(t *testing.T) {
 	}
 	defer func() { _ = tr.Close() }()
 	for i := 0; i < 25; i++ {
-		if err := tr.Send(Message{TreeKey: "k", From: model.NodeID(i + 2), To: 1}); err != nil {
-			t.Fatal(err)
+		for _, to := range []model.NodeID{model.Central, 1} {
+			if err := tr.Send(Message{TreeKey: "k", From: model.NodeID(i + 2), To: to}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// After Flush every frame is in the mailbox — no polling needed.
-	if got := tr.Pending(1); got != 25 {
-		t.Fatalf("Pending = %d, want 25", got)
+	if got := mailboxLen(tr, model.Central); got != 25 {
+		t.Fatalf("collector mailbox holds %d after Flush, want 25", got)
+	}
+	if got := len(tr.Drain(model.Central)); got != 25 {
+		t.Fatalf("Drain(collector) = %d, want 25", got)
 	}
 	if got := len(tr.Drain(1)); got != 25 {
 		t.Fatalf("Drain = %d, want 25", got)
+	}
+}
+
+// TestTCPDrainWithoutFlush: a node's Drain writes out its own queue, so
+// it returns every frame sent to the node although no Flush ran.
+func TestTCPDrainWithoutFlush(t *testing.T) {
+	tr, err := NewTCP([]model.NodeID{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	var sent []Message
+	for i := 0; i < 6; i++ {
+		msg := Message{TreeKey: "k", From: model.NodeID(6 - i), To: 1,
+			Values: []Value{{Node: model.NodeID(6 - i), Attr: 1, Round: i, Value: float64(i)}}}
+		if err := tr.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, msg)
+	}
+	got := tr.Drain(1)
+	sortMessages(sent)
+	if !reflect.DeepEqual(got, sent) {
+		t.Fatalf("Drain without Flush returned %+v, want %+v", got, sent)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("Flush after the Drain: %v", err)
+	}
+}
+
+// TestTCPCloseUnblocksDrain: a Drain waiting for a frame that will
+// never arrive returns as soon as Close runs, and Close leaves none of
+// the transport's goroutines running.
+func TestTCPCloseUnblocksDrain(t *testing.T) {
+	before := runtime.NumGoroutine()
+	tr, err := NewTCP([]model.NodeID{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Send(Message{TreeKey: "k", From: 1, To: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// A reader goroutine is now running too.
+	waitDrain(t, tr, 2, 1)
+	tr.boxes[1].written.Add(1) // a frame written that no reader will deliver
+	drained := make(chan struct{})
+	go func() { defer close(drained); tr.Drain(1) }()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned before its frame arrived")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Drain still waiting 2s after Close")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Close, %d before NewTCP", n, before)
+	}
+}
+
+// TestTCPDrainTimeoutSurfacesFromFlush: a Drain whose wait gives up
+// returns what its mailbox holds, and the next Flush reports the
+// failure, so the round fails as a timed-out barrier always did; the
+// Flush after that starts clean.
+func TestTCPDrainTimeoutSurfacesFromFlush(t *testing.T) {
+	tr, err := NewTCP([]model.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	tr.waitLimit = 20 * time.Millisecond
+	tr.boxes[1].written.Add(1) // a frame written that no reader will deliver
+	start := time.Now()
+	if got := tr.Drain(1); len(got) != 0 {
+		t.Fatalf("Drain = %+v, want nothing", got)
+	}
+	if waited := time.Since(start); waited < tr.waitLimit || waited > 2*time.Second {
+		t.Fatalf("Drain waited %v, want about %v", waited, tr.waitLimit)
+	}
+	err = tr.Flush()
+	if err == nil || errors.Is(err, ErrClosed) {
+		t.Fatalf("Flush after a timed-out Drain = %v, want the timeout", err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("second Flush = %v, want nil", err)
 	}
 }
 
@@ -309,10 +414,10 @@ func TestTCPFlushAfterCloseErrors(t *testing.T) {
 	}
 }
 
-// TestTCPFlushReturnsClosedWhenCloseRaces: a Flush waiting for
-// deliveries returns ErrClosed as soon as Close runs, not at its 10 s
-// timeout — both when a frame can never arrive and when Close races
-// frames in flight.
+// TestTCPFlushReturnsClosedWhenCloseRaces: a Flush or Drain waiting
+// for deliveries returns as soon as Close runs, not at its 10 s timeout
+// — both when a frame can never arrive and when Close races frames in
+// flight.
 func TestTCPFlushReturnsClosedWhenCloseRaces(t *testing.T) {
 	flushAndClose := func(t *testing.T, tr *TCP) {
 		t.Helper()
@@ -334,8 +439,19 @@ func TestTCPFlushReturnsClosedWhenCloseRaces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.sentCount.Add(1) // a frame written that no reader will deliver
+		// Frames written that no reader will deliver: one to the
+		// collector, which Flush waits for, and one to node 1, which its
+		// Drain waits for.
+		tr.boxes[model.Central].written.Add(1)
+		tr.boxes[1].written.Add(1)
+		drained := make(chan struct{})
+		go func() { defer close(drained); tr.Drain(1) }()
 		flushAndClose(t, tr)
+		select {
+		case <-drained:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Drain still waiting 2s after Close")
+		}
 	})
 	t.Run("in-flight", func(t *testing.T) {
 		for i := 0; i < 20; i++ {

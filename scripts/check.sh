@@ -61,8 +61,8 @@ go test -run '^$' -bench 'BenchmarkPlan|BenchmarkReplanChurn' -benchtime 1x -cpu
 # one), run once so they cannot rot.
 go test -run '^$' -bench 'BenchmarkLatestBesideRounds|BenchmarkStreamRound' -benchtime 1x ./internal/serve
 
-echo "==> stream, round barrier and TCP mailbox hand-off under -race, repeated"
-go test -race -count=10 -run 'Stream|Broker|Gap|Flush|Mailbox' ./internal/serve ./internal/transport
+echo "==> stream, per-mailbox round barrier, TCP mailbox hand-off and background write loss under -race, repeated"
+go test -race -count=10 -run 'Stream|Broker|Gap|Flush|Mailbox|Drain|Lost' ./internal/serve ./internal/transport
 
 echo "==> planner beside the round loop, replan-sequence golden, set-aside plans, plan determinism and lone-vs-sharded scoring under -race, repeated"
 # A SetTasks during an outage carries the set-aside plan forward in
