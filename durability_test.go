@@ -12,6 +12,7 @@ import (
 
 	"remo"
 	"remo/internal/journal"
+	"remo/internal/workload"
 )
 
 // TestCollectorCrashRecoveryEndToEnd is the durability acceptance run:
@@ -491,4 +492,79 @@ func TestJournaledTriggersResumeCooldowns(t *testing.T) {
 	if got := proc2.AlertCount(); got != 0 {
 		t.Fatalf("restored triggers re-fired %d times inside their cooldowns", got)
 	}
+}
+
+// TestResumeAcrossSizeRotation crashes the collector after its journal
+// has rotated by WAL size: the remo-sim run -nodes 60 -tasks 40 with a
+// collector crash at round 300. The resume starts from the checkpoint
+// that rotation sealed and replays the WAL written since, more than 16
+// records; what it recovers must be exactly the live repository at the
+// crash.
+func TestResumeAcrossSizeRotation(t *testing.T) {
+	const crashRnd = 300
+	sys, err := workload.System(workload.SystemConfig{
+		Nodes: 60, Attrs: 40, CapacityLo: 150, CapacityHi: 400, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := remo.NewPlanner(sys, remo.WithVerification())
+	for _, task := range workload.Tasks(sys, workload.TaskConfig{Count: 40, AttrsPerTask: 8, NodesPerTask: 12, Seed: 2}) {
+		p.MustAddTask(task)
+	}
+	dir := t.TempDir()
+	mon, err := p.StartMonitor(remo.MonitorConfig{
+		Seed:    1,
+		Chaos:   &remo.ChaosConfig{CollectorCrashAt: crashRnd, MaxDelayRounds: 1, Seed: 1},
+		Failure: &remo.FailurePolicy{SuspicionRounds: 3},
+		Journal: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mon.Close() }()
+	if err := mon.Run(crashRnd + 2); err != nil {
+		t.Fatal(err)
+	}
+	if !mon.CollectorDown() {
+		t.Fatal("collector not down after its crash round")
+	}
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Segment == 0 {
+		t.Fatal("journal never rotated before the crash")
+	}
+	live := storeSeries(mon.Store())
+
+	rr, err := mon.Resume()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.ReplayedRecords <= 16 || rr.TornTail || !rr.PlanMatched {
+		t.Fatalf("resume replayed %d records (torn %v, plan matched %v); want > 16, clean, matched",
+			rr.ReplayedRecords, rr.TornTail, rr.PlanMatched)
+	}
+	if rr.RecoveredRound != crashRnd-1 {
+		t.Fatalf("recovered through round %d, want %d", rr.RecoveredRound, crashRnd-1)
+	}
+	if got := storeSeries(mon.Store()); !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovered store (%d series) differs from the live one at the crash (%d series)", len(got), len(live))
+	}
+	if err := mon.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Verify(); err != nil {
+		t.Fatalf("resumed session failed verification: %v", err)
+	}
+}
+
+// storeSeries copies every retained series of st.
+func storeSeries(st *remo.Store) map[remo.Pair][]remo.Sample {
+	out := make(map[remo.Pair][]remo.Sample)
+	st.EachSeries(func(p remo.Pair, samples []remo.Sample) {
+		out[p] = append([]remo.Sample(nil), samples...)
+	})
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"remo/internal/model"
@@ -109,7 +110,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for name, want := range map[string]State{"plain": testState(), "wrapped": wrappedState()} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := Create(dir, Options{NoSync: true}, want)
+			w, err := Create(dir, Options{}, want)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +170,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		// Segment 0 is encoded into a fresh buffer; segment 1 into the
 		// writer's reused one, after a WAL record has been framed in it.
 		dir := t.TempDir()
-		w, err := Create(dir, Options{NoSync: true}, tc.state)
+		w, err := Create(dir, Options{}, tc.state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 func TestWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	initial := testState()
-	w, err := Create(dir, Options{NoSync: true}, initial)
+	w, err := Create(dir, Options{}, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestWALReplay(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{NoSync: true}, testState())
+	w, err := Create(dir, Options{}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{NoSync: true}, testState())
+	w, err := Create(dir, Options{}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 
 func TestCreateSupersedesExistingJournal(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{NoSync: true}, testState())
+	w, err := Create(dir, Options{}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestCreateSupersedesExistingJournal(t *testing.T) {
 	// continue segment numbering so its checkpoint wins recovery.
 	fresh := testState()
 	fresh.Epoch = 99
-	w2, err := Create(dir, Options{NoSync: true}, fresh)
+	w2, err := Create(dir, Options{}, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestCreateSupersedesExistingJournal(t *testing.T) {
 
 func TestRotationPrunesOldSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{NoSync: true, KeepSegments: 1, CheckpointEvery: 1}, testState())
+	w, err := Create(dir, Options{KeepSegments: 1, CheckpointEvery: 1}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +444,7 @@ func TestAssignmentCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := testState()
 	want.Assignment = map[string]int{"a1": 0, "a2": 3, "a9": 1}
-	w, err := Create(dir, Options{NoSync: true}, want)
+	w, err := Create(dir, Options{}, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestAssignmentAbsentStaysNil(t *testing.T) {
 	// A checkpoint without an assignment encodes exactly the pre-sharding
 	// layout; recovery must read it and leave Assignment nil.
 	dir := t.TempDir()
-	w, err := Create(dir, Options{NoSync: true}, testState())
+	w, err := Create(dir, Options{}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +482,7 @@ func TestAssignmentAbsentStaysNil(t *testing.T) {
 
 func TestAssignmentWALReplay(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{NoSync: true}, testState())
+	w, err := Create(dir, Options{}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +517,7 @@ func TestModelsCheckpointRoundTrip(t *testing.T) {
 		{Node: 1, Attr: 1}: {Kind: predict.Holt, Level: 42.5, Trend: -0.25, Seen: 17},
 		{Node: 2, Attr: 3}: {Kind: predict.EWMA, Level: 7, Seen: 3},
 	}
-	w, err := Create(dir, Options{NoSync: true}, want)
+	w, err := Create(dir, Options{}, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +544,7 @@ func TestModelsWithAssignmentRoundTrip(t *testing.T) {
 	want.Models = map[model.Pair]predict.Snapshot{
 		{Node: 4, Attr: 2}: {Kind: predict.Holt, Level: 9.75, Trend: 0.125, Seen: 8},
 	}
-	w, err := Create(dir, Options{NoSync: true}, want)
+	w, err := Create(dir, Options{}, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +567,7 @@ func TestModelsAbsentStaysNil(t *testing.T) {
 	// A checkpoint without models encodes exactly the pre-suppression
 	// layout; recovery must read it and leave Models nil.
 	dir := t.TempDir()
-	w, err := Create(dir, Options{NoSync: true}, testState())
+	w, err := Create(dir, Options{}, testState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,5 +580,117 @@ func TestModelsAbsentStaysNil(t *testing.T) {
 	}
 	if rec.State.Models != nil {
 		t.Fatalf("models = %v, want nil", rec.State.Models)
+	}
+}
+
+// fileSize is the byte size of path, or 0 when it does not exist.
+func fileSize(t *testing.T, path string) int {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(fi.Size())
+}
+
+// TestSizeRuleRotation feeds a writer with no round cadence fixed-size
+// rounds into a store that outgrows segmentBytes, and checks the size
+// rule by counts: a checkpoint is due exactly when the live WAL reaches
+// max(segmentBytes, its checkpoint's size); checkpoints never cost more
+// bytes than twice the WAL plus the live checkpoint, written or kept on
+// disk; and a recovery after any append (what a kill -9 there leaves)
+// returns every appended round and the writer's store.
+func TestSizeRuleRotation(t *testing.T) {
+	const (
+		pairs    = 1000 // 20 B a sample: one round's record is ~20 KB
+		capacity = 128  // a full store checkpoints ~1.5 MB > segmentBytes
+		rounds   = 320
+		every    = 16 // rounds between recoveries
+	)
+	dir := t.TempDir()
+	st := store.New(capacity)
+	state := func(round int) State {
+		return State{Round: round, Demand: task.NewDemand(), BaseDemand: task.NewDemand(), Store: st}
+	}
+	w, err := Create(dir, Options{CheckpointEvery: -1}, state(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = w.Close() }()
+
+	recs := make([]SampleRec, pairs)
+	written := fileSize(t, ckptName(dir, w.Segment())) // checkpoint bytes written
+	walDone := 0                                       // bytes of sealed WALs
+	var rotations, overFloor int
+	for r := 0; r < rounds; r++ {
+		for i := range recs {
+			recs[i] = SampleRec{Pair: model.Pair{Node: model.NodeID(i), Attr: 1}, Round: r, Value: float64(r*pairs + i)}
+			st.Observe(recs[i].Pair, r, recs[i].Value)
+		}
+		seg := w.Segment()
+		due, err := w.AppendSamples(r, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal, ckpt := fileSize(t, walName(dir, seg)), fileSize(t, ckptName(dir, seg))
+		threshold := max(segmentBytes, ckpt)
+		if want := wal >= threshold; due != want {
+			t.Fatalf("round %d: due=%v with WAL %d B against max(%d, checkpoint %d B)",
+				r, due, wal, segmentBytes, ckpt)
+		}
+		if due {
+			rotations++
+			if ckpt > segmentBytes {
+				overFloor++
+			}
+			if err := w.Checkpoint(state(r)); err != nil {
+				t.Fatal(err)
+			}
+			walDone += wal
+			written += fileSize(t, ckptName(dir, w.Segment()))
+		}
+
+		liveCkpt := fileSize(t, ckptName(dir, w.Segment()))
+		walTotal := walDone + fileSize(t, walName(dir, w.Segment()))
+		if written+walTotal > 2*walTotal+liveCkpt {
+			t.Fatalf("round %d: %d checkpoint bytes written beside %d WAL bytes (live checkpoint %d)",
+				r, written, walTotal, liveCkpt)
+		}
+		var onDisk, walOnDisk int
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			n := fileSize(t, filepath.Join(dir, e.Name()))
+			onDisk += n
+			if strings.HasPrefix(e.Name(), "wal-") {
+				walOnDisk += n
+			}
+		}
+		if onDisk > 2*walOnDisk+liveCkpt {
+			t.Fatalf("round %d: %d B on disk against %d WAL bytes (live checkpoint %d)", r, onDisk, walOnDisk, liveCkpt)
+		}
+
+		if r%every == every-1 || due {
+			rec, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.LastRound != r || rec.Torn {
+				t.Fatalf("round %d: recovered last round %d (torn %v)", r, rec.LastRound, rec.Torn)
+			}
+			if g, w := storeSeries(rec.State.Store), storeSeries(st); !reflect.DeepEqual(g, w) {
+				t.Fatalf("round %d: recovered store differs from the writer's (%d vs %d samples)",
+					r, rec.State.Store.Len(), st.Len())
+			}
+		}
+	}
+	t.Logf("%d rotations, %d past the floor", rotations, overFloor)
+	if rotations < 3 || overFloor == 0 {
+		t.Fatalf("%d size-triggered rotations, %d past the floor; want >= 3 and >= 1", rotations, overFloor)
 	}
 }

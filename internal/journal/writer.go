@@ -13,26 +13,25 @@ import (
 // Options tunes the journal writer. The zero value selects the
 // defaults.
 type Options struct {
-	// CheckpointEvery is how many AppendSamples calls (rounds) elapse
-	// between automatic checkpoints (default 16; negative disables
-	// automatic checkpointing).
+	// CheckpointEvery, when positive, also makes a checkpoint due every
+	// that many AppendSamples calls (rounds). Zero or negative adds no
+	// round cadence: the size rule below still applies.
 	CheckpointEvery int
 	// KeepSegments is how many sealed segments to retain besides the
 	// live one (default 2).
 	KeepSegments int
-	// NoSync skips the per-append fsync. Faster, but a host crash (as
-	// opposed to a process crash) can lose the unsynced tail.
-	NoSync bool
 }
 
-// segmentBytes rotates the WAL into a fresh checkpointed segment once
-// it grows past this size (checkpoint cadence usually rotates first).
+// segmentBytes is the floor of the size rule: a checkpoint is due once
+// the live WAL holds at least max(segmentBytes, the size of the
+// checkpoint that opened its segment). Under this rule alone (no round
+// cadence, no explicit Checkpoint) every sealed segment's WAL is at
+// least as large as its checkpoint, so checkpoints never cost more
+// bytes than the WAL they make prunable; and recovery replays at most
+// that much WAL, plus one round's records, on top of one checkpoint.
 const segmentBytes = 1 << 20
 
 func (o Options) withDefaults() Options {
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 16
-	}
 	if o.KeepSegments <= 0 {
 		o.KeepSegments = 2
 	}
@@ -49,6 +48,9 @@ type Writer struct {
 	seg     int
 	wal     *os.File
 	walSize int
+	// ckptSize is the byte size of the checkpoint that opened the live
+	// segment.
+	ckptSize int
 	// rounds counts AppendSamples calls since the last checkpoint.
 	rounds int
 	// buf is the reused encode buffer: every WAL record and checkpoint
@@ -63,10 +65,17 @@ func walName(dir string, seg int) string  { return filepath.Join(dir, fmt.Sprint
 // initial state as a fresh checkpoint. An existing journal in dir is
 // superseded, not clobbered: numbering continues after its newest
 // segment (so the new checkpoint is always the one recovery finds) and
-// the old segments are pruned as rotation proceeds.
+// the old segments are pruned as rotation proceeds. A directory Create
+// makes is synced into its parent, so a host crash keeps it.
 func Create(dir string, opts Options, initial State) (*Writer, error) {
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if os.IsNotExist(statErr) {
+		if err := syncDir(filepath.Dir(filepath.Clean(dir))); err != nil {
+			return nil, fmt.Errorf("journal: sync dir: %w", err)
+		}
 	}
 	start := -1
 	if segs, err := listSegments(dir); err == nil && len(segs) > 0 {
@@ -79,33 +88,35 @@ func Create(dir string, opts Options, initial State) (*Writer, error) {
 	return w, nil
 }
 
-// writeCheckpoint writes ckpt-seg atomically (temp file + rename). The
-// state is encoded straight into the writer's reused buffer and the
-// temp file is written, synced and closed through one handle; any
-// failure is returned before the rename, so a checkpoint that may not be
-// durable never replaces the segment recovery would read.
+// writeCheckpoint writes ckpt-seg atomically (temp file + fsync +
+// rename) and records its size. The state is encoded straight into the
+// writer's reused buffer and the temp file is written, synced and
+// closed through one handle; any failure is returned before the rename,
+// so a checkpoint that may not be durable never replaces the segment
+// recovery would read.
 func (w *Writer) writeCheckpoint(seg int, s State) error {
 	w.buf = append(w.buf[:0], ckptMagic...)
 	w.buf = appendRecord(w.buf, recCheckpoint, func(dst []byte) []byte { return appendCheckpoint(dst, s) })
 	tmp := ckptName(w.dir, seg) + ".tmp"
-	if err := writeFile(tmp, w.buf, !w.opts.NoSync); err != nil {
+	if err := writeFile(tmp, w.buf); err != nil {
 		return fmt.Errorf("journal: checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, ckptName(w.dir, seg)); err != nil {
 		return fmt.Errorf("journal: checkpoint: %w", err)
 	}
+	w.ckptSize = len(w.buf)
 	return nil
 }
 
-// writeFile creates (or truncates) path, writes data, syncs it when
-// sync is set, and closes it, returning the first error.
-func writeFile(path string, data []byte, sync bool) error {
+// writeFile creates (or truncates) path, writes data, syncs it and
+// closes it, returning the first error.
+func writeFile(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	_, err = f.Write(data)
-	if err == nil && sync {
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -114,7 +125,24 @@ func writeFile(path string, data []byte, sync bool) error {
 	return err
 }
 
+// syncDir fsyncs a directory, making the entries created, renamed or
+// removed in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // rotate seals a new segment: checkpoint, fresh WAL, pruned history.
+// The directory is synced once both new entries exist, before any old
+// segment is pruned, so a host crash keeps the renamed checkpoint and
+// the WAL whose appends are fsynced from now on.
 func (w *Writer) rotate(s State) error {
 	next := w.seg + 1
 	if err := w.writeCheckpoint(next, s); err != nil {
@@ -135,6 +163,9 @@ func (w *Writer) rotate(s State) error {
 	w.walSize = len(walMagic)
 	w.seg = next
 	w.rounds = 0
+	if err := syncDir(w.dir); err != nil {
+		return fmt.Errorf("journal: sync dir: %w", err)
+	}
 
 	for old := next - w.opts.KeepSegments - 1; old >= 0; old-- {
 		e1 := os.Remove(ckptName(w.dir, old))
@@ -158,10 +189,8 @@ func (w *Writer) append(kind uint8, encode func([]byte) []byte) error {
 	if err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if !w.opts.NoSync {
-		if err := w.wal.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
+	if err := w.wal.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
 	}
 	return nil
 }
@@ -202,16 +231,17 @@ func (w *Writer) AppendRepair(round int) error {
 }
 
 // AppendSamples logs the values the collector accepted in one round
-// and, at the configured cadence or WAL size, asks for nothing more:
-// the caller drives checkpoints via Checkpoint, which this method
-// signals by returning true.
+// and reports whether a checkpoint is due: the live WAL has reached
+// max(segmentBytes, the size of the segment's checkpoint), or a
+// positive CheckpointEvery rounds have passed since it. The caller
+// drives the checkpoint via Checkpoint.
 func (w *Writer) AppendSamples(round int, recs []SampleRec) (checkpointDue bool, err error) {
 	if err := w.append(recSamples, func(dst []byte) []byte { return appendSamples(dst, round, recs) }); err != nil {
 		return false, err
 	}
 	w.rounds++
 	due := (w.opts.CheckpointEvery > 0 && w.rounds >= w.opts.CheckpointEvery) ||
-		w.walSize >= segmentBytes
+		w.walSize >= max(segmentBytes, w.ckptSize)
 	return due, nil
 }
 

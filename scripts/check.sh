@@ -120,6 +120,18 @@ journal_dir=$(mktemp -d)
 tmp_paths+=("$journal_dir")
 go run ./cmd/remo-sim -nodes 30 -tasks 15 -rounds 24 \
     -journal "$journal_dir" -chaos-collector 8 -verify > /dev/null
+# A crash after the journal has rotated by WAL size: the resume starts
+# from that rotation's checkpoint and replays more than 16 rounds of WAL.
+journal_dir=$(mktemp -d)
+tmp_paths+=("$journal_dir")
+rotated_out=$(go run ./cmd/remo-sim -nodes 60 -tasks 40 -rounds 400 \
+    -journal "$journal_dir" -chaos-collector 300 -verify)
+replayed=$(echo "$rotated_out" | sed -n 's/.* \([0-9]*\) WAL records replayed.*/\1/p')
+if [[ -z "$replayed" || "$replayed" -le 16 ]]; then
+    echo "collector resume after a size-triggered rotation replayed '${replayed}' WAL records, want > 16:" >&2
+    echo "$rotated_out" | grep -v '^  ' >&2
+    exit 1
+fi
 
 echo "==> sharding chaos smoke (shard crash + orphan re-dispatch, verified, one journal)"
 journal_dir=$(mktemp -d)

@@ -228,7 +228,7 @@ func (s *session) step() error {
 }
 
 // appendRound appends the executed round's accepted values to the WAL
-// and checkpoints at the journal's cadence. A down lone collector
+// and checkpoints when the journal says one is due. A down lone collector
 // persists nothing — that outage is precisely the window its recovery
 // must cover — and its unjournaled tail is discarded. A sharded tier's
 // root never dies, so its log never stops: a crashed shard's values
