@@ -8,6 +8,7 @@ import (
 	"remo/internal/agg"
 	"remo/internal/core"
 	"remo/internal/cost"
+	"remo/internal/transport"
 	"remo/internal/workload"
 )
 
@@ -67,5 +68,38 @@ func TestAllocsStepBudget(t *testing.T) {
 	// closures); 8 leaves headroom for amortized map/slice growth.
 	if allocs > 8 {
 		t.Fatalf("Machine.Step allocates %.1f/round steady-state, budget 8", allocs)
+	}
+}
+
+// TestAllocsStepBudgetTCP is TestAllocsStepBudget over the TCP
+// transport: once every mailbox, arena and read buffer has grown, a
+// round decodes its frames in place, so the round's allocations do not
+// grow with the frames it moves.
+func TestAllocsStepBudgetTCP(t *testing.T) {
+	cfg := fig6aCfg(t, 50)
+	cfg.Spec = agg.NewSpec()
+	tr, err := transport.NewTCP(cfg.Sys.NodeIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	cfg.Transport = tr
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = m.Close() }()
+	if err := m.StepN(10); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured: 8/round, the memory transport's count — the transport
+	// itself allocates nothing per round.
+	if allocs > 8 {
+		t.Fatalf("Machine.Step over TCP allocates %.1f/round steady-state, budget 8", allocs)
 	}
 }

@@ -446,10 +446,14 @@ const dedupRounds = 1 << 16
 // ending at the newest round delivered, so a session counts deliveries
 // for as long as it runs, in bounded memory.
 type roundWindow struct {
-	// newest is the newest round marked; bits holds round r at bit
-	// r mod the window's span for the span rounds up to newest. It is
-	// allocated on the first delivery.
+	// newest is the newest round marked. Round r is bit r mod 64 of word
+	// r/64 mod len(bits) for the span rounds up to newest, except that
+	// newest's word lives in cur, so a pair delivered every round
+	// touches bits once per 64 rounds; bits keeps that word's slot,
+	// stale, until the window moves past it. bits is allocated on the
+	// first delivery.
 	newest int
+	cur    uint64
 	bits   []uint64
 }
 
@@ -469,24 +473,36 @@ func (w *roundWindow) mark(r, horizon int) bool {
 		w.bits = make([]uint64, span/64)
 		w.newest = r
 	}
-	span := 64 * len(w.bits)
+	n := len(w.bits)
 	switch {
-	case r-w.newest >= span:
+	case r-w.newest >= 64*n:
 		clear(w.bits)
+		w.cur, w.newest = 0, r
+	case r > w.newest && r/64 == w.newest/64:
+		// Clear the rounds after newest up to r, all in cur's word.
+		w.cur &^= (2<<uint(r%64) - 1) &^ (2<<uint(w.newest%64) - 1)
 		w.newest = r
 	case r > w.newest:
-		for q := w.newest + 1; q <= r; q++ {
-			w.bits[q%span/64] &^= 1 << uint(q%64)
+		// Clear the rounds after newest: the rest of its word, which goes
+		// back to its slot, the words between, and r's word up to r,
+		// whose later rounds are the window's oldest.
+		w.bits[w.newest/64%n] = w.cur & (2<<uint(w.newest%64) - 1)
+		for q := w.newest/64 + 1; q < r/64; q++ {
+			w.bits[q%n] = 0
 		}
+		w.cur = w.bits[r/64%n] &^ (2<<uint(r%64) - 1)
 		w.newest = r
-	case r <= w.newest-span:
+	case r <= w.newest-64*n:
 		return false
 	}
-	word, bit := r%span/64, uint(r%64)
-	if w.bits[word]&(1<<bit) != 0 {
+	word, bit := &w.cur, uint64(1)<<uint(r%64)
+	if r/64%n != w.newest/64%n {
+		word = &w.bits[r/64%n]
+	}
+	if *word&bit != 0 {
 		return false
 	}
-	w.bits[word] |= 1 << bit
+	*word |= bit
 	return true
 }
 

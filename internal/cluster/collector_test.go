@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -227,5 +228,105 @@ func TestRoundWindowDedups(t *testing.T) {
 	short.mark(0, 12)
 	if len(short.bits) != 1 {
 		t.Fatalf("12-round run got a %d-word window", len(short.bits))
+	}
+}
+
+// bitmapWindow is roundWindow before it kept the newest word inline:
+// every round in one bitmap. TestRoundWindowMatchesBitmap checks the
+// two against each other.
+type bitmapWindow struct {
+	newest int
+	bits   []uint64
+}
+
+func (w *bitmapWindow) mark(r, horizon int) bool {
+	if r < 0 {
+		return false
+	}
+	if w.bits == nil {
+		span := dedupRounds
+		if horizon > 0 && horizon < span {
+			span = horizon + 63
+		}
+		w.bits = make([]uint64, span/64)
+		w.newest = r
+	}
+	span := 64 * len(w.bits)
+	switch {
+	case r-w.newest >= span:
+		clear(w.bits)
+		w.newest = r
+	case r > w.newest:
+		for q := w.newest + 1; q <= r; q++ {
+			w.bits[q%span/64] &^= 1 << uint(q%64)
+		}
+		w.newest = r
+	case r <= w.newest-span:
+		return false
+	}
+	word, bit := r%span/64, uint(r%64)
+	if w.bits[word]&(1<<bit) != 0 {
+		return false
+	}
+	w.bits[word] |= 1 << bit
+	return true
+}
+
+// TestRoundWindowMatchesBitmap: over random delivery streams — mostly
+// in order, with duplicates, late rounds inside and outside the window,
+// jumps past it and rounds that wrap onto the newest round's slot —
+// roundWindow answers every mark as the plain bitmap does, at run
+// horizons from one word to the full window.
+func TestRoundWindowMatchesBitmap(t *testing.T) {
+	for _, horizon := range []int{0, 1, 10, 100, 200, 1000} {
+		span := dedupRounds
+		if horizon > 0 && horizon < span {
+			span = (horizon + 63) / 64 * 64
+		}
+		// The bitmap clears a round at a time, so a full window's jumps
+		// cost it thousands of rounds each: fewer seeds there.
+		seeds := 100
+		if span == dedupRounds {
+			seeds = 3
+		}
+		if testing.Short() {
+			seeds = max(1, seeds/10)
+		}
+		for seed := 0; seed < seeds; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			var got roundWindow
+			var want bitmapWindow
+			r := rng.Intn(3 * span)
+			for i := 0; i < 20000; i++ {
+				switch k := rng.Intn(100); {
+				case k < 60:
+					r++
+				case k < 70:
+					r += 1 + rng.Intn(70)
+				case k < 72:
+					r += span - 64 + rng.Intn(128)
+				case k < 73:
+					r += 2 * span
+				}
+				mark := r
+				switch k := rng.Intn(100); {
+				case k < 15:
+					mark = r - rng.Intn(64)
+				case k < 25:
+					mark = r - rng.Intn(span+128)
+				case k < 30:
+					mark = r - span + rng.Intn(2)
+				case k < 32:
+					mark = -1 - rng.Intn(3)
+				}
+				if g, w := got.mark(mark, horizon), want.mark(mark, horizon); g != w {
+					t.Fatalf("horizon %d seed %d mark %d: mark(%d) = %v, the bitmap says %v",
+						horizon, seed, i, mark, g, w)
+				}
+			}
+			if len(got.bits) != len(want.bits) {
+				t.Fatalf("horizon %d: %d words, the bitmap holds %d", horizon, len(got.bits), len(want.bits))
+			}
+		}
 	}
 }

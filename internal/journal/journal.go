@@ -122,12 +122,10 @@ type State struct {
 	Models map[model.Pair]predict.Snapshot
 }
 
-// SampleRec is one collected value as journaled by recSamples records.
-type SampleRec struct {
-	Pair  model.Pair
-	Round int
-	Value float64
-}
+// SampleRec is one collected value as journaled by recSamples records:
+// the store's Record, so a round's batch goes to the store and the WAL
+// as it is.
+type SampleRec = store.Record
 
 // Errors.
 var (

@@ -121,10 +121,20 @@ func (p *Processor) RemoveTrigger(name string) {
 	delete(p.lastFire, name)
 }
 
-// Observe evaluates every trigger against one collected value.
-func (p *Processor) Observe(pair model.Pair, round int, value float64) {
+// HasTriggers reports whether any trigger is registered: a processor
+// without one has nothing to evaluate.
+func (p *Processor) HasTriggers() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return len(p.triggers) > 0
+}
+
+// Observe evaluates every trigger against one collected value. The
+// alert handler runs after the processor's lock is released.
+func (p *Processor) Observe(pair model.Pair, round int, value float64) {
+	var buf [4]Alert
+	fired := buf[:0]
+	p.mu.Lock()
 	for name, t := range p.triggers {
 		if t.Attr != pair.Attr {
 			continue
@@ -132,9 +142,9 @@ func (p *Processor) Observe(pair model.Pair, round int, value float64) {
 		if t.Node != model.Central && t.Node != pair.Node {
 			continue
 		}
-		fired := (t.Cond == Above && value > t.Threshold) ||
+		hit := (t.Cond == Above && value > t.Threshold) ||
 			(t.Cond == Below && value < t.Threshold)
-		if !fired {
+		if !hit {
 			continue
 		}
 		if t.Cooldown > 0 {
@@ -148,8 +158,13 @@ func (p *Processor) Observe(pair model.Pair, round int, value float64) {
 		if len(p.alerts) > p.maxKept {
 			p.alerts = p.alerts[len(p.alerts)-p.maxKept:]
 		}
-		if p.onAlert != nil {
-			p.onAlert(alert)
+		fired = append(fired, alert)
+	}
+	handler := p.onAlert
+	p.mu.Unlock()
+	if handler != nil {
+		for _, a := range fired {
+			handler(a)
 		}
 	}
 }

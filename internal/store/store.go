@@ -50,12 +50,36 @@ func New(capacity int) *Store {
 func (s *Store) Observe(p model.Pair, round int, value float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.seriesOf(p).push(Sample{Round: round, Value: value})
+}
+
+// Record is one observation of a pair: what ObserveBatch takes, and
+// what the journal persists of a round (journal.SampleRec).
+type Record struct {
+	Pair  model.Pair
+	Round int
+	Value float64
+}
+
+// ObserveBatch appends a round's samples in order under one lock: the
+// store ends as Observe on each record in turn would leave it.
+func (s *Store) ObserveBatch(recs []Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range recs {
+		s.seriesOf(rec.Pair).push(Sample{Round: rec.Round, Value: rec.Value})
+	}
+}
+
+// seriesOf returns pair p's series, creating it on p's first sample. The
+// caller holds s.mu.
+func (s *Store) seriesOf(p model.Pair) *ring {
 	r, ok := s.series[p]
 	if !ok {
 		r = newRing(s.capacity)
 		s.series[p] = r
 	}
-	r.push(Sample{Round: round, Value: value})
+	return r
 }
 
 // Latest returns the newest sample of pair p.
@@ -223,24 +247,35 @@ func newRing(capacity int) *ring {
 func (r *ring) len() int { return len(r.buf) }
 
 func (r *ring) push(s Sample) {
+	// Common case: an in-order append, which reads only the newest
+	// sample.
+	if n := len(r.buf); n > 0 && s.Round < r.buf[n-1].Round {
+		r.insert(s)
+		return
+	}
+	if len(r.buf) == cap(r.buf) {
+		r.compact()
+	}
+	r.buf = append(r.buf, s)
+	if len(r.buf) > r.cap {
+		r.buf = r.buf[1:] // drop the oldest
+	}
+}
+
+// insert places an out-of-order sample at its sorted position.
+func (r *ring) insert(s Sample) {
 	if len(r.buf) == r.cap && s.Round < r.buf[0].Round {
 		return // older than every retained sample: evicted on arrival
 	}
 	if len(r.buf) == cap(r.buf) {
 		r.compact()
 	}
-	// Common case: in-order append.
-	if len(r.buf) == 0 || s.Round >= r.buf[len(r.buf)-1].Round {
-		r.buf = append(r.buf, s)
-	} else {
-		// Out-of-order: insert at the sorted position.
-		i := sort.Search(len(r.buf), func(i int) bool {
-			return r.buf[i].Round > s.Round
-		})
-		r.buf = append(r.buf, Sample{})
-		copy(r.buf[i+1:], r.buf[i:])
-		r.buf[i] = s
-	}
+	i := sort.Search(len(r.buf), func(i int) bool {
+		return r.buf[i].Round > s.Round
+	})
+	r.buf = append(r.buf, Sample{})
+	copy(r.buf[i+1:], r.buf[i:])
+	r.buf[i] = s
 	if len(r.buf) > r.cap {
 		r.buf = r.buf[1:] // drop the oldest
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"remo/internal/model"
 )
@@ -140,6 +141,42 @@ func TestLatestSinceMatchesPairsLatest(t *testing.T) {
 	}
 }
 
+// TestObserveBatchMatchesObserve: a round's batch — late rounds,
+// duplicates, samples older than a full ring, and a ring that wraps —
+// leaves the store exactly as Observe on each record in turn does.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	one, batched := New(8), New(8)
+	for round := 0; round < 200; round++ {
+		var recs []Record
+		for i := rng.Intn(12); i > 0; i-- {
+			recs = append(recs, Record{
+				Pair:  pair(rng.Intn(4), 1+rng.Intn(2)),
+				Round: round - rng.Intn(3)*rng.Intn(12),
+				Value: rng.Float64(),
+			})
+		}
+		for _, r := range recs {
+			one.Observe(r.Pair, r.Round, r.Value)
+		}
+		batched.ObserveBatch(recs)
+	}
+	type series struct {
+		p model.Pair
+		s []Sample
+	}
+	dump := func(st *Store) []series {
+		var out []series
+		st.EachSeries(func(p model.Pair, s []Sample) {
+			out = append(out, series{p, append([]Sample(nil), s...)})
+		})
+		return out
+	}
+	if a, b := dump(one), dump(batched); !reflect.DeepEqual(a, b) {
+		t.Fatalf("ObserveBatch left %v, Observe %v", b, a)
+	}
+}
+
 func TestStoreConcurrent(t *testing.T) {
 	s := New(32)
 	var wg sync.WaitGroup
@@ -184,6 +221,38 @@ func TestProcessorTriggers(t *testing.T) {
 	}
 	if alerts[0].Trigger != "hot" || alerts[0].Round != 1 || alerts[0].Value != 95 {
 		t.Fatalf("alert = %+v", alerts[0])
+	}
+}
+
+// TestProcessorHandlerOutsideLock: the alert handler runs with the
+// processor's lock released, so it may call back into the processor,
+// and a trigger without one is seen by HasTriggers.
+func TestProcessorHandlerOutsideLock(t *testing.T) {
+	pr := NewProcessor(16)
+	if pr.HasTriggers() {
+		t.Fatal("an empty processor reports triggers")
+	}
+	if err := pr.AddTrigger(Trigger{Name: "hot", Attr: 1, Cond: Above, Threshold: 90}); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.HasTriggers() {
+		t.Fatal("HasTriggers = false with a trigger registered")
+	}
+	var seen []int
+	pr.SetHandler(func(a Alert) { seen = append(seen, pr.AlertCount()) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pr.Observe(pair(1, 1), 1, 95)
+		pr.Observe(pair(1, 1), 2, 96)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("an alert handler calling back into the processor deadlocked")
+	}
+	if !reflect.DeepEqual(seen, []int{1, 2}) {
+		t.Fatalf("the handler saw alert counts %v, want [1 2]", seen)
 	}
 }
 

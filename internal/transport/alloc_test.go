@@ -115,3 +115,47 @@ func TestAllocsMemorySendSteadyState(t *testing.T) {
 		t.Fatalf("steady-state Memory send/drain allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestAllocsTCPMailboxSteadyState pins the TCP receive path's zero
+// allocations per frame: once a round's mailboxes, arenas and read
+// buffers have grown, Send → Flush → Drain of the same traffic decodes
+// every frame in place.
+func TestAllocsTCPMailboxSteadyState(t *testing.T) {
+	tr, err := NewTCP([]model.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	const perRound = 16
+	var msgs []Message
+	for j := 0; j < perRound; j++ {
+		for _, to := range []model.NodeID{model.Central, 1} {
+			msg := suppMessage()
+			msg.To, msg.From = to, model.NodeID(j+2)
+			msgs = append(msgs, msg)
+		}
+	}
+	round := func() {
+		for _, msg := range msgs {
+			if err := tr.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(tr.Drain(model.Central)); got != perRound {
+			t.Fatalf("collector drained %d frames, want %d", got, perRound)
+		}
+		if got := len(tr.Drain(1)); got != perRound {
+			t.Fatalf("node drained %d frames, want %d", got, perRound)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(100, round)
+	if perFrame := allocs / (2 * perRound); perFrame != 0 {
+		t.Fatalf("steady-state TCP send/flush/drain allocates %.2f/frame (%.1f/round), want 0", perFrame, allocs)
+	}
+}

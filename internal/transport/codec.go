@@ -234,7 +234,7 @@ func (d *Decoder) decode(msg *Message, reuse bool) error {
 	if _, err := io.ReadFull(d.r, p); err != nil {
 		return fmt.Errorf("transport: short frame: %w", err)
 	}
-	return decodePayloadInto(p, msg, d, reuse)
+	return decodePayloadInto(p, msg, d, nil, reuse)
 }
 
 // internKey returns a string for the key bytes, reusing a previously
@@ -277,16 +277,17 @@ func Decode(r io.Reader) (Message, error) {
 // decodePayload deserializes one frame payload into a fresh Message.
 func decodePayload(p []byte) (Message, error) {
 	var msg Message
-	if err := decodePayloadInto(p, &msg, nil, false); err != nil {
+	if err := decodePayloadInto(p, &msg, nil, nil, false); err != nil {
 		return Message{}, err
 	}
 	return msg, nil
 }
 
 // decodePayloadInto deserializes one frame payload. When d is non-nil
-// tree keys are interned through it; when reuse is set the message's
-// existing Values/Beats capacity is reused instead of allocating.
-func decodePayloadInto(p []byte, msg *Message, d *Decoder, reuse bool) error {
+// tree keys are interned through it. The message's slices are carved
+// from a when it is non-nil; otherwise they reuse the message's
+// existing capacity when reuse is set, or are freshly allocated.
+func decodePayloadInto(p []byte, msg *Message, d *Decoder, a *arena, reuse bool) error {
 	if len(p) < keyLenSize {
 		return errors.New("transport: truncated key length")
 	}
@@ -327,7 +328,11 @@ func decodePayloadInto(p []byte, msg *Message, d *Decoder, reuse bool) error {
 	msg.Values, msg.Beats = nil, nil
 	msg.Suppressed, msg.Syncs = nil, nil
 	if count > 0 {
-		msg.Values = sliceFor(prevValues, count, reuse)
+		if a != nil {
+			msg.Values = carve(&a.values, count)
+		} else {
+			msg.Values = sliceFor(prevValues, count, reuse)
+		}
 		for i := 0; i < count; i++ {
 			off := i * valueSize
 			msg.Values[i] = Value{
@@ -340,7 +345,11 @@ func decodePayloadInto(p []byte, msg *Message, d *Decoder, reuse bool) error {
 		p = p[count*valueSize:]
 	}
 	if beatCount > 0 {
-		msg.Beats = sliceFor(prevBeats, beatCount, reuse)
+		if a != nil {
+			msg.Beats = carve(&a.beats, beatCount)
+		} else {
+			msg.Beats = sliceFor(prevBeats, beatCount, reuse)
+		}
 		for i := 0; i < beatCount; i++ {
 			off := i * beatSize
 			msg.Beats[i] = Beat{
@@ -350,11 +359,21 @@ func decodePayloadInto(p []byte, msg *Message, d *Decoder, reuse bool) error {
 		}
 		p = p[beatCount*beatSize:]
 	}
+	supps := func(prev []Supp, n int) []Supp {
+		switch {
+		case n == 0:
+			return nil
+		case a != nil:
+			return carve(&a.supps, n)
+		default:
+			return sliceFor(prev, n, reuse)
+		}
+	}
 	var err error
-	if msg.Suppressed, p, err = decodeSuppSection(p, suppCount, prevSupps, reuse); err != nil {
+	if msg.Suppressed, p, err = decodeSuppSection(p, supps(prevSupps, suppCount)); err != nil {
 		return fmt.Errorf("transport: supp section: %w", err)
 	}
-	if msg.Syncs, p, err = decodeSuppSection(p, syncCount, prevSyncs, reuse); err != nil {
+	if msg.Syncs, p, err = decodeSuppSection(p, supps(prevSyncs, syncCount)); err != nil {
 		return fmt.Errorf("transport: sync section: %w", err)
 	}
 	if len(p) != 0 {
@@ -363,18 +382,14 @@ func decodePayloadInto(p []byte, msg *Message, d *Decoder, reuse bool) error {
 	return nil
 }
 
-// decodeSuppSection parses n delta-coded supp entries off the front of
-// p, returning the entries and the remaining bytes. Non-canonical
+// decodeSuppSection parses len(out) delta-coded supp entries off the
+// front of p into out, returning the entries and the remaining bytes. Non-canonical
 // (out-of-order) sections, malformed varints, and deltas accumulating
 // outside int32 are rejected with an error — never a panic — so a
 // corrupt or adversarial section cannot poison the replica protocol.
-func decodeSuppSection(p []byte, n int, prev []Supp, reuse bool) ([]Supp, []byte, error) {
-	if n == 0 {
-		return nil, p, nil
-	}
-	out := sliceFor(prev, n, reuse)
+func decodeSuppSection(p []byte, out []Supp) ([]Supp, []byte, error) {
 	pr, pn, pa := 0, 0, 0
-	for i := 0; i < n; i++ {
+	for i := range out {
 		var d [3]int
 		for j := range d {
 			u, k := binary.Uvarint(p)
@@ -410,4 +425,34 @@ func sliceFor[T any](prev []T, n int, reuse bool) []T {
 		return prev[:n]
 	}
 	return make([]T, n)
+}
+
+// arena backs the slices of one mailbox buffer's decoded messages: each
+// message's Values, Beats and supp sections are consecutive, capped
+// windows of one array per kind, so decoding a round allocates only
+// when the round outgrows every earlier one.
+type arena struct {
+	values []Value
+	beats  []Beat
+	supps  []Supp
+}
+
+// reset empties the arena for the buffer's next round; the messages
+// that used it must have been handed back.
+func (a *arena) reset() {
+	a.values, a.beats, a.supps = a.values[:0], a.beats[:0], a.supps[:0]
+}
+
+// carve takes the next n elements of *a as a slice capped at n, so an
+// append by its owner cannot reach its neighbour. An arena too small
+// moves to a new array of twice the size; the windows already carved
+// keep the old one.
+func carve[T any](a *[]T, n int) []T {
+	s := *a
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(2*cap(s), n))
+	}
+	l := len(s)
+	*a = s[:l+n]
+	return s[l : l+n : l+n]
 }

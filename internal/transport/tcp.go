@@ -1,11 +1,11 @@
 package transport
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,10 +33,12 @@ type TCPOptions struct {
 	// BatchBytes is the per-destination write-coalescing watermark:
 	// frames accepted by Send accumulate in one buffer per destination
 	// and are written in a single syscall when the buffer reaches
-	// BatchBytes or when Flush runs, cutting syscalls and lock
+	// BatchBytes or at the round barrier, cutting syscalls and lock
 	// acquisitions from one per message to one per destination per
 	// round. 0 (or less) selects the default (32 KiB); a watermark of 1
 	// flushes on every Send, surfacing write errors synchronously.
+	// Either way a write before the destination's Drain stops at
+	// unreadChunk unread, and the Drain writes the rest.
 	BatchBytes int
 }
 
@@ -69,8 +71,10 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // and the write lock serializing senders to one peer without holding
 // the transport lock (a stalled TCP write must never block Drain).
 type destQueue struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// buf[head:] holds the frames queued and not yet written.
 	buf    []byte
+	head   int
 	frames int
 	// failed latches a flush failure so the next Send to this
 	// destination reports the dead peer instead of silently buffering
@@ -96,27 +100,182 @@ func (q *destQueue) bumpStreak() {
 	}
 }
 
-// inbox is one node's mailbox and its barrier: written counts the
-// frames written to the node's connection, decoded the frames its
-// readers have put into the mailbox, and arrived holds a token once
-// decoded has caught up with written.
+// unreadChunk bounds what one destination may hold written but not yet
+// decoded, for every write but its reader's own. It sits below a
+// loopback connection's initial receive window, so a Send's watermark
+// flush or a writer pass never waits on a read that only a later Drain
+// of the same round would perform; whatever would go past it stays
+// queued. The destination's reader — its Drain, or Flush for the
+// collector — writes the rest, alternating writes of at most a chunk
+// with reads.
+const unreadChunk = 32 << 10
+
+// minReadRoom is the read buffer a connection starts with (bufio's
+// default). A connection whose reads fill its buffer doubles it, up to
+// unreadChunk, and a frame larger than the buffer grows it to fit.
+const minReadRoom = 4 << 10
+
+// inbox is one node's mailbox and the connections its reader pulls
+// frames from. written counts the frames written to the node and
+// wbytes their bytes; decoded and rbytes count what its reader has
+// decoded. The mailbox lock is the reader's: a Drain (or Flush, for the
+// collector) holds it while it reads, and it guards the read state.
 type inbox struct {
 	mailbox
 	written, decoded atomic.Int64
-	arrived          chan struct{}
+	wbytes, rbytes   atomic.Int64
+
+	// dec interns the tree keys of every connection's frames.
+	dec Decoder
+	// cur backs the slices of the messages in msgs, old those of the
+	// buffer the last Drain handed out.
+	cur, old arena
+
+	// connMu guards conns: the accepted connections, oldest first,
+	// which the accept loop appends to and Close closes.
+	connMu sync.Mutex
+	conns  []*inConn
+	// accepted holds a token once a connection joins conns.
+	accepted chan struct{}
 }
 
-// wakeWaiter leaves a token for a wait on the mailbox, if none is there
-// yet.
-func (b *inbox) wakeWaiter() {
-	select {
-	case b.arrived <- struct{}{}:
-	default:
+func newInbox() *inbox {
+	return &inbox{
+		dec:      Decoder{keys: make(map[string]string, 8)},
+		accepted: make(chan struct{}, 1),
 	}
 }
 
-// deliveryWait bounds each wait for a mailbox to catch up with the
-// frames written to it.
+// unread is what was written to the node and not yet decoded. A write
+// that fails partway can leave more decoded than counted as written,
+// hence the floor.
+func (b *inbox) unread() int {
+	return max(0, int(b.wbytes.Load()-b.rbytes.Load()))
+}
+
+// caughtUp reports whether every frame written to the node is decoded.
+func (b *inbox) caughtUp() bool { return b.decoded.Load() >= b.written.Load() }
+
+// slot extends the mailbox by one message and returns it for decoding
+// in place.
+func (b *inbox) slot() *Message {
+	if len(b.msgs) < cap(b.msgs) {
+		b.msgs = b.msgs[:len(b.msgs)+1]
+	} else {
+		b.msgs = append(b.msgs, Message{})
+	}
+	return &b.msgs[len(b.msgs)-1]
+}
+
+// decodeFrom decodes the whole frames buffered on c into the mailbox
+// and reports how many it decoded; a frame that does not decode is an
+// error. The caller holds b.mu.
+func (b *inbox) decodeFrom(c *inConn) (int, error) {
+	got := 0
+	for {
+		p := c.buf[c.off:]
+		if len(p) < framePrefixSize {
+			return got, nil
+		}
+		size := int(binary.BigEndian.Uint32(p))
+		if size > maxFrameSize {
+			return got, ErrFrameTooLarge
+		}
+		if len(p) < framePrefixSize+size {
+			return got, nil
+		}
+		msg := b.slot()
+		if err := decodePayloadInto(p[framePrefixSize:framePrefixSize+size], msg, &b.dec, &b.cur, true); err != nil {
+			*msg = Message{}
+			b.msgs = b.msgs[:len(b.msgs)-1]
+			return got, err
+		}
+		c.off += framePrefixSize + size
+		b.decoded.Add(1)
+		b.rbytes.Add(int64(framePrefixSize + size))
+		got++
+	}
+}
+
+// take hands out the mailbox's messages, re-arming the other buffer
+// and its arena (see mailbox.swap). The caller holds b.mu.
+func (b *inbox) take() []Message {
+	msgs := b.swap()
+	b.old.reset()
+	b.cur, b.old = b.old, b.cur
+	return msgs
+}
+
+// head returns the oldest accepted connection, or nil.
+func (b *inbox) head() *inConn {
+	b.connMu.Lock()
+	defer b.connMu.Unlock()
+	if len(b.conns) == 0 {
+		return nil
+	}
+	return b.conns[0]
+}
+
+// drop closes c and removes it from the accepted connections.
+func (b *inbox) drop(c *inConn) {
+	b.connMu.Lock()
+	if i := slices.Index(b.conns, c); i >= 0 {
+		b.conns = slices.Delete(b.conns, i, i+1)
+	}
+	b.connMu.Unlock()
+	_ = c.conn.Close()
+}
+
+// inConn is one accepted connection and the bytes read from it that are
+// not yet decoded (buf[off:]).
+type inConn struct {
+	conn net.Conn
+	// remote is the sender's address, which names the connection a
+	// sender writes to.
+	remote string
+	buf    []byte
+	off    int
+	// filled records that the last read filled the buffer.
+	filled bool
+}
+
+// buffered is how many undecoded bytes c holds.
+func (c *inConn) buffered() int { return len(c.buf) - c.off }
+
+// fill reads once from the connection, waiting at most wait. It first
+// makes room: the undecoded bytes move to the front, and the buffer
+// grows to hold the whole frame they start, or doubles (up to
+// unreadChunk) when the last read filled it.
+func (c *inConn) fill(wait time.Duration) error {
+	if c.off > 0 {
+		n := copy(c.buf, c.buf[c.off:])
+		c.buf, c.off = c.buf[:n], 0
+	}
+	need := max(len(c.buf)+1, minReadRoom)
+	if len(c.buf) >= framePrefixSize {
+		need = max(need, framePrefixSize+int(binary.BigEndian.Uint32(c.buf)))
+	}
+	if c.filled && cap(c.buf) < unreadChunk {
+		need = max(need, 2*cap(c.buf))
+	}
+	if need > cap(c.buf) {
+		c.buf = append(make([]byte, 0, need), c.buf...)
+	}
+	// A deadline that cannot be set means the connection is closed,
+	// which the read reports.
+	_ = c.conn.SetReadDeadline(time.Now().Add(wait))
+	room := c.buf[len(c.buf):cap(c.buf)]
+	n, err := c.conn.Read(room)
+	c.filled = n == len(room)
+	c.buf = c.buf[:len(c.buf)+n]
+	if n > 0 {
+		return nil
+	}
+	return err
+}
+
+// deliveryWait bounds each wait for a mailbox's frames: each read, and
+// each wait for a connection to be accepted.
 const deliveryWait = 10 * time.Second
 
 // TCP is a loopback transport: every node (including the central
@@ -128,33 +287,40 @@ const deliveryWait = 10 * time.Second
 // Writes are batched per destination (see TCPOptions.BatchBytes):
 // frames accepted by Send accumulate in one buffer per peer and go out
 // in a single syscall at the size watermark, at the round barrier, or
-// from the writer goroutine. The barrier is per mailbox: Flush finishes
-// only the collector's, then wakes the writer to write every node's
-// queue while the caller absorbs, and each Drain finishes its own.
+// from the writer goroutine. Reads are pulled by their consumer: no
+// goroutine reads a connection; a node's Drain writes its queue if the
+// writer has not and then reads its own connection until its mailbox
+// holds every frame written to it, and Flush does the same for the
+// collector before waking the writer to write every node's queue while
+// the caller absorbs. No write but the reader's own may leave a
+// destination more than unreadChunk unread.
+//
 // Failures are retried with capped jittered backoff; the backoff wait
 // observes Close, so closing the transport unblocks in-flight retries
 // promptly. When every attempt fails the frames are dropped (counted in
 // LostFrames), the error wraps ErrUnreachable, and the destination's
 // failed latch makes the next Send report the dead peer.
 type TCP struct {
+	// mu guards listeners, conns and waitErr.
 	mu        sync.Mutex
-	addrs     map[model.NodeID]string
 	listeners map[model.NodeID]net.Listener
 	conns     map[model.NodeID]net.Conn
-	queues    map[model.NodeID]*destQueue
-	// boxes are the per-node mailboxes, fixed at construction: reader
-	// goroutines append to them and Drain ping-pongs their two buffers.
-	boxes map[model.NodeID]*inbox
+	// addrs, queues and boxes are fixed at construction and read
+	// without a lock: the destinations' addresses, write queues and
+	// mailboxes.
+	addrs  map[model.NodeID]string
+	queues map[model.NodeID]*destQueue
+	boxes  map[model.NodeID]*inbox
 	// nodes are the destinations NewTCP was given (the collector aside),
 	// ascending: the writer's order, which is the round engine's state
 	// order.
-	nodes    []model.NodeID
-	closed   bool
+	nodes []model.NodeID
+	// closedCh is closed when Close begins.
 	closedCh chan struct{}
 	// wake holds a token when Flush has asked the writer for a pass.
 	wake chan struct{}
 	// waitErr is a Drain's delivery wait that gave up, kept for the next
-	// Flush to return. Guarded by mu.
+	// Flush to return.
 	waitErr error
 	// waitLimit bounds every delivery wait (deliveryWait).
 	waitLimit time.Duration
@@ -197,7 +363,7 @@ func NewTCPWithOptions(nodes []model.NodeID, opts TCPOptions) (*TCP, error) {
 		}
 		t.listeners[n] = ln
 		t.addrs[n] = ln.Addr().String()
-		t.boxes[n] = &inbox{arrived: make(chan struct{}, 1)}
+		t.boxes[n] = newInbox()
 		t.queues[n] = &destQueue{}
 		t.wg.Add(1)
 		go t.accept(t.boxes[n], ln)
@@ -209,8 +375,8 @@ func NewTCPWithOptions(nodes []model.NodeID, opts TCPOptions) (*TCP, error) {
 	return t, nil
 }
 
-// accept owns one node's listener, spawning a reader per inbound
-// connection.
+// accept owns one node's listener, registering each inbound connection
+// with the node's inbox for its reader.
 func (t *TCP) accept(box *inbox, ln net.Listener) {
 	defer t.wg.Done()
 	for {
@@ -218,39 +384,16 @@ func (t *TCP) accept(box *inbox, ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		t.wg.Add(1)
-		go t.read(box, conn)
-	}
-}
-
-// read decodes frames from one connection into the node's mailbox. The
-// per-connection Decoder reuses its payload buffer and interns tree
-// keys, so steady-state decoding allocates only the messages' value
-// slices; it reads through a buffer, so the batch Send wrote in one
-// syscall is read in about one rather than two per frame. Only the
-// frame that brings the mailbox level with what was written to it wakes
-// the mailbox's waiter.
-func (t *TCP) read(box *inbox, conn net.Conn) {
-	defer t.wg.Done()
-	defer func() { _ = conn.Close() }()
-	dec := NewDecoder(bufio.NewReader(conn))
-	for {
-		msg, err := dec.Decode()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Connection torn down mid-frame during shutdown:
-				// nothing to surface to the experiment.
-				_ = err
-			}
-			return
+		box.connMu.Lock()
+		if t.isClosed() {
+			_ = conn.Close()
+		} else {
+			box.conns = append(box.conns, &inConn{conn: conn, remote: conn.RemoteAddr().String()})
 		}
-		if !t.isClosed() {
-			box.mu.Lock()
-			box.msgs = append(box.msgs, msg)
-			box.mu.Unlock()
-		}
-		if box.decoded.Add(1) >= box.written.Load() {
-			box.wakeWaiter()
+		box.connMu.Unlock()
+		select {
+		case box.accepted <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -259,21 +402,15 @@ func (t *TCP) read(box *inbox, conn net.Conn) {
 // coalescing buffer and written out at the size watermark, by Flush or
 // the writer, or by the destination's Drain; a destination whose last
 // batch was lost reports ErrUnreachable once before accepting new
-// frames.
+// frames. It takes only the destination's lock.
 func (t *TCP) Send(msg Message) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.isClosed() {
 		return ErrClosed
 	}
-	addr, ok := t.addrs[msg.To]
+	q, ok := t.queues[msg.To]
 	if !ok {
-		t.mu.Unlock()
 		return fmt.Errorf("%w: %v", ErrUnknownDestination, msg.To)
 	}
-	q := t.queues[msg.To]
-	t.mu.Unlock()
-
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.failed {
@@ -286,10 +423,10 @@ func (t *TCP) Send(msg Message) error {
 	}
 	q.buf = buf
 	q.frames++
-	if len(q.buf) < t.opts.BatchBytes {
+	if len(q.buf)-q.head < t.opts.BatchBytes {
 		return nil
 	}
-	if err := t.flushQueueLocked(msg.To, addr, q); err != nil {
+	if _, err := t.flushQueueLocked(msg.To, q, false); err != nil {
 		if IsUnreachable(err) {
 			// The error is surfaced to this caller, who accounts for
 			// this message; only the other coalesced frames count as
@@ -301,68 +438,148 @@ func (t *TCP) Send(msg Message) error {
 	return nil
 }
 
-// flushQueueLocked writes the destination's coalesced buffer in one
-// syscall, retrying with backoff. Exhaustion drops the buffered frames
+// flushQueueLocked writes the head of the destination's queue in one
+// syscall, retrying with backoff: as many whole frames as keep the
+// destination within unreadChunk unread, and it reports whether frames
+// remain queued. For the destination's reader (reader set, with the
+// mailbox lock held), what it has already decoded is not unread, and a
+// head frame larger than the chunk is written in pieces, each read
+// before the next (writePaced). Exhaustion drops every queued frame
 // (counted in LostFrames) and returns an error wrapping ErrUnreachable.
 // The caller holds q.mu.
-func (t *TCP) flushQueueLocked(to model.NodeID, addr string, q *destQueue) error {
+func (t *TCP) flushQueueLocked(to model.NodeID, q *destQueue, reader bool) (more bool, err error) {
 	if q.frames == 0 {
-		return nil
+		return false, nil
+	}
+	box := t.boxes[to]
+	caughtUp := reader && box.caughtUp()
+	budget := unreadChunk
+	if !caughtUp {
+		budget -= box.unread()
+	}
+	queued := q.buf[q.head:]
+	nb, nf := len(queued), q.frames
+	if nb > budget {
+		nb, nf = framesWithin(queued, budget)
+	}
+	paced := nf == 0
+	if paced {
+		if !caughtUp {
+			return true, nil
+		}
+		nb, nf = framePrefixSize+int(binary.BigEndian.Uint32(queued)), 1
 	}
 	var lastErr error
 	for attempt := 0; attempt <= t.opts.MaxRetries; attempt++ {
 		if attempt > 0 && !t.waitBackoff(attempt+q.streak) {
-			return ErrClosed
+			return false, ErrClosed
 		}
 		if t.isClosed() {
-			return ErrClosed
+			return false, ErrClosed
 		}
-		conn, err := t.connTo(to, addr)
+		conn, err := t.connTo(to)
 		if err != nil {
 			lastErr = err
 			q.bumpStreak()
 			continue
 		}
-		if err := t.writeConn(to, conn, q.buf); err != nil {
+		if paced {
+			err = t.writePaced(to, box, conn, queued[:nb])
+		} else {
+			err = t.writeConn(to, conn, queued[:nb])
+		}
+		if err != nil {
 			lastErr = err
 			q.bumpStreak()
 			t.evict(to, conn)
 			continue
 		}
 		q.streak = 0
-		t.boxes[to].written.Add(int64(q.frames))
-		q.buf, q.frames = q.buf[:0], 0
-		return nil
+		box.written.Add(int64(nf))
+		box.wbytes.Add(int64(nb))
+		q.head += nb
+		q.frames -= nf
+		if 2*q.head >= len(q.buf) {
+			// What was written is most of the buffer: move the rest to
+			// the front. Each move copies fewer bytes than were written
+			// since the last, so a deferred remainder costs O(bytes).
+			q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+		}
+		return q.frames > 0, nil
 	}
 	t.lostFrames.Add(int64(q.frames))
-	q.buf, q.frames = q.buf[:0], 0
-	return fmt.Errorf("flush to %v failed after %d attempts: %w (last: %v)",
+	q.buf, q.head, q.frames = q.buf[:0], 0, 0
+	return false, fmt.Errorf("flush to %v failed after %d attempts: %w (last: %v)",
 		to, t.opts.MaxRetries+1, ErrUnreachable, lastErr)
 }
 
+// framesWithin measures the whole frames at the head of buf that fit in
+// limit bytes: their length and count.
+func framesWithin(buf []byte, limit int) (nb, nf int) {
+	for nb+framePrefixSize <= len(buf) {
+		next := nb + framePrefixSize + int(binary.BigEndian.Uint32(buf[nb:]))
+		if next > limit {
+			break
+		}
+		nb, nf = next, nf+1
+	}
+	return nb, nf
+}
+
+// writePaced writes one frame larger than unreadChunk to the
+// destination's connection a chunk at a time, reading each chunk off
+// the destination's side before writing the next, so no write waits on
+// a read. Only the destination's reader calls it, with its mailbox
+// caught up and its lock held.
+func (t *TCP) writePaced(to model.NodeID, box *inbox, conn net.Conn, frame []byte) error {
+	want := conn.LocalAddr().String()
+	for off := 0; off < len(frame); {
+		end := min(off+unreadChunk, len(frame))
+		if err := t.writeConn(to, conn, frame[off:end]); err != nil {
+			return err
+		}
+		off = end
+		if off == len(frame) {
+			return nil
+		}
+		// Wait until the frame's first off bytes are buffered on the
+		// connection written to; older connections are read to their end
+		// on the way.
+		for {
+			c, err := t.headConn(to, box)
+			if err != nil {
+				return err
+			}
+			if c.remote == want && c.buffered() >= off {
+				break
+			}
+			if err := t.readStep(to, box, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // connTo returns the cached connection to the destination, dialing one
-// (with the configured timeout) when none is cached.
-func (t *TCP) connTo(to model.NodeID, addr string) (net.Conn, error) {
+// (with the configured timeout) when none is cached. Callers hold the
+// destination queue's lock, so a destination's dials are sequential.
+func (t *TCP) connTo(to model.NodeID) (net.Conn, error) {
 	t.mu.Lock()
 	conn := t.conns[to]
 	t.mu.Unlock()
 	if conn != nil {
 		return conn, nil
 	}
-	c, err := net.DialTimeout("tcp", addr, t.opts.DialTimeout)
+	c, err := net.DialTimeout("tcp", t.addrs[to], t.opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("dial %v: %w", to, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.isClosed() {
 		_ = c.Close()
 		return nil, ErrClosed
-	}
-	if cached := t.conns[to]; cached != nil {
-		// Another sender won the race; use theirs.
-		_ = c.Close()
-		return cached, nil
 	}
 	t.conns[to] = c
 	return c, nil
@@ -383,7 +600,8 @@ func (t *TCP) writeConn(to model.NodeID, conn net.Conn, buf []byte) error {
 // evict drops a broken connection from the cache (only if it is still
 // the cached one — a concurrent sender may have replaced it already) so
 // the next attempt re-dials instead of failing forever against a closed
-// socket.
+// socket. Closing it ends the receiving side's copy, which the reader
+// then reads to its end before moving on to the next.
 func (t *TCP) evict(to model.NodeID, conn net.Conn) {
 	t.mu.Lock()
 	if t.conns[to] == conn {
@@ -438,21 +656,25 @@ func (t *TCP) backoff(attempt int) time.Duration {
 }
 
 // Flush implements Transport. It returns a delivery wait that a Drain
-// gave up on since the last Flush; otherwise it finishes the collector's
-// mailbox (see finish) and then wakes the writer, which writes every
-// other queue while the caller absorbs what the collector received.
+// gave up on since the last Flush; otherwise it writes and reads the
+// collector's mailbox (see finish) and then wakes the writer, which
+// writes every other queue while the caller absorbs what the collector
+// received.
 func (t *TCP) Flush() error {
-	t.mu.Lock()
-	closed, err := t.closed, t.waitErr
-	t.waitErr = nil
-	t.mu.Unlock()
-	if closed {
+	if t.isClosed() {
 		return ErrClosed
 	}
+	t.mu.Lock()
+	err := t.waitErr
+	t.waitErr = nil
+	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	err = t.finish(model.Central)
+	box := t.boxes[model.Central]
+	box.mu.Lock()
+	err = t.finish(model.Central, box)
+	box.mu.Unlock()
 	select {
 	case t.wake <- struct{}{}:
 	default:
@@ -470,62 +692,114 @@ func (t *TCP) Drain(n model.NodeID) []Message {
 	if !ok {
 		return nil
 	}
-	if err := t.finish(n); err != nil && !errors.Is(err, ErrClosed) {
+	box.mu.Lock()
+	err := t.finish(n, box)
+	msgs := box.take()
+	box.mu.Unlock()
+	if err != nil && !errors.Is(err, ErrClosed) {
 		t.mu.Lock()
 		if t.waitErr == nil {
 			t.waitErr = err
 		}
 		t.mu.Unlock()
 	}
-	msgs := box.drain()
 	sortMessages(msgs)
 	return msgs
 }
 
-// finish writes n's queue if the writer has not, then waits until n's
-// mailbox holds every frame written to n, woken by the reader that
-// decodes the last one, for at most waitLimit or until Close.
-func (t *TCP) finish(n model.NodeID) error {
-	if err := t.writeOut(n); err != nil {
-		return err
+// finish writes n's queue and reads n's connections until the mailbox
+// holds every frame written to n. A queue too large to write unread at
+// once goes out a chunk per pass, each pass read before the next. The
+// caller holds box.mu.
+func (t *TCP) finish(n model.NodeID, box *inbox) error {
+	for {
+		more, err := t.writeOut(n, true)
+		if err != nil {
+			return err
+		}
+		for !box.caughtUp() {
+			c, err := t.headConn(n, box)
+			if err != nil {
+				return err
+			}
+			if err := t.readStep(n, box, c); err != nil {
+				return err
+			}
+		}
+		if !more {
+			return nil
+		}
 	}
-	box := t.boxes[n]
-	if box.decoded.Load() >= box.written.Load() {
-		return nil
+}
+
+// headConn returns n's oldest accepted connection, waiting up to
+// waitLimit, or until Close, for one to be accepted.
+func (t *TCP) headConn(n model.NodeID, box *inbox) (*inConn, error) {
+	if c := box.head(); c != nil {
+		return c, nil
 	}
 	timer := time.NewTimer(t.waitLimit)
 	defer timer.Stop()
-	for box.decoded.Load() < box.written.Load() {
+	for {
 		select {
-		case <-box.arrived:
+		case <-box.accepted:
 		case <-t.closedCh:
-			return ErrClosed
+			return nil, ErrClosed
 		case <-timer.C:
-			return fmt.Errorf("transport: delivery to %v timed out (%d of %d decoded)",
+			return nil, fmt.Errorf("transport: delivery to %v timed out with no connection (%d of %d decoded)",
 				n, box.decoded.Load(), box.written.Load())
 		}
+		if c := box.head(); c != nil {
+			return c, nil
+		}
 	}
-	// A token this call took may have been a concurrent waiter's last
-	// wake-up: pass one on.
-	box.wakeWaiter()
-	return nil
 }
 
-// writeOut writes n's coalesced queue. A destination that stays
+// readStep makes one step of progress on c, an accepted connection of
+// n: it decodes the whole frames c has buffered or, when there are
+// none, reads once. A connection that ends — its sender evicted it and
+// moved on to a new one — or whose frames do not decode is dropped.
+// The caller holds box.mu.
+func (t *TCP) readStep(n model.NodeID, box *inbox, c *inConn) error {
+	got, err := box.decodeFrom(c)
+	if err != nil {
+		box.drop(c)
+		return nil
+	}
+	if got > 0 {
+		return nil
+	}
+	err = c.fill(t.waitLimit)
+	switch {
+	case err == nil:
+		return nil
+	case t.isClosed():
+		return ErrClosed
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return fmt.Errorf("transport: delivery to %v timed out (%d of %d decoded)",
+			n, box.decoded.Load(), box.written.Load())
+	default:
+		box.drop(c)
+		return nil
+	}
+}
+
+// writeOut writes the head of n's coalesced queue (flushQueueLocked)
+// and reports whether frames remain queued. A destination that stays
 // unreachable loses its frames (LostFrames) and latches an error for
 // its next Send, but does not fail the caller: the emulation degrades
 // gracefully around dead peers instead of aborting the round. The only
-// error returned is ErrClosed.
-func (t *TCP) writeOut(n model.NodeID) error {
+// error returned is ErrClosed, or a reader's failed delivery wait.
+func (t *TCP) writeOut(n model.NodeID, reader bool) (bool, error) {
 	q := t.queues[n]
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	err := t.flushQueueLocked(n, t.addrs[n], q)
+	more, err := t.flushQueueLocked(n, q, reader)
 	if IsUnreachable(err) {
 		q.failed = true
-		return nil
+		return false, nil
 	}
-	return err
+	return more, err
 }
 
 // writeLoop is the writer: each Flush's wake-up is one writeNodes
@@ -543,11 +817,11 @@ func (t *TCP) writeLoop() {
 	}
 }
 
-// writeNodes writes every node's queue in ascending node order, and
-// stops at Close.
+// writeNodes writes the head of every node's queue in ascending node
+// order, and stops at Close.
 func (t *TCP) writeNodes() {
 	for _, n := range t.nodes {
-		if t.writeOut(n) != nil {
+		if _, err := t.writeOut(n, false); err != nil {
 			return
 		}
 	}
@@ -563,16 +837,16 @@ func (t *TCP) LostFrames() int {
 	return int(t.lostFrames.Load())
 }
 
-// Close implements Transport: it stops listeners, closes connections,
-// unblocks in-flight retry backoffs and delivery waits, and waits for
-// the reader and writer goroutines to exit.
+// Close implements Transport: it stops listeners, closes connections —
+// which unblocks reads in progress — and in-flight retry backoffs and
+// delivery waits, and waits for the accept and writer goroutines to
+// exit.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.isClosed() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
 	close(t.closedCh)
 	for _, ln := range t.listeners {
 		_ = ln.Close()
@@ -581,6 +855,13 @@ func (t *TCP) Close() error {
 		_ = c.Close()
 	}
 	t.mu.Unlock()
+	for _, box := range t.boxes {
+		box.connMu.Lock()
+		for _, c := range box.conns {
+			_ = c.conn.Close()
+		}
+		box.connMu.Unlock()
+	}
 	t.wg.Wait()
 	return nil
 }

@@ -92,16 +92,17 @@ type Transport interface {
 	Send(msg Message) error
 	// Drain atomically removes and returns everything sent to node n
 	// before the call, in canonical order (tree key, then sender). An
-	// asynchronous transport first waits for n's own frames in flight:
-	// its barrier is per mailbox. The returned slice is valid until the
-	// next Drain call for the same node.
+	// asynchronous transport first delivers n's own frames in flight —
+	// over TCP the Drain itself reads them off n's connection: its
+	// barrier is per mailbox. The returned slice is valid until the next
+	// Drain call for the same node.
 	Drain(n model.NodeID) []Message
 	// Flush is the round barrier for the collector: it blocks until
-	// every accepted Send to model.Central has reached its mailbox, and
-	// may start delivering the frames bound for other nodes without
-	// waiting for them; each node's Drain waits for its own. It also
-	// reports a delivery failure a Drain met since the last Flush.
-	// Synchronous transports return immediately.
+	// every accepted Send to model.Central has reached its mailbox (over
+	// TCP, Flush reads them), and may start delivering the frames bound
+	// for other nodes without waiting for them; each node's Drain
+	// delivers its own. It also reports a delivery failure a Drain met
+	// since the last Flush. Synchronous transports return immediately.
 	Flush() error
 	// Close releases transport resources. No Send or Drain may follow.
 	Close() error
@@ -152,17 +153,22 @@ type mailbox struct {
 	spare []Message
 }
 
-// drain hands out the queued messages and arms the spare buffer — the
-// one the previous drain handed out, whose caller's ownership ends now —
-// with its references cleared, so a drained round's payloads are not
-// kept alive by the mailbox.
+// drain hands out the queued messages (see swap).
 func (b *mailbox) drain() []Message {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.swap()
+}
+
+// swap hands out the queued messages and arms the spare buffer — the
+// one the previous drain handed out, whose caller's ownership ends now —
+// with its references cleared, so a drained round's payloads are not
+// kept alive by the mailbox. The caller holds b.mu.
+func (b *mailbox) swap() []Message {
 	msgs := b.msgs
 	clear(b.spare)
 	b.msgs = b.spare[:0]
 	b.spare = msgs
-	b.mu.Unlock()
 	return msgs
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -348,7 +349,7 @@ func TestTCPCloseUnblocksDrain(t *testing.T) {
 	if err := tr.Send(Message{TreeKey: "k", From: 1, To: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// A reader goroutine is now running too.
+	// Node 2's connection is accepted and read.
 	waitDrain(t, tr, 2, 1)
 	tr.boxes[1].written.Add(1) // a frame written that no reader will deliver
 	drained := make(chan struct{})
@@ -561,8 +562,8 @@ func TestTCPFlushBesideConcurrentSenders(t *testing.T) {
 // state: each Drain hands out the buffer the next-but-one Drain hands
 // out again, so a round does not regrow its mailboxes, and a buffer
 // whose ownership has ended holds no references to drained payloads.
-// A second phase drains while reader goroutines deliver, the one
-// concurrent hand-off the swap adds.
+// A second phase drains while another goroutine sends, flushes and
+// wakes the writer, which writes the node's queue beside the Drain.
 func TestTCPMailboxReuse(t *testing.T) {
 	tr, err := NewTCP([]model.NodeID{1})
 	if err != nil {
@@ -638,5 +639,76 @@ func TestTCPMailboxReuse(t *testing.T) {
 	}
 	if total != frames {
 		t.Fatalf("drained %d frames, want %d", total, frames)
+	}
+}
+
+// TestTCPLargeBatchNeverWaitsOnItsOwnRead: a round whose batch to one
+// destination is larger than a loopback socket holds unread — about
+// 4 MiB to the collector, and 4 MiB plus a single 6 MiB frame to a node
+// — completes with no write timeout and no lost frame, at the default
+// watermark and at one that flushes on every Send. Nothing reads a
+// connection but its destination's Drain (or Flush), so a write that
+// left more than a chunk unread before that read, or wrote the large
+// frame whole, would block until its deadline and lose the batch.
+func TestTCPLargeBatchNeverWaitsOnItsOwnRead(t *testing.T) {
+	values := func(n int) []Value {
+		vs := make([]Value, n)
+		for v := range vs {
+			vs[v] = Value{Node: model.NodeID(v), Attr: 1, Round: n, Value: float64(v)}
+		}
+		return vs
+	}
+	small, large := values(100), values(300_000)
+	var toCentral, toNode []Message
+	for i := 0; i < 2000; i++ {
+		toCentral = append(toCentral, Message{TreeKey: "big", From: model.NodeID(i + 2), To: model.Central, Values: small})
+		toNode = append(toNode, Message{TreeKey: "big", From: model.NodeID(i + 2), To: 1, Values: small})
+		if i == 1000 {
+			toNode = append(toNode, Message{TreeKey: "big", From: 1, To: 1, Values: large})
+		}
+	}
+	same := func(got, want []Message) bool {
+		return len(got) == len(want) && slices.EqualFunc(got, want, func(g, w Message) bool {
+			return g.TreeKey == w.TreeKey && g.From == w.From && g.To == w.To && slices.Equal(g.Values, w.Values)
+		})
+	}
+	for _, batch := range []int{0, 1} {
+		tr, err := NewTCPWithOptions([]model.NodeID{1}, TCPOptions{
+			WriteTimeout: 200 * time.Millisecond,
+			MaxRetries:   -1,
+			BatchBytes:   batch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, msg := range toNode {
+			if i < len(toCentral) {
+				if err := tr.Send(toCentral[i]); err != nil {
+					t.Fatalf("watermark %d: Send to the collector: %v", batch, err)
+				}
+			}
+			if err := tr.Send(msg); err != nil {
+				t.Fatalf("watermark %d: Send to the node: %v", batch, err)
+			}
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatalf("watermark %d: Flush: %v", batch, err)
+		}
+		if got := tr.Drain(model.Central); !same(got, toCentral) {
+			t.Fatalf("watermark %d: the collector drained %d frames, not the %d sent", batch, len(got), len(toCentral))
+		}
+		got := tr.Drain(1)
+		want := slices.Clone(toNode)
+		sortMessages(want)
+		if !same(got, want) {
+			t.Fatalf("watermark %d: the node drained %d frames, not the %d sent", batch, len(got), len(want))
+		}
+		if lost := tr.LostFrames(); lost != 0 {
+			t.Fatalf("watermark %d: %d frames lost", batch, lost)
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatalf("watermark %d: Flush after the drains: %v", batch, err)
+		}
+		_ = tr.Close()
 	}
 }

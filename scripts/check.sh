@@ -64,6 +64,12 @@ go test -run '^$' -bench 'BenchmarkLatestBesideRounds|BenchmarkStreamRound' -ben
 echo "==> stream, per-mailbox round barrier, TCP mailbox hand-off and background write loss under -race, repeated"
 go test -race -count=10 -run 'Stream|Broker|Gap|Flush|Mailbox|Drain|Lost' ./internal/serve ./internal/transport
 
+echo "==> TCP pull reads under -race, repeated: Drain/Flush reads beside the accept loop, the writer, evictions and re-dials"
+# About 45 s on two cores: every TCP and transport test 20 times, so the
+# interleavings of a reader with accepts, evicted connections and the
+# unread-chunk rule get shaken.
+go test -race -count=20 -run 'TCP|Transport' ./internal/transport
+
 echo "==> planner beside the round loop, replan-sequence golden, set-aside plans, plan determinism and lone-vs-sharded scoring under -race, repeated"
 # A SetTasks during an outage carries the set-aside plan forward in
 # Propose, unlocked, beside the rounds (the Aside tests).

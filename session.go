@@ -81,6 +81,10 @@ type session struct {
 	// journaling session, has its trigger re-arm state checkpointed.
 	proc    *store.Processor
 	onValue func(pair Pair, round int, value float64)
+	// batch is the current round's accepted values, in the order the
+	// collection tier accepted them: observe appends, and the round
+	// hands the batch to each consumer once (handOff, appendRound).
+	batch []journal.SampleRec
 	// journalErr is the first journal write failure (surfaced by step).
 	journalErr error
 	// movesSeen is how many dispatcher moves the log has captured as
@@ -90,18 +94,11 @@ type session struct {
 
 // durableLog is one journal directory and what it persists: a
 // repository of every value collected behind it, which is both the
-// queryable store and the state checkpointed, and the current round's
-// accepted values between the machine's absorb and the WAL append.
+// queryable store and the state checkpointed.
 type durableLog struct {
-	dir     string
-	writer  *journal.Writer
-	repo    *store.Store
-	pending []journal.SampleRec
-}
-
-func (l *durableLog) observe(rec journal.SampleRec) {
-	l.repo.Observe(rec.Pair, rec.Round, rec.Value)
-	l.pending = append(l.pending, rec)
+	dir    string
+	writer *journal.Writer
+	repo   *store.Store
 }
 
 // startSession boots a session over the given demand (the planner's
@@ -199,24 +196,19 @@ func (p *Planner) startSession(cfg MonitorConfig, demand *task.Demand, seed jour
 }
 
 // observe receives every value the collection tier accepts, whether or
-// not the session journals: into the log, the trigger processor, and on
-// to the caller's OnValue.
+// not the session journals, into the round's batch.
 func (s *session) observe(pair Pair, round int, value float64) {
-	if s.log != nil {
-		s.log.observe(journal.SampleRec{Pair: pair, Round: round, Value: value})
-	}
-	if s.proc != nil {
-		s.proc.Observe(pair, round, value)
-	}
-	if s.onValue != nil {
-		s.onValue(pair, round, value)
-	}
+	s.batch = append(s.batch, journal.SampleRec{Pair: pair, Round: round, Value: value})
 }
 
-// step executes one collection round, then closes the self-healing loop
-// and journals the round before the next one.
+// step executes one collection round and hands the values it accepted
+// on, then closes the self-healing loop and journals the round before
+// the next one.
 func (s *session) step() error {
-	if err := s.machine.Step(); err != nil {
+	s.batch = s.batch[:0]
+	err := s.machine.Step()
+	s.handOff()
+	if err != nil {
 		return err
 	}
 	s.selfHeal()
@@ -225,6 +217,28 @@ func (s *session) step() error {
 		return s.verifyErr
 	}
 	return s.journalErr
+}
+
+// handOff passes the round's batch to its consumers in turn: the
+// trigger processor (skipped when no trigger is set) and the caller's
+// OnValue, record by record, so a record's alert precedes its value;
+// then the log's store, under one lock. The WAL takes the batch in
+// appendRound. No lock is held across a callback.
+func (s *session) handOff() {
+	armed := s.proc != nil && s.proc.HasTriggers()
+	if armed || s.onValue != nil {
+		for _, r := range s.batch {
+			if armed {
+				s.proc.Observe(r.Pair, r.Round, r.Value)
+			}
+			if s.onValue != nil {
+				s.onValue(r.Pair, r.Round, r.Value)
+			}
+		}
+	}
+	if s.log != nil {
+		s.log.repo.ObserveBatch(s.batch)
+	}
 }
 
 // appendRound appends the executed round's accepted values to the WAL
@@ -238,8 +252,6 @@ func (s *session) appendRound() {
 	if l == nil {
 		return
 	}
-	recs := l.pending
-	l.pending = l.pending[:0]
 	if s.machine.CollectorDown() {
 		return
 	}
@@ -252,7 +264,7 @@ func (s *session) appendRound() {
 			s.noteJournal(l.writer.AppendAssignment(s.machine.ShardAssignment()))
 		}
 	}
-	due, err := l.writer.AppendSamples(s.machine.Round()-1, recs)
+	due, err := l.writer.AppendSamples(s.machine.Round()-1, s.batch)
 	if err == nil && due {
 		err = l.writer.Checkpoint(s.state())
 	}
@@ -694,7 +706,6 @@ func (s *session) resumeCollector() (ResumeReport, error) {
 	s.restore(rec.State)
 	s.restarts++
 	s.log.repo = rec.State.Store
-	s.log.pending = s.log.pending[:0]
 	if err := s.reopen(); err != nil {
 		return ResumeReport{}, err
 	}
