@@ -105,6 +105,10 @@ type Config struct {
 	// checkpointed snapshot, so they are in lockstep from round zero and
 	// suppression resumes without waiting for the first periodic sync.
 	SeedModels map[model.Pair]predict.Snapshot
+
+	// dedup is how many rounds each pair's delivery window covers; set by
+	// NewMachine (see dedupSpan).
+	dedup int
 }
 
 // Result aggregates what the collector observed.

@@ -83,7 +83,7 @@ func newCollector(cfg Config, trees *treeTable) *collector {
 		extraView: make(map[model.Pair]transport.Value),
 		extraSeen: make(map[model.Pair]roundWindow),
 	}
-	c.retarget(cfg)
+	c.retarget(cfg, 0)
 	c.seedModels(cfg.SeedModels)
 	return c
 }
@@ -143,17 +143,24 @@ func (c *collector) predSnapshots(into map[model.Pair]predict.Snapshot) map[mode
 }
 
 // retarget rebuilds the collector's demanded-pair accounting for a new
-// configuration (topology adaptation), keeping its views and error
-// accumulators. Views and delivery windows of pairs leaving the demand
-// are parked in the overflow maps; pairs rejoining pick them back up —
-// exactly what a real collector's retained state would do.
-func (c *collector) retarget(cfg Config) {
+// configuration (topology adaptation) before round, keeping its views
+// and error accumulators. Views and delivery windows of pairs leaving
+// the demand are parked in the overflow maps; pairs rejoining pick them
+// back up — exactly what a real collector's retained state would do. A
+// parked window whose newest round is a full span behind round is
+// dropped: no delivery lags that far, so its next mark would clear it.
+func (c *collector) retarget(cfg Config, round int) {
 	for i, p := range c.holisticPairs {
 		if c.viewSet[i] {
 			c.extraView[p] = c.views[i]
 		}
 		if c.seen[i].bits != nil {
 			c.extraSeen[p] = c.seen[i]
+		}
+	}
+	for p, w := range c.extraSeen {
+		if round-w.newest >= 64*len(w.bits) {
+			delete(c.extraSeen, p)
 		}
 	}
 	c.cfg = cfg
@@ -234,7 +241,7 @@ func (c *collector) recover(repo *store.Store, round int) {
 	c.extraView = make(map[model.Pair]transport.Value)
 	c.extraSeen = make(map[model.Pair]roundWindow)
 	c.aggView = make(map[model.AttrID]transport.Value)
-	c.retarget(c.cfg)
+	c.retarget(c.cfg, round)
 	if repo == nil {
 		return
 	}
@@ -420,7 +427,7 @@ func (c *collector) impute(sp transport.Supp) {
 
 // markSlot records delivery of a demanded (pair, round) observation.
 func (c *collector) markSlot(slot, round int) {
-	if c.seen[slot].mark(round, c.cfg.Rounds) {
+	if c.seen[slot].mark(round, c.cfg.dedup) {
 		c.delivered++
 	}
 }
@@ -429,18 +436,51 @@ func (c *collector) markSlot(slot, round int) {
 // may have been demanded before a retarget, or become demanded later).
 func (c *collector) markExtra(p model.Pair, round int) {
 	w := c.extraSeen[p]
-	if w.mark(round, c.cfg.Rounds) {
+	if w.mark(round, c.cfg.dedup) {
 		c.delivered++
 	}
 	c.extraSeen[p] = w
 }
 
-// dedupRounds is how many recent rounds a pair remembers deliveries of:
-// far more than any delivery lags its origin round (tree depth, chaos
-// delay, an outage's leaf buffer), in the 8 KiB a delivered pair held
-// when this was a fixed horizon — a smaller window changes the heap's
-// size, and with it how often the collector's process collects garbage.
-const dedupRounds = 1 << 16
+// windows counts the delivery windows the collector holds.
+func (c *collector) windows() int {
+	n := len(c.extraSeen)
+	for _, w := range c.seen {
+		if w.bits != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// dedupRounds and minDedupRounds bound how many recent rounds a pair
+// remembers deliveries of: at most 8 KiB a pair, and at least 512 B.
+const (
+	dedupRounds    = 1 << 16
+	minDedupRounds = 1 << 12
+)
+
+// dedupSpan is how many rounds each pair's delivery window covers in a
+// machine of cfg: twice the worst lag of a delivery behind its origin
+// round, rounded up to a whole word and kept within [minDedupRounds,
+// dedupRounds], or the run's length when a fixed-length run is shorter.
+// A value climbs its tree one hop a round, through at most every node;
+// chaos may delay each hop's frame by up to max(1, MaxDelayRounds) more
+// rounds; a root's outbox holds at most LeafBuffer frames after an
+// outage, drained at least one a round; and a TCP retry lands in its own
+// round.
+func dedupSpan(cfg Config) int {
+	hop := 1
+	if cfg.Chaos != nil && cfg.Chaos.DelayProb > 0 {
+		hop += min(dedupRounds, max(1, cfg.Chaos.MaxDelayRounds))
+	}
+	lag := len(cfg.Sys.Nodes)*hop + cfg.LeafBuffer
+	span := min(dedupRounds, max(minDedupRounds, 2*((lag+63)/64*64)))
+	if cfg.Rounds > 0 && cfg.Rounds < span {
+		span = cfg.Rounds
+	}
+	return span
+}
 
 // roundWindow dedups one pair's delivered rounds over a sliding window
 // ending at the newest round delivered, so a session counts deliveries
@@ -458,19 +498,18 @@ type roundWindow struct {
 }
 
 // mark records round r and reports whether it is a first delivery. The
-// window spans dedupRounds rounds, or the whole run when a fixed-length
-// run (horizon > 0) is shorter. A round older than the window cannot be
-// told from a duplicate and is not counted.
-func (w *roundWindow) mark(r, horizon int) bool {
+// window spans the whole words that cover span rounds (dedupRounds when
+// span is not positive). A round older than the window cannot be told
+// from a duplicate and is not counted.
+func (w *roundWindow) mark(r, span int) bool {
 	if r < 0 {
 		return false
 	}
 	if w.bits == nil {
-		span := dedupRounds
-		if horizon > 0 && horizon < span {
-			span = horizon + 63
+		if span <= 0 || span > dedupRounds {
+			span = dedupRounds
 		}
-		w.bits = make([]uint64, span/64)
+		w.bits = make([]uint64, (span+63)/64)
 		w.newest = r
 	}
 	n := len(w.bits)

@@ -150,8 +150,8 @@ type Machine struct {
 
 // NewMachine validates the configuration and prepares a deployment at
 // round 0. Rounds in cfg does not bound stepping — a machine steps until
-// it is closed — but a positive one shrinks each pair's delivery dedup
-// window to the run's length.
+// it is closed — but a positive one shorter than the worst delivery lag
+// allows shrinks each pair's delivery dedup window to the run's length.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Sys == nil || cfg.Forest == nil || cfg.Demand == nil {
 		return nil, ErrNoForest
@@ -163,6 +163,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		cfg.Resolve = func(a model.AttrID) model.AttrID { return a }
 	}
 	cfg.Chaos = cfg.Chaos.ForSystem(cfg.Sys)
+	cfg.dedup = dedupSpan(cfg)
 	// The session starts at epoch 1 so a zero-valued frame (or one from
 	// a pre-epoch wire peer) is always older than any installed plan.
 	m := &Machine{cfg: cfg, tr: cfg.Transport, trees: &treeTable{epoch: 1}}
@@ -521,6 +522,16 @@ func (m *Machine) PredictSnapshots() map[model.Pair]predict.Snapshot {
 		out = c.predSnapshots(out)
 	}
 	return m.tier.resid.predSnapshots(out)
+}
+
+// DedupWindows reports how many delivery windows the collection tier
+// holds — one per pair it marked a delivery of, demanded or parked by a
+// retarget — and how many rounds each covers.
+func (m *Machine) DedupWindows() (held, span int) {
+	for _, c := range m.tier.colls {
+		held += c.windows()
+	}
+	return held + m.tier.resid.windows(), m.cfg.dedup
 }
 
 // Epoch returns the newest plan epoch issued (1 at session start).

@@ -147,7 +147,7 @@ func (m *Machine) rebuildShardDemands() {
 		cfg := m.cfg
 		cfg.Demand = demands[s]
 		if s < len(t.colls) {
-			t.colls[s].retarget(cfg)
+			t.colls[s].retarget(cfg, m.round)
 		} else {
 			t.colls = append(t.colls, newCollector(cfg, m.trees))
 		}
@@ -157,7 +157,7 @@ func (m *Machine) rebuildShardDemands() {
 	if t.resid == nil {
 		t.resid = newCollector(residCfg, m.trees)
 	} else {
-		t.resid.retarget(residCfg)
+		t.resid.retarget(residCfg, m.round)
 	}
 }
 

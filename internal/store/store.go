@@ -149,6 +149,18 @@ func (s *Store) LatestSince(since int) []PairSample {
 	return out
 }
 
+// Retire drops the series of every pair keep rejects whose newest
+// sample is older than round before.
+func (s *Store) Retire(before int, keep func(model.Pair) bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for p, r := range s.series {
+		if (r.len() == 0 || r.newest().Round < before) && !keep(p) {
+			delete(s.series, p)
+		}
+	}
+}
+
 // Len returns the total number of retained samples.
 func (s *Store) Len() int {
 	s.mu.RLock()

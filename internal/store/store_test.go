@@ -119,6 +119,22 @@ func TestStorePairsSorted(t *testing.T) {
 // defined by: on random stores (sparse and dense, in- and out-of-order
 // arrivals, evictions) and random cursors it returns exactly what the
 // Pairs + per-pair Latest loop does, in the same order.
+// TestRetire drops exactly the series keep rejects whose newest sample
+// is older than the cutoff: a kept pair and a recent one stay, however
+// old their other samples.
+func TestRetire(t *testing.T) {
+	s := New(4)
+	s.Observe(pair(1, 1), 2, 0)  // kept
+	s.Observe(pair(2, 1), 2, 0)  // retired
+	s.Observe(pair(3, 1), 1, 0)  // an old sample, then
+	s.Observe(pair(3, 1), 10, 0) // one at the cutoff: stays
+	s.Observe(pair(4, 1), 9, 0)  // just under the cutoff: retired
+	s.Retire(10, func(p model.Pair) bool { return p.Node == 1 })
+	if got, want := s.Pairs(), []model.Pair{pair(1, 1), pair(3, 1)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Retire(10): %v, want %v", got, want)
+	}
+}
+
 func TestLatestSinceMatchesPairsLatest(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {

@@ -243,10 +243,10 @@ echo "==> fuzz smoke (FuzzDecode, 10s)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/transport
 
 echo "==> coverage gate"
-# Floor set 2 points under the last measured total (87.4%; 86.1% when
+# Floor set 2 points under the last measured total (88.5%; 86.1% when
 # the gate was added); raise it as coverage grows, never lower it to
 # pass.
-COVER_FLOOR=85.4
+COVER_FLOOR=86.5
 tmp_paths+=(/tmp/remo-cover.out)
 go test -count=1 -coverprofile=/tmp/remo-cover.out ./... > /dev/null
 total=$(go tool cover -func=/tmp/remo-cover.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')

@@ -6,6 +6,7 @@ import (
 	"maps"
 
 	"remo/internal/adapt"
+	"remo/internal/agg"
 	"remo/internal/cluster"
 	"remo/internal/detect"
 	"remo/internal/journal"
@@ -266,9 +267,37 @@ func (s *session) appendRound() {
 	}
 	due, err := l.writer.AppendSamples(s.machine.Round()-1, s.batch)
 	if err == nil && due {
+		s.retire()
 		err = l.writer.Checkpoint(s.state())
 	}
 	s.noteJournal(err)
+}
+
+// retire drops from the repository every series that no installed task
+// asks for and that has taken no sample for a ring's worth of rounds.
+// It runs just before a checkpoint is encoded, so the live store and the
+// checkpoint lose the same series at once and a resume, which replays
+// the WAL onto that checkpoint, recovers the live store. Series are
+// keyed by alias-resolved pair, and an aggregated attribute's are kept
+// under whichever node delivered its aggregate, for as long as the
+// attribute is demanded.
+func (s *session) retire() {
+	pairs := make(map[model.Pair]struct{})
+	aggs := make(map[model.AttrID]struct{})
+	for _, p := range s.adaptor.Demand().Pairs() {
+		orig := s.planner.resolveAttr(p.Attr)
+		if s.planner.aggSpec.KindOf(orig) != agg.Holistic {
+			aggs[orig] = struct{}{}
+		} else {
+			pairs[model.Pair{Node: p.Node, Attr: orig}] = struct{}{}
+		}
+	}
+	repo := s.log.repo
+	repo.Retire(s.machine.Round()-1-repo.Capacity(), func(p model.Pair) bool {
+		_, demanded := pairs[p]
+		_, aggregated := aggs[p.Attr]
+		return demanded || aggregated
+	})
 }
 
 // noteJournal retains the first journal write failure.
